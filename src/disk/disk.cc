@@ -3,9 +3,49 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 namespace v3sim::disk
 {
+
+namespace
+{
+
+constexpr uint64_t kPageBytes = 4096;
+constexpr uint64_t kChunkPages = 64;
+
+/** Calls @p fn(page, in_page, done, n) for each piece of
+ *  [offset, offset+len) that lies inside one page. */
+template <typename Fn>
+void
+forEachPagePiece(uint64_t offset, uint64_t len, Fn &&fn)
+{
+    for (uint64_t done = 0; done < len;) {
+        const uint64_t at = offset + done;
+        const uint64_t in_page = at % kPageBytes;
+        const uint64_t n = std::min(kPageBytes - in_page, len - done);
+        fn(at / kPageBytes, in_page, done, n);
+        done += n;
+    }
+}
+
+} // namespace
+
+uint8_t *
+DiskStore::writablePage(uint64_t index)
+{
+    uint8_t *&page = pages_[index];
+    if (page == nullptr) {
+        if (chunks_.empty() || chunk_pages_used_ == kChunkPages) {
+            chunks_.push_back(
+                sim::allocateZeroed(kChunkPages * kPageBytes));
+            chunk_pages_used_ = 0;
+        }
+        page = chunks_.back().get() + chunk_pages_used_ * kPageBytes;
+        ++chunk_pages_used_;
+    }
+    return page;
+}
 
 bool
 DiskStore::readInto(uint64_t offset, uint64_t len, sim::MemorySpace &mem,
@@ -17,15 +57,15 @@ DiskStore::readInto(uint64_t offset, uint64_t len, sim::MemorySpace &mem,
         return false;
     if (phantom_ || mem.phantom())
         return true;
-    for (uint64_t done = 0; done < len; done += kSectorSize) {
-        const auto it = sectors_.find((offset + done) / kSectorSize);
-        if (it != sectors_.end()) {
-            mem.write(addr + done, it->second.data(), kSectorSize);
-        } else {
-            Sector zeros{};
-            mem.write(addr + done, zeros.data(), kSectorSize);
-        }
-    }
+    forEachPagePiece(
+        offset, len,
+        [&](uint64_t page, uint64_t in_page, uint64_t done, uint64_t n) {
+            const auto it = pages_.find(page);
+            if (it != pages_.end())
+                mem.write(addr + done, it->second + in_page, n);
+            else
+                mem.fill(addr + done, 0, n);
+        });
     return true;
 }
 
@@ -45,10 +85,12 @@ DiskStore::writeFrom(uint64_t offset, uint64_t len,
     }
     if (phantom_ || mem.phantom())
         return true;
-    for (uint64_t done = 0; done < len; done += kSectorSize) {
-        Sector &sector = sectors_[(offset + done) / kSectorSize];
-        mem.read(addr + done, sector.data(), kSectorSize);
-    }
+    const uint8_t *src = mem.bytesAt(addr, len);
+    forEachPagePiece(
+        offset, len,
+        [&](uint64_t page, uint64_t in_page, uint64_t done, uint64_t n) {
+            std::memcpy(writablePage(page) + in_page, src + done, n);
+        });
     return true;
 }
 
@@ -63,11 +105,11 @@ DiskStore::markCorrupt(uint64_t offset, uint64_t len)
         corrupt_sectors_.insert(s);
         if (!phantom_) {
             // Flip a byte so readInto really returns damaged data;
-            // touching an unwritten sector materializes it as a
-            // nonzero sector, which differs from the zeros it would
-            // have read as.
-            Sector &sector = sectors_[s];
-            sector[kSectorSize / 2] ^= 0x40;
+            // touching an unwritten sector materializes its page, and
+            // the sector then differs from the zeros it would have
+            // read as.
+            const uint64_t at = s * kSectorSize + kSectorSize / 2;
+            writablePage(at / kPageBytes)[at % kPageBytes] ^= 0x40;
         }
     }
 }

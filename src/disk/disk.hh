@@ -8,7 +8,7 @@
  * commands, so sequential streams (the database log) are naturally
  * fast and random OLTP I/O is naturally ~5-10 ms.
  *
- * Data is really stored (sector-granular sparse store) unless the
+ * Data is really stored (a sparse store of 4 KiB pages) unless the
  * attached store is phantom, enabling end-to-end integrity tests
  * through client -> VI -> V3 cache -> disk and back.
  */
@@ -16,14 +16,12 @@
 #ifndef V3SIM_DISK_DISK_HH
 #define V3SIM_DISK_DISK_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -33,6 +31,7 @@
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
+#include "util/flat_map.hh"
 #include "vi/fault_targets.hh"
 
 namespace v3sim::disk
@@ -45,7 +44,12 @@ enum class SchedPolicy : uint8_t
     Elevator, ///< C-LOOK: ascending sweep, wrap to lowest
 };
 
-/** Sector-granular sparse data store backing one disk. */
+/**
+ * Sparse data store backing one disk. Content lives in 4 KiB pages,
+ * materialized on first write and carved in order from lazily zeroed
+ * chunks; corruption marks stay per sector. Accesses are sector
+ * granular.
+ */
 class DiskStore
 {
   public:
@@ -79,16 +83,19 @@ class DiskStore
      *  only learns it by checksumming what readInto returns. */
     bool rangeCorrupt(uint64_t offset, uint64_t len) const;
 
-    size_t sectorCount() const { return sectors_.size(); }
-
     /** Sectors currently marked corrupt (oracle view). */
     size_t corruptSectorCount() const { return corrupt_sectors_.size(); }
 
   private:
-    using Sector = std::array<uint8_t, kSectorSize>;
+    /** Page @p index, zero-filled on first use. */
+    uint8_t *writablePage(uint64_t index);
 
     bool phantom_;
-    std::unordered_map<uint64_t, Sector> sectors_;
+    /** Page index -> its bytes inside one of chunks_. */
+    util::FlatMap<uint64_t, uint8_t *, std::hash<uint64_t>> pages_;
+    std::vector<sim::ZeroedBytes> chunks_;
+    /** Pages of chunks_.back() already handed out. */
+    uint64_t chunk_pages_used_ = 0;
     /** Sector indices damaged by markCorrupt and not yet rewritten. */
     std::unordered_set<uint64_t> corrupt_sectors_;
 };

@@ -1,6 +1,5 @@
 #include "protocol.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/crc32c.hh"
@@ -49,19 +48,8 @@ uint32_t
 payloadDigest(const sim::MemorySpace &mem, sim::Addr addr, uint64_t len,
               uint32_t seed)
 {
-    if (mem.phantom())
-        return 0;
-    uint8_t chunk[4096];
-    uint32_t crc = seed;
-    uint64_t done = 0;
-    while (done < len) {
-        const uint64_t n = std::min<uint64_t>(sizeof(chunk), len - done);
-        if (!mem.read(addr + done, chunk, n))
-            return 0;
-        crc = util::crc32c(chunk, n, crc);
-        done += n;
-    }
-    return crc;
+    const uint8_t *bytes = mem.bytesAt(addr, len);
+    return bytes ? util::crc32c(bytes, len, seed) : 0;
 }
 
 uint32_t

@@ -234,8 +234,9 @@ digestFromFlag(uint64_t flag)
 }
 
 /**
- * CRC32C over [addr, addr+len) of @p mem. Returns 0 with no bytes
- * read when the space is phantom — pair with digest_valid=false. Pass
+ * CRC32C over [addr, addr+len) of @p mem, read in place. Returns 0
+ * with no bytes read when the space is phantom — pair with
+ * digest_valid=false — or the range is not inside one allocation. Pass
  * the previous return value as @p seed to digest discontiguous pieces
  * (e.g. cache frames feeding one response) as a single stream. The
  * *time* a real implementation would spend is charged separately by

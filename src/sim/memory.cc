@@ -1,9 +1,19 @@
 #include "memory.hh"
 
 #include <cstring>
+#include <new>
 
 namespace v3sim::sim
 {
+
+ZeroedBytes
+allocateZeroed(uint64_t len)
+{
+    ZeroedBytes bytes(static_cast<uint8_t *>(std::calloc(len, 1)));
+    if (!bytes)
+        throw std::bad_alloc();
+    return bytes;
+}
 
 MemorySpace::MemorySpace(bool phantom, std::string name)
     : phantom_(phantom), name_(std::move(name))
@@ -22,7 +32,7 @@ MemorySpace::allocate(uint64_t len)
     Block block;
     block.len = len;
     if (!phantom_)
-        block.bytes.assign(len, 0);
+        block.bytes = allocateZeroed(len);
     blocks_.emplace(base, std::move(block));
     allocated_bytes_ += len;
     return base;
@@ -71,11 +81,8 @@ MemorySpace::write(Addr addr, const void *src, uint64_t len)
     const Block *block = findBlock(addr, len, &base);
     if (!block)
         return false;
-    if (!phantom_ && len > 0) {
-        auto *mutable_block = const_cast<Block *>(block);
-        std::memcpy(mutable_block->bytes.data() + (addr - base), src,
-                    len);
-    }
+    if (!phantom_ && len > 0)
+        std::memcpy(block->bytes.get() + (addr - base), src, len);
     return true;
 }
 
@@ -91,8 +98,18 @@ MemorySpace::read(Addr addr, void *dst, uint64_t len) const
     if (phantom_)
         std::memset(dst, 0, len);
     else
-        std::memcpy(dst, block->bytes.data() + (addr - base), len);
+        std::memcpy(dst, block->bytes.get() + (addr - base), len);
     return true;
+}
+
+const uint8_t *
+MemorySpace::bytesAt(Addr addr, uint64_t len) const
+{
+    Addr base = kNullAddr;
+    const Block *block = findBlock(addr, len, &base);
+    if (!block || phantom_)
+        return nullptr;
+    return block->bytes.get() + (addr - base);
 }
 
 bool
@@ -102,11 +119,8 @@ MemorySpace::fill(Addr addr, uint8_t value, uint64_t len)
     const Block *block = findBlock(addr, len, &base);
     if (!block)
         return false;
-    if (!phantom_ && len > 0) {
-        auto *mutable_block = const_cast<Block *>(block);
-        std::memset(mutable_block->bytes.data() + (addr - base), value,
-                    len);
-    }
+    if (!phantom_ && len > 0)
+        std::memset(block->bytes.get() + (addr - base), value, len);
     return true;
 }
 
@@ -114,25 +128,19 @@ bool
 MemorySpace::copy(const MemorySpace &src, Addr src_addr,
                   MemorySpace &dst, Addr dst_addr, uint64_t len)
 {
-    if (!src.contains(src_addr, len) || !dst.contains(dst_addr, len))
+    Addr src_base = kNullAddr;
+    Addr dst_base = kNullAddr;
+    const Block *from = src.findBlock(src_addr, len, &src_base);
+    const Block *to = dst.findBlock(dst_addr, len, &dst_base);
+    if (!from || !to)
         return false;
     if (len == 0 || dst.phantom_)
         return true;
+    uint8_t *out = to->bytes.get() + (dst_addr - dst_base);
     if (src.phantom_)
-        return dst.fill(dst_addr, 0, len);
-
-    // Both real: copy through a bounded stack buffer to avoid a large
-    // temporary; ranges never overlap because they are distinct
-    // address spaces (or distinct allocations within one space).
-    uint8_t chunk[4096];
-    uint64_t done = 0;
-    while (done < len) {
-        const uint64_t n =
-            std::min<uint64_t>(sizeof(chunk), len - done);
-        src.read(src_addr + done, chunk, n);
-        dst.write(dst_addr + done, chunk, n);
-        done += n;
-    }
+        std::memset(out, 0, len);
+    else // memmove: both ranges may lie in one allocation
+        std::memmove(out, from->bytes.get() + (src_addr - src_base), len);
     return true;
 }
 

@@ -11,6 +11,11 @@
  * checking behave identically but no bytes are stored, keeping
  * memory use flat.
  *
+ * Real allocations come from allocateZeroed (calloc), so large ones
+ * are zero pages the OS fills in lazily: a 512 MiB server cache whose
+ * frames are never touched costs neither set-up time nor resident
+ * memory.
+ *
  * Addresses are allocated from a simple bump allocator with
  * page-granular alignment; free() releases backing storage but never
  * reuses addresses, which makes dangling-handle bugs in higher
@@ -21,9 +26,10 @@
 #define V3SIM_SIM_MEMORY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
-#include <vector>
 
 namespace v3sim::sim
 {
@@ -46,6 +52,22 @@ pageSpan(Addr addr, uint64_t len)
     const Addr last = (addr + len - 1) / kPageSize;
     return last - first + 1;
 }
+
+/** Frees host bytes that came from calloc. */
+struct FreeBytes
+{
+    void operator()(uint8_t *bytes) const { std::free(bytes); }
+};
+
+/** Host bytes from allocateZeroed. */
+using ZeroedBytes = std::unique_ptr<uint8_t[], FreeBytes>;
+
+/**
+ * @p len zero bytes from calloc, so a large allocation is backed by
+ * zero pages the OS fills in on first touch. Throws std::bad_alloc
+ * when calloc fails.
+ */
+ZeroedBytes allocateZeroed(uint64_t len);
 
 /** One host's memory: allocation plus byte-level access. */
 class MemorySpace
@@ -87,6 +109,14 @@ class MemorySpace
      *  Phantom spaces yield zeros. @return false on invalid range. */
     bool read(Addr addr, void *dst, uint64_t len) const;
 
+    /**
+     * Direct read access to [addr, addr+len): the host bytes backing
+     * the range, or nullptr when the space is phantom or the range
+     * does not lie inside one live allocation. The pointer stays
+     * valid until that allocation is freed.
+     */
+    const uint8_t *bytesAt(Addr addr, uint64_t len) const;
+
     /** Fills a range with one byte value (test/pattern helper). */
     bool fill(Addr addr, uint8_t value, uint64_t len);
 
@@ -114,7 +144,7 @@ class MemorySpace
     struct Block
     {
         uint64_t len;
-        std::vector<uint8_t> bytes; // empty in phantom mode
+        ZeroedBytes bytes; // null in phantom mode
     };
 
     /** Finds the block containing [addr, addr+len); nullptr if none. */

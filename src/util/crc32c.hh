@@ -12,9 +12,13 @@
  * its own CRC32C digests end to end (dsa/protocol.hh) and the disk
  * path stamps blocks with the same function.
  *
- * Plain table-driven software implementation: the simulator charges
- * digest *time* through the cost models (DsaCosts, V3ServerConfig);
- * this code only needs to be correct and deterministic.
+ * The simulator charges digest *time* through the cost models
+ * (DsaCosts, V3ServerConfig, HostCosts), so the host work here buys
+ * correctness only and should run at memory speed. The path is picked
+ * once, from CPUID: an SSE4.2 crc32q kernel running three interleaved
+ * streams where the CPU has it, the byte-at-a-time table loop
+ * everywhere else. Both return the same digest for every input
+ * (DESIGN.md §10.5).
  */
 
 #ifndef V3SIM_UTIL_CRC32C_HH

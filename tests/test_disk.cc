@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "disk/disk.hh"
+#include "sim/random.hh"
 #include "sim/simulation.hh"
 
 namespace v3sim::disk
@@ -169,6 +174,101 @@ TEST(DiskStore, RejectsUnalignedAccess)
     const sim::Addr buf = mem.allocate(1024);
     EXPECT_FALSE(disk.store().readInto(100, 512, mem, buf));
     EXPECT_FALSE(disk.store().writeFrom(0, 100, mem, buf));
+}
+
+TEST(DiskStore, MatchesPerSectorModelUnderRandomOps)
+{
+    // A 1 MiB region, so random sector-aligned accesses of
+    // 512 B - 64 KiB overlap each other and straddle 4 KiB page edges.
+    constexpr uint64_t kSector = DiskStore::kSectorSize;
+    constexpr uint64_t kRegionSectors = 2048;
+    constexpr uint64_t kMaxSectors = 128;
+    using Sector = std::array<uint8_t, kSector>;
+    constexpr Sector kZeros{};
+
+    DiskStore store(/*phantom=*/false);
+    DiskStore phantom(/*phantom=*/true); // tracks the marks only
+    std::map<uint64_t, Sector> model;    // absent = never written
+    std::set<uint64_t> corrupt;
+    sim::MemorySpace mem;
+    const sim::Addr buf = mem.allocate(kMaxSectors * kSector);
+    std::vector<uint8_t> bytes(kMaxSectors * kSector);
+    sim::Rng rng(2002);
+    int marked_unwritten = 0;
+    int marked_written = 0;
+    int healed = 0;
+
+    for (int op = 0; op < 3000; ++op) {
+        const uint64_t sectors = rng.uniformInt(1, kMaxSectors);
+        const uint64_t first = rng.uniformInt(0, kRegionSectors - sectors);
+        const uint64_t offset = first * kSector;
+        const uint64_t len = sectors * kSector;
+        switch (rng.uniformInt(0, 3)) {
+          case 0: { // write
+            for (uint8_t &b : bytes)
+                b = static_cast<uint8_t>(rng.next());
+            ASSERT_TRUE(mem.write(buf, bytes.data(), len));
+            ASSERT_TRUE(store.writeFrom(offset, len, mem, buf));
+            ASSERT_TRUE(phantom.writeFrom(offset, len, mem, buf));
+            for (uint64_t i = 0; i < sectors; ++i) {
+                std::copy_n(bytes.begin() + i * kSector, kSector,
+                            model[first + i].begin());
+                healed += static_cast<int>(corrupt.erase(first + i));
+            }
+            break;
+          }
+          case 1: { // read, over a buffer full of garbage
+            ASSERT_TRUE(mem.fill(buf, 0xEE, len));
+            ASSERT_TRUE(store.readInto(offset, len, mem, buf));
+            ASSERT_TRUE(mem.read(buf, bytes.data(), len));
+            for (uint64_t i = 0; i < sectors; ++i) {
+                const auto it = model.find(first + i);
+                const Sector &expect =
+                    it != model.end() ? it->second : kZeros;
+                ASSERT_TRUE(std::equal(expect.begin(), expect.end(),
+                                       bytes.begin() + i * kSector))
+                    << "op " << op << " sector " << first + i;
+            }
+            break;
+          }
+          case 2: { // corrupt an arbitrary byte range
+            const uint64_t at =
+                rng.uniformInt(0, kRegionSectors * kSector - 1);
+            const uint64_t n = rng.uniformInt(1, 3 * kSector);
+            store.markCorrupt(at, n);
+            phantom.markCorrupt(at, n);
+            for (uint64_t s = at / kSector; s <= (at + n - 1) / kSector;
+                 ++s) {
+                corrupt.insert(s);
+                if (model.count(s) > 0)
+                    ++marked_written;
+                else
+                    ++marked_unwritten;
+                model[s][kSector / 2] ^= 0x40;
+            }
+            break;
+          }
+          default: { // oracle view
+            const uint64_t at = rng.uniformInt(0, kRegionSectors * kSector);
+            const uint64_t n = rng.uniformInt(0, 4 * kSector);
+            bool expect = false;
+            for (uint64_t s = at / kSector; n > 0 && !expect &&
+                                            s <= (at + n - 1) / kSector;
+                 ++s) {
+                expect = corrupt.count(s) > 0;
+            }
+            ASSERT_EQ(store.rangeCorrupt(at, n), expect) << "op " << op;
+            ASSERT_EQ(phantom.rangeCorrupt(at, n), expect) << "op " << op;
+            break;
+          }
+        }
+        ASSERT_EQ(store.corruptSectorCount(), corrupt.size());
+        ASSERT_EQ(phantom.corruptSectorCount(), corrupt.size());
+    }
+    // The sequence exercised every path the model distinguishes.
+    EXPECT_GT(marked_unwritten, 0);
+    EXPECT_GT(marked_written, 0);
+    EXPECT_GT(healed, 0);
 }
 
 TEST(Disk, UtilizationAndReset)

@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "dsa/protocol.hh"
 #include "scenarios/testbed.hh"
+#include "sim/random.hh"
 #include "util/crc32c.hh"
+#include "util/crc32c_internal.hh"
 
 namespace v3sim::dsa
 {
@@ -41,6 +44,79 @@ TEST(Crc32c, KnownAnswerVectorAndChaining)
     // Zero-length input is the identity on the running digest.
     EXPECT_EQ(util::crc32c(vec, 0), 0u);
     EXPECT_EQ(util::crc32c(vec, 0, head), head);
+}
+
+TEST(Crc32c, Rfc3720Vectors)
+{
+    // RFC 3720 appendix B.4: 32-byte patterns.
+    std::vector<uint8_t> bytes(32, 0x00);
+    EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), 0x8A9136AAu);
+    bytes.assign(32, 0xFF);
+    EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), 0x62A8AB43u);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(i);
+    EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), 0x46DD794Eu);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<uint8_t>(31 - i);
+    EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), 0x113FDB5Cu);
+}
+
+/** Seeded random bytes for the sweeps below. */
+std::vector<uint8_t>
+randomBytes(size_t len, uint64_t seed)
+{
+    sim::Rng rng(seed);
+    std::vector<uint8_t> bytes(len);
+    for (uint8_t &b : bytes)
+        b = static_cast<uint8_t>(rng.next());
+    return bytes;
+}
+
+TEST(Crc32c, MatchesTablePathAtEveryLengthAndOffset)
+{
+    // Every length up to 6,400 crosses the 3 x 256 and 3 x 2,048
+    // block edges of the three-stream path; the offsets cover every
+    // alignment of an 8-byte word.
+    constexpr size_t kMaxLen = 6400;
+    constexpr size_t kMaxOffset = 7;
+    const std::vector<uint8_t> bytes =
+        randomBytes(kMaxLen + kMaxOffset, 3720);
+    for (const uint32_t seed : {0u, 0x5EEDF00Du}) {
+        for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+            const uint8_t *data = bytes.data() + offset;
+            // The table path over [0, len), extended a byte per step.
+            uint32_t reference = seed;
+            for (size_t len = 0; len <= kMaxLen; ++len) {
+                if (len > 0) {
+                    reference = util::detail::crc32cTable(
+                        data + len - 1, 1, reference);
+                }
+                ASSERT_EQ(util::crc32c(data, len, seed), reference)
+                    << "len " << len << " offset " << offset
+                    << " seed " << seed;
+            }
+        }
+    }
+}
+
+TEST(Crc32c, ChainingAtRandomSplitsEqualsOnePass)
+{
+    const std::vector<uint8_t> bytes = randomBytes(64 * 1024, 42);
+    const uint32_t whole = util::crc32c(bytes.data(), bytes.size());
+    EXPECT_EQ(whole,
+              util::detail::crc32cTable(bytes.data(), bytes.size(), 0));
+    sim::Rng rng(7);
+    for (int trial = 0; trial < 50; ++trial) {
+        uint32_t crc = 0;
+        size_t at = 0;
+        while (at < bytes.size()) {
+            const size_t n = std::min<size_t>(
+                rng.uniformInt(0, 9000), bytes.size() - at);
+            crc = util::crc32c(bytes.data() + at, n, crc);
+            at += n;
+        }
+        ASSERT_EQ(crc, whole) << "trial " << trial;
+    }
 }
 
 TEST(DsaProtocol, FlagWordCarriesStatusAndDigest)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dsa/local_backend.hh"
@@ -29,9 +30,10 @@ class LocalBackendTestFixture : public ::testing::Test
           host_(sim_, osmodel::NodeConfig{.name = "db", .cpus = 4})
     {
         for (int i = 0; i < 4; ++i) {
+            std::string name("d");
+            name.append(std::to_string(i));
             disks_.push_back(std::make_unique<disk::Disk>(
-                sim_, disk::DiskSpec::scsi10k(), sim_.forkRng(),
-                "d" + std::to_string(i)));
+                sim_, disk::DiskSpec::scsi10k(), sim_.forkRng(), name));
             parts_.push_back(
                 std::make_unique<disk::SingleDiskVolume>(
                     *disks_.back()));

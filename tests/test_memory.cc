@@ -1,11 +1,12 @@
 /**
  * @file
  * Unit tests for MemorySpace: allocation, bounds, data integrity,
- * phantom mode, and cross-space copies.
+ * phantom mode, cross-space copies and in-place byte access.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -144,6 +145,61 @@ TEST(MemorySpace, PhantomToRealCopyZeroFills)
     ASSERT_TRUE(dst.read(b, out, 16));
     for (const uint8_t v : out)
         EXPECT_EQ(v, 0);
+}
+
+TEST(MemorySpace, RealToPhantomCopyDiscards)
+{
+    MemorySpace src, dst(/*phantom=*/true);
+    const Addr a = src.allocate(16);
+    const Addr b = dst.allocate(16);
+    ASSERT_TRUE(src.fill(a, 0xFF, 16));
+    ASSERT_TRUE(MemorySpace::copy(src, a, dst, b, 16));
+    uint8_t out[16];
+    ASSERT_TRUE(dst.read(b, out, 16));
+    for (const uint8_t v : out)
+        EXPECT_EQ(v, 0);
+    // Bounds are still checked on the phantom side.
+    EXPECT_FALSE(MemorySpace::copy(src, a, dst, b + 8, 16));
+}
+
+TEST(MemorySpace, LargeAllocationReadsZero)
+{
+    // Past glibc's largest mmap threshold (32 MiB), so the bytes are
+    // zero pages the OS supplies on first touch.
+    constexpr uint64_t kLen = 40ull << 20;
+    MemorySpace mem;
+    const Addr a = mem.allocate(kLen);
+    const uint8_t *bytes = mem.bytesAt(a, kLen);
+    ASSERT_NE(bytes, nullptr);
+    EXPECT_TRUE(std::all_of(bytes, bytes + kLen,
+                            [](uint8_t v) { return v == 0; }));
+    ASSERT_TRUE(mem.fill(a + kLen / 2, 0x5A, 1));
+    EXPECT_EQ(bytes[kLen / 2], 0x5A);
+}
+
+TEST(MemorySpace, BytesAtChecksRanges)
+{
+    MemorySpace mem;
+    const Addr a = mem.allocate(100);
+    const Addr b = mem.allocate(kPageSize); // the next page up
+    ASSERT_EQ(b, a + kPageSize);
+    ASSERT_TRUE(mem.write(a, "abc", 3));
+    const uint8_t *at = mem.bytesAt(a + 1, 2);
+    ASSERT_NE(at, nullptr);
+    EXPECT_EQ(at[0], 'b');
+    EXPECT_EQ(mem.bytesAt(a, 100), at - 1);
+
+    EXPECT_EQ(mem.bytesAt(a + 50, 51), nullptr);     // past the end
+    EXPECT_EQ(mem.bytesAt(kNullAddr, 1), nullptr);   // never allocated
+    EXPECT_EQ(mem.bytesAt(b + kPageSize, 1), nullptr);
+    EXPECT_EQ(mem.bytesAt(b - 8, 16), nullptr);      // straddles a, b
+    mem.free(a);
+    EXPECT_EQ(mem.bytesAt(a, 1), nullptr);
+
+    MemorySpace phantom(/*phantom=*/true);
+    const Addr p = phantom.allocate(64);
+    EXPECT_TRUE(phantom.contains(p, 64));
+    EXPECT_EQ(phantom.bytesAt(p, 64), nullptr);
 }
 
 TEST(MemorySpace, U64FlagHelpers)

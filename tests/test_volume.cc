@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "disk/volume.hh"
@@ -26,9 +27,10 @@ class VolumeTest : public ::testing::Test
     VolumeTest() : sim_(17)
     {
         for (int i = 0; i < 4; ++i) {
+            std::string name("d");
+            name.append(std::to_string(i));
             disks_.push_back(std::make_unique<Disk>(
-                sim_, DiskSpec::scsi10k(), sim_.forkRng(),
-                "d" + std::to_string(i)));
+                sim_, DiskSpec::scsi10k(), sim_.forkRng(), name));
             single_.push_back(
                 std::make_unique<SingleDiskVolume>(*disks_.back()));
         }

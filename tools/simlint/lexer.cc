@@ -186,9 +186,9 @@ strip(const std::string &path, const std::string &content)
                         size_t open = src.find('(', i + 1);
                         if (open == std::string::npos)
                             open = src.size();
-                        raw_delim =
-                            ")" + src.substr(i + 1, open - i - 1) +
-                            "\"";
+                        raw_delim.assign(1, ')');
+                        raw_delim.append(src, i + 1, open - i - 1);
+                        raw_delim.push_back('"');
                         state = State::RawString;
                         literal.clear();
                         literal_line = line_no;
