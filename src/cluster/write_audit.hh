@@ -90,6 +90,15 @@ class DurabilityAudit : public dsa::BlockDevice
     uint64_t stampedWrites() const { return stamped_.value(); }
     /** @} */
 
+    /** @p block's durability floor (0 before its first settled
+     *  write): the stamp any read issued now must reach. */
+    uint64_t
+    settledVersion(uint64_t block) const
+    {
+        const auto it = blocks_.find(block);
+        return it == blocks_.end() ? 0 : it->second.settled;
+    }
+
   private:
     struct BlockState
     {

@@ -1,8 +1,5 @@
 #include "iscsi/target.hh"
 
-#include <algorithm>
-#include <cassert>
-#include <optional>
 #include <utility>
 
 #include "disk/disk.hh"
@@ -26,8 +23,8 @@ Target::Target(sim::Simulation &sim, net::Fabric &fabric,
             osmodel::NodeConfig{config_.name, config_.cpus,
                                 config_.host_costs,
                                 config_.phantom_memory}),
-      disks_(sim),
       metric_prefix_(sim.metrics().uniquePrefix("iscsi.tgt")),
+      path_(sim, node_, metric_prefix_, config_),
       tcp_(sim.queue(), fabric, sim.metrics(),
            metric_prefix_ + ".tcp", config_.name + ".iscsi",
            config_.tcp),
@@ -40,27 +37,10 @@ Target::Target(sim::Simulation &sim, net::Fabric &fabric,
       writes_(sim.metrics().counter(metric_prefix_ + ".writes")),
       digest_mismatches_(sim.metrics().counter(
           metric_prefix_ + ".integrity_digest_mismatches")),
-      integrity_errors_(sim.metrics().counter(
-          metric_prefix_ + ".integrity_verify_failures")),
       server_time_(
           sim.metrics().sampler(metric_prefix_ + ".server_time_ns")),
       admission_gate_(sim, metric_prefix_, config_.admission)
-{
-    if (config_.cache_bytes >= config_.block_size) {
-        const uint64_t blocks =
-            config_.cache_bytes / config_.block_size;
-        if (config_.cache_policy == storage::CachePolicy::Mq) {
-            cache_ = std::make_unique<storage::MqCache>(
-                node_.memory(), config_.block_size, blocks,
-                config_.mq);
-        } else {
-            cache_ = std::make_unique<storage::LruCache>(
-                node_.memory(), config_.block_size, blocks);
-        }
-        cache_->registerMetrics(sim.metrics(),
-                                metric_prefix_ + ".cache");
-    }
-}
+{}
 
 void
 Target::start()
@@ -100,7 +80,7 @@ Target::handleCommand(std::shared_ptr<Pdu> cmd, bool tainted)
 
     if (cmd->op == PduOp::LoginRequest) {
         // Setup path: negotiate the volume, report its capacity.
-        disk::Volume *volume = volumes_.volume(cmd->volume);
+        disk::Volume *volume = path_.volumeManager().volume(cmd->volume);
         auto reply = std::make_shared<Pdu>();
         reply->op = PduOp::LoginResponse;
         reply->itt = cmd->itt;
@@ -159,7 +139,7 @@ Target::handleCommand(std::shared_ptr<Pdu> cmd, bool tainted)
 
     ScsiStatus status;
     std::shared_ptr<std::vector<uint8_t>> data;
-    disk::Volume *volume = volumes_.volume(cmd->volume);
+    disk::Volume *volume = path_.volumeManager().volume(cmd->volume);
     if (damaged) {
         digest_mismatches_.increment();
         status = ScsiStatus::DigestError;
@@ -192,100 +172,37 @@ sim::Task<ScsiStatus>
 Target::doRead(osmodel::CpuLease &lease, const Pdu &cmd,
                std::shared_ptr<std::vector<uint8_t>> &data_out)
 {
-    disk::Volume *volume = volumes_.volume(cmd.volume);
     sim::MemorySpace &mem = node_.memory();
-    const uint64_t bs = config_.block_size;
-    const uint64_t first = cmd.offset / bs;
-    const uint64_t last = (cmd.offset + cmd.xfer_len - 1) / bs;
-    if (!mem.phantom()) {
-        data_out =
-            std::make_shared<std::vector<uint8_t>>(cmd.xfer_len);
-    }
-
-    for (uint64_t b = first; b <= last; ++b) {
-        const storage::CacheKey key{cmd.volume, b};
-        const uint64_t block_start = b * bs;
-        const uint64_t piece_start =
-            std::max(block_start, cmd.offset);
-        const uint64_t piece_end =
-            std::min(block_start + bs, cmd.offset + cmd.xfer_len);
-
-        sim::Addr frame = sim::kNullAddr;
-        bool pinned = false;
-        sim::Addr tbuf = sim::kNullAddr;
-        if (cache_) {
-            co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-            if (auto hit = cache_->lookupAndPin(key)) {
-                frame = *hit;
-                pinned = true;
-            }
-        }
-        if (frame == sim::kNullAddr) {
-            // Miss (or caching off): fetch the whole block.
-            std::optional<sim::Addr> inserted;
-            if (cache_) {
-                co_await lease.run(config_.cache_op_cost,
-                                   CpuCat::Other);
-                inserted = cache_->insertAndPin(key);
-            }
-            if (inserted) {
-                frame = *inserted;
-                pinned = true;
-            } else {
-                tbuf = mem.allocate(bs);
-                frame = tbuf;
-            }
-            co_await lease.run(config_.disk_sched_cost,
-                               CpuCat::Other);
-            node_.cpus().release();
-            const bool ok =
-                co_await volume->read(block_start, bs, mem, frame);
-            lease = co_await node_.cpus().acquire(
-                osmodel::CpuPool::kNormalPriority, cmd.itt);
-
-            // Verify-on-read: damaged platter data must never enter
-            // the cache or reach the initiator (same rule as
-            // V3Server::doRead).
-            bool integrity_bad = false;
-            if (ok && volume->corrupt(block_start, bs)) {
-                integrity_errors_.increment();
-                integrity_bad = true;
-            }
-            if (!ok || integrity_bad) {
-                if (pinned) {
-                    cache_->unpin(key);
-                    cache_->invalidate(key);
-                }
-                if (tbuf != sim::kNullAddr)
-                    mem.free(tbuf);
-                co_return integrity_bad
-                    ? ScsiStatus::IntegrityError
-                    : ScsiStatus::CheckCondition;
-            }
-        }
-
+    const storage::BlockPath::ReadResult got = co_await path_.read(
+        lease, cmd.itt, cmd.volume, cmd.offset, cmd.xfer_len);
+    if (got.status == storage::ReadStatus::Ok) {
         // Assemble the response data segment (store-and-forward: no
         // RDMA to place cache frames into remote buffers).
-        const uint64_t piece = piece_end - piece_start;
-        if (data_out) {
-            mem.read(frame + (piece_start - block_start),
-                     data_out->data() + (piece_start - cmd.offset),
-                     piece);
+        if (!mem.phantom()) {
+            data_out =
+                std::make_shared<std::vector<uint8_t>>(cmd.xfer_len);
         }
-        co_await lease.run(perKbTicks(piece, config_.memcpy_per_kb),
-                           CpuCat::Other);
-        if (pinned)
-            cache_->unpin(key);
-        if (tbuf != sim::kNullAddr)
-            mem.free(tbuf);
+        uint64_t pos = 0;
+        for (const storage::BlockPath::Piece &piece : got.pieces) {
+            if (data_out)
+                mem.read(piece.addr, data_out->data() + pos, piece.len);
+            co_await lease.run(
+                perKbTicks(piece.len, config_.memcpy_per_kb),
+                CpuCat::Other);
+            pos += piece.len;
+        }
     }
-    co_return ScsiStatus::Good;
+    path_.release(got);
+    if (got.status == storage::ReadStatus::IntegrityError)
+        co_return ScsiStatus::IntegrityError;
+    co_return got.status == storage::ReadStatus::Ok
+        ? ScsiStatus::Good
+        : ScsiStatus::CheckCondition;
 }
 
 sim::Task<ScsiStatus>
 Target::doWrite(osmodel::CpuLease &lease, const Pdu &cmd)
 {
-    disk::Volume *volume = volumes_.volume(cmd.volume);
     sim::MemorySpace &mem = node_.memory();
 
     // Stage the PDU's data segment into node memory (digest already
@@ -297,51 +214,11 @@ Target::doWrite(osmodel::CpuLease &lease, const Pdu &cmd)
         perKbTicks(cmd.xfer_len, config_.memcpy_per_kb),
         CpuCat::Other);
 
-    // Update resident cache blocks so subsequent reads see the new
-    // data (full blocks may be inserted; partial overlaps only
-    // update blocks already resident — as V3Server::doWrite).
-    if (cache_) {
-        const uint64_t bs = config_.block_size;
-        for (uint64_t b = cmd.offset / bs;
-             b <= (cmd.offset + cmd.xfer_len - 1) / bs; ++b) {
-            const storage::CacheKey key{cmd.volume, b};
-            const uint64_t block_start = b * bs;
-            const uint64_t piece_start =
-                std::max(block_start, cmd.offset);
-            const uint64_t piece_end = std::min(
-                block_start + bs, cmd.offset + cmd.xfer_len);
-            const bool full_block =
-                piece_start == block_start &&
-                piece_end - piece_start == bs;
-
-            co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-            std::optional<sim::Addr> frame;
-            if (full_block) {
-                frame = cache_->insertAndPin(key);
-            } else if (cache_->contains(key)) {
-                frame = cache_->lookupAndPin(key);
-            }
-            if (frame) {
-                sim::MemorySpace::copy(
-                    mem, staging + (piece_start - cmd.offset), mem,
-                    *frame + (piece_start - block_start),
-                    piece_end - piece_start);
-                co_await lease.run(
-                    perKbTicks(piece_end - piece_start,
-                               config_.memcpy_per_kb),
-                    CpuCat::Other);
-                cache_->unpin(key);
-            }
-        }
-    }
-
-    // Commit to disk before responding (durability, §5.2).
-    co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
-    node_.cpus().release();
-    const bool ok = co_await volume->write(cmd.offset, cmd.xfer_len,
-                                           mem, staging);
-    lease = co_await node_.cpus().acquire(
-        osmodel::CpuPool::kNormalPriority, cmd.itt);
+    // Write through the cache and commit to disk before responding
+    // (durability, §5.2).
+    const bool ok = co_await path_.write(lease, cmd.itt, cmd.volume,
+                                         cmd.offset, cmd.xfer_len,
+                                         staging);
     mem.free(staging);
     co_return ok ? ScsiStatus::Good : ScsiStatus::CheckCondition;
 }

@@ -3,28 +3,18 @@
  * iSCSI target — a storage node serving SCSI commands over TCP
  * (DESIGN.md §11).
  *
- * Deliberately the same machine as a V3 node (2 CPUs, the same
- * disks, the same block cache with the same Multi-Queue policy, the
- * same verify-on-read and commit-before-complete rules) so the
- * VI-vs-iSCSI comparison isolates the *transport*: the only things
- * that differ from storage::V3Server are how requests arrive
- * (interrupt-driven TCP reassembly instead of polled VI receive
- * descriptors) and how data moves (store-and-forward PDU buffers
- * with socket copies instead of RDMA directly between cache frames
- * and client buffers).
+ * Deliberately the same machine as a V3 node: 2 CPUs, the same
+ * disks, and the same storage::BlockPath — block cache and policy,
+ * miss coalescing, stale-fill guard, verify-on-read and
+ * commit-before-complete — so the VI-vs-iSCSI comparison isolates
+ * the *transport*. The only things that differ from
+ * storage::V3Server are how requests arrive (interrupt-driven TCP
+ * reassembly instead of polled VI receive descriptors) and how data
+ * moves (store-and-forward PDU buffers with socket copies instead of
+ * RDMA directly between cache frames and client buffers).
  *
- * Data-path rules shared with V3 (DESIGN.md §7):
- *  - writes verify the data digest before the cache or disk see the
- *    payload, and commit to disk before the response (durability,
- *    §5.2);
- *  - reads verify blocks against the volume's latent-corruption
- *    oracle before caching or returning them — damaged platter data
- *    never enters the cache and never reaches an initiator as Good.
- *
- * Simplification vs V3: no miss-run coalescing — concurrent misses
- * on one block may each fetch it (deterministic, just wasteful),
- * which only softens the iSCSI side of the comparison under heavy
- * same-block contention.
+ * Writes verify the data digest before the cache or disk see the
+ * payload (the same staging-check rule as V3, DESIGN.md §7).
  */
 
 #ifndef V3SIM_ISCSI_TARGET_HH
@@ -42,29 +32,20 @@
 #include "osmodel/node.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
-#include "storage/block_cache.hh"
-#include "storage/disk_manager.hh"
-#include "storage/mq_cache.hh"
-#include "storage/v3_server.hh"
-#include "storage/volume_manager.hh"
+#include "storage/admission_gate.hh"
+#include "storage/block_path.hh"
 
 namespace v3sim::iscsi
 {
 
 /** Static configuration of one iSCSI target node. Defaults mirror
- *  storage::V3ServerConfig so backend comparisons are apples to
- *  apples. */
-struct TargetConfig
+ *  storage::V3ServerConfig, whose block-path fields come from the
+ *  same base, so backend comparisons are apples to apples. */
+struct TargetConfig : storage::BlockPathConfig
 {
     std::string name = "tgt";
     int cpus = 2;
     osmodel::HostCosts host_costs = osmodel::HostCosts::storageNode();
-
-    uint64_t block_size = 8192;
-    /** Cache capacity in bytes; 0 disables caching. */
-    uint64_t cache_bytes = 256ull * 1024 * 1024;
-    storage::CachePolicy cache_policy = storage::CachePolicy::Mq;
-    storage::MqConfig mq;
 
     bool phantom_memory = false;
 
@@ -72,10 +53,7 @@ struct TargetConfig
 
     /** @name Request-manager CPU costs (as V3ServerConfig) @{ */
     sim::Tick parse_cost = sim::usecs(5.0);
-    sim::Tick cache_op_cost = sim::usecs(1.5);
-    sim::Tick disk_sched_cost = sim::usecs(3.0);
     sim::Tick complete_cost = sim::usecs(4.0);
-    sim::Tick memcpy_per_kb = sim::usecs(0.12);
     /** Software CRC32C per KB (see InitiatorConfig::digest_per_kb). */
     sim::Tick digest_per_kb = sim::usecs(0.08);
     /** @} */
@@ -97,9 +75,12 @@ class Target
     Target &operator=(const Target &) = delete;
 
     osmodel::Node &node() { return node_; }
-    storage::DiskManager &diskManager() { return disks_; }
-    storage::VolumeManager &volumeManager() { return volumes_; }
-    storage::BlockCache *cache() { return cache_.get(); }
+    storage::DiskManager &diskManager() { return path_.diskManager(); }
+    storage::VolumeManager &volumeManager()
+    {
+        return path_.volumeManager();
+    }
+    storage::BlockCache *cache() { return path_.cache(); }
     const TargetConfig &config() const { return config_; }
 
     /** Begins listening. Call after volumes are assembled. */
@@ -119,7 +100,7 @@ class Target
     /** Verify-on-read hits: blocks found damaged on disk. */
     uint64_t integrityErrorCount() const
     {
-        return integrity_errors_.value();
+        return path_.integrityErrorCount();
     }
     /** Commands refused with ScsiStatus::Busy by the admission gate
      *  (config.admission; DESIGN.md §12). */
@@ -134,10 +115,7 @@ class Target
     {
         return server_time_.raw();
     }
-    double cacheHitRatio() const
-    {
-        return cache_ ? cache_->hitRatio() : 0.0;
-    }
+    double cacheHitRatio() const { return path_.cacheHitRatio(); }
     /** Per-layer CPU attribution of the target's kernel TCP path. */
     const TcpHostDriver &driver() const { return driver_; }
     /** @} */
@@ -159,13 +137,12 @@ class Target
     sim::Simulation &sim_;
     TargetConfig config_;
     osmodel::Node node_;
-    storage::DiskManager disks_;
-    storage::VolumeManager volumes_;
-    std::unique_ptr<storage::BlockCache> cache_;
 
     /// Registry path prefix ("iscsi.tgt", uniquified); must precede
     /// the metric references so it is initialised first.
     std::string metric_prefix_;
+
+    storage::BlockPath path_; ///< registers under metric_prefix_
 
     net::TcpStream tcp_;
     TcpHostDriver driver_;
@@ -173,7 +150,6 @@ class Target
     sim::CounterHandle reads_;
     sim::CounterHandle writes_;
     sim::CounterHandle digest_mismatches_;
-    sim::CounterHandle integrity_errors_;
     sim::SamplerHandle server_time_;
 
     /** Overload-control gate in front of the data path

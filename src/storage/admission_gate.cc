@@ -127,13 +127,4 @@ AdmissionGate::shedAll()
     queue_.reset();
 }
 
-void
-AdmissionGate::resetStats()
-{
-    admitted_.reset();
-    queued_ct_.reset();
-    shed_.reset();
-    wait_.reset();
-}
-
 } // namespace v3sim::storage

@@ -80,7 +80,6 @@ class AdmissionGate
     uint64_t queuedCount() const { return queued_ct_.value(); }
     uint64_t shedCount() const { return shed_.value(); }
     const AdmissionQueue &queue() const { return queue_; }
-    void resetStats();
     /** @} */
 
   private:

@@ -14,20 +14,6 @@ using osmodel::CpuLease;
 namespace
 {
 
-/** Rounds @p value down to a multiple of @p align. */
-uint64_t
-alignDown(uint64_t value, uint64_t align)
-{
-    return value / align * align;
-}
-
-/** Rounds @p value up to a multiple of @p align. */
-uint64_t
-alignUp(uint64_t value, uint64_t align)
-{
-    return (value + align - 1) / align * align;
-}
-
 constexpr uint64_t kSector = disk::DiskStore::kSectorSize;
 
 /** CPU ticks to CRC32C @p len bytes at @p per_kb. */
@@ -61,9 +47,9 @@ V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
       node_(sim, osmodel::NodeConfig{config_.name, config_.cpus,
                                      config_.host_costs,
                                      config_.phantom_memory}),
-      disks_(sim),
       metric_prefix_(
           sim.metrics().uniquePrefix("server." + config_.name)),
+      path_(sim, node_, metric_prefix_, config_),
       reads_(sim.metrics().counter(metric_prefix_ + ".reads")),
       writes_(sim.metrics().counter(metric_prefix_ + ".writes")),
       hints_(sim.metrics().counter(metric_prefix_ + ".hints")),
@@ -77,8 +63,6 @@ V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
           metric_prefix_ + ".integrity_bad_requests")),
       digest_mismatches_(sim.metrics().counter(
           metric_prefix_ + ".integrity_digest_mismatches")),
-      integrity_errors_(sim.metrics().counter(
-          metric_prefix_ + ".integrity_verify_failures")),
       server_time_(
           sim.metrics().sampler(metric_prefix_ + ".server_time_ns")),
       admission_gate_(sim, metric_prefix_, config_.admission)
@@ -99,24 +83,12 @@ V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
         onRdmaEvent(event);
     });
 
-    if (config_.cache_bytes >= config_.block_size) {
-        const uint64_t blocks = config_.cache_bytes / config_.block_size;
-        if (config_.cache_policy == CachePolicy::Mq) {
-            cache_ = std::make_unique<MqCache>(node_.memory(),
-                                               config_.block_size,
-                                               blocks, config_.mq);
-        } else {
-            cache_ = std::make_unique<LruCache>(node_.memory(),
-                                                config_.block_size,
-                                                blocks);
-        }
+    if (BlockCache *cache = path_.cache()) {
         const auto reg = nic_->registry().registerMemory(
-            cache_->frameBase(), cache_->frameBytes(),
+            cache->frameBase(), cache->frameBytes(),
             /*pre_pinned=*/true);
         assert(reg.has_value() && "cache must fit the server NIC");
         cache_handle_ = reg->handle;
-        cache_->registerMetrics(sim.metrics(),
-                                metric_prefix_ + ".cache");
     }
 }
 
@@ -158,8 +130,8 @@ V3Server::crash()
     // Volatile cache contents are gone (section 2.1: main-memory
     // buffer cache). Pinned frames are skipped — in-flight DMA — but
     // their requests can no longer complete towards any client.
-    if (cache_)
-        cache_->invalidateAll();
+    if (BlockCache *cache = path_.cache())
+        cache->invalidateAll();
 
     // Admission waiters park off-CPU, so nothing above woke them:
     // shed them all (their Busy completions are dropped because the
@@ -457,7 +429,7 @@ V3Server::handleHello(Connection &conn, const dsa::RequestMsg &req,
     co_await lease.run(config_.complete_cost, CpuCat::Other);
     auto ack = std::make_shared<dsa::ServerMsg>();
     ack->kind = dsa::ServerMsg::Kind::HelloAck;
-    disk::Volume *volume = volumes_.volume(req.volume);
+    disk::Volume *volume = path_.volumeManager().volume(req.volume);
     ack->hello.volume_capacity = volume ? volume->capacity() : 0;
     ack->hello.request_credits = config_.request_credits;
     ack->hello.staging_slots = config_.staging_slots;
@@ -523,265 +495,76 @@ sim::Task<dsa::IoStatus>
 V3Server::doRead(Connection &conn, const dsa::RequestMsg &req,
                  CpuLease &lease, uint32_t &digest, bool &digest_valid)
 {
-    disk::Volume *volume = volumes_.volume(req.volume);
+    disk::Volume *volume = path_.volumeManager().volume(req.volume);
     if (!volume || req.len == 0 ||
         req.offset + req.len > volume->capacity()) {
         co_return dsa::IoStatus::Error;
     }
 
-    if (!cache_) {
-        // Caching off: one transient buffer, one volume read, one
-        // RDMA (the NIC fragments it on the wire).
-        const uint64_t a_off = alignDown(req.offset, kSector);
-        const uint64_t a_end = alignUp(req.offset + req.len, kSector);
+    // Transient pieces (caching off, or a fill that could not use a
+    // frame) are RDMA sources too: register each with the NIC the
+    // moment the block path commits to serving from it.
+    std::vector<vi::MemHandle> handles;
+    bool registered = true;
+    const BlockPath::TransientHook on_transient =
+        [&](sim::Addr addr, uint64_t len) {
+            const auto reg =
+                nic_->registry().registerMemory(addr, len, true);
+            if (reg)
+                handles.push_back(reg->handle);
+            registered = registered && reg.has_value();
+        };
+    const BlockPath::ReadResult got = co_await path_.read(
+        lease, orderKey(conn.staging_base, req.offset), req.volume,
+        req.offset, req.len, on_transient);
+
+    // RDMA each piece, in order, accumulating the response digest
+    // over the delivered bytes (client-buffer order == piece order,
+    // so one chained CRC works).
+    bool sent = false;
+    if (got.status == ReadStatus::Ok && registered) {
         sim::MemorySpace &mem = node_.memory();
-        const sim::Addr tbuf = mem.allocate(a_end - a_off);
-        auto reg =
-            nic_->registry().registerMemory(tbuf, a_end - a_off, true);
-        co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
-
-        node_.cpus().release();
-        const bool ok =
-            co_await volume->read(a_off, a_end - a_off, mem, tbuf);
-        lease = co_await node_.cpus().acquire(
-            osmodel::CpuPool::kNormalPriority,
-            orderKey(conn.staging_base, req.offset));
-
-        // Verify-on-read: damaged platter data must not reach the
-        // client as if it were good.
-        bool integrity_bad = false;
-        if (ok && volume->corrupt(a_off, a_end - a_off)) {
-            integrity_errors_.increment();
-            integrity_bad = true;
-        }
-
-        bool sent = false;
-        if (ok && !integrity_bad && reg.has_value()) {
-            co_await lease.run(
-                digestTicks(req.len, config_.digest_per_kb),
-                CpuCat::Other);
-            if (!mem.phantom()) {
-                digest = dsa::payloadDigest(
-                    mem, tbuf + (req.offset - a_off), req.len);
-                digest_valid = true;
-            }
+        co_await lease.run(digestTicks(req.len, config_.digest_per_kb),
+                           CpuCat::Other);
+        uint32_t crc = 0;
+        uint64_t pos = 0;
+        sent = true;
+        for (const BlockPath::Piece &piece : got.pieces) {
             co_await lease.run(nic_->costs().doorbell, CpuCat::Other);
             vi::WorkDescriptor desc;
-            desc.local_addr = tbuf + (req.offset - a_off);
-            desc.len = req.len;
-            desc.remote_addr = req.client_buffer;
-            desc.order_key = req.client_buffer;
-            sent = nic_->postRdmaWrite(*conn.ep, desc, reg->handle);
+            desc.local_addr = piece.addr;
+            desc.len = piece.len;
+            if (!mem.phantom())
+                crc = dsa::payloadDigest(mem, desc.local_addr, desc.len,
+                                         crc);
+            desc.remote_addr = req.client_buffer + pos;
+            desc.order_key = desc.remote_addr;
+            const vi::MemHandle handle =
+                piece.pinned ? cache_handle_ : handles[piece.transient];
+            sent = nic_->postRdmaWrite(*conn.ep, desc, handle) && sent;
+            pos += piece.len;
         }
-        // NOTE: the transient stays registered until after the RDMA
-        // snapshot (taken synchronously at post), so it can be freed
-        // immediately in simulation terms.
-        if (reg.has_value())
-            nic_->registry().deregister(reg->handle);
-        mem.free(tbuf);
-        if (integrity_bad)
-            co_return dsa::IoStatus::IntegrityError;
-        co_return sent ? dsa::IoStatus::Ok : dsa::IoStatus::Error;
+        if (!mem.phantom()) {
+            digest = crc;
+            digest_valid = true;
+        }
     }
 
-    // Cached path: per-block lookups with miss-run coalescing.
-    const uint64_t bs = config_.block_size;
-    const uint64_t first = req.offset / bs;
-    const uint64_t last = (req.offset + req.len - 1) / bs;
-
-    struct BlockRef
-    {
-        uint64_t block;
-        sim::Addr frame;     // data home (frame or transient)
-        bool pinned;         // needs unpin
-    };
-    std::vector<BlockRef> refs;
-    struct Transient
-    {
-        sim::Addr addr;
-        uint64_t len;
-        vi::MemHandle handle;
-    };
-    std::vector<Transient> transients;
-
-    sim::MemorySpace &mem = node_.memory();
-    bool integrity_bad = false;
-    uint64_t b = first;
-    while (b <= last) {
-        const CacheKey key{req.volume, b};
-        co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-
-        if (auto frame = cache_->lookupAndPin(key)) {
-            refs.push_back(BlockRef{b, *frame, true});
-            ++b;
-            continue;
-        }
-
-        auto loading = loading_.find(key);
-        if (loading != loading_.end()) {
-            // Another request is already fetching this block; wait
-            // without holding a CPU, then retry the lookup.
-            sim::CondEvent *event = loading->second.get();
-            node_.cpus().release();
-            co_await event->wait();
-            lease = co_await node_.cpus().acquire(
-                osmodel::CpuPool::kNormalPriority,
-                orderKey(conn.staging_base, req.offset));
-            continue;
-        }
-
-        // We own the fetch of a run of consecutive cold blocks.
-        uint64_t run_end = b + 1;
-        loading_[key] = std::make_unique<sim::CondEvent>();
-        while (run_end <= last &&
-               !cache_->contains(CacheKey{req.volume, run_end}) &&
-               loading_.find(CacheKey{req.volume, run_end}) ==
-                   loading_.end()) {
-            loading_[CacheKey{req.volume, run_end}] =
-                std::make_unique<sim::CondEvent>();
-            ++run_end;
-        }
-
-        const uint64_t run_bytes = (run_end - b) * bs;
-        const sim::Addr tbuf = mem.allocate(run_bytes);
-        co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
-
-        node_.cpus().release();
-        bool ok = co_await volume->read(b * bs, run_bytes, mem, tbuf);
-        lease = co_await node_.cpus().acquire(
-            osmodel::CpuPool::kNormalPriority,
-            orderKey(conn.staging_base, req.offset));
-
-        // Verify-on-read: a block damaged on the platter must never
-        // enter the cache (it would masquerade as a verified copy)
-        // or reach a client.
-        if (ok && volume->corrupt(b * bs, run_bytes)) {
-            integrity_errors_.increment();
-            integrity_bad = true;
-            ok = false;
-        }
-
-        bool tbuf_needed = false;
-        for (uint64_t bb = b; bb < run_end; ++bb) {
-            const CacheKey bkey{req.volume, bb};
-            co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-            // A write racing this fill may have committed newer
-            // bytes than the disk read captured: consume the stale
-            // mark (always, so it cannot leak) and serve from the
-            // transient instead of installing a stale frame.
-            const bool fill_unsafe =
-                fill_stale_.erase(bkey) > 0 ||
-                writing_.find(bkey) != writing_.end();
-            std::optional<sim::Addr> frame =
-                ok && !fill_unsafe ? cache_->insertAndPin(bkey)
-                                   : std::nullopt;
-            if (frame) {
-                sim::MemorySpace::copy(mem, tbuf + (bb - b) * bs, mem,
-                                       *frame, bs);
-                co_await lease.run(
-                    static_cast<sim::Tick>(bs / 1024) *
-                        config_.memcpy_per_kb,
-                    CpuCat::Other);
-                refs.push_back(BlockRef{bb, *frame, true});
-            } else if (ok) {
-                // All frames pinned: serve from the transient.
-                refs.push_back(
-                    BlockRef{bb, tbuf + (bb - b) * bs, false});
-                tbuf_needed = true;
-            }
-            auto event = loading_.find(bkey);
-            if (event != loading_.end()) {
-                event->second->notifyAll();
-                loading_.erase(event);
-            }
-        }
-
-        if (!ok) {
-            // Unpin and bail out.
-            for (const BlockRef &ref : refs) {
-                if (ref.pinned)
-                    cache_->unpin(CacheKey{req.volume, ref.block});
-            }
-            mem.free(tbuf);
-            for (const Transient &t : transients) {
-                nic_->registry().deregister(t.handle);
-                mem.free(t.addr);
-            }
-            co_return integrity_bad ? dsa::IoStatus::IntegrityError
-                                    : dsa::IoStatus::Error;
-        }
-
-        if (tbuf_needed) {
-            auto reg =
-                nic_->registry().registerMemory(tbuf, run_bytes, true);
-            assert(reg.has_value());
-            transients.push_back(Transient{tbuf, run_bytes,
-                                           reg->handle});
-        } else {
-            mem.free(tbuf);
-        }
-        b = run_end;
-    }
-
-    // RDMA each block's overlap with the requested range, in order,
-    // accumulating the response digest over the delivered bytes
-    // (client-buffer order == refs order, so one chained CRC works).
-    co_await lease.run(digestTicks(req.len, config_.digest_per_kb),
-                       CpuCat::Other);
-    uint32_t crc = 0;
-    for (const BlockRef &ref : refs) {
-        const uint64_t block_start = ref.block * bs;
-        const uint64_t piece_start =
-            std::max(block_start, req.offset);
-        const uint64_t piece_end =
-            std::min(block_start + bs, req.offset + req.len);
-        if (piece_end <= piece_start)
-            continue;
-        co_await lease.run(nic_->costs().doorbell, CpuCat::Other);
-        vi::WorkDescriptor desc;
-        desc.local_addr = ref.frame + (piece_start - block_start);
-        desc.len = piece_end - piece_start;
-        if (!mem.phantom())
-            crc = dsa::payloadDigest(mem, desc.local_addr, desc.len,
-                                     crc);
-        desc.remote_addr =
-            req.client_buffer + (piece_start - req.offset);
-        desc.order_key = desc.remote_addr;
-        vi::MemHandle handle = cache_handle_;
-        if (!ref.pinned) {
-            // Find the covering transient registration.
-            for (const Transient &t : transients) {
-                if (desc.local_addr >= t.addr &&
-                    desc.local_addr + desc.len <= t.addr + t.len) {
-                    handle = t.handle;
-                    break;
-                }
-            }
-        }
-        nic_->postRdmaWrite(*conn.ep, desc, handle);
-    }
-
-    if (!mem.phantom()) {
-        digest = crc;
-        digest_valid = true;
-    }
-
-    for (const BlockRef &ref : refs) {
-        if (ref.pinned)
-            cache_->unpin(CacheKey{req.volume, ref.block});
-    }
-    for (const Transient &t : transients) {
-        nic_->registry().deregister(t.handle);
-        mem.free(t.addr);
-    }
-    co_return dsa::IoStatus::Ok;
+    // The RDMA snapshot is taken synchronously at post, so the
+    // transients can be released at once in simulation terms.
+    for (const vi::MemHandle handle : handles)
+        nic_->registry().deregister(handle);
+    path_.release(got);
+    if (got.status == ReadStatus::IntegrityError)
+        co_return dsa::IoStatus::IntegrityError;
+    co_return sent ? dsa::IoStatus::Ok : dsa::IoStatus::Error;
 }
 
 sim::Task<dsa::IoStatus>
 V3Server::doWrite(Connection &conn, const dsa::RequestMsg &req,
                   CpuLease &lease)
 {
-    disk::Volume *volume = volumes_.volume(req.volume);
+    disk::Volume *volume = path_.volumeManager().volume(req.volume);
     if (!volume || req.len == 0 ||
         req.offset + req.len > volume->capacity() ||
         req.offset % kSector != 0 || req.len % kSector != 0 ||
@@ -813,93 +596,27 @@ V3Server::doWrite(Connection &conn, const dsa::RequestMsg &req,
         digest_mismatches_.increment();
         co_return dsa::IoStatus::BadDigest;
     }
-    // Guard concurrent miss fills: a fill whose disk read races this
-    // write can capture pre-commit bytes; if it installed them after
-    // our cache update, the cache would serve stale data forever
-    // (the disk itself stays correct, which makes the corruption
-    // invisible until the frame is evicted). Count the write against
-    // every covered block now, and on the way out invalidate any
-    // fill still in flight.
-    const uint64_t wbs = config_.block_size;
-    const uint64_t wfirst = req.offset / wbs;
-    const uint64_t wlast = (req.offset + req.len - 1) / wbs;
-    for (uint64_t b = wfirst; b <= wlast; ++b)
-        ++writing_[CacheKey{req.volume, b}];
-    auto finish_writing = [&] {
-        for (uint64_t b = wfirst; b <= wlast; ++b) {
-            const CacheKey key{req.volume, b};
-            auto it = writing_.find(key);
-            if (it != writing_.end() && --it->second == 0)
-                writing_.erase(it);
-            if (loading_.find(key) != loading_.end())
-                fill_stale_[key] = true;
-        }
-    };
 
-    // Update cache blocks so subsequent reads see the new data.
-    if (cache_) {
-        const uint64_t bs = config_.block_size;
-        for (uint64_t b = req.offset / bs;
-             b <= (req.offset + req.len - 1) / bs; ++b) {
-            const CacheKey key{req.volume, b};
-            const uint64_t block_start = b * bs;
-            const uint64_t piece_start =
-                std::max(block_start, req.offset);
-            const uint64_t piece_end =
-                std::min(block_start + bs, req.offset + req.len);
-            const bool full_block =
-                piece_start == block_start && piece_end - piece_start == bs;
-
-            co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-            std::optional<sim::Addr> frame;
-            if (full_block) {
-                frame = cache_->insertAndPin(key);
-            } else if (cache_->contains(key)) {
-                frame = cache_->lookupAndPin(key);
-            }
-            if (frame) {
-                sim::MemorySpace::copy(
-                    mem, staging + (piece_start - req.offset), mem,
-                    *frame + (piece_start - block_start),
-                    piece_end - piece_start);
-                co_await lease.run(
-                    static_cast<sim::Tick>(
-                        (piece_end - piece_start) / 1024) *
-                        config_.memcpy_per_kb,
-                    CpuCat::Other);
-                cache_->unpin(key);
-            }
-        }
-    }
-
-    // A crash between staging and commit loses the write: the node
-    // is fail-stop, so nothing may reach disk after the cache died.
-    if (!conn.alive) {
-        finish_writing();
-        co_return dsa::IoStatus::Error;
-    }
-
-    // Commit to disk before completing (durability, section 5.2).
-    co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
-    node_.cpus().release();
-    const bool ok =
-        co_await volume->write(req.offset, req.len, mem, staging);
-    lease = co_await node_.cpus().acquire(
-        osmodel::CpuPool::kNormalPriority,
-        orderKey(conn.staging_base, req.offset));
-    finish_writing();
+    // Write through the cache and commit to disk before completing
+    // (section 5.2). A crash between staging and commit loses the
+    // write: the node is fail-stop, so nothing may reach disk after
+    // the cache died.
+    const bool ok = co_await path_.write(
+        lease, orderKey(conn.staging_base, req.offset), req.volume,
+        req.offset, req.len, staging, &conn.alive);
     co_return ok ? dsa::IoStatus::Ok : dsa::IoStatus::Error;
 }
 
 sim::Task<dsa::IoStatus>
 V3Server::doHint(const dsa::RequestMsg &req, CpuLease &lease)
 {
-    disk::Volume *volume = volumes_.volume(req.volume);
+    disk::Volume *volume = path_.volumeManager().volume(req.volume);
     if (!volume || req.len == 0 ||
         req.offset + req.len > volume->capacity()) {
         co_return dsa::IoStatus::Error;
     }
-    if (!cache_)
+    BlockCache *cache = path_.cache();
+    if (!cache)
         co_return dsa::IoStatus::Ok; // nothing to manage; still acked
 
     const uint64_t bs = config_.block_size;
@@ -909,12 +626,14 @@ V3Server::doHint(const dsa::RequestMsg &req, CpuLease &lease)
     switch (req.hint) {
       case dsa::HintKind::WillNeed:
         // Acknowledge immediately; fetch in the background.
-        sim::spawn(prefetchRange(req.volume, first, last));
+        sim::spawn(path_.prefetch(orderKey(req.volume, first * bs),
+                                  req.volume, first, last,
+                                  prefetched_));
         break;
       case dsa::HintKind::DontNeed:
         for (uint64_t b = first; b <= last; ++b) {
             co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-            cache_->invalidate(CacheKey{req.volume, b});
+            cache->invalidate(CacheKey{req.volume, b});
         }
         break;
       case dsa::HintKind::Sequential:
@@ -922,101 +641,6 @@ V3Server::doHint(const dsa::RequestMsg &req, CpuLease &lease)
         break;
     }
     co_return dsa::IoStatus::Ok;
-}
-
-sim::Task<>
-V3Server::prefetchRange(uint32_t volume_id, uint64_t first,
-                        uint64_t last)
-{
-    disk::Volume *volume = volumes_.volume(volume_id);
-    if (!volume || !cache_)
-        co_return;
-    const uint64_t bs = config_.block_size;
-    sim::MemorySpace &mem = node_.memory();
-
-    CpuLease lease = co_await node_.cpus().acquire(
-        osmodel::CpuPool::kNormalPriority,
-        orderKey(volume_id, first * bs));
-    uint64_t b = first;
-    while (b <= last) {
-        const CacheKey key{volume_id, b};
-        co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-        if (cache_->contains(key) ||
-            loading_.find(key) != loading_.end()) {
-            ++b;
-            continue;
-        }
-        // Fetch a run of consecutive cold blocks, as doRead does.
-        uint64_t run_end = b + 1;
-        loading_[key] = std::make_unique<sim::CondEvent>();
-        while (run_end <= last &&
-               !cache_->contains(CacheKey{volume_id, run_end}) &&
-               loading_.find(CacheKey{volume_id, run_end}) ==
-                   loading_.end()) {
-            loading_[CacheKey{volume_id, run_end}] =
-                std::make_unique<sim::CondEvent>();
-            ++run_end;
-        }
-        const uint64_t run_bytes = (run_end - b) * bs;
-        const sim::Addr tbuf = mem.allocate(run_bytes);
-        co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
-        node_.cpus().release();
-        bool ok = co_await volume->read(b * bs, run_bytes, mem, tbuf);
-        lease = co_await node_.cpus().acquire(
-            osmodel::CpuPool::kNormalPriority,
-            orderKey(volume_id, b * bs));
-
-        // Same verify-on-read rule as doRead: never cache a block
-        // that is damaged on disk.
-        if (ok && volume->corrupt(b * bs, run_bytes)) {
-            integrity_errors_.increment();
-            ok = false;
-        }
-
-        for (uint64_t bb = b; bb < run_end; ++bb) {
-            const CacheKey bkey{volume_id, bb};
-            // Same stale-fill guard as doRead: skip blocks a racing
-            // write invalidated or still has in flight.
-            const bool fill_unsafe =
-                fill_stale_.erase(bkey) > 0 ||
-                writing_.find(bkey) != writing_.end();
-            if (ok && !fill_unsafe) {
-                co_await lease.run(config_.cache_op_cost,
-                                   CpuCat::Other);
-                if (auto frame = cache_->insertAndPin(bkey)) {
-                    sim::MemorySpace::copy(mem, tbuf + (bb - b) * bs,
-                                           mem, *frame, bs);
-                    cache_->unpin(bkey);
-                    prefetched_.increment();
-                }
-            }
-            auto event = loading_.find(bkey);
-            if (event != loading_.end()) {
-                event->second->notifyAll();
-                loading_.erase(event);
-            }
-        }
-        mem.free(tbuf);
-        b = run_end;
-    }
-    node_.cpus().release();
-}
-
-void
-V3Server::resetStats()
-{
-    reads_.reset();
-    writes_.reset();
-    retransmit_hits_.reset();
-    bad_requests_.reset();
-    digest_mismatches_.reset();
-    integrity_errors_.reset();
-    admission_gate_.resetStats();
-    server_time_.reset();
-    if (cache_)
-        cache_->resetStats();
-    disks_.resetStats();
-    node_.cpus().resetStats();
 }
 
 } // namespace v3sim::storage

@@ -51,9 +51,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -64,40 +62,19 @@
 #include "sim/stats.hh"
 #include "sim/task.hh"
 #include "storage/admission_gate.hh"
-#include "storage/block_cache.hh"
-#include "storage/disk_manager.hh"
-#include "storage/mq_cache.hh"
-#include "storage/volume_manager.hh"
+#include "storage/block_path.hh"
 #include "vi/fault_injector.hh"
 #include "vi/vi_nic.hh"
 
 namespace v3sim::storage
 {
 
-/** Cache replacement policy selector. */
-enum class CachePolicy : uint8_t
-{
-    Lru,
-    Mq,
-};
-
 /** Static configuration of one V3 storage node. */
-struct V3ServerConfig
+struct V3ServerConfig : BlockPathConfig
 {
     std::string name = "v3";
     int cpus = 2;
     osmodel::HostCosts host_costs = osmodel::HostCosts::storageNode();
-
-    /** Cache block size (the paper's experiments fix this at 8 KB). */
-    uint64_t block_size = 8192;
-
-    /** Cache capacity in bytes; 0 disables caching entirely (the
-     *  Figure 7/8 configuration: "the V3 server cache size is set to
-     *  zero and all V3 I/O requests are serviced from disks"). */
-    uint64_t cache_bytes = 256ull * 1024 * 1024;
-
-    CachePolicy cache_policy = CachePolicy::Mq;
-    MqConfig mq;
 
     /** Outstanding-request credits granted per client connection
      *  (matches posted receive descriptors — DSA flow control). */
@@ -115,11 +92,7 @@ struct V3ServerConfig
     /** @name Request-manager CPU costs (charged on the server CPUs)
      * @{ */
     sim::Tick parse_cost = sim::usecs(5.0);
-    sim::Tick cache_op_cost = sim::usecs(1.5);
-    sim::Tick disk_sched_cost = sim::usecs(3.0);
     sim::Tick complete_cost = sim::usecs(4.0);
-    /** Per-KB cost of staging<->frame copies. */
-    sim::Tick memcpy_per_kb = sim::usecs(0.12);
     /** Per-KB cost of the end-to-end CRC32C digest (verify staged
      *  write payloads, digest read responses). Charged in phantom
      *  and real-memory runs alike; see dsa::payloadDigest. */
@@ -145,9 +118,9 @@ class V3Server : public vi::NodeFaultTarget
 
     osmodel::Node &node() { return node_; }
     vi::ViNic &nic() { return *nic_; }
-    DiskManager &diskManager() { return disks_; }
-    VolumeManager &volumeManager() { return volumes_; }
-    BlockCache *cache() { return cache_.get(); }
+    DiskManager &diskManager() { return path_.diskManager(); }
+    VolumeManager &volumeManager() { return path_.volumeManager(); }
+    BlockCache *cache() { return path_.cache(); }
     const V3ServerConfig &config() const { return config_; }
 
     /**
@@ -205,7 +178,7 @@ class V3Server : public vi::NodeFaultTarget
     uint64_t
     integrityErrorCount() const
     {
-        return integrity_errors_.value();
+        return path_.integrityErrorCount();
     }
 
     /** @name Admission gate (config.admission; DESIGN.md §12) @{ */
@@ -230,16 +203,7 @@ class V3Server : public vi::NodeFaultTarget
      *  component). */
     const sim::Sampler &serverTime() const { return server_time_.raw(); }
 
-    double
-    cacheHitRatio() const
-    {
-        return cache_ ? cache_->hitRatio() : 0.0;
-    }
-
-    /** Zeroes this server's registry-owned metrics (crash/restart
-     *  counters included). Prefer `MetricRegistry::resetEpoch()` for
-     *  stack-wide measurement windows. */
-    void resetStats();
+    double cacheHitRatio() const { return path_.cacheHitRatio(); }
     /** @} */
 
   private:
@@ -303,10 +267,9 @@ class V3Server : public vi::NodeFaultTarget
                             const dsa::RequestMsg &req,
                             osmodel::CpuLease lease);
 
-    /** Read data path. Verifies blocks against the volume's latent-
-     *  corruption oracle before they are cached or delivered, and
-     *  accumulates the response payload digest over the RDMA'd pieces
-     *  into @p digest / @p digest_valid. */
+    /** Read data path: gathers the range through the block path and
+     *  RDMAs it, accumulating the response payload digest over the
+     *  RDMA'd pieces into @p digest / @p digest_valid. */
     sim::Task<dsa::IoStatus> doRead(Connection &conn,
                                     const dsa::RequestMsg &req,
                                     osmodel::CpuLease &lease,
@@ -324,10 +287,6 @@ class V3Server : public vi::NodeFaultTarget
      *  advisory. */
     sim::Task<dsa::IoStatus> doHint(const dsa::RequestMsg &req,
                                     osmodel::CpuLease &lease);
-
-    /** Background prefetch of [first_block, last_block]. */
-    sim::Task<> prefetchRange(uint32_t volume_id, uint64_t first,
-                              uint64_t last);
 
     /** Sends the completion (message or RDMA flag). The digest pair
      *  covers the read data already RDMA'd to the client (Message
@@ -352,36 +311,17 @@ class V3Server : public vi::NodeFaultTarget
     V3ServerConfig config_;
     osmodel::Node node_;
     std::unique_ptr<vi::ViNic> nic_;
-    DiskManager disks_;
-    VolumeManager volumes_;
-    std::unique_ptr<BlockCache> cache_;
     vi::MemHandle cache_handle_;
 
     std::vector<std::unique_ptr<Connection>> connections_;
     bool crashed_ = false;
     uint64_t boot_epoch_ = 0;
 
-    /** Blocks currently being read from disk (miss coalescing). */
-    util::FlatMap<CacheKey, std::unique_ptr<sim::CondEvent>,
-                  CacheKeyHash>
-        loading_;
-
-    /** Writes in flight per block, counted from the cache update to
-     *  the disk commit returning. A miss fill whose disk read raced
-     *  such a write may hold pre-commit bytes; installing them would
-     *  shadow the committed data in the cache indefinitely, so fills
-     *  skip blocks with a write in flight. */
-    util::FlatMap<CacheKey, uint32_t, CacheKeyHash> writing_;
-
-    /** Fills invalidated by a write that committed while the fill
-     *  was still in loading_: the filler consumes (erases) its mark
-     *  and serves the read from its transient instead of installing
-     *  a possibly-stale frame. */
-    util::FlatMap<CacheKey, bool, CacheKeyHash> fill_stale_;
-
     /// Registry path prefix ("server.<name>", uniquified); must
     /// precede the metric references so it is initialised first.
     std::string metric_prefix_;
+
+    BlockPath path_; ///< registers under metric_prefix_
 
     sim::CounterHandle reads_;
     sim::CounterHandle writes_;
@@ -392,7 +332,6 @@ class V3Server : public vi::NodeFaultTarget
     sim::CounterHandle restarts_;
     sim::CounterHandle bad_requests_;
     sim::CounterHandle digest_mismatches_;
-    sim::CounterHandle integrity_errors_;
     sim::SamplerHandle server_time_;
 
     /** Overload-control gate in front of the data path

@@ -113,7 +113,6 @@ TEST_F(LruCacheTest, HitRatioMath)
     cache_.lookupAndPin(key(1)); // miss
     cache_.insertAndPin(key(1));
     cache_.unpin(key(1));
-    cache_.unpin(key(1));
     cache_.lookupAndPin(key(1)); // hit
     cache_.unpin(key(1));
     cache_.lookupAndPin(key(2)); // miss

@@ -2,8 +2,9 @@
  * @file
  * V3-server-focused tests: cache interaction of the request manager
  * (hit/miss, write-through update, sub-block and multi-block
- * requests), the cache-off path, dedup-filter pruning, and
- * concurrent-miss coalescing.
+ * requests), the cache-off path, and dedup-filter pruning.
+ * Concurrent-miss coalescing and the other same-block races are
+ * covered for both storage front ends in test_block_path.cc.
  */
 
 #include <gtest/gtest.h>
