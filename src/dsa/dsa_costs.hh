@@ -23,6 +23,7 @@
 #ifndef V3SIM_DSA_DSA_COSTS_HH
 #define V3SIM_DSA_DSA_COSTS_HH
 
+#include <compare>
 #include <cstdint>
 
 #include "sim/types.hh"
@@ -48,7 +49,15 @@ struct DsaOptimizations
     }
 
     static DsaOptimizations all() { return DsaOptimizations{}; }
+
+    bool operator==(const DsaOptimizations &) const = default;
+    std::strong_ordering operator<=>(const DsaOptimizations &) const;
 };
+
+// Defaulted out of the class: defaulted inside it, GCC 12.2 crashes
+// (internal compiler error) on mirrored_device.cc at -O2 -g -DNDEBUG.
+inline std::strong_ordering
+DsaOptimizations::operator<=>(const DsaOptimizations &) const = default;
 
 /** Per-implementation client path costs. */
 struct DsaClientCosts

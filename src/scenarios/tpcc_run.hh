@@ -9,6 +9,7 @@
 #define V3SIM_SCENARIOS_TPCC_RUN_HH
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -26,7 +27,8 @@ enum class Platform : uint8_t
     Large,
 };
 
-/** One TPC-C experiment description. */
+/** One TPC-C experiment description. Ordered field by field, so a
+ *  config can key a run memo with no field left out. */
 struct TpccRunConfig
 {
     Backend backend = Backend::Cdsa;
@@ -55,6 +57,8 @@ struct TpccRunConfig
     sim::Tick poll_interval = 0;
     uint32_t flow_credits = 0;
     int kdsa_extra_layers = 0;
+
+    auto operator<=>(const TpccRunConfig &) const = default;
 };
 
 /** Everything the figures need from one run. */

@@ -8,8 +8,13 @@
 namespace v3sim::util
 {
 
+BenchReporter::BenchReporter(std::string name, bool quick,
+                             std::string json_path)
+    : name_(std::move(name)), path_(std::move(json_path)), quick_(quick)
+{}
+
 BenchReporter::BenchReporter(std::string name, int argc, char **argv)
-    : name_(std::move(name))
+    : BenchReporter(std::move(name), false, "")
 {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {

@@ -48,6 +48,9 @@ class BenchReporter
      */
     BenchReporter(std::string name, int argc, char **argv);
 
+    /** @param json_path artifact path; empty writes no artifact. */
+    BenchReporter(std::string name, bool quick, std::string json_path);
+
     const std::string &name() const { return name_; }
 
     /** True when --quick was given: benches shrink their work. */

@@ -5,7 +5,10 @@
  * artifact against the schema every fig/abl bench shares.
  *
  * Registered with ctest as `quick_bench_smoke`; CMake passes the
- * bench binary's location and a scratch output path.
+ * bench binary's location and a scratch output path. With a third
+ * argument the bench is paper_suite: the path is its --json
+ * directory, the argument names the item to run, and the artifact is
+ * <path>/BENCH_<item>.json.
  */
 
 #include <cstdio>
@@ -33,16 +36,19 @@ fail(const std::string &why)
 int
 main(int argc, char **argv)
 {
-    if (argc != 3) {
+    if (argc != 3 && argc != 4) {
         return fail("usage: quick_bench_smoke <bench-binary> "
-                    "<output.json>");
+                    "<output.json> | <paper_suite> <json-dir> <item>");
     }
     const std::string bench = argv[1];
-    const std::string out_path = argv[2];
+    const std::string json_arg = argv[2];
+    const std::string item = argc == 4 ? argv[3] : "";
+    const std::string out_path =
+        item.empty() ? json_arg : json_arg + "/BENCH_" + item + ".json";
 
     std::remove(out_path.c_str());
-    const std::string command =
-        "\"" + bench + "\" --quick --json \"" + out_path + "\"";
+    const std::string command = "\"" + bench + "\" --quick --json \"" +
+                                json_arg + "\" " + item;
     const int rc = std::system(command.c_str());
     if (rc != 0)
         return fail("bench exited with status " + std::to_string(rc));

@@ -14,8 +14,9 @@
  *  (c) two cold reads of one block cost one disk read (miss
  *      coalescing).
  *
- * Stamped-content property test: seeded concurrent 70/30 read/write
- * mixes over a hot set larger than the cache, every write stamped by
+ * Stamped-content property test, over every backend (kDSA, wDSA,
+ * cDSA, iSCSI and local): seeded concurrent 70/30 read/write mixes
+ * over a hot set larger than the cache, every write stamped by
  * cluster::DurabilityAudit. Every good read must carry a stamp that
  * was written to that block and is no older than the block's settled
  * floor when the read was issued, and the quiesced audit must find
@@ -440,17 +441,34 @@ TEST_P(StampedContent, ReadsNeverGoStaleAndAuditIsClean)
     EXPECT_EQ(audit.auditedBlocks(), kHotBlocks);
 }
 
+std::string
+propertyName(const ::testing::TestParamInfo<PropertyParam> &info)
+{
+    const Backend backend = std::get<0>(info.param);
+    std::string name = scenarios::backendName(backend);
+    if (backend != Backend::Local)
+        name += std::string("_") + policyName(std::get<1>(info.param));
+    return name + "_seed" + std::to_string(std::get<2>(info.param));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BackendPolicySeed, StampedContent,
-    ::testing::Combine(::testing::Values(Backend::Cdsa, Backend::Iscsi),
+    ::testing::Combine(::testing::Values(Backend::Kdsa, Backend::Wdsa,
+                                         Backend::Cdsa, Backend::Iscsi),
                        ::testing::Values(CachePolicy::Mq, CachePolicy::Lru),
                        ::testing::Values(uint64_t{1}, uint64_t{2},
                                          uint64_t{3})),
-    [](const ::testing::TestParamInfo<PropertyParam> &info) {
-        return std::string(scenarios::backendName(std::get<0>(info.param))) +
-               "_" + policyName(std::get<1>(info.param)) + "_seed" +
-               std::to_string(std::get<2>(info.param));
-    });
+    propertyName);
+
+// Local disks have no storage-node cache, so the policy is moot: one
+// run per seed.
+INSTANTIATE_TEST_SUITE_P(
+    LocalSeed, StampedContent,
+    ::testing::Combine(::testing::Values(Backend::Local),
+                       ::testing::Values(CachePolicy::Mq),
+                       ::testing::Values(uint64_t{1}, uint64_t{2},
+                                         uint64_t{3})),
+    propertyName);
 
 } // namespace
 } // namespace v3sim::storage

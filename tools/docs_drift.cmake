@@ -2,10 +2,11 @@
 #
 #   cmake -DREPO_ROOT=<repo> -P tools/docs_drift.cmake
 #
-# Every bench binary (bench/*.cc) must be mentioned by name in
-# EXPERIMENTS.md, so an experiment can't be added (or renamed)
-# without its documentation moving with it. Helper translation units
-# that are not benches of their own are listed in _helpers below.
+# Every bench binary (bench/*.cc) and every item paper_suite registers
+# must be named in EXPERIMENTS.md as a backticked `name` (an item may
+# also appear as `paper_suite name`), so an experiment can't be added
+# or renamed without its documentation moving with it. A bare word
+# does not count: "calibrated" does not document `calibrate`.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -19,19 +20,35 @@ if(NOT EXISTS "${_experiments}")
 endif()
 file(READ "${_experiments}" _doc)
 
-# Bench-directory sources that are shared infrastructure, not
-# experiments (no main(), or linked into several benches).
-set(_helpers micro_engine)
-
 file(GLOB _benches "${REPO_ROOT}/bench/*.cc")
-set(_missing "")
+set(_names "")
 foreach(_src IN LISTS _benches)
     get_filename_component(_name "${_src}" NAME_WE)
-    if(_name IN_LIST _helpers)
-        continue()
-    endif()
-    string(FIND "${_doc}" "${_name}" _pos)
-    if(_pos EQUAL -1)
+    list(APPEND _names "${_name}")
+endforeach()
+
+# paper_suite's items: the names in its kItems table.
+file(READ "${REPO_ROOT}/bench/paper_suite.cc" _suite)
+string(FIND "${_suite}" "kItems[] = {" _begin)
+if(_begin EQUAL -1)
+    message(FATAL_ERROR "docs_drift: no kItems table in paper_suite.cc")
+endif()
+string(SUBSTRING "${_suite}" ${_begin} -1 _suite)
+string(FIND "${_suite}" "};" _end)
+string(SUBSTRING "${_suite}" 0 ${_end} _suite)
+string(REGEX MATCHALL "{\"[a-z0-9_]+\"," _entries "${_suite}")
+if(NOT _entries)
+    message(FATAL_ERROR "docs_drift: paper_suite registers no items")
+endif()
+list(LENGTH _entries _item_count)
+foreach(_entry IN LISTS _entries)
+    string(REGEX REPLACE "^{\"([a-z0-9_]+)\",$" "\\1" _name "${_entry}")
+    list(APPEND _names "${_name}")
+endforeach()
+
+set(_missing "")
+foreach(_name IN LISTS _names)
+    if(NOT _doc MATCHES "`(paper_suite )?${_name}`")
         list(APPEND _missing "${_name}")
     endif()
 endforeach()
@@ -39,12 +56,12 @@ endforeach()
 if(_missing)
     list(JOIN _missing ", " _missing_list)
     message(FATAL_ERROR
-        "docs_drift: bench(es) not documented in EXPERIMENTS.md: "
-        "${_missing_list}. Add an entry for each (name, figure/claim "
-        "it reproduces, how to run it).")
+        "docs_drift: not documented in EXPERIMENTS.md as a backticked "
+        "name: ${_missing_list}. Add an entry for each (name, "
+        "figure/claim it reproduces, how to run it).")
 endif()
 
-list(LENGTH _benches _count)
+list(LENGTH _benches _bench_count)
 message(STATUS
-    "docs_drift: all ${_count} bench sources documented in "
-    "EXPERIMENTS.md")
+    "docs_drift: ${_bench_count} bench sources and ${_item_count} "
+    "paper_suite items documented in EXPERIMENTS.md")
