@@ -278,6 +278,21 @@ class DsaClient : public BlockDevice
 
     osmodel::CpuPool &cpus() { return node_.cpus(); }
 
+    /**
+     * Host CPU admission for work on an I/O keyed by @p key — its
+     * buffer, or the offset of a buffer-less hint: content, unique
+     * per concurrent submitter. Several clients can serve one
+     * submitter (a mirror's legs share the application's buffer), so
+     * equal keys break by this client's NIC port, never by arrival
+     * order (DESIGN.md §8.3).
+     */
+    auto
+    acquireCpu(uint64_t key)
+    {
+        return cpus().acquire(osmodel::CpuPool::kNormalPriority, key,
+                              nic_.port());
+    }
+
     /** Response-receive / flag slots: oversized vs credits so
      *  duplicate responses to retransmissions never overrun. */
     uint32_t

@@ -44,9 +44,9 @@ CpuPool::CpuPool(sim::Simulation &sim, int cpus, std::string name)
 
 void
 CpuPool::park(std::coroutine_handle<> h, int priority,
-              uint64_t order_key)
+              uint64_t order_key, uint64_t tiebreak)
 {
-    const Waiter w{h, priority, order_key, next_seq_++};
+    const Waiter w{h, priority, order_key, tiebreak, next_seq_++};
     waiters_.insert(
         std::upper_bound(waiters_.begin(), waiters_.end(), w), w);
     if (!arb_scheduled_) {

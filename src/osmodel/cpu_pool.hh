@@ -112,28 +112,32 @@ class CpuPool
     /**
      * Awaitable: resumes holding a CPU, granted in this tick's final
      * band. Interrupt-priority waiters are admitted before normal
-     * ones; ties broken by @p order_key, then arrival.
+     * ones; ties broken by @p order_key, then @p tiebreak (for
+     * callers whose keys can coincide, e.g. two clients serving one
+     * buffer), then arrival.
      */
     auto
-    acquire(int priority = kNormalPriority, uint64_t order_key = 0)
+    acquire(int priority = kNormalPriority, uint64_t order_key = 0,
+            uint64_t tiebreak = 0)
     {
         struct Awaiter
         {
             CpuPool *pool;
             int priority;
             uint64_t order_key;
+            uint64_t tiebreak;
 
             bool await_ready() const { return false; }
 
             void
             await_suspend(std::coroutine_handle<> h) const
             {
-                pool->park(h, priority, order_key);
+                pool->park(h, priority, order_key, tiebreak);
             }
 
             CpuLease await_resume() const { return CpuLease(pool); }
         };
-        return Awaiter{this, priority, order_key};
+        return Awaiter{this, priority, order_key, tiebreak};
     }
 
     /** Returns the CPU; freed capacity is re-granted in the final
@@ -195,6 +199,7 @@ class CpuPool
         std::coroutine_handle<> handle;
         int priority;
         uint64_t order_key;
+        uint64_t tiebreak;
         uint64_t seq; ///< arrival tiebreak among equal keys
 
         bool
@@ -204,12 +209,14 @@ class CpuPool
                 return priority < other.priority;
             if (order_key != other.order_key)
                 return order_key < other.order_key;
+            if (tiebreak != other.tiebreak)
+                return tiebreak < other.tiebreak;
             return seq < other.seq;
         }
     };
 
     void park(std::coroutine_handle<> h, int priority,
-              uint64_t order_key);
+              uint64_t order_key, uint64_t tiebreak);
     /** Final-band grant pass: admits waiters while CPUs are free. */
     void arbitrate();
 

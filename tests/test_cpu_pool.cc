@@ -91,6 +91,35 @@ TEST(CpuPool, InterruptPriorityJumpsQueue)
               (std::vector<std::string>{"intr", "a", "b"}));
 }
 
+TEST(CpuPool, EqualKeysBreakByTiebreakNotArrival)
+{
+    // Two clients serving one buffer (a mirror's legs) contend with
+    // the same order key; the tiebreak, not the tie-shuffled arrival
+    // order, decides who runs first.
+    auto order = [](uint64_t tie_seed) {
+        sim::Simulation sim;
+        sim.queue().setTieShuffle(tie_seed);
+        CpuPool pool(sim, 1, "cpu");
+        std::vector<uint64_t> out;
+        for (uint64_t leg : {7u, 3u}) {
+            sim::spawn([](sim::Simulation &s, CpuPool &p,
+                          std::vector<uint64_t> &ran,
+                          uint64_t id) -> Task<> {
+                co_await s.sleep(usecs(5));
+                CpuLease lease = co_await p.acquire(
+                    CpuPool::kNormalPriority, /*order_key=*/0x1000, id);
+                ran.push_back(id);
+                co_await lease.run(usecs(1), CpuCat::Dsa);
+                p.release();
+            }(sim, pool, out, leg));
+        }
+        sim.run();
+        return out;
+    };
+    for (const uint64_t seed : {1u, 2u, 3u, 20020817u})
+        EXPECT_EQ(order(seed), (std::vector<uint64_t>{3, 7})) << seed;
+}
+
 TEST(CpuPool, UtilizationPerCategory)
 {
     sim::Simulation sim;
