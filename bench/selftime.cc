@@ -15,6 +15,9 @@
  *    continuation chains, final-band arbitration events, and a
  *    cancelled-timer slice. No model code: this isolates schedule/
  *    fire/cancel cost.
+ *  - fig09: the slowest run of Figure 9's optimization stack —
+ *    large configuration, cDSA with batched deregistration and
+ *    interrupt batching but unreduced sync pairs.
  *  - fig10: the full-scale large-configuration TPC-C run (cDSA),
  *    the heaviest workload in the figure set.
  *  - fig13: the mid-size TPC-C run (cDSA).
@@ -126,11 +129,13 @@ runCore(uint64_t target_events)
 }
 
 ProfileResult
-runTpccProfile(Platform platform, bool quick)
+runTpccProfile(Platform platform, bool quick,
+               dsa::DsaOptimizations opts = dsa::DsaOptimizations::all())
 {
     TpccRunConfig config;
     config.platform = platform;
     config.backend = Backend::Cdsa;
+    config.opts = opts;
     config.seed = 1;
     if (quick) {
         config.warmup = sim::msecs(60);
@@ -168,6 +173,11 @@ main(int argc, char **argv)
         reporter.quick() ? 200 * 1000 : 8 * 1000 * 1000;
     Row rows[] = {
         {"core", runCore(core_events)},
+        {"fig09",
+         runTpccProfile(Platform::Large, reporter.quick(),
+                        {/*batched_dereg=*/true,
+                         /*interrupt_batching=*/true,
+                         /*reduced_sync=*/false})},
         {"fig10", runTpccProfile(Platform::Large, reporter.quick())},
         {"fig13", runTpccProfile(Platform::MidSize,
                                  reporter.quick())},
@@ -195,7 +205,9 @@ main(int argc, char **argv)
     }
     table.print();
     reporter.note("workloads",
-                  "core=synthetic event churn; fig10/fig13 = "
-                  "cDSA TPC-C profiles at seed 1");
+                  "core=synthetic event churn; fig09/fig10/fig13 = "
+                  "cDSA TPC-C profiles at seed 1; fig09 is Figure 9's "
+                  "slowest run (large, +dereg+intrpt, sync pairs not "
+                  "reduced)");
     return reporter.write() ? 0 : 1;
 }

@@ -110,30 +110,36 @@ ConcatVolume::corrupt(uint64_t offset, uint64_t len) const
     return false;
 }
 
+namespace
+{
+
+uint64_t
+smallestChild(const std::vector<Volume *> &children)
+{
+    uint64_t min_child = UINT64_MAX;
+    for (const Volume *child : children)
+        min_child = std::min(min_child, child->capacity());
+    return min_child;
+}
+
+} // namespace
+
 StripeVolume::StripeVolume(std::vector<Volume *> children,
                            uint64_t stripe_unit)
     : children_(std::move(children)), stripe_unit_(stripe_unit)
 {
     assert(!children_.empty());
     assert(stripe_unit_ > 0);
-}
-
-uint64_t
-StripeVolume::capacity() const
-{
-    uint64_t min_child = UINT64_MAX;
-    for (const Volume *child : children_)
-        min_child = std::min(min_child, child->capacity());
     // Whole stripes only.
-    const uint64_t stripes = min_child / stripe_unit_;
-    return stripes * stripe_unit_ * children_.size();
+    const uint64_t stripes = smallestChild(children_) / stripe_unit_;
+    capacity_ = stripes * stripe_unit_ * children_.size();
 }
 
 sim::Task<bool>
 StripeVolume::run(uint64_t offset, uint64_t len, sim::MemorySpace *mem,
                   sim::Addr addr, bool is_write)
 {
-    if (offset + len > capacity())
+    if (offset + len > capacity_)
         co_return false;
 
     sim::WaitGroup group;
@@ -194,7 +200,7 @@ StripeVolume::write(uint64_t offset, uint64_t len,
 bool
 StripeVolume::corrupt(uint64_t offset, uint64_t len) const
 {
-    if (offset + len > capacity())
+    if (offset + len > capacity_)
         return false;
     uint64_t done = 0;
     while (done < len) {
@@ -215,18 +221,10 @@ StripeVolume::corrupt(uint64_t offset, uint64_t len) const
 }
 
 MirrorVolume::MirrorVolume(std::vector<Volume *> children)
-    : children_(std::move(children))
+    : children_(std::move(children)),
+      capacity_(smallestChild(children_))
 {
     assert(!children_.empty());
-}
-
-uint64_t
-MirrorVolume::capacity() const
-{
-    uint64_t min_child = UINT64_MAX;
-    for (const Volume *child : children_)
-        min_child = std::min(min_child, child->capacity());
-    return min_child;
 }
 
 sim::Task<bool>

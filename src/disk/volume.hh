@@ -129,7 +129,7 @@ class StripeVolume : public Volume
   public:
     StripeVolume(std::vector<Volume *> children, uint64_t stripe_unit);
 
-    uint64_t capacity() const override;
+    uint64_t capacity() const override { return capacity_; }
 
     sim::Task<bool> read(uint64_t offset, uint64_t len,
                          sim::MemorySpace &mem,
@@ -151,6 +151,7 @@ class StripeVolume : public Volume
 
     std::vector<Volume *> children_;
     uint64_t stripe_unit_;
+    uint64_t capacity_;
 };
 
 /** RAID-1: writes go everywhere, reads round-robin. */
@@ -159,7 +160,7 @@ class MirrorVolume : public Volume
   public:
     explicit MirrorVolume(std::vector<Volume *> children);
 
-    uint64_t capacity() const override;
+    uint64_t capacity() const override { return capacity_; }
 
     sim::Task<bool> read(uint64_t offset, uint64_t len,
                          sim::MemorySpace &mem,
@@ -175,6 +176,7 @@ class MirrorVolume : public Volume
 
   private:
     std::vector<Volume *> children_;
+    uint64_t capacity_;
     size_t next_read_ = 0;
 };
 

@@ -16,12 +16,12 @@ IoManager::issueRequest(CpuLease lease, uint64_t buffer_pages,
     requests_.increment();
     co_await lease.run(costs_.syscall, CpuCat::Kernel);
     co_await queue_lock_.syncPair(lease, CpuCat::Kernel);
-    co_await lease.run(costs_.irp_issue, CpuCat::Kernel);
-    if (pin_buffer) {
-        co_await lease.run(static_cast<sim::Tick>(buffer_pages) *
-                               costs_.probe_lock_page,
-                           CpuCat::Kernel);
-    }
+    // IRP work and probe-and-lock run back to back: one charge.
+    const sim::Tick probe =
+        pin_buffer ? static_cast<sim::Tick>(buffer_pages) *
+                         costs_.probe_lock_page
+                   : 0;
+    co_await lease.run(costs_.irp_issue + probe, CpuCat::Kernel);
     co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel);
 }
 
@@ -30,12 +30,11 @@ IoManager::completeRequest(CpuLease lease, uint64_t buffer_pages,
                            bool unpin_buffer)
 {
     co_await queue_lock_.syncPair(lease, CpuCat::Kernel);
-    co_await lease.run(costs_.irp_complete, CpuCat::Kernel);
-    if (unpin_buffer) {
-        co_await lease.run(static_cast<sim::Tick>(buffer_pages) *
-                               costs_.probe_lock_page,
-                           CpuCat::Kernel);
-    }
+    const sim::Tick unlock =
+        unpin_buffer ? static_cast<sim::Tick>(buffer_pages) *
+                           costs_.probe_lock_page
+                     : 0;
+    co_await lease.run(costs_.irp_complete + unlock, CpuCat::Kernel);
     co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel);
     // Wake the thread that blocked in the I/O system call.
     co_await lease.run(costs_.context_switch, CpuCat::Kernel);

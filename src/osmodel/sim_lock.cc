@@ -9,106 +9,86 @@ namespace v3sim::osmodel
 SimLock::SimLock(sim::Simulation &sim, const HostCosts &costs,
                  std::string name)
     : sim_(sim), costs_(costs), name_(std::move(name))
-{}
-
-sim::Task<>
-SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
 {
-    assert(lease.valid());
-    if (hold < 0)
-        hold = costs_.lock_hold;
+    // The closed-form grant needs every same-batch caller on one
+    // tick strictly before the batch's acquire ops land.
+    assert(costs_.lock_acquire > 0);
+}
 
-    // The acquire atomic op always costs, contended or not.
-    co_await lease.run(costs_.lock_acquire, CpuCat::Lock);
+void
+SimLock::Pair::await_suspend(std::coroutine_handle<> h)
+{
+    handle_ = h;
+    lock_->join(*this);
+}
 
+void
+SimLock::join(Pair &pair)
+{
+    const sim::Tick now = sim_.now();
     acquisitions_.increment();
-    const sim::Tick start = sim_.now();
-    // The stay is an open busy interval on our still-held CPU, so a
-    // measurement-window reset mid-stay clips it correctly instead of
-    // attributing the whole stay to whichever window it ends in.
-    CpuPool::Run *stay = lease.pool()->beginRun(CpuCat::Lock);
+    // The acquire op heads one Lock interval that runs to the exit,
+    // open on our still-held CPU, so a measurement-window reset
+    // anywhere inside the pair clips it exactly.
+    pair.run_ = pair.pool_->beginRun(CpuCat::Lock);
+    const sim::Tick arrive = now + costs_.lock_acquire;
+    const sim::Tick turn = pair.hold_ + costs_.lock_release;
+    pair.solo_exit_ = arrive + turn;
 
-    // Park into the tail batch (same-tick contenders share one) and
-    // resume when that batch's turn completes. Local awaiter: it has
-    // access to the enclosing class's private members.
-    struct BatchJoin
-    {
-        SimLock *lock;
-        sim::Tick hold;
+    if (tail_called_ == now) {
+        // Same calling tick, so the same acquire tick: one batch.
+        // It serializes inside the lock but exits as one, so its
+        // end grows by this member's turn.
+        tail_last_->next_ = &pair;
+        tail_last_ = &pair;
+        free_at_ += turn;
+        tail_first_->batch_exit_ = free_at_;
+        return;
+    }
+    tail_called_ = now;
+    tail_first_ = tail_last_ = &pair;
+    free_at_ = std::max(arrive, free_at_) + turn;
+    pair.batch_exit_ = free_at_;
+    sim_.queue().scheduleAt(free_at_,
+                            [this, first = &pair] { exitBatch(first); });
+}
 
-        bool await_ready() const { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h) const
-        {
-            auto &waiting = lock->waiting_;
-            if (waiting.empty() ||
-                waiting.back().arrived != lock->sim_.now())
-                waiting.push_back(Batch{lock->sim_.now(), 0, {}});
-            waiting.back().total_hold += hold;
-            waiting.back().members.push_back(h);
-            lock->scheduleArbitration();
-        }
-
-        void await_resume() const {}
-    };
-    co_await BatchJoin{this, hold};
-
-    // The whole stay — spin + critical section + release op — just
-    // elapsed on our (still-held) CPU. Close the interval (charged to
-    // Lock, clipped to the current window) and re-attribute the
-    // critical section to the caller's category. Spin time beyond the
-    // member's own hold+release means the batch had company (or
-    // queued behind another batch).
-    const sim::Tick elapsed = sim_.now() - start;
-    const sim::Tick spin = elapsed - hold - costs_.lock_release;
-    const sim::Tick charged = lease.pool()->endRun(stay);
-    const sim::Tick hold_part = std::min(hold, charged);
-    lease.pool()->addBusy(hold_cat, hold_part);
-    lease.pool()->addBusy(CpuCat::Lock, -hold_part);
-    if (spin > 0) {
-        contended_.increment();
-        total_wait_ += spin;
+void
+SimLock::exitBatch(Pair *first)
+{
+    // A same-tick joiner moved the exit after this event was armed;
+    // the calling tick is over, so the new exit is final.
+    if (first->batch_exit_ > sim_.now()) {
+        sim_.queue().scheduleAt(first->batch_exit_,
+                                [this, first] { exitBatch(first); });
+        return;
+    }
+    for (Pair *member = first; member != nullptr;) {
+        // A resumed member's frame may move on and drop its awaiter.
+        Pair *next = member->next_;
+        member->handle_.resume();
+        member = next;
     }
 }
 
 void
-SimLock::scheduleArbitration()
+SimLock::Pair::await_resume()
 {
-    if (busy_ || arb_scheduled_ || waiting_.empty())
-        return;
-    arb_scheduled_ = true;
-    // Final band: the grant decision must see every same-tick
-    // contender, so the served set cannot depend on the tie-shuffled
-    // order in which they arrived (DESIGN.md §8.3).
-    sim_.queue().scheduleFinal([this] {
-        arb_scheduled_ = false;
-        if (!busy_ && !waiting_.empty())
-            serveBatch();
-    });
-}
-
-void
-SimLock::serveBatch()
-{
-    busy_ = true;
-    Batch batch = std::move(waiting_.front());
-    waiting_.pop_front();
-    // The batch serializes inside the lock — the sum of the members'
-    // critical sections plus one release op each — but exits as one:
-    // per-member exit times are a function of the batch *set*, with
-    // no per-member assignment an arrival order could perturb.
-    const sim::Tick duration =
-        batch.total_hold +
-        static_cast<sim::Tick>(batch.members.size()) *
-            costs_.lock_release;
-    sim_.queue().schedule(
-        duration, [this, members = std::move(batch.members)] {
-            busy_ = false;
-            scheduleArbitration();
-            for (const auto &member : members)
-                member.resume();
-        });
+    // The whole stay — acquire op, spin, critical section, release
+    // op — just elapsed on our (still-held) CPU. Close the interval
+    // (charged to Lock, clipped to the current window) and
+    // re-attribute the critical section to the caller's category.
+    // Exiting later than an uncontended pair means the batch had
+    // company (or queued behind another batch).
+    const sim::Tick charged = pool_->endRun(run_);
+    const sim::Tick hold_part = std::min(hold_, charged);
+    pool_->addBusy(hold_cat_, hold_part);
+    pool_->addBusy(CpuCat::Lock, -hold_part);
+    const sim::Tick spin = lock_->sim_.now() - solo_exit_;
+    if (spin > 0) {
+        lock_->contended_.increment();
+        lock_->total_wait_ += spin;
+    }
 }
 
 } // namespace v3sim::osmodel

@@ -137,7 +137,7 @@ class EventQueue
      * it races with.
      *
      * This is the hook for contention arbitration points (disk queue
-     * pick, SimLock batch grant): deciding in the final band makes
+     * pick, CPU admission): deciding in the final band makes
      * the decision a function of the *set* of same-tick contenders
      * rather than of their (unspecified, tie-shuffled) arrival order.
      * See DESIGN.md §8.3.

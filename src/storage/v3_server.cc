@@ -524,13 +524,16 @@ V3Server::doRead(Connection &conn, const dsa::RequestMsg &req,
     bool sent = false;
     if (got.status == ReadStatus::Ok && registered) {
         sim::MemorySpace &mem = node_.memory();
-        co_await lease.run(digestTicks(req.len, config_.digest_per_kb),
-                           CpuCat::Other);
+        // The response digest and the first piece's doorbell run
+        // back to back: one charge.
+        sim::Tick charge = digestTicks(req.len, config_.digest_per_kb);
         uint32_t crc = 0;
         uint64_t pos = 0;
         sent = true;
         for (const BlockPath::Piece &piece : got.pieces) {
-            co_await lease.run(nic_->costs().doorbell, CpuCat::Other);
+            co_await lease.run(charge + nic_->costs().doorbell,
+                               CpuCat::Other);
+            charge = 0;
             vi::WorkDescriptor desc;
             desc.local_addr = piece.addr;
             desc.len = piece.len;

@@ -85,7 +85,9 @@ MemoryRegistry::registerMemory(sim::Addr addr, uint64_t len,
         cost += static_cast<sim::Tick>(sim::pageSpan(addr, len)) *
                 costs_.page_pin;
 
-    by_addr_.emplace(addr, slot);
+    std::vector<uint32_t> &at_base = by_addr_[addr];
+    entry.pos = static_cast<uint32_t>(at_base.size());
+    at_base.push_back(slot);
 
     RegResult result;
     result.handle = MemHandle{slot, entry.generation};
@@ -109,7 +111,7 @@ MemoryRegistry::deregister(MemHandle handle)
                     sim::pageSpan(entry.addr, entry.len)) *
                 costs_.page_pin;
 
-    eraseByAddr(entry.addr, handle.slot);
+    eraseByAddr(handle.slot);
     registered_bytes_ -= entry.len;
     --live_entries_;
     entry = Entry{};
@@ -142,7 +144,7 @@ MemoryRegistry::deregisterRegion(uint32_t region)
                     sim::pageSpan(entry.addr, entry.len)) *
                 costs_.page_pin;
         }
-        eraseByAddr(entry.addr, slot);
+        eraseByAddr(static_cast<uint32_t>(slot));
         registered_bytes_ -= entry.len;
         --live_entries_;
         entry = Entry{};
@@ -169,8 +171,6 @@ MemoryRegistry::covers(MemHandle handle, sim::Addr addr,
 bool
 MemoryRegistry::anyCovers(sim::Addr addr, uint64_t len) const
 {
-    if (by_addr_.empty())
-        return false;
     auto it = by_addr_.upper_bound(addr);
     if (it == by_addr_.begin())
         return false;
@@ -178,16 +178,12 @@ MemoryRegistry::anyCovers(sim::Addr addr, uint64_t len) const
     // Every entry sharing the closest base address gets a look: the
     // same buffer can carry several live registrations with
     // different lengths.
-    const sim::Addr base = it->first;
-    for (; it->first == base; --it) {
-        const Entry &entry = table_[it->second];
-        if (entry.in_use && addr >= entry.addr &&
-            addr - entry.addr <= entry.len &&
+    for (const uint32_t slot : it->second) {
+        const Entry &entry = table_[slot];
+        if (addr - entry.addr <= entry.len &&
             len <= entry.len - (addr - entry.addr)) {
             return true;
         }
-        if (it == by_addr_.begin())
-            break;
     }
     return false;
 }
@@ -199,15 +195,16 @@ MemoryRegistry::regionOf(MemHandle handle) const
 }
 
 void
-MemoryRegistry::eraseByAddr(sim::Addr addr, uint32_t slot)
+MemoryRegistry::eraseByAddr(uint32_t slot)
 {
-    auto [first, last] = by_addr_.equal_range(addr);
-    for (auto it = first; it != last; ++it) {
-        if (it->second == slot) {
-            by_addr_.erase(it);
-            return;
-        }
-    }
+    const Entry &entry = table_[slot];
+    auto node = by_addr_.find(entry.addr);
+    std::vector<uint32_t> &at_base = node->second;
+    at_base[entry.pos] = at_base.back();
+    table_[at_base[entry.pos]].pos = entry.pos;
+    at_base.pop_back();
+    if (at_base.empty())
+        by_addr_.erase(node);
 }
 
 void

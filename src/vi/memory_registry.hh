@@ -138,6 +138,8 @@ class MemoryRegistry
         sim::Addr addr = sim::kNullAddr;
         uint64_t len = 0;
         bool self_pinned = false; ///< pages were pinned by register
+        /** Position in by_addr_[addr] (swap-remove bookkeeping). */
+        uint32_t pos = 0;
     };
 
     /** Advances the cursor to a free slot; false if table full. */
@@ -155,8 +157,9 @@ class MemoryRegistry
         free_bits_[slot / 64] |= uint64_t(1) << (slot % 64);
     }
 
-    /** Removes one (addr, slot) pair from the address index. */
-    void eraseByAddr(sim::Addr addr, uint32_t slot);
+    /** Drops @p slot's entry from the address index in O(1) (plus
+     *  the node erase when it was its base's last entry). */
+    void eraseByAddr(uint32_t slot);
 
     /** Stored by value: callers may pass temporaries. */
     ViCosts costs_;
@@ -173,11 +176,13 @@ class MemoryRegistry
     uint64_t peak_bytes_ = 0;
     uint64_t next_generation_ = 1;
     /** Live entries indexed by base address for O(log n) RDMA-target
-     *  validation. A multimap: the same buffer may be registered by
-     *  several in-flight I/Os at once (wDSA registers per I/O), and
-     *  one completion deregistering its entry must not invalidate the
+     *  validation: one node per base, holding the slots of every live
+     *  entry there. The same buffer may carry many live registrations
+     *  at once (wDSA registers per I/O; under batched deregistration
+     *  a buffer is registered again per I/O until its region
+     *  retires), and one deregistration must not invalidate the
      *  siblings still covering the address. */
-    std::multimap<sim::Addr, uint32_t> by_addr_;
+    std::map<sim::Addr, std::vector<uint32_t>> by_addr_;
 
     sim::Counter registrations_;
     sim::Counter deregistrations_;

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/memory.hh"
+#include "sim/random.hh"
 #include "vi/memory_registry.hh"
 
 namespace v3sim::vi
@@ -184,6 +188,96 @@ TEST(MemoryRegistry, PaperScaleRegionIsThousandEntries)
     MemoryRegistry reg(costs); // default region = 1000 entries
     EXPECT_EQ(reg.regionEntries(), 1000u);
 }
+
+class RegistryModelTest : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(RegistryModelTest, MatchesBruteForceScanOfLiveEntries)
+{
+    // Random register / deregister / deregisterRegion / anyCovers
+    // against a plain list of live entries. Few distinct bases, so
+    // one buffer carries several live registrations (with different
+    // lengths) at once, as under batched deregistration.
+    struct Live
+    {
+        MemHandle handle;
+        sim::Addr addr;
+        uint64_t len;
+    };
+    ViCosts costs;
+    costs.max_table_entries = 96;
+    costs.max_registered_bytes = 64 * 8192;
+    MemoryRegistry reg(costs, /*region_entries=*/8);
+    sim::Rng rng(GetParam());
+    std::vector<Live> live;
+
+    // The documented rule: the closest live base <= addr decides, and
+    // any live entry at that base may cover the range.
+    auto expectCovers = [&live](sim::Addr addr, uint64_t len) {
+        sim::Addr base = 0;
+        bool found = false;
+        for (const Live &entry : live) {
+            if (entry.addr <= addr && (!found || entry.addr > base)) {
+                base = entry.addr;
+                found = true;
+            }
+        }
+        for (const Live &entry : live) {
+            if (found && entry.addr == base &&
+                addr - entry.addr + len <= entry.len) {
+                return true;
+            }
+        }
+        return false;
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+        const uint64_t op = rng.uniformInt(0, 99);
+        if (op < 45) {
+            const sim::Addr addr = 0x100000 + rng.uniformInt(0, 11) * 0x3000;
+            const uint64_t len = 512 * rng.uniformInt(1, 24);
+            const auto result =
+                reg.registerMemory(addr, len, rng.bernoulli(0.5));
+            if (result)
+                live.push_back(Live{result->handle, addr, len});
+        } else if (op < 70 && !live.empty()) {
+            const size_t pick = rng.uniformInt(0, live.size() - 1);
+            ASSERT_TRUE(reg.deregister(live[pick].handle).has_value());
+            // A second deregistration of the same handle is stale.
+            EXPECT_FALSE(reg.deregister(live[pick].handle).has_value());
+            live.erase(live.begin() + static_cast<long>(pick));
+        } else if (op < 75) {
+            const uint32_t region =
+                static_cast<uint32_t>(rng.uniformInt(0, 11));
+            const RegionDeregResult freed = reg.deregisterRegion(region);
+            const auto in_region = [&reg, region](const Live &entry) {
+                return reg.regionOf(entry.handle) == region;
+            };
+            EXPECT_EQ(freed.entries_freed,
+                      std::count_if(live.begin(), live.end(),
+                                    in_region));
+            live.erase(std::remove_if(live.begin(), live.end(),
+                                      in_region),
+                       live.end());
+        } else {
+            const sim::Addr addr = 0x100000 - 0x800 +
+                                   rng.uniformInt(0, 0x24000 / 512) * 512;
+            const uint64_t len = 512 * rng.uniformInt(1, 16);
+            ASSERT_EQ(reg.anyCovers(addr, len), expectCovers(addr, len))
+                << "step " << step << " addr " << addr << " len " << len;
+        }
+        ASSERT_EQ(reg.liveEntries(), live.size());
+        uint64_t bytes = 0;
+        for (const Live &entry : live) {
+            bytes += entry.len;
+            ASSERT_TRUE(reg.covers(entry.handle, entry.addr, entry.len));
+        }
+        ASSERT_EQ(reg.registeredBytes(), bytes);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RegistryModelTest,
+                         ::testing::Values(1u, 2u, 3u, 42u, 4242u));
 
 } // namespace
 } // namespace v3sim::vi
