@@ -57,7 +57,7 @@ MetaService::propose(int shard, int node, ReplicaState state)
     start();
     // Client -> primary hop.
     co_await sim_.sleep(config_.rpc_delay);
-    co_await sim_.queue().finalBand();
+    co_await afterLeasePass();
     if (primary_ < 0 || replicas_[static_cast<size_t>(primary_)]->crashed()) {
         rejects_.increment();
         co_return false;
@@ -65,7 +65,7 @@ MetaService::propose(int shard, int node, ReplicaState state)
     const int leader = primary_;
     // Primary -> replicas fan-out and ack collection.
     co_await sim_.sleep(2 * config_.rpc_delay);
-    co_await sim_.queue().finalBand();
+    co_await afterLeasePass();
     // The leader may have crashed or been superseded while the
     // round trip was in flight; a deposed leader must not commit.
     if (primary_ != leader ||
@@ -99,7 +99,7 @@ MetaService::fetch(PlacementMap &out)
 {
     start();
     co_await sim_.sleep(2 * config_.rpc_delay);
-    co_await sim_.queue().finalBand();
+    co_await afterLeasePass();
     if (liveCount() < majority())
         co_return false;
     out = map_;
@@ -108,14 +108,27 @@ MetaService::fetch(PlacementMap &out)
 }
 
 sim::Task<>
+MetaService::afterLeasePass()
+{
+    co_await sim_.queue().finalBand();
+    // The lease loop's final event was queued when its sleep fired,
+    // before this tick's final band began, so one re-queue lands
+    // behind it.
+    while (lease_pass_at_ == sim_.now())
+        co_await sim_.queue().finalBand();
+}
+
+sim::Task<>
 MetaService::leaseLoop()
 {
     while (running_) {
+        lease_pass_at_ = sim_.now() + config_.lease_interval;
         co_await sim_.sleep(config_.lease_interval);
         // All lease arithmetic in the final band: a crash and a
         // renewal landing on the same tick must resolve the same way
         // regardless of event-queue tie order.
         co_await sim_.queue().finalBand();
+        lease_pass_at_ = -1;
         if (!running_)
             break;
         if (liveCount() < majority()) {

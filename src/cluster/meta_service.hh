@@ -152,6 +152,15 @@ class MetaService
 
   private:
     sim::Task<> leaseLoop();
+    /**
+     * Resumes in this tick's final band, after the lease loop's pass
+     * when one is due on this tick. Both wait for the final band, and
+     * final events run in the order they were queued — an order
+     * tie-shuffle permutes — so without this a proposal's leader
+     * check could see the state before or after a same-tick election
+     * (DESIGN.md §8.3).
+     */
+    sim::Task<> afterLeasePass();
     size_t majority() const { return replicas_.size() / 2 + 1; }
     size_t liveCount() const;
 
@@ -164,6 +173,9 @@ class MetaService
 
     int primary_ = 0;
     sim::Tick lease_until_ = 0;
+    /** Tick of the lease loop's next final-band pass; -1 once that
+     *  pass has run. */
+    sim::Tick lease_pass_at_ = -1;
     bool started_ = false;
     bool running_ = false;
 

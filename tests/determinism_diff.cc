@@ -8,9 +8,11 @@
  * ordering, the artifacts diverge and this test prints the first
  * differing byte with surrounding context.
  *
- * Registered with ctest as `abl_determinism_diff`; CMake passes the
- * bench binary and two scratch artifact paths. CI uploads the two
- * artifacts on failure so the diff can be inspected offline.
+ * Registered with ctest as `abl_determinism_diff` (and siblings);
+ * CMake passes the bench binary, two scratch artifact paths and
+ * optionally `full` to run at full scale instead of `--quick`. CI
+ * uploads the two artifacts on failure so the diff can be inspected
+ * offline.
  */
 
 #include <algorithm>
@@ -32,10 +34,11 @@ fail(const std::string &why)
 
 bool
 runOnce(const std::string &bench, const std::string &out_path,
-        const char *tie_seed)
+        const char *tie_seed, bool full)
 {
     std::remove(out_path.c_str());
-    const std::string command = "\"" + bench + "\" --quick --json \"" +
+    const std::string command = "\"" + bench + "\"" +
+                                (full ? "" : " --quick") + " --json \"" +
                                 out_path + "\" --tie-seed " + tie_seed;
     std::printf("abl_determinism_diff: %s\n", command.c_str());
     std::fflush(stdout);
@@ -75,17 +78,18 @@ printDiff(const std::string &a, const std::string &b)
 int
 main(int argc, char **argv)
 {
-    if (argc != 4) {
+    const bool full = argc == 5 && std::string(argv[4]) == "full";
+    if (argc != 4 && !full) {
         return fail("usage: determinism_diff <bench-binary> "
-                    "<out_a.json> <out_b.json>");
+                    "<out_a.json> <out_b.json> [full]");
     }
     const std::string bench = argv[1];
     const std::string path_a = argv[2];
     const std::string path_b = argv[3];
 
-    if (!runOnce(bench, path_a, "1"))
+    if (!runOnce(bench, path_a, "1", full))
         return fail("run with --tie-seed 1 failed");
-    if (!runOnce(bench, path_b, "20020817"))
+    if (!runOnce(bench, path_b, "20020817", full))
         return fail("run with --tie-seed 20020817 failed");
 
     std::string a, b;

@@ -177,6 +177,39 @@ TEST(MetaService, PrimaryCrashElectsMinimumLiveAfterLeaseExpiry)
     meta.stop();
 }
 
+TEST(MetaService, ProposalOnElectionTickSeesTheNewPrimary)
+{
+    // An election and a proposal's leader check share a tick. Both
+    // run in the final band, whose pass order follows tie-shuffled
+    // arrival, so the proposal waits for the lease pass and commits
+    // through the new primary under every seed.
+    for (const uint64_t tie_seed :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 20020817u}) {
+        sim::Simulation sim(7);
+        sim.queue().setTieShuffle(tie_seed);
+        const MetaConfig config;
+        MetaService meta(sim, config, twoShardGenesis());
+        meta.start();
+        sim.runUntil(sim::msecs(2));
+        meta.replica(0).crash();
+        // The genesis lease ends on a lease-loop tick.
+        const sim::Tick election = config.lease_duration;
+        bool ok = false;
+        sim::spawn([](sim::Simulation &s, MetaService &m, sim::Tick at,
+                      bool &out) -> Task<> {
+            co_await s.sleep(at - s.now());
+            out = co_await m.propose(0, 0, ReplicaState::Failed);
+        }(sim, meta, election - config.rpc_delay, ok));
+        sim.runUntil(election - 1);
+        ASSERT_EQ(meta.electionCount(), 0u);
+        sim.runUntil(election + sim::msecs(1));
+        EXPECT_EQ(meta.electionCount(), 1u) << tie_seed;
+        EXPECT_TRUE(ok) << tie_seed;
+        EXPECT_EQ(meta.committedEpoch(), 3u) << tie_seed;
+        meta.stop();
+    }
+}
+
 TEST(HeartbeatMonitor, DownAfterConsecutiveMissesUpOnAnswer)
 {
     sim::Simulation sim(7);
