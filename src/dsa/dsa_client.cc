@@ -1152,21 +1152,4 @@ DsaClient::reconnect()
     reconnecting_ = false;
 }
 
-void
-DsaClient::resetStats()
-{
-    ios_.reset();
-    retransmits_.reset();
-    reconnects_.reset();
-    abandoned_reconnects_.reset();
-    revives_.reset();
-    intr_completions_.reset();
-    polled_completions_.reset();
-    digest_mismatches_.reset();
-    integrity_errors_.reset();
-    busy_.reset();
-    latency_.reset();
-    latency_hist_.reset();
-}
-
 } // namespace v3sim::dsa

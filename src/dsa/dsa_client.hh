@@ -191,11 +191,6 @@ class DsaClient : public BlockDevice
         return latency_hist_.raw();
     }
     const RegCache &regCache() const { return *reg_cache_; }
-    /** Zeroes this client's registry-owned metrics. Prefer
-     *  `MetricRegistry::resetEpoch()` to open a measurement window
-     *  across the whole stack; this is the per-component escape
-     *  hatch. */
-    void resetStats();
     /** @} */
 
   private:

@@ -103,13 +103,4 @@ LocalBackend::interruptHandler(CpuLease lease)
     }
 }
 
-void
-LocalBackend::resetStats()
-{
-    ios_.reset();
-    interrupts_.reset();
-    latency_.reset();
-    latency_hist_.reset();
-}
-
 } // namespace v3sim::dsa

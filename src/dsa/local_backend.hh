@@ -69,10 +69,6 @@ class LocalBackend : public BlockDevice
     {
         return latency_hist_.raw();
     }
-    /** Zeroes this backend's registry-owned metrics. Prefer
-     *  `MetricRegistry::resetEpoch()` for stack-wide measurement
-     *  windows. */
-    void resetStats();
 
   private:
     struct Done

@@ -52,14 +52,6 @@ BenchReporter::col(const std::string &key, double value)
 }
 
 void
-BenchReporter::col(const std::string &key, int64_t value)
-{
-    if (rows_.empty())
-        beginRow();
-    rows_.back().emplace_back(key, Cell(value));
-}
-
-void
 BenchReporter::col(const std::string &key, uint64_t value)
 {
     if (rows_.empty())

@@ -1,14 +1,14 @@
 /**
  * @file
- * Shared bench harness: one BenchReporter per fig/abl bench binary.
+ * Shared bench harness: one BenchReporter per paper_suite item and
+ * per selftime run.
  *
- * Every figure/ablation bench keeps printing its paper-style text
- * table, and additionally emits a machine-readable artifact when
- * invoked with `--json <path>` — the BENCH_<name>.json perf
- * trajectory every future PR measures itself against. The reporter
- * also parses `--quick`, which benches use to shrink iteration
- * counts so a smoke test can exercise the full export path in
- * seconds.
+ * Every bench keeps printing its paper-style text table, and
+ * additionally emits a machine-readable artifact, the
+ * BENCH_<name>.json perf trajectory every future PR measures itself
+ * against. The argv constructor parses `--json <path>` and
+ * `--quick`, which benches use to shrink iteration counts so a smoke
+ * test can exercise the full export path in seconds.
  *
  * Artifact shape (schema version 1):
  *   {
@@ -51,13 +51,8 @@ class BenchReporter
     /** @param json_path artifact path; empty writes no artifact. */
     BenchReporter(std::string name, bool quick, std::string json_path);
 
-    const std::string &name() const { return name_; }
-
     /** True when --quick was given: benches shrink their work. */
     bool quick() const { return quick_; }
-
-    /** True when --json was given. */
-    bool jsonRequested() const { return !path_.empty(); }
 
     /** Free-form metadata (anchors, configuration notes). */
     void note(const std::string &key, const std::string &text);
@@ -65,7 +60,6 @@ class BenchReporter
     /** @name Result rows (mirror the printed table) @{ */
     void beginRow();
     void col(const std::string &key, double value);
-    void col(const std::string &key, int64_t value);
     void col(const std::string &key, uint64_t value);
     void col(const std::string &key, const std::string &value);
     /** @} */
@@ -85,7 +79,7 @@ class BenchReporter
     bool write() const;
 
   private:
-    using Cell = std::variant<double, int64_t, uint64_t, std::string>;
+    using Cell = std::variant<double, uint64_t, std::string>;
     using Row = std::vector<std::pair<std::string, Cell>>;
 
     std::string name_;

@@ -1,23 +1,26 @@
 /**
  * @file
- * The determinism contract's end-to-end check (DESIGN.md §8): runs
- * abl_determinism twice with *different* event-tie shuffle seeds and
+ * The determinism contract's end-to-end check (DESIGN.md §8): runs a
+ * paper_suite item twice with *different* event-tie shuffle seeds and
  * byte-compares the two artifacts. The tiebreak permutes the order
  * in which same-tick events fire; if any simulation state — any
  * metric, any counter, any note — depends on that unspecified
  * ordering, the artifacts diverge and this test prints the first
  * differing byte with surrounding context.
  *
- * Registered with ctest as `abl_determinism_diff` (and siblings);
- * CMake passes the bench binary, two scratch artifact paths and
- * optionally `full` to run at full scale instead of `--quick`. CI
- * uploads the two artifacts on failure so the diff can be inspected
- * offline.
+ *   determinism_diff <paper_suite> <item> <dir> [full]
+ *
+ * writes <dir>/a/BENCH_<item>.json (--tie-seed 1) and
+ * <dir>/b/BENCH_<item>.json (--tie-seed 20020817), at `--quick`
+ * scale unless `full` is given. Registered with ctest as
+ * `abl_determinism_diff` and the other `*_determinism_diff` tests;
+ * CI uploads <dir> on failure so the diff can be inspected offline.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -28,19 +31,21 @@ namespace
 int
 fail(const std::string &why)
 {
-    std::fprintf(stderr, "abl_determinism_diff: %s\n", why.c_str());
+    std::fprintf(stderr, "determinism_diff: %s\n", why.c_str());
     return 1;
 }
 
 bool
-runOnce(const std::string &bench, const std::string &out_path,
-        const char *tie_seed, bool full)
+runOnce(const std::string &suite, const std::string &item,
+        const std::string &dir, const char *tie_seed, bool full)
 {
-    std::remove(out_path.c_str());
-    const std::string command = "\"" + bench + "\"" +
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string command = "\"" + suite + "\"" +
                                 (full ? "" : " --quick") + " --json \"" +
-                                out_path + "\" --tie-seed " + tie_seed;
-    std::printf("abl_determinism_diff: %s\n", command.c_str());
+                                dir + "\" --tie-seed " + tie_seed + " " +
+                                item;
+    std::printf("determinism_diff: %s\n", command.c_str());
     std::fflush(stdout);
     return std::system(command.c_str()) == 0;
 }
@@ -80,16 +85,18 @@ main(int argc, char **argv)
 {
     const bool full = argc == 5 && std::string(argv[4]) == "full";
     if (argc != 4 && !full) {
-        return fail("usage: determinism_diff <bench-binary> "
-                    "<out_a.json> <out_b.json> [full]");
+        return fail("usage: determinism_diff <paper_suite> <item> <dir> "
+                    "[full]");
     }
-    const std::string bench = argv[1];
-    const std::string path_a = argv[2];
-    const std::string path_b = argv[3];
+    const std::string suite = argv[1];
+    const std::string item = argv[2];
+    const std::string dir = argv[3];
+    const std::string path_a = dir + "/a/BENCH_" + item + ".json";
+    const std::string path_b = dir + "/b/BENCH_" + item + ".json";
 
-    if (!runOnce(bench, path_a, "1", full))
+    if (!runOnce(suite, item, dir + "/a", "1", full))
         return fail("run with --tie-seed 1 failed");
-    if (!runOnce(bench, path_b, "20020817", full))
+    if (!runOnce(suite, item, dir + "/b", "20020817", full))
         return fail("run with --tie-seed 20020817 failed");
 
     std::string a, b;
@@ -106,8 +113,8 @@ main(int argc, char **argv)
                     "some state depends on same-tick event ordering");
     }
 
-    std::printf("abl_determinism_diff: artifacts byte-identical "
-                "across tie-shuffle seeds (%zu bytes)\n",
-                a.size());
+    std::printf("determinism_diff: %s artifacts byte-identical across "
+                "tie-shuffle seeds (%zu bytes)\n",
+                item.c_str(), a.size());
     return 0;
 }

@@ -3,10 +3,11 @@
 #   cmake -DSUITE=<paper_suite> -DOUT=<scratch dir> -P <this file>
 #
 # Runs the whole suite at --quick in one process, where fig11 and
-# fig14 take every TPC-C run from the memo, then each of them alone,
-# where they execute those runs themselves. The artifacts must be
-# byte-identical: a memo that hands a figure a run made under another
-# configuration fails here.
+# fig14 take every TPC-C run from the memo and rival_tpmc takes its
+# three VI runs from fig13, then each of them alone, where they
+# execute those runs themselves. The artifacts must be byte-identical:
+# a memo that hands an item a run made under another configuration
+# fails here. The whole-suite run also fails on any failed check.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -22,7 +23,7 @@ endfunction()
 
 file(REMOVE_RECURSE "${OUT}")
 run_suite(shared)
-foreach(item fig11 fig14)
+foreach(item fig11 fig14 rival_tpmc)
     run_suite(solo_${item} ${item})
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E compare_files

@@ -1,14 +1,13 @@
 /**
  * @file
- * Smoke test for the bench artifact pipeline: runs one real bench
- * binary with `--quick --json <path>` and validates the emitted
- * artifact against the schema every fig/abl bench shares.
+ * Smoke test for the bench artifact pipeline: runs one paper_suite
+ * item with `--quick --json <dir>` and validates the emitted
+ * artifact, <dir>/BENCH_<item>.json, against the schema every item
+ * shares. A failed check of the item fails the run, and so this test.
  *
- * Registered with ctest as `quick_bench_smoke`; CMake passes the
- * bench binary's location and a scratch output path. With a third
- * argument the bench is paper_suite: the path is its --json
- * directory, the argument names the item to run, and the artifact is
- * <path>/BENCH_<item>.json.
+ * Registered with ctest as `quick_bench_smoke` (and siblings); CMake
+ * passes the paper_suite binary, an existing scratch directory and
+ * the item name.
  */
 
 #include <cstdio>
@@ -36,22 +35,19 @@ fail(const std::string &why)
 int
 main(int argc, char **argv)
 {
-    if (argc != 3 && argc != 4) {
-        return fail("usage: quick_bench_smoke <bench-binary> "
-                    "<output.json> | <paper_suite> <json-dir> <item>");
-    }
-    const std::string bench = argv[1];
-    const std::string json_arg = argv[2];
-    const std::string item = argc == 4 ? argv[3] : "";
-    const std::string out_path =
-        item.empty() ? json_arg : json_arg + "/BENCH_" + item + ".json";
+    if (argc != 4)
+        return fail("usage: quick_bench_smoke <paper_suite> <json-dir> <item>");
+    const std::string suite = argv[1];
+    const std::string json_dir = argv[2];
+    const std::string item = argv[3];
+    const std::string out_path = json_dir + "/BENCH_" + item + ".json";
 
     std::remove(out_path.c_str());
-    const std::string command = "\"" + bench + "\" --quick --json \"" +
-                                json_arg + "\" " + item;
+    const std::string command = "\"" + suite + "\" --quick --json \"" +
+                                json_dir + "\" " + item;
     const int rc = std::system(command.c_str());
     if (rc != 0)
-        return fail("bench exited with status " + std::to_string(rc));
+        return fail("paper_suite exited with status " + std::to_string(rc));
 
     std::ifstream in(out_path);
     if (!in)
@@ -83,7 +79,7 @@ main(int argc, char **argv)
         if (!row.isObject() || row.object.empty())
             return fail("row is not a non-empty object");
 
-    // fig/abl benches that run a Simulation attach its full registry
+    // Items that run a Simulation attach its full registry
     // snapshot; check it looks like one (dotted metric paths).
     const JsonValue *metrics = doc->find("metrics");
     if (metrics && metrics->isObject()) {

@@ -329,14 +329,14 @@ TEST(DsaComparison, LatencyOrderingMatchesPaper)
                          volume);
         const Addr buf = host.memory().allocate(8192);
 
-        sim::spawn([](DsaClient &c, Addr b) -> Task<> {
+        sim::spawn([](sim::Simulation &s, DsaClient &c, Addr b) -> Task<> {
             co_await c.connect();
             // Warm the cache, then measure repeated cached reads.
             co_await c.read(0, 8192, b);
-            c.resetStats();
+            s.metrics().resetEpoch();
             for (int i = 0; i < 50; ++i)
                 co_await c.read(0, 8192, b);
-        }(client, buf));
+        }(sim, client, buf));
         sim.run();
         EXPECT_EQ(client.ioCount(), 50u);
         return client.latency().mean();
