@@ -1060,7 +1060,7 @@ abl_failover(Suite &suite, util::BenchReporter &out)
     storage_params.v3_nodes = 2;
     storage_params.disks_per_node = 6;
     storage_params.cache_bytes_per_node = 16 * util::kMiB;
-    storage_params.mirrored = true;
+    storage_params.layout = Layout::Mirrored;
     storage_params.mirror.probe_interval = sim::msecs(5);
     // Failure detection tuned for the run length: patient enough that
     // disk-bound tails don't trip it (three 20 ms retransmit windows),
@@ -1262,7 +1262,7 @@ runIntegrityPoint(Suite &suite, double rate, const IntegrityTimes &times,
     StorageParams storage_params = smallStorage();
     // Shrink the media so a scrub pass is feasible inside the run.
     storage_params.disk_spec.capacity_bytes = 4 * util::kMiB;
-    storage_params.mirrored = true;
+    storage_params.layout = Layout::Mirrored;
     storage_params.mirror.probe_interval = sim::msecs(5);
     storage_params.mirror.scrub_rate_bytes_per_sec = 32 * util::kMiB;
     storage_params.mirror.scrub_chunk = 64 * util::kKiB;
@@ -1551,7 +1551,7 @@ struct DeterminismPhase
 {
     const char *name;
     Backend backend;
-    bool mirrored;
+    Layout layout;
     bool faults; ///< corruption + node crash/restart mid-run
 };
 
@@ -1572,7 +1572,7 @@ runDeterminismPhase(Suite &suite, const DeterminismPhase &phase,
                     DeterminismResult &out)
 {
     StorageParams storage_params = smallStorage();
-    storage_params.mirrored = phase.mirrored;
+    storage_params.layout = phase.layout;
     Testbed bed(phase.backend, HostParams::midSize(), storage_params,
                 failureDetection(sim::msecs(100), 8), /*seed=*/7);
     if (!suite.connect(bed))
@@ -1657,9 +1657,9 @@ abl_determinism(Suite &suite, util::BenchReporter &out)
     const sim::Tick drain = out.quick() ? sim::msecs(150) : sim::msecs(300);
     const uint64_t span = out.quick() ? 4 * util::kMiB : 8 * util::kMiB;
     const DeterminismPhase phases[] = {
-        {"kdsa", Backend::Kdsa, /*mirrored=*/false, /*faults=*/false},
-        {"wdsa", Backend::Wdsa, /*mirrored=*/false, /*faults=*/false},
-        {"cdsa_mirror_faults", Backend::Cdsa, /*mirrored=*/true,
+        {"kdsa", Backend::Kdsa, Layout::Striped, /*faults=*/false},
+        {"wdsa", Backend::Wdsa, Layout::Striped, /*faults=*/false},
+        {"cdsa_mirror_faults", Backend::Cdsa, Layout::Mirrored,
          /*faults=*/true},
     };
 
@@ -1781,10 +1781,8 @@ runOverloadPhase(Suite &suite, const OverloadPhase &phase, sim::Tick window,
     out.late = driver.lateCount();
     out.failed = driver.failedCount();
     out.overflow = driver.overflowCount();
-    for (const auto &server : bed.servers())
-        out.shed += server->shedCount();
-    for (const auto &target : bed.iscsiTargets())
-        out.shed += target->shedCount();
+    for (const auto &node : bed.nodes())
+        out.shed += node->shedCount();
     out.p99_ms = driver.latencyHistogram().quantile(0.99) / 1.0e6;
     out.p999_ms = driver.latencyHistogram().quantile(0.999) / 1.0e6;
     const std::string metrics = sim.metrics().toJson();
@@ -1981,9 +1979,8 @@ runClusterPhase(Suite &suite, ClusterPhase kind, const ClusterShape &shape,
     storage_params.v3_nodes = shape.nodes;
     storage_params.disks_per_node = shape.disks_per_node;
     storage_params.cache_bytes_per_node = 8 * util::kMiB;
-    storage_params.mirrored = true;
+    storage_params.layout = Layout::Cluster;
     storage_params.mirror.probe_interval = sim::msecs(5);
-    storage_params.cluster = true;
     // Failure detection: heartbeats (2 ms probes, 3 misses) drive
     // proactive failover long before the DSA client burns its own
     // ~90 ms retransmit/reconnect budget against the dead box.

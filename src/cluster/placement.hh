@@ -42,17 +42,6 @@ enum class ReplicaState : uint8_t
     Failed,
 };
 
-constexpr const char *
-replicaStateName(ReplicaState state)
-{
-    switch (state) {
-      case ReplicaState::Active: return "active";
-      case ReplicaState::Resyncing: return "resyncing";
-      case ReplicaState::Failed: return "failed";
-    }
-    return "?";
-}
-
 /** One replica of one shard: a storage node holding a full copy. */
 struct ReplicaView
 {

@@ -113,13 +113,10 @@ class OltpEngine
     /** Workers stop at their next transaction boundary. */
     void stop() { running_ = false; }
 
-    bool running() const { return running_; }
-
     /** @name Counters since last reset @{ */
     uint64_t committedCount() const { return committed_.value(); }
     uint64_t newOrderCount() const { return new_orders_.value(); }
     uint64_t ioCount() const { return ios_.value(); }
-    const sim::Sampler &txnLatency() const { return txn_latency_.raw(); }
     void resetStats();
     /** @} */
 

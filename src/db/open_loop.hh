@@ -127,7 +127,6 @@ class OpenLoopDriver
     /** Stops generating at the next arrival; requests already in the
      *  system complete as the simulation drains. */
     void stop() { running_ = false; }
-    bool running() const { return running_; }
 
     /** Requests currently queued or in flight (0 once drained). */
     uint32_t inSystem() const { return in_system_; }

@@ -146,9 +146,6 @@ class Disk : public vi::MediaFaultTarget
     void setTornWriteRate(double p) override;
     /** @} */
 
-    size_t queueDepth() const { return queue_.size(); }
-    bool busy() const { return busy_; }
-
     /** @name Statistics @{ */
     uint64_t completedCount() const { return completed_.value(); }
     const sim::Sampler &serviceStats() const { return service_stats_.raw(); }

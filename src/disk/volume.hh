@@ -141,8 +141,6 @@ class StripeVolume : public Volume
 
     bool corrupt(uint64_t offset, uint64_t len) const override;
 
-    uint64_t stripeUnit() const { return stripe_unit_; }
-
   private:
     /** Runs one striped operation fan-out. */
     sim::Task<bool> run(uint64_t offset, uint64_t len,

@@ -107,7 +107,6 @@ CdsaApi::wait(CdsaIoHandle handle)
 void
 CdsaApi::hint(CdsaHint kind, uint64_t offset, uint64_t len)
 {
-    ++hints_issued_;
     HintKind wire_kind = HintKind::Sequential;
     switch (kind) {
       case CdsaHint::WillNeed: wire_kind = HintKind::WillNeed; break;

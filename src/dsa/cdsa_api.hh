@@ -159,9 +159,6 @@ class CdsaApi
      *  for WillNeed, prefetches the range into its cache. */
     void hint(CdsaHint kind, uint64_t offset, uint64_t len);
 
-    /** Hints issued so far (acknowledged or in flight). */
-    uint64_t hintsIssued() const { return hints_issued_; }
-
     /** (15) statistics snapshot. */
     CdsaStats stats() const;
 
@@ -174,7 +171,6 @@ class CdsaApi
 
     std::unique_ptr<DsaClient> client_;
     CdsaCompletionMode mode_ = CdsaCompletionMode::Polling;
-    uint64_t hints_issued_ = 0;
 };
 
 } // namespace v3sim::dsa

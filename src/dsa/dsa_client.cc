@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -38,11 +39,13 @@ clientPathSegment(DsaImpl impl, uint32_t volume)
     return std::string("client.") + impl_path + std::to_string(volume);
 }
 
-/** CPU ticks to CRC32C @p len bytes at @p per_kb. */
-sim::Tick
-digestTicks(uint64_t len, sim::Tick per_kb)
+/** Resolves @p waiter with @p ok, if one is armed, disarming it
+ *  first. */
+void
+resolve(sim::Completion<bool> *&waiter, bool ok)
 {
-    return static_cast<sim::Tick>((len + 1023) / 1024) * per_kb;
+    if (sim::Completion<bool> *armed = std::exchange(waiter, nullptr))
+        armed->set(ok);
 }
 
 } // namespace
@@ -219,32 +222,20 @@ DsaClient::establish()
     connect_waiter_ = &connected;
     ep_->setStateHandler([this](vi::EndpointState state) {
         if (state == vi::EndpointState::Connected) {
-            if (connect_waiter_) {
-                auto *w = connect_waiter_;
-                connect_waiter_ = nullptr;
-                w->set(true);
-            }
+            resolve(connect_waiter_, true);
         } else if (state == vi::EndpointState::Error) {
-            if (connect_waiter_) {
-                auto *w = connect_waiter_;
-                connect_waiter_ = nullptr;
-                w->set(false);
-            } else if (ready_ && !reconnecting_) {
+            if (connect_waiter_)
+                resolve(connect_waiter_, false);
+            else if (ready_ && !reconnecting_)
                 sim::spawn(reconnect());
-            }
         }
     });
 
     // Guard the handshake with a timeout: the ConnectReq or its Ack
     // can be lost, and VI gives no notification.
     auto connect_timer = node_.sim().queue().scheduleCancelable(
-        config_.connect_timeout, [this] {
-            if (connect_waiter_) {
-                auto *w = connect_waiter_;
-                connect_waiter_ = nullptr;
-                w->set(false);
-            }
-        });
+        config_.connect_timeout,
+        [this] { resolve(connect_waiter_, false); });
     nic_.connect(*ep_, server_port_);
     const bool connected_ok = co_await connected.wait();
     connect_timer.cancel();
@@ -295,13 +286,8 @@ DsaClient::establish()
         cpus().release();
     }
     auto hello_timer = node_.sim().queue().scheduleCancelable(
-        config_.connect_timeout, [this] {
-            if (hello_waiter_) {
-                auto *w = hello_waiter_;
-                hello_waiter_ = nullptr;
-                w->set(false);
-            }
-        });
+        config_.connect_timeout,
+        [this] { resolve(hello_waiter_, false); });
     const bool hello_ok = co_await hello_done.wait();
     hello_timer.cancel();
     co_return hello_ok;
@@ -379,16 +365,24 @@ DsaClient::onRdmaEvent(const vi::ViNic::RdmaEvent &event)
                                    io->msg.len) != digestFromFlag(flag);
     }
 
-    if (status == IoStatus::BadDigest || digest_bad ||
-        (status == IoStatus::Ok && io->tainted)) {
+    if (digest_bad || (status == IoStatus::Ok && io->tainted))
+        status = IoStatus::BadDigest;
+    if (settle(*io, status))
+        io->completion.set(io->ok);
+}
+
+bool
+DsaClient::settle(PendingIo &io, IoStatus status)
+{
+    if (status == IoStatus::BadDigest) {
         // The write payload failed the server's check, or our read
         // data arrived damaged: recover like a loss, but retransmit
         // immediately instead of waiting out the timer.
         digest_mismatches_.increment();
-        io->tainted = false;
-        io->retx_timer.cancel();
-        sim::spawn(retransmit(io->id));
-        return;
+        io.tainted = false;
+        io.retx_timer.cancel();
+        sim::spawn(retransmit(io.id));
+        return false;
     }
     if (status == IoStatus::IntegrityError)
         integrity_errors_.increment();
@@ -397,9 +391,9 @@ DsaClient::onRdmaEvent(const vi::ViNic::RdmaEvent &event)
         // I/O now. Retransmitting would re-feed the overload.
         busy_.increment();
     }
-    io->ok = status == IoStatus::Ok;
-    io->done = true;
-    io->completion.set(io->ok);
+    io.done = true;
+    io.ok = status == IoStatus::Ok;
+    return true;
 }
 
 sim::Task<bool>
@@ -439,28 +433,9 @@ DsaClient::hint(HintKind kind, uint64_t offset, uint64_t len)
     co_await credits_->acquire(offset);
 
     PendingIo io;
-    io.id = next_id_++;
-    io.flag_index = free_flags_.back();
-    free_flags_.pop_back();
-    io.issued_at = node_.sim().now();
     io.msg.op = DsaOp::Hint;
     io.msg.hint = kind;
-    io.msg.request_id = io.id;
-    io.msg.seq = next_seq_++;
-    io.msg.volume = volume_;
-    io.msg.offset = offset;
-    io.msg.len = static_cast<uint32_t>(len);
-    io.msg.completion = mode_;
-    io.msg.flag_addr =
-        flag_base_ + static_cast<uint64_t>(io.flag_index) * 8;
-    io.msg.header_digest = headerDigest(io.msg);
-
-    outstanding_seqs_.insert(io.msg.seq);
-    pending_[io.id] = &io;
-    flag_to_io_[io.flag_index] = io.id;
-    if (!node_.memory().phantom())
-        node_.memory().writeU64(io.msg.flag_addr, 0);
-
+    track(io, offset, len);
     {
         CpuLease lease = co_await acquireCpu(io.msg.offset);
         co_await lease.run(config_.costs.request_build +
@@ -472,12 +447,7 @@ DsaClient::hint(HintKind kind, uint64_t offset, uint64_t len)
     }
     scheduleRetransmit(io);
     const bool ok = co_await awaitCompletion(io);
-
-    io.retx_timer.cancel();
-    pending_.erase(io.id);
-    flag_to_io_.erase(io.flag_index);
-    outstanding_seqs_.erase(io.msg.seq);
-    free_flags_.push_back(io.flag_index);
+    untrack(io);
     credits_->release();
     co_return ok;
 }
@@ -514,38 +484,18 @@ DsaClient::submit(bool is_write, uint64_t offset, uint64_t len,
     }
 
     PendingIo io;
-    io.id = next_id_++;
     io.buffer = buffer;
     io.staging_slot = staging_slot;
-    io.flag_index = free_flags_.back();
-    free_flags_.pop_back();
-    io.issued_at = node_.sim().now();
-
     io.msg.op = is_write ? DsaOp::Write : DsaOp::Read;
-    io.msg.request_id = io.id;
-    io.msg.seq = next_seq_++;
-    io.msg.volume = volume_;
-    io.msg.offset = offset;
-    io.msg.len = static_cast<uint32_t>(len);
     io.msg.client_buffer = buffer;
     io.msg.staging_slot = staging_slot;
     io.msg.tenant = tenant;
-    io.msg.completion = mode_;
-    io.msg.flag_addr =
-        flag_base_ + static_cast<uint64_t>(io.flag_index) * 8;
     if (is_write && !node_.memory().phantom()) {
         io.msg.payload_digest =
             payloadDigest(node_.memory(), buffer, len);
         io.msg.digest_valid = true;
     }
-    io.msg.header_digest = headerDigest(io.msg);
-
-    outstanding_seqs_.insert(io.msg.seq);
-    pending_[io.id] = &io;
-    flag_to_io_[io.flag_index] = io.id;
-    if (!node_.memory().phantom())
-        node_.memory().writeU64(io.msg.flag_addr, 0);
-
+    track(io, offset, len);
     {
         CpuLease lease = co_await acquireCpu(io.buffer);
         co_await issuePath(lease, io);
@@ -556,11 +506,7 @@ DsaClient::submit(bool is_write, uint64_t offset, uint64_t len,
     const bool ok = co_await awaitCompletion(io);
 
     // Epilogue: return resources, record stats.
-    io.retx_timer.cancel();
-    pending_.erase(io.id);
-    flag_to_io_.erase(io.flag_index);
-    outstanding_seqs_.erase(io.msg.seq);
-    free_flags_.push_back(io.flag_index);
+    untrack(io);
     if (is_write) {
         free_staging_.push_back(staging_slot);
         staging_sem_->release();
@@ -572,6 +518,40 @@ DsaClient::submit(bool is_write, uint64_t offset, uint64_t len,
     latency_.add(lat);
     latency_hist_.add(lat);
     co_return ok;
+}
+
+void
+DsaClient::track(PendingIo &io, uint64_t offset, uint64_t len)
+{
+    io.id = next_id_++;
+    io.flag_index = free_flags_.back();
+    free_flags_.pop_back();
+    io.issued_at = node_.sim().now();
+    io.msg.request_id = io.id;
+    io.msg.seq = next_seq_++;
+    io.msg.volume = volume_;
+    io.msg.offset = offset;
+    io.msg.len = static_cast<uint32_t>(len);
+    io.msg.completion = mode_;
+    io.msg.flag_addr =
+        flag_base_ + static_cast<uint64_t>(io.flag_index) * 8;
+    io.msg.header_digest = headerDigest(io.msg);
+
+    outstanding_seqs_.insert(io.msg.seq);
+    pending_[io.id] = &io;
+    flag_to_io_[io.flag_index] = io.id;
+    if (!node_.memory().phantom())
+        node_.memory().writeU64(io.msg.flag_addr, 0);
+}
+
+void
+DsaClient::untrack(PendingIo &io)
+{
+    io.retx_timer.cancel();
+    pending_.erase(io.id);
+    flag_to_io_.erase(io.flag_index);
+    outstanding_seqs_.erase(io.msg.seq);
+    free_flags_.push_back(io.flag_index);
 }
 
 sim::Task<>
@@ -586,7 +566,7 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
     // issue work run back to back, so they are one Dsa charge.
     sim::Tick build = costs.request_build;
     if (io.msg.op == DsaOp::Write)
-        build += digestTicks(io.msg.len, costs.digest_per_kb);
+        build += sim::perKbTicks(io.msg.len, costs.digest_per_kb);
 
     switch (impl_) {
       case DsaImpl::Kdsa:
@@ -779,11 +759,7 @@ DsaClient::drainRecvCq(CpuLease lease, bool interrupt_context)
                 staging_base_ = ack.staging_base;
                 staging_slot_bytes_ = ack.staging_slot_bytes;
                 capacity_ = ack.volume_capacity;
-                if (hello_waiter_) {
-                    auto *waiter = hello_waiter_;
-                    hello_waiter_ = nullptr;
-                    waiter->set(true);
-                }
+                resolve(hello_waiter_, true);
             } else {
                 co_await completeFromResponse(lease, msg->response);
             }
@@ -853,7 +829,7 @@ DsaClient::completeFromResponse(CpuLease &lease,
     IoStatus status = response.status;
     if (status == IoStatus::Ok && io->msg.op == DsaOp::Read) {
         co_await lease.run(
-            digestTicks(io->msg.len, config_.costs.digest_per_kb),
+            sim::perKbTicks(io->msg.len, config_.costs.digest_per_kb),
             CpuCat::Dsa);
         bool good = !io->tainted;
         if (good && response.digest_valid &&
@@ -865,26 +841,8 @@ DsaClient::completeFromResponse(CpuLease &lease,
         if (!good)
             status = IoStatus::BadDigest;
     }
-    if (status == IoStatus::BadDigest) {
-        // Write payload rejected by the server, or read data damaged
-        // on the way back: recover like a loss, retransmitting
-        // immediately instead of waiting out the timer.
-        digest_mismatches_.increment();
-        io->tainted = false;
-        io->retx_timer.cancel();
-        sim::spawn(retransmit(io->id));
+    if (!settle(*io, status))
         co_return;
-    }
-    if (status == IoStatus::IntegrityError)
-        integrity_errors_.increment();
-    if (status == IoStatus::Busy) {
-        // Deliberate shed by the server's admission gate: fail the
-        // I/O now instead of retransmitting into the overload.
-        busy_.increment();
-    }
-
-    io->done = true;
-    io->ok = status == IoStatus::Ok;
     io->retx_timer.cancel();
     intr_completions_.increment();
 
@@ -1016,7 +974,7 @@ DsaClient::awaitCompletion(PendingIo &io)
         sim::Tick complete = config_.costs.cdsa_complete;
         if (io.msg.op == DsaOp::Read && io.ok)
             complete +=
-                digestTicks(io.msg.len, config_.costs.digest_per_kb);
+                sim::perKbTicks(io.msg.len, config_.costs.digest_per_kb);
         co_await lease.run(complete, CpuCat::Dsa);
         for (int i = 0; i < ownSyncPairs(); ++i)
             co_await own_lock_.syncPair(lease, CpuCat::Dsa);
@@ -1074,14 +1032,19 @@ DsaClient::retransmit(uint64_t io_id)
     }
     ++io->retx_count;
     retransmits_.increment();
-    io->msg.retransmit = true;
+    co_await resend(*io);
+}
 
-    CpuLease lease = co_await acquireCpu(io->buffer);
+sim::Task<>
+DsaClient::resend(PendingIo &io)
+{
+    io.msg.retransmit = true;
+    CpuLease lease = co_await acquireCpu(io.buffer);
     co_await lease.run(config_.costs.request_build, CpuCat::Dsa);
     co_await lease.run(nic_.costs().doorbell, CpuCat::Vi);
-    postRequest(*io);
+    postRequest(io);
     cpus().release();
-    scheduleRetransmit(*io);
+    scheduleRetransmit(io);
 }
 
 sim::Task<>
@@ -1140,14 +1103,8 @@ DsaClient::reconnect()
                   return a->msg.seq < b->msg.seq;
               });
     for (PendingIo *io : replay) {
-        io->msg.retransmit = true;
         io->retx_timer.cancel();
-        CpuLease lease = co_await acquireCpu(io->buffer);
-        co_await lease.run(config_.costs.request_build, CpuCat::Dsa);
-        co_await lease.run(nic_.costs().doorbell, CpuCat::Vi);
-        postRequest(*io);
-        cpus().release();
-        scheduleRetransmit(*io);
+        co_await resend(*io);
     }
     reconnecting_ = false;
 }

@@ -125,11 +125,8 @@ class DsaClient : public BlockDevice
     sim::Task<bool> hint(HintKind kind, uint64_t offset,
                          uint64_t len);
 
-    DsaImpl impl() const { return impl_; }
     const DsaConfig &config() const { return config_; }
     bool connected() const { return ready_; }
-    /** True once reconnection has been abandoned. */
-    bool dead() const { return dead_; }
 
     /**
      * One fresh connection attempt after the client declared the
@@ -145,16 +142,6 @@ class DsaClient : public BlockDevice
     uint64_t ioCount() const { return ios_.value(); }
     uint64_t retransmitCount() const { return retransmits_.value(); }
     uint64_t reconnectCount() const { return reconnects_.value(); }
-    /** Reconnection ladders that exhausted max_reconnect_attempts
-     *  and declared the volume dead (the failover trigger upstream
-     *  layers — MirroredDevice, the cluster directory — key on). */
-    uint64_t
-    abandonedReconnectCount() const
-    {
-        return abandoned_reconnects_.value();
-    }
-    /** Successful post-death revivals (resync probes that landed). */
-    uint64_t reviveCount() const { return revives_.value(); }
     /** Interrupt-path completions (vs polled). */
     uint64_t interruptCompletions() const
     {
@@ -190,7 +177,6 @@ class DsaClient : public BlockDevice
     {
         return latency_hist_.raw();
     }
-    const RegCache &regCache() const { return *reg_cache_; }
     /** @} */
 
   private:
@@ -215,6 +201,15 @@ class DsaClient : public BlockDevice
         sim::EventQueue::Handle retx_timer;
     };
 
+    /** Gives @p io its id, flag slot and sequence number, completes
+     *  its message header and registers it as outstanding with its
+     *  flag cleared. The caller has set the op-specific fields. */
+    void track(PendingIo &io, uint64_t offset, uint64_t len);
+
+    /** Disarms @p io's retransmit timer, unregisters it and frees its
+     *  flag slot. */
+    void untrack(PendingIo &io);
+
     /** Submits one request and waits for its completion. */
     sim::Task<bool> submit(bool is_write, uint64_t offset,
                            uint64_t len, sim::Addr buffer,
@@ -236,6 +231,12 @@ class DsaClient : public BlockDevice
     sim::Task<> drainRecvCq(osmodel::CpuLease lease,
                             bool interrupt_context);
 
+    /** Applies the server's @p status to @p io. BadDigest (also what
+     *  damaged data found here maps to) retransmits at once and
+     *  returns false; any other status is final: counted, @p io is
+     *  marked done, and true is returned. */
+    bool settle(PendingIo &io, IoStatus status);
+
     /** Completion-side costs for one response (Message mode). */
     sim::Task<> completeFromResponse(osmodel::CpuLease &lease,
                                      const ResponseMsg &response);
@@ -256,6 +257,10 @@ class DsaClient : public BlockDevice
 
     /** Retransmission timer body. */
     sim::Task<> retransmit(uint64_t io_id);
+
+    /** Re-sends @p io's request flagged as a retransmission and
+     *  re-arms its timer. */
+    sim::Task<> resend(PendingIo &io);
 
     /** Tears down and re-establishes the connection, then replays
      *  every outstanding request. */

@@ -196,13 +196,6 @@ class MirroredDevice : public BlockDevice
     uint64_t dirtyBytes() const;
     /** Dirty-log bytes of one leg. */
     uint64_t legDirtyBytes(size_t idx) const;
-    /** Writes in flight that miss leg @p idx (issued while it was
-     *  down); readmission waits for this to reach zero. */
-    uint64_t
-    legInflightMissing(size_t idx) const
-    {
-        return replicas_[idx].inflight_missing;
-    }
     /** Damaged ranges rewritten from a peer replica (foreground
      *  reads and scrub passes both land here). */
     uint64_t

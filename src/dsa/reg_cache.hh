@@ -121,7 +121,6 @@ class RegCache
         return cost;
     }
 
-    bool batched() const { return batched_; }
     bool prePinned() const { return pre_pinned_; }
     uint64_t forcedFlushCount() const { return forced_flushes_.value(); }
 

@@ -170,7 +170,7 @@ Initiator::issueOnce(bool is_write, uint64_t offset, uint64_t len,
             pdu->data_digest_valid = true;
         }
         const sim::Tick dig =
-            perKbTicks(len, config_.digest_per_kb);
+            sim::perKbTicks(len, config_.digest_per_kb);
         co_await lease.run(dig, CpuCat::Other);
         driver_.addCrcNs(dig);
     }
@@ -227,7 +227,7 @@ Initiator::onPdu(std::shared_ptr<Pdu> pdu, bool tainted,
     }
     if (pdu->data_len > 0) {
         const sim::Tick dig =
-            perKbTicks(pdu->data_len, config_.digest_per_kb);
+            sim::perKbTicks(pdu->data_len, config_.digest_per_kb);
         co_await lease.run(dig, CpuCat::Other);
         driver_.addCrcNs(dig);
     }

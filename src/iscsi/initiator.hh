@@ -129,8 +129,6 @@ class Initiator : public dsa::BlockDevice
     {
         return latency_hist_.raw();
     }
-    /** Per-layer host-CPU attribution. */
-    const TcpHostDriver &driver() const { return driver_; }
     net::TcpStream &tcp() { return tcp_; }
     /** @} */
 

@@ -2,29 +2,15 @@
 
 #include <utility>
 
-#include "disk/disk.hh"
-
 namespace v3sim::iscsi
-{
-
-namespace
 {
 
 using osmodel::CpuCat;
 
-constexpr uint64_t kSector = disk::DiskStore::kSectorSize;
-
-} // namespace
-
 Target::Target(sim::Simulation &sim, net::Fabric &fabric,
                TargetConfig config)
-    : sim_(sim), config_(std::move(config)),
-      node_(sim,
-            osmodel::NodeConfig{config_.name, config_.cpus,
-                                config_.host_costs,
-                                config_.phantom_memory}),
-      metric_prefix_(sim.metrics().uniquePrefix("iscsi.tgt")),
-      path_(sim, node_, metric_prefix_, config_),
+    : StorageNode(sim, config, "iscsi.tgt"),
+      config_(std::move(config)),
       tcp_(sim.queue(), fabric, sim.metrics(),
            metric_prefix_ + ".tcp", config_.name + ".iscsi",
            config_.tcp),
@@ -32,14 +18,7 @@ Target::Target(sim::Simulation &sim, net::Fabric &fabric,
               [this](std::shared_ptr<Pdu> pdu, bool tainted,
                      osmodel::CpuLease &lease) {
                   return onPdu(std::move(pdu), tainted, lease);
-              }),
-      reads_(sim.metrics().counter(metric_prefix_ + ".reads")),
-      writes_(sim.metrics().counter(metric_prefix_ + ".writes")),
-      digest_mismatches_(sim.metrics().counter(
-          metric_prefix_ + ".integrity_digest_mismatches")),
-      server_time_(
-          sim.metrics().sampler(metric_prefix_ + ".server_time_ns")),
-      admission_gate_(sim, metric_prefix_, config_.admission)
+              })
 {}
 
 void
@@ -63,7 +42,7 @@ Target::onPdu(std::shared_ptr<Pdu> pdu, bool tainted,
 sim::Task<>
 Target::handleCommand(std::shared_ptr<Pdu> cmd, bool tainted)
 {
-    const sim::Tick arrival = sim_.now();
+    const sim::Tick arrival = node_.sim().now();
     // Arbitration key: the initiator task tag — request content
     // (assigned by the sequential initiator), and unlike the byte
     // offset *unique* among in-flight commands on this session, as
@@ -80,12 +59,11 @@ Target::handleCommand(std::shared_ptr<Pdu> cmd, bool tainted)
 
     if (cmd->op == PduOp::LoginRequest) {
         // Setup path: negotiate the volume, report its capacity.
-        disk::Volume *volume = path_.volumeManager().volume(cmd->volume);
         auto reply = std::make_shared<Pdu>();
         reply->op = PduOp::LoginResponse;
         reply->itt = cmd->itt;
         reply->volume = cmd->volume;
-        reply->volume_capacity = volume ? volume->capacity() : 0;
+        reply->volume_capacity = volumeCapacity(cmd->volume);
         reply->header_digest = pduHeaderDigest(*reply);
         net::TcpMessage message;
         message.bytes = pduWireBytes(*reply);
@@ -110,7 +88,7 @@ Target::handleCommand(std::shared_ptr<Pdu> cmd, bool tainted)
     }
     if (cmd->data_len > 0) {
         const sim::Tick dig =
-            perKbTicks(cmd->data_len, config_.digest_per_kb);
+            sim::perKbTicks(cmd->data_len, config_.digest_per_kb);
         co_await lease.run(dig, CpuCat::Other);
         driver_.addCrcNs(dig);
     }
@@ -139,14 +117,11 @@ Target::handleCommand(std::shared_ptr<Pdu> cmd, bool tainted)
 
     ScsiStatus status;
     std::shared_ptr<std::vector<uint8_t>> data;
-    disk::Volume *volume = path_.volumeManager().volume(cmd->volume);
     if (damaged) {
         digest_mismatches_.increment();
         status = ScsiStatus::DigestError;
-    } else if (!volume || cmd->xfer_len == 0 ||
-               cmd->offset + cmd->xfer_len > volume->capacity() ||
-               (cmd->is_write && (cmd->offset % kSector != 0 ||
-                                  cmd->xfer_len % kSector != 0))) {
+    } else if (!validRange(cmd->volume, cmd->offset, cmd->xfer_len,
+                           cmd->is_write)) {
         status = ScsiStatus::CheckCondition;
     } else if (cmd->is_write) {
         writes_.increment();
@@ -162,7 +137,7 @@ Target::handleCommand(std::shared_ptr<Pdu> cmd, bool tainted)
     } else {
         co_await respond(lease, *cmd, status, nullptr, 0);
     }
-    server_time_.add(static_cast<double>(sim_.now() - arrival));
+    server_time_.add(static_cast<double>(node_.sim().now() - arrival));
     node_.cpus().release();
     if (gated)
         admission_gate_.release();
@@ -187,7 +162,7 @@ Target::doRead(osmodel::CpuLease &lease, const Pdu &cmd,
             if (data_out)
                 mem.read(piece.addr, data_out->data() + pos, piece.len);
             co_await lease.run(
-                perKbTicks(piece.len, config_.memcpy_per_kb),
+                sim::perKbTicks(piece.len, config_.memcpy_per_kb),
                 CpuCat::Other);
             pos += piece.len;
         }
@@ -211,7 +186,7 @@ Target::doWrite(osmodel::CpuLease &lease, const Pdu &cmd)
     if (cmd.data && !mem.phantom())
         mem.write(staging, cmd.data->data(), cmd.xfer_len);
     co_await lease.run(
-        perKbTicks(cmd.xfer_len, config_.memcpy_per_kb),
+        sim::perKbTicks(cmd.xfer_len, config_.memcpy_per_kb),
         CpuCat::Other);
 
     // Write through the cache and commit to disk before responding
@@ -247,7 +222,7 @@ Target::respond(osmodel::CpuLease &lease, const Pdu &cmd,
     }
     if (data_len > 0) {
         const sim::Tick dig =
-            perKbTicks(data_len, config_.digest_per_kb);
+            sim::perKbTicks(data_len, config_.digest_per_kb);
         co_await lease.run(dig, CpuCat::Other);
         driver_.addCrcNs(dig);
     }

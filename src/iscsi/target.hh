@@ -3,10 +3,11 @@
  * iSCSI target — a storage node serving SCSI commands over TCP
  * (DESIGN.md §11).
  *
- * Deliberately the same machine as a V3 node: 2 CPUs, the same
- * disks, and the same storage::BlockPath — block cache and policy,
- * miss coalescing, stale-fill guard, verify-on-read and
- * commit-before-complete — so the VI-vs-iSCSI comparison isolates
+ * Deliberately the same machine as a V3 node: the same
+ * storage::StorageNode base — 2 CPUs, the same disks, the same
+ * admission gate and the same storage::BlockPath (block cache and
+ * policy, miss coalescing, stale-fill guard, verify-on-read and
+ * commit-before-complete) — so the VI-vs-iSCSI comparison isolates
  * the *transport*. The only things that differ from
  * storage::V3Server are how requests arrive (interrupt-driven TCP
  * reassembly instead of polled VI receive descriptors) and how data
@@ -29,96 +30,38 @@
 #include "iscsi/tcp_host.hh"
 #include "net/fabric.hh"
 #include "net/tcp_stream.hh"
-#include "osmodel/node.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
-#include "storage/admission_gate.hh"
-#include "storage/block_path.hh"
+#include "storage/storage_node.hh"
 
 namespace v3sim::iscsi
 {
 
-/** Static configuration of one iSCSI target node. Defaults mirror
- *  storage::V3ServerConfig, whose block-path fields come from the
- *  same base, so backend comparisons are apples to apples. */
-struct TargetConfig : storage::BlockPathConfig
+/** Static configuration of one iSCSI target node: the shared node
+ *  fields (the block path's and the admission gate's among them),
+ *  so backend comparisons are apples to apples, plus the TCP stream.
+ *  The digest is software CRC32C (see
+ *  InitiatorConfig::digest_per_kb), twice V3's per-KB cost. */
+struct TargetConfig : storage::StorageNodeConfig
 {
-    std::string name = "tgt";
-    int cpus = 2;
-    osmodel::HostCosts host_costs = osmodel::HostCosts::storageNode();
-
-    bool phantom_memory = false;
+    TargetConfig() : StorageNodeConfig("tgt", sim::usecs(0.08)) {}
 
     net::TcpConfig tcp;
-
-    /** @name Request-manager CPU costs (as V3ServerConfig) @{ */
-    sim::Tick parse_cost = sim::usecs(5.0);
-    sim::Tick complete_cost = sim::usecs(4.0);
-    /** Software CRC32C per KB (see InitiatorConfig::digest_per_kb). */
-    sim::Tick digest_per_kb = sim::usecs(0.08);
-    /** @} */
-
-    /** Overload control: the same admission gate V3Server embeds
-     *  (DESIGN.md §12), so overload comparisons isolate the
-     *  transport. Disabled by default. */
-    storage::AdmissionConfig admission;
 };
 
 /** One iSCSI storage node (single session: one initiator). */
-class Target
+class Target : public storage::StorageNode
 {
   public:
     Target(sim::Simulation &sim, net::Fabric &fabric,
            TargetConfig config);
 
-    Target(const Target &) = delete;
-    Target &operator=(const Target &) = delete;
-
-    osmodel::Node &node() { return node_; }
-    storage::DiskManager &diskManager() { return path_.diskManager(); }
-    storage::VolumeManager &volumeManager()
-    {
-        return path_.volumeManager();
-    }
-    storage::BlockCache *cache() { return path_.cache(); }
     const TargetConfig &config() const { return config_; }
 
-    /** Begins listening. Call after volumes are assembled. */
-    void start();
+    void start() override;
 
     /** The port initiators connect() to. */
     net::PortId port() const { return tcp_.port(); }
-
-    /** @name Statistics @{ */
-    uint64_t readCount() const { return reads_.value(); }
-    uint64_t writeCount() const { return writes_.value(); }
-    /** Commands rejected by the header/data digest check. */
-    uint64_t digestMismatchCount() const
-    {
-        return digest_mismatches_.value();
-    }
-    /** Verify-on-read hits: blocks found damaged on disk. */
-    uint64_t integrityErrorCount() const
-    {
-        return path_.integrityErrorCount();
-    }
-    /** Commands refused with ScsiStatus::Busy by the admission gate
-     *  (config.admission; DESIGN.md §12). */
-    uint64_t shedCount() const { return admission_gate_.shedCount(); }
-    /** Commands that passed the gate. */
-    uint64_t admittedCount() const
-    {
-        return admission_gate_.admittedCount();
-    }
-    /** Target-resident time per command: dispatch to response. */
-    const sim::Sampler &serverTime() const
-    {
-        return server_time_.raw();
-    }
-    double cacheHitRatio() const { return path_.cacheHitRatio(); }
-    /** Per-layer CPU attribution of the target's kernel TCP path. */
-    const TcpHostDriver &driver() const { return driver_; }
-    /** @} */
 
   private:
     sim::Task<> onPdu(std::shared_ptr<Pdu> pdu, bool tainted,
@@ -134,27 +77,9 @@ class Target
                         std::shared_ptr<std::vector<uint8_t>> data,
                         uint64_t data_len);
 
-    sim::Simulation &sim_;
     TargetConfig config_;
-    osmodel::Node node_;
-
-    /// Registry path prefix ("iscsi.tgt", uniquified); must precede
-    /// the metric references so it is initialised first.
-    std::string metric_prefix_;
-
-    storage::BlockPath path_; ///< registers under metric_prefix_
-
     net::TcpStream tcp_;
     TcpHostDriver driver_;
-
-    sim::CounterHandle reads_;
-    sim::CounterHandle writes_;
-    sim::CounterHandle digest_mismatches_;
-    sim::SamplerHandle server_time_;
-
-    /** Overload-control gate in front of the data path
-     *  (config_.admission; DESIGN.md §12). */
-    storage::AdmissionGate admission_gate_;
 };
 
 } // namespace v3sim::iscsi

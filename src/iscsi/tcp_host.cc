@@ -35,11 +35,11 @@ TcpHostDriver::chargeTx(osmodel::CpuLease &lease, uint64_t msg_bytes)
     co_await lease.run(proto, osmodel::CpuCat::Kernel);
     proto_ns_.increment(ns(proto));
     const sim::Tick copy =
-        perKbTicks(msg_bytes, costs.sock_copy_per_kb);
+        sim::perKbTicks(msg_bytes, costs.sock_copy_per_kb);
     co_await lease.run(copy, osmodel::CpuCat::Kernel);
     copy_ns_.increment(ns(copy));
     const sim::Tick crc =
-        perKbTicks(msg_bytes, costs.inet_checksum_per_kb);
+        sim::perKbTicks(msg_bytes, costs.inet_checksum_per_kb);
     co_await lease.run(crc, osmodel::CpuCat::Kernel);
     crc_ns_.increment(ns(crc));
 }
@@ -74,7 +74,7 @@ TcpHostDriver::drain(osmodel::CpuLease lease)
                 proto_ns_.increment(ns(proto));
             }
             if (work.data_bytes > 0) {
-                const sim::Tick crc = perKbTicks(
+                const sim::Tick crc = sim::perKbTicks(
                     work.data_bytes, costs.inet_checksum_per_kb);
                 co_await lease.run(crc, osmodel::CpuCat::Kernel);
                 crc_ns_.increment(ns(crc));
@@ -96,7 +96,7 @@ TcpHostDriver::drain(osmodel::CpuLease lease)
             Delivered d = std::move(delivered_.front());
             delivered_.pop_front();
             const sim::Tick copy =
-                perKbTicks(d.bytes, costs.sock_copy_per_kb);
+                sim::perKbTicks(d.bytes, costs.sock_copy_per_kb);
             co_await lease.run(copy, osmodel::CpuCat::Kernel);
             copy_ns_.increment(ns(copy));
             co_await deliver_(std::move(d.pdu), d.tainted, lease);

@@ -52,14 +52,6 @@
 namespace v3sim::iscsi
 {
 
-/** CPU ticks for @p bytes at a per-KB rate (ceiling, like the V3
- *  server's digestTicks). */
-inline sim::Tick
-perKbTicks(uint64_t bytes, sim::Tick per_kb)
-{
-    return static_cast<sim::Tick>((bytes + 1023) / 1024) * per_kb;
-}
-
 /** Charges a node's CPUs for the TCP work a stream counts. */
 class TcpHostDriver
 {
@@ -93,17 +85,8 @@ class TcpHostDriver
      * every charged tick lands in exactly one layer counter.
      * @{ */
     void addProtoNs(sim::Tick d) { proto_ns_.increment(ns(d)); }
-    void addCopyNs(sim::Tick d) { copy_ns_.increment(ns(d)); }
     void addCrcNs(sim::Tick d) { crc_ns_.increment(ns(d)); }
     void addSyscallNs(sim::Tick d) { syscall_ns_.increment(ns(d)); }
-    /** @} */
-
-    /** @name Per-layer totals (ns) @{ */
-    uint64_t intrNs() const { return intr_ns_.value(); }
-    uint64_t protoNs() const { return proto_ns_.value(); }
-    uint64_t copyNs() const { return copy_ns_.value(); }
-    uint64_t crcNs() const { return crc_ns_.value(); }
-    uint64_t syscallNs() const { return syscall_ns_.value(); }
     /** @} */
 
   private:

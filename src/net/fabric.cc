@@ -50,10 +50,8 @@ Fabric::send(Packet packet, std::function<void()> on_wire)
     const bool drop = down || (drop_filter_ && drop_filter_(packet));
     if (drop)
         dropped_.increment();
-    if (!drop && corrupt_filter_ && corrupt_filter_(packet)) {
+    if (!drop && corrupt_filter_ && corrupt_filter_(packet))
         packet.corrupted = true;
-        corrupted_.increment();
-    }
 
     PortState &src = *ports_[packet.src];
     src.bytes_sent.increment(packet.wire_bytes);
@@ -108,12 +106,6 @@ Fabric::setPortUp(PortId id, bool up)
 {
     assert(id < ports_.size());
     ports_[id]->up = up;
-}
-
-bool
-Fabric::portUp(PortId id) const
-{
-    return id < ports_.size() && ports_[id]->up;
 }
 
 uint64_t

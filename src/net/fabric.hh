@@ -144,12 +144,8 @@ class Fabric
      */
     void setPortUp(PortId id, bool up);
 
-    /** True when the port is attached and up. */
-    bool portUp(PortId id) const;
-
     const FabricConfig &config() const { return config_; }
 
-    size_t portCount() const { return ports_.size(); }
     const std::string &portName(PortId id) const;
 
     /** Bytes handed to the wire by @p port (excludes dropped). */
@@ -160,9 +156,6 @@ class Fabric
 
     /** Packets removed by the drop filter. */
     uint64_t packetsDropped() const { return dropped_.value(); }
-
-    /** Packets damaged by the corrupt filter. */
-    uint64_t packetsCorrupted() const { return corrupted_.value(); }
 
     /** Transmit-queue utilization of @p port over the run. */
     double txUtilization(PortId port) const;
@@ -186,7 +179,6 @@ class Fabric
     DropFilter drop_filter_;
     CorruptFilter corrupt_filter_;
     sim::Counter dropped_;
-    sim::Counter corrupted_;
 };
 
 } // namespace v3sim::net

@@ -232,7 +232,6 @@ class TcpStream
     /** @} */
 
     /** @name Introspection (tests, cost accounting) @{ */
-    uint32_t cwnd() const { return cwnd_; }
     uint32_t ssthresh() const { return ssthresh_; }
     uint64_t sndUna() const { return snd_una_; }
     uint64_t sndNxt() const { return snd_nxt_; }
@@ -240,10 +239,7 @@ class TcpStream
     /** Effective RTO the next armed timer will use (base RTO doubled
      *  per back-to-back timeout, capped at max_rto). */
     sim::Tick currentRto() const;
-    uint64_t segsSent() const { return segs_tx_.value(); }
     uint64_t acksSent() const { return acks_tx_.value(); }
-    uint64_t acksReceived() const { return acks_rx_.value(); }
-    uint64_t messagesDelivered() const { return msgs_rx_.value(); }
     const TcpConfig &config() const { return config_; }
     /** @} */
 

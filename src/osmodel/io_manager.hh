@@ -60,7 +60,6 @@ class IoManager
 
     uint64_t requestCount() const { return requests_.value(); }
 
-    SimLock &queueLock() { return queue_lock_; }
     SimLock &dispatchLock() { return dispatch_lock_; }
 
   private:

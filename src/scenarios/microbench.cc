@@ -95,12 +95,11 @@ MicroRig::measureLatency(uint64_t size, bool is_read, int iterations,
     result.cpu_overhead_us =
         sim::toUsecs(host().cpus().totalBusyTime() - cpu_before) /
         iterations;
-    if (server() && server()->serverTime().count() > 0) {
-        result.server_us = server()->serverTime().mean() / 1e3;
-    } else if (!testbed_->iscsiTargets().empty()) {
-        const auto &tgt = *testbed_->iscsiTargets().front();
-        if (tgt.serverTime().count() > 0)
-            result.server_us = tgt.serverTime().mean() / 1e3;
+    if (!testbed_->nodes().empty()) {
+        const sim::Sampler &served =
+            testbed_->nodes().front()->serverTime();
+        if (served.count() > 0)
+            result.server_us = served.mean() / 1e3;
     }
 
     // Tail latency from the client-side histogram (DSA client for

@@ -56,13 +56,6 @@ class MicroRig
     osmodel::Node &host() { return testbed_->host(); }
     dsa::BlockDevice &device() { return testbed_->device(); }
 
-    storage::V3Server *
-    server()
-    {
-        auto &servers = testbed_->servers();
-        return servers.empty() ? nullptr : servers.front().get();
-    }
-
     /** Latency measurement with the Figure 4 breakdown. */
     struct LatencyResult
     {

@@ -92,230 +92,217 @@ Testbed::Testbed(Backend backend, HostParams host_params,
                                   host_params.costs,
                                   host_params.phantom_memory});
 
+    const Layout layout = storage_params_.layout;
+    assert((layout == Layout::Striped ||
+            (backend_ != Backend::Local && backend_ != Backend::Iscsi)) &&
+           "mirrors and the cluster run over DSA clients");
     if (backend_ == Backend::Local) {
-        const int count =
-            storage_params_.local_disks > 0
-                ? storage_params_.local_disks
-                : storage_params_.v3_nodes *
-                      storage_params_.disks_per_node;
-        std::vector<disk::Volume *> parts;
-        for (int i = 0; i < count; ++i) {
-            local_disks_.push_back(std::make_unique<disk::Disk>(
-                sim_, storage_params_.disk_spec, sim_.forkRng(),
-                "local.d" + std::to_string(i),
-                disk::SchedPolicy::Elevator,
-                host_params.phantom_memory));
-            local_parts_.push_back(
-                std::make_unique<disk::SingleDiskVolume>(
-                    *local_disks_.back()));
-            parts.push_back(local_parts_.back().get());
-        }
-        local_volume_ = std::make_unique<disk::StripeVolume>(
-            parts, storage_params_.stripe_unit);
-        local_ = std::make_unique<dsa::LocalBackend>(*host_,
-                                                     *local_volume_);
-        device_ = local_.get();
+        buildLocal(host_params.phantom_memory);
         return;
     }
-
-    if (backend_ == Backend::Iscsi) {
-        // Rival transport: the same storage-node hardware as the V3
-        // branch below (disks, cache size and policy, CPU count),
-        // reached through one iSCSI/TCP session per node instead of
-        // a VI connection. The host needs no VI NICs: each initiator
-        // attaches a plain fabric port.
-        assert(!storage_params_.mirrored &&
-               "mirroring is a DSA-backend feature");
-        std::vector<dsa::BlockDevice *> children;
-        for (int n = 0; n < storage_params_.v3_nodes; ++n) {
-            iscsi::TargetConfig target_config;
-            target_config.name = "tgt." + std::to_string(n);
-            target_config.cache_bytes =
-                storage_params_.cache_bytes_per_node;
-            target_config.cache_policy = storage_params_.cache_policy;
-            target_config.phantom_memory = host_params.phantom_memory;
-            target_config.admission = storage_params_.admission;
-            auto target = std::make_unique<iscsi::Target>(
-                sim_, fabric_, target_config);
-            auto disks = target->diskManager().addDisks(
-                storage_params_.disk_spec,
-                target_config.name + ".d",
-                storage_params_.disks_per_node,
-                host_params.phantom_memory);
-            const uint32_t volume =
-                target->volumeManager().addStripedVolume(
-                    disks, storage_params_.stripe_unit);
-            target->start();
-
-            iscsi::InitiatorConfig init_config;
-            init_config.volume = volume;
-            init_config.max_outstanding =
-                storage_params_.request_credits;
-            iscsi_initiators_.push_back(
-                std::make_unique<iscsi::Initiator>(*host_, fabric_,
-                                                   init_config));
-            children.push_back(iscsi_initiators_.back().get());
-            iscsi_targets_.push_back(std::move(target));
-        }
-        striped_ = std::make_unique<dsa::StripedDevice>(
-            children, storage_params_.stripe_unit);
-        device_ = striped_.get();
-        return;
-    }
-
-    // V3 backend: one server per storage node, one client NIC per
-    // server, one DSA connection per pair; the database volume
-    // stripes across nodes.
-    std::vector<dsa::BlockDevice *> children;
-    for (int n = 0; n < storage_params_.v3_nodes; ++n) {
-        storage::V3ServerConfig server_config;
-        server_config.name = "v3." + std::to_string(n);
-        server_config.cache_bytes =
-            storage_params_.cache_bytes_per_node;
-        server_config.cache_policy = storage_params_.cache_policy;
-        server_config.request_credits =
-            storage_params_.request_credits;
-        server_config.staging_slots = storage_params_.staging_slots;
-        server_config.phantom_memory = host_params.phantom_memory;
-        server_config.admission = storage_params_.admission;
-        auto server = std::make_unique<storage::V3Server>(
-            sim_, fabric_, server_config);
-        auto disks = server->diskManager().addDisks(
-            storage_params_.disk_spec,
-            server_config.name + ".d",
-            storage_params_.disks_per_node,
-            host_params.phantom_memory);
-        const uint32_t volume =
-            server->volumeManager().addStripedVolume(
-                disks, storage_params_.stripe_unit);
-        server->start();
-
-        nics_.push_back(std::make_unique<vi::ViNic>(
-            sim_, fabric_, host_->memory(),
-            "db.nic" + std::to_string(n)));
-        clients_.push_back(std::make_unique<dsa::DsaClient>(
-            backendImpl(backend_), *host_, *nics_.back(),
-            server->nic().port(), volume, dsa_config));
-        children.push_back(clients_.back().get());
-        servers_.push_back(std::move(server));
-    }
-
-    if (storage_params_.mirrored) {
-        // RAID-10: adjacent nodes pair into mirrors, the volume
-        // stripes across the pairs.
-        assert(storage_params_.v3_nodes % 2 == 0 &&
-               "mirroring pairs nodes; v3_nodes must be even");
-        std::vector<dsa::BlockDevice *> stripe_children;
-        for (size_t pair = 0; pair + 1 < children.size(); pair += 2) {
-            dsa::MirrorConfig mirror_config = storage_params_.mirror;
-            mirror_config.name =
-                "m" + std::to_string(pair / 2);
-            std::vector<dsa::MirrorReplica> legs;
-            legs.push_back(dsa::MirrorReplica::forClient(
-                *clients_[pair]));
-            legs.push_back(dsa::MirrorReplica::forClient(
-                *clients_[pair + 1]));
-            mirrors_.push_back(std::make_unique<dsa::MirroredDevice>(
-                sim_, host_->memory(), std::move(legs),
-                mirror_config));
-            stripe_children.push_back(mirrors_.back().get());
-        }
-        striped_ = std::make_unique<dsa::StripedDevice>(
-            stripe_children, storage_params_.stripe_unit);
-    } else {
-        striped_ = std::make_unique<dsa::StripedDevice>(
-            children, storage_params_.stripe_unit);
-    }
+    std::vector<dsa::BlockDevice *> children =
+        buildNodes(host_params.phantom_memory, dsa_config);
+    if (layout != Layout::Striped)
+        children = pairMirrors();
+    striped_ = std::make_unique<dsa::StripedDevice>(
+        children, storage_params_.stripe_unit);
     device_ = striped_.get();
-
-    if (storage_params_.cluster) {
-        // Promote the RAID-10 composition into a volume service:
-        // a metadata service describing the geometry (genesis map,
-        // every node Active), heartbeat detection over the nodes,
-        // and the client-side directory routing epoch-checked I/O.
-        assert(storage_params_.mirrored &&
-               "cluster mode runs over node-level mirrors");
-        cluster::PlacementMap genesis;
-        genesis.stripe_unit = storage_params_.stripe_unit;
-        for (size_t pair = 0; pair + 1 < servers_.size(); pair += 2) {
-            cluster::ShardView shard;
-            shard.replicas.push_back(cluster::ReplicaView{
-                static_cast<int>(pair), cluster::ReplicaState::Active});
-            shard.replicas.push_back(cluster::ReplicaView{
-                static_cast<int>(pair + 1),
-                cluster::ReplicaState::Active});
-            genesis.shards.push_back(std::move(shard));
-        }
-        meta_service_ = std::make_unique<cluster::MetaService>(
-            sim_, storage_params_.meta, std::move(genesis));
-
-        std::vector<cluster::HeartbeatPeer> peers;
-        for (auto &server : servers_) {
-            storage::V3Server *srv = server.get();
-            peers.push_back(cluster::HeartbeatPeer{
-                srv->config().name,
-                [srv] { return !srv->crashed(); },
-                [srv] { return srv->bootEpoch(); }});
-        }
-        heartbeat_ = std::make_unique<cluster::HeartbeatMonitor>(
-            sim_, storage_params_.heartbeat, std::move(peers));
-
-        std::vector<dsa::MirroredDevice *> shard_mirrors;
-        for (auto &mirror : mirrors_)
-            shard_mirrors.push_back(mirror.get());
-        directory_ = std::make_unique<cluster::VolumeDirectory>(
-            sim_, *meta_service_, *heartbeat_,
-            std::move(shard_mirrors), *striped_,
-            storage_params_.directory);
-        device_ = directory_.get();
-
-        // Whole-box fault targets: node i and, on the first
-        // meta.replicas boxes, its co-located metadata replica.
-        for (size_t n = 0; n < servers_.size(); ++n) {
-            auto target = std::make_unique<vi::CompositeFaultTarget>();
-            target->add(*servers_[n]);
-            if (n < static_cast<size_t>(meta_service_->replicaCount()))
-                target->add(meta_service_->replica(
-                    static_cast<int>(n)));
-            composite_targets_.push_back(std::move(target));
-        }
-    }
+    if (layout == Layout::Cluster)
+        buildCluster();
 }
 
 Testbed::~Testbed() = default;
+
+void
+Testbed::buildLocal(bool phantom)
+{
+    const int count = storage_params_.local_disks > 0
+                          ? storage_params_.local_disks
+                          : storage_params_.v3_nodes *
+                                storage_params_.disks_per_node;
+    std::vector<disk::Volume *> parts;
+    for (int i = 0; i < count; ++i) {
+        local_disks_.push_back(std::make_unique<disk::Disk>(
+            sim_, storage_params_.disk_spec, sim_.forkRng(),
+            "local.d" + std::to_string(i), disk::SchedPolicy::Elevator,
+            phantom));
+        local_parts_.push_back(
+            std::make_unique<disk::SingleDiskVolume>(
+                *local_disks_.back()));
+        parts.push_back(local_parts_.back().get());
+    }
+    local_volume_ = std::make_unique<disk::StripeVolume>(
+        parts, storage_params_.stripe_unit);
+    local_ = std::make_unique<dsa::LocalBackend>(*host_, *local_volume_);
+    device_ = local_.get();
+}
+
+std::vector<dsa::BlockDevice *>
+Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
+{
+    // The same storage-node hardware for every transport (disks,
+    // cache size and policy, CPU count, admission gate). Each node is
+    // assembled (front end, disks, striped volume, start) before its
+    // session: the disks fork the simulation's random streams in
+    // this order.
+    const StorageParams &params = storage_params_;
+    const auto shared = [&](storage::StorageNodeConfig &config,
+                            int n) {
+        // The front end's default name plus the index: v3.0, tgt.0.
+        config.name += "." + std::to_string(n);
+        config.cache_bytes = params.cache_bytes_per_node;
+        config.cache_policy = params.cache_policy;
+        config.phantom_memory = phantom;
+        config.admission = params.admission;
+    };
+    std::vector<dsa::BlockDevice *> sessions;
+    for (int n = 0; n < params.v3_nodes; ++n) {
+        std::unique_ptr<storage::StorageNode> node;
+        if (backend_ == Backend::Iscsi) {
+            iscsi::TargetConfig config;
+            shared(config, n);
+            node = std::make_unique<iscsi::Target>(sim_, fabric_, config);
+        } else {
+            storage::V3ServerConfig config;
+            shared(config, n);
+            config.request_credits = params.request_credits;
+            config.staging_slots = params.staging_slots;
+            node = std::make_unique<storage::V3Server>(sim_, fabric_,
+                                                       config);
+        }
+        auto disks = node->diskManager().addDisks(
+            params.disk_spec, node->node().name() + ".d",
+            params.disks_per_node, phantom);
+        const uint32_t volume = node->volumeManager().addStripedVolume(
+            disks, params.stripe_unit);
+        node->start();
+
+        if (backend_ == Backend::Iscsi) {
+            // The rival transport: the host needs no VI NIC, each
+            // initiator attaches a plain fabric port.
+            iscsi::InitiatorConfig config;
+            config.volume = volume;
+            config.max_outstanding = params.request_credits;
+            iscsi_initiators_.push_back(std::make_unique<iscsi::Initiator>(
+                *host_, fabric_, config));
+            sessions.push_back(iscsi_initiators_.back().get());
+        } else {
+            // One client NIC per server, one DSA connection per pair.
+            nics_.push_back(std::make_unique<vi::ViNic>(
+                sim_, fabric_, host_->memory(),
+                "db.nic" + std::to_string(n)));
+            clients_.push_back(std::make_unique<dsa::DsaClient>(
+                backendImpl(backend_), *host_, *nics_.back(),
+                static_cast<storage::V3Server &>(*node).nic().port(),
+                volume, dsa_config));
+            sessions.push_back(clients_.back().get());
+        }
+        nodes_.push_back(std::move(node));
+    }
+    return sessions;
+}
+
+std::vector<dsa::BlockDevice *>
+Testbed::pairMirrors()
+{
+    assert(storage_params_.v3_nodes % 2 == 0 &&
+           "mirroring pairs nodes; v3_nodes must be even");
+    std::vector<dsa::BlockDevice *> pairs;
+    for (size_t pair = 0; pair + 1 < clients_.size(); pair += 2) {
+        dsa::MirrorConfig mirror_config = storage_params_.mirror;
+        mirror_config.name = "m" + std::to_string(pair / 2);
+        std::vector<dsa::MirrorReplica> legs;
+        legs.push_back(dsa::MirrorReplica::forClient(*clients_[pair]));
+        legs.push_back(
+            dsa::MirrorReplica::forClient(*clients_[pair + 1]));
+        mirrors_.push_back(std::make_unique<dsa::MirroredDevice>(
+            sim_, host_->memory(), std::move(legs), mirror_config));
+        pairs.push_back(mirrors_.back().get());
+    }
+    return pairs;
+}
+
+void
+Testbed::buildCluster()
+{
+    // Promote the RAID-10 composition into a volume service: a
+    // metadata service describing the geometry (genesis map, every
+    // node Active), heartbeat detection over the nodes, and the
+    // client-side directory routing epoch-checked I/O.
+    const std::vector<storage::V3Server *> nodes = servers();
+    cluster::PlacementMap genesis;
+    genesis.stripe_unit = storage_params_.stripe_unit;
+    for (size_t pair = 0; pair + 1 < nodes.size(); pair += 2) {
+        cluster::ShardView shard;
+        shard.replicas.push_back(cluster::ReplicaView{
+            static_cast<int>(pair), cluster::ReplicaState::Active});
+        shard.replicas.push_back(cluster::ReplicaView{
+            static_cast<int>(pair + 1), cluster::ReplicaState::Active});
+        genesis.shards.push_back(std::move(shard));
+    }
+    meta_service_ = std::make_unique<cluster::MetaService>(
+        sim_, storage_params_.meta, std::move(genesis));
+
+    std::vector<cluster::HeartbeatPeer> peers;
+    for (storage::V3Server *srv : nodes) {
+        peers.push_back(cluster::HeartbeatPeer{
+            srv->config().name, [srv] { return !srv->crashed(); },
+            [srv] { return srv->bootEpoch(); }});
+    }
+    heartbeat_ = std::make_unique<cluster::HeartbeatMonitor>(
+        sim_, storage_params_.heartbeat, std::move(peers));
+
+    std::vector<dsa::MirroredDevice *> shard_mirrors;
+    for (auto &mirror : mirrors_)
+        shard_mirrors.push_back(mirror.get());
+    directory_ = std::make_unique<cluster::VolumeDirectory>(
+        sim_, *meta_service_, *heartbeat_, std::move(shard_mirrors),
+        *striped_, storage_params_.directory);
+    device_ = directory_.get();
+
+    // Whole-box fault targets: node i and, on the first
+    // meta.replicas boxes, its co-located metadata replica.
+    for (size_t n = 0; n < nodes.size(); ++n) {
+        auto target = std::make_unique<vi::CompositeFaultTarget>();
+        target->add(*nodes[n]);
+        if (n < static_cast<size_t>(meta_service_->replicaCount()))
+            target->add(meta_service_->replica(static_cast<int>(n)));
+        composite_targets_.push_back(std::move(target));
+    }
+}
 
 bool
 Testbed::connectAll()
 {
     if (backend_ == Backend::Local)
         return true;
-    if (backend_ == Backend::Iscsi) {
-        bool all_ok = true;
-        int pending = static_cast<int>(iscsi_initiators_.size());
-        for (size_t i = 0; i < iscsi_initiators_.size(); ++i) {
-            sim::spawn([](iscsi::Initiator &init, net::PortId port,
-                          bool &ok, int &remaining) -> sim::Task<> {
-                if (!co_await init.connect(port))
-                    ok = false;
-                --remaining;
-            }(*iscsi_initiators_[i], iscsi_targets_[i]->port(),
-              all_ok, pending));
-        }
-        sim_.run();
-        return all_ok && pending == 0;
-    }
     bool all_ok = true;
-    int pending = static_cast<int>(clients_.size());
-    for (auto &client : clients_) {
-        sim::spawn([](dsa::DsaClient &c, bool &ok,
+    int pending = static_cast<int>(nodes_.size());
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+        sim::Task<bool> attempt =
+            backend_ == Backend::Iscsi
+                ? iscsi_initiators_[n]->connect(
+                      static_cast<iscsi::Target &>(*nodes_[n]).port())
+                : clients_[n]->connect();
+        sim::spawn([](sim::Task<bool> session, bool &ok,
                       int &remaining) -> sim::Task<> {
-            if (!co_await c.connect())
+            if (!co_await std::move(session))
                 ok = false;
             --remaining;
-        }(*client, all_ok, pending));
+        }(std::move(attempt), all_ok, pending));
     }
     sim_.run();
     return all_ok && pending == 0;
+}
+
+std::vector<storage::V3Server *>
+Testbed::servers() const
+{
+    std::vector<storage::V3Server *> out;
+    for (const auto &node : nodes_)
+        if (auto *server = dynamic_cast<storage::V3Server *>(node.get()))
+            out.push_back(server);
+    return out;
 }
 
 std::vector<vi::NodeFaultTarget *>
@@ -328,14 +315,11 @@ Testbed::nodeTargets()
 }
 
 std::vector<storage::BlockCache *>
-Testbed::caches()
+Testbed::caches() const
 {
     std::vector<storage::BlockCache *> out;
-    for (auto &server : servers_)
-        if (storage::BlockCache *cache = server->cache())
-            out.push_back(cache);
-    for (auto &target : iscsi_targets_)
-        if (storage::BlockCache *cache = target->cache())
+    for (const auto &node : nodes_)
+        if (storage::BlockCache *cache = node->cache())
             out.push_back(cache);
     return out;
 }
@@ -344,8 +328,7 @@ double
 Testbed::serverCacheHitRatio() const
 {
     uint64_t hits = 0, misses = 0;
-    for (storage::BlockCache *cache :
-         const_cast<Testbed *>(this)->caches()) {
+    for (storage::BlockCache *cache : caches()) {
         hits += cache->hits();
         misses += cache->misses();
     }
@@ -356,19 +339,12 @@ Testbed::serverCacheHitRatio() const
 double
 Testbed::diskUtilization() const
 {
+    // Disk by disk in node order, then the local disks: the sum's
+    // rounding is part of the fig10/fig13 artifacts.
     double sum = 0;
     int count = 0;
-    for (const auto &server : servers_) {
-        auto &manager =
-            const_cast<storage::V3Server &>(*server).diskManager();
-        for (size_t i = 0; i < manager.diskCount(); ++i) {
-            sum += manager.disk(i).utilization();
-            ++count;
-        }
-    }
-    for (const auto &target : iscsi_targets_) {
-        auto &manager =
-            const_cast<iscsi::Target &>(*target).diskManager();
+    for (const auto &node : nodes_) {
+        storage::DiskManager &manager = node->diskManager();
         for (size_t i = 0; i < manager.diskCount(); ++i) {
             sum += manager.disk(i).utilization();
             ++count;
@@ -384,9 +360,7 @@ Testbed::diskUtilization() const
 uint64_t
 Testbed::hostInterrupts() const
 {
-    return const_cast<osmodel::Node &>(*host_)
-        .interrupts()
-        .interruptCount();
+    return host_->interrupts().interruptCount();
 }
 
 void

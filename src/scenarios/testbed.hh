@@ -8,11 +8,18 @@
  *    to the host behind the kernel driver stack;
  *  - Kdsa / Wdsa / Cdsa: one or more V3 storage nodes reached over
  *    the VI fabric, one client NIC per storage node (the paper's
- *    NIC-per-node pairing), with the database volume striped across
- *    nodes. With StorageParams::mirrored the nodes pair up into
- *    dsa::MirroredDevice replicas and the volume stripes across the
- *    mirrors (RAID-10), so availability experiments can crash nodes
- *    via faults() while I/O continues.
+ *    NIC-per-node pairing);
+ *  - Iscsi: the same storage nodes behind iSCSI/TCP, one session
+ *    per node.
+ *
+ * Every networked backend builds its nodes in one loop: a
+ * storage::StorageNode (V3Server or iscsi::Target), its disks and
+ * striped volume, then the host's session to it. StorageParams::layout
+ * composes the database volume from the sessions: striped across the
+ * nodes, or, over DSA clients, striped across dsa::MirroredDevice
+ * node pairs (RAID-10), optionally run as a cluster volume service,
+ * so availability experiments can crash nodes via faults() while
+ * I/O continues.
  *
  * Every testbed owns a vi::FaultInjector over its fabric (faults()),
  * so experiments can script packet loss, connection breaks and
@@ -82,6 +89,27 @@ struct HostParams
     static HostParams large();
 };
 
+/** How the networked backends compose the database volume from the
+ *  per-node sessions. Local and iSCSI testbeds take only Striped. */
+enum class Layout : uint8_t
+{
+    /** Stripe across the nodes. */
+    Striped,
+    /** Adjacent nodes pair into mirrors (RAID-1) and the volume
+     *  stripes across the pairs (RAID-10). Requires an even
+     *  v3_nodes. */
+    Mirrored,
+    /**
+     * Mirrored, run as one fault-tolerant volume service
+     * (src/cluster): placement-metadata service with lease-holding
+     * primary, heartbeat failure detection, and a client-side volume
+     * directory driving node-level failover. The first meta.replicas
+     * nodes co-host a metadata replica (one failure domain per box —
+     * see vi::CompositeFaultTarget).
+     */
+    Cluster,
+};
+
 /** Storage-side parameters (Table 2). */
 struct StorageParams
 {
@@ -97,20 +125,9 @@ struct StorageParams
     uint32_t request_credits = 64;
     uint32_t staging_slots = 32;
 
-    /** Pair the V3 nodes into mirrors (RAID-1) and stripe across the
-     *  pairs (RAID-10). Requires an even v3_nodes. */
-    bool mirrored = false;
+    Layout layout = Layout::Striped;
+    /** Mirrored and Cluster use mirror; Cluster also the rest. */
     dsa::MirrorConfig mirror;
-
-    /**
-     * Run the storage nodes as one fault-tolerant volume service
-     * (src/cluster): placement-metadata service with lease-holding
-     * primary, heartbeat failure detection, and a client-side volume
-     * directory driving node-level failover. Requires mirrored. The
-     * first meta.replicas nodes co-host a metadata replica (one
-     * failure domain per box — see vi::CompositeFaultTarget).
-     */
-    bool cluster = false;
     cluster::MetaConfig meta;
     cluster::HeartbeatConfig heartbeat;
     cluster::DirectoryConfig directory;
@@ -144,22 +161,25 @@ class Testbed
     Testbed &operator=(const Testbed &) = delete;
     ~Testbed();
 
-    /** Connects every DSA client (no-op for Local). Run to ready. */
+    /** Connects every session (no-op for Local). Run to ready. */
     bool connectAll();
 
     sim::Simulation &sim() { return sim_; }
-    net::Fabric &fabric() { return fabric_; }
     osmodel::Node &host() { return *host_; }
-    Backend backend() const { return backend_; }
 
     /** The database-facing device (striped across V3 nodes, or the
      *  local volume). */
     dsa::BlockDevice &device() { return *device_; }
 
-    std::vector<std::unique_ptr<storage::V3Server>> &servers()
+    /** Storage nodes in build order (empty for Local). */
+    const std::vector<std::unique_ptr<storage::StorageNode>> &
+    nodes() const
     {
-        return servers_;
+        return nodes_;
     }
+
+    /** The V3 servers among nodes() (empty unless a DSA backend). */
+    std::vector<storage::V3Server *> servers() const;
 
     std::vector<std::unique_ptr<dsa::DsaClient>> &clients()
     {
@@ -167,12 +187,6 @@ class Testbed
     }
 
     dsa::LocalBackend *local() { return local_.get(); }
-
-    /** iSCSI storage nodes (empty unless Backend::Iscsi). */
-    std::vector<std::unique_ptr<iscsi::Target>> &iscsiTargets()
-    {
-        return iscsi_targets_;
-    }
 
     /** iSCSI sessions, one per target (empty unless
      *  Backend::Iscsi). */
@@ -183,9 +197,9 @@ class Testbed
 
     /** Every storage-node block cache in the testbed, regardless of
      *  backend (V3 servers or iSCSI targets); empty for Local. */
-    std::vector<storage::BlockCache *> caches();
+    std::vector<storage::BlockCache *> caches() const;
 
-    /** Mirror pairs (empty unless StorageParams::mirrored). */
+    /** Mirror pairs (empty unless Layout::Mirrored or Cluster). */
     std::vector<std::unique_ptr<dsa::MirroredDevice>> &mirrors()
     {
         return mirrors_;
@@ -194,7 +208,7 @@ class Testbed
     /** Fault injector over this testbed's fabric. */
     vi::FaultInjector &faults() { return *faults_; }
 
-    /** Cluster control plane (null unless StorageParams::cluster). */
+    /** Cluster control plane (null unless Layout::Cluster). */
     cluster::MetaService *meta() { return meta_service_.get(); }
     cluster::HeartbeatMonitor *heartbeats()
     {
@@ -206,7 +220,7 @@ class Testbed
     }
 
     /**
-     * Whole-box fault targets, one per storage node (cluster mode
+     * Whole-box fault targets, one per storage node (Layout::Cluster
      * only): crashing target i takes out server i AND, on the first
      * meta.replicas nodes, its co-located metadata replica. Feed
      * these to faults().scheduleNodeOutage / startChaos.
@@ -228,6 +242,15 @@ class Testbed
     void resetStats();
 
   private:
+    void buildLocal(bool phantom);
+    /** The node loop; returns the host's sessions in node order. */
+    std::vector<dsa::BlockDevice *>
+    buildNodes(bool phantom, const dsa::DsaConfig &dsa_config);
+    /** Pairs adjacent DSA clients into mirrors; returns the mirrors. */
+    std::vector<dsa::BlockDevice *> pairMirrors();
+    /** The cluster control plane over the mirrors. */
+    void buildCluster();
+
     Backend backend_;
     StorageParams storage_params_;
     sim::Simulation sim_;
@@ -235,12 +258,11 @@ class Testbed
     std::unique_ptr<vi::FaultInjector> faults_;
     std::unique_ptr<osmodel::Node> host_;
 
-    std::vector<std::unique_ptr<storage::V3Server>> servers_;
+    std::vector<std::unique_ptr<storage::StorageNode>> nodes_;
     std::vector<std::unique_ptr<vi::ViNic>> nics_;
     std::vector<std::unique_ptr<dsa::DsaClient>> clients_;
-    std::vector<std::unique_ptr<dsa::MirroredDevice>> mirrors_;
-    std::vector<std::unique_ptr<iscsi::Target>> iscsi_targets_;
     std::vector<std::unique_ptr<iscsi::Initiator>> iscsi_initiators_;
+    std::vector<std::unique_ptr<dsa::MirroredDevice>> mirrors_;
     std::unique_ptr<dsa::StripedDevice> striped_;
 
     std::unique_ptr<cluster::MetaService> meta_service_;

@@ -127,7 +127,7 @@ Rng::fork()
 }
 
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta)
-    : n_(n), theta_(theta)
+    : n_(n)
 {
     assert(n > 0);
     cdf_.resize(n);

@@ -70,11 +70,9 @@ class ZipfGenerator
     uint64_t sample(Rng &rng) const;
 
     uint64_t n() const { return n_; }
-    double theta() const { return theta_; }
 
   private:
     uint64_t n_;
-    double theta_;
     std::vector<double> cdf_;
 };
 

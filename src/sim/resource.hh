@@ -83,7 +83,6 @@ class ServerPool
     }
 
     int servers() const { return servers_; }
-    int busy() const { return busy_; }
     size_t queuedCount() const { return waiting_.size(); }
     const std::string &name() const { return name_; }
 

@@ -86,6 +86,17 @@ transferTime(uint64_t bytes, double bytes_per_second)
     return static_cast<Tick>(ns + 0.999999);
 }
 
+/**
+ * CPU ticks to process @p bytes at @p per_kb per KB, each started KB
+ * charged in full: the CRC32C digest and memcpy costs of the DSA
+ * client, the storage nodes and the iSCSI/TCP path.
+ */
+constexpr Tick
+perKbTicks(uint64_t bytes, Tick per_kb)
+{
+    return static_cast<Tick>((bytes + 1023) / 1024) * per_kb;
+}
+
 } // namespace v3sim::sim
 
 #endif // V3SIM_SIM_TYPES_HH

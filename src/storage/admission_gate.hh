@@ -76,8 +76,6 @@ class AdmissionGate
     void shedAll();
 
     /** @name Statistics @{ */
-    uint64_t admittedCount() const { return admitted_.value(); }
-    uint64_t queuedCount() const { return queued_ct_.value(); }
     uint64_t shedCount() const { return shed_.value(); }
     const AdmissionQueue &queue() const { return queue_; }
     /** @} */

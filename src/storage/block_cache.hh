@@ -105,7 +105,6 @@ class BlockCache
 
     virtual uint64_t residentBlocks() const = 0;
 
-    uint64_t blockSize() const { return block_size_; }
     uint64_t capacityBlocks() const { return capacity_; }
 
     /** Base address of the frame pool (for one-shot registration). */

@@ -66,18 +66,6 @@ class DiskManager
         return total;
     }
 
-    /** Mean utilization across spindles. */
-    double
-    meanUtilization() const
-    {
-        if (disks_.empty())
-            return 0.0;
-        double sum = 0;
-        for (const auto &d : disks_)
-            sum += d->utilization();
-        return sum / static_cast<double>(disks_.size());
-    }
-
     void
     resetStats()
     {

@@ -14,15 +14,6 @@ using osmodel::CpuLease;
 namespace
 {
 
-constexpr uint64_t kSector = disk::DiskStore::kSectorSize;
-
-/** CPU ticks to CRC32C @p len bytes at @p per_kb. */
-sim::Tick
-digestTicks(uint64_t len, sim::Tick per_kb)
-{
-    return static_cast<sim::Tick>((len + 1023) / 1024) * per_kb;
-}
-
 /**
  * Determinism arbitration key (DESIGN.md §8.3): hash-combines a
  * per-connection content value (the connection's unique staging base)
@@ -41,17 +32,9 @@ orderKey(uint64_t conn_salt, uint64_t v)
 
 V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
                    V3ServerConfig config)
-    : sim_(sim),
+    : StorageNode(sim, config, "server." + config.name),
       fabric_(fabric),
       config_(std::move(config)),
-      node_(sim, osmodel::NodeConfig{config_.name, config_.cpus,
-                                     config_.host_costs,
-                                     config_.phantom_memory}),
-      metric_prefix_(
-          sim.metrics().uniquePrefix("server." + config_.name)),
-      path_(sim, node_, metric_prefix_, config_),
-      reads_(sim.metrics().counter(metric_prefix_ + ".reads")),
-      writes_(sim.metrics().counter(metric_prefix_ + ".writes")),
       hints_(sim.metrics().counter(metric_prefix_ + ".hints")),
       prefetched_(
           sim.metrics().counter(metric_prefix_ + ".prefetched")),
@@ -60,12 +43,7 @@ V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
       crashes_(sim.metrics().counter(metric_prefix_ + ".crashes")),
       restarts_(sim.metrics().counter(metric_prefix_ + ".restarts")),
       bad_requests_(sim.metrics().counter(
-          metric_prefix_ + ".integrity_bad_requests")),
-      digest_mismatches_(sim.metrics().counter(
-          metric_prefix_ + ".integrity_digest_mismatches")),
-      server_time_(
-          sim.metrics().sampler(metric_prefix_ + ".server_time_ns")),
-      admission_gate_(sim, metric_prefix_, config_.admission)
+          metric_prefix_ + ".integrity_bad_requests"))
 {
     // The server manages its own NIC registration: the cache, the
     // staging areas and the message buffers are registered once at
@@ -315,7 +293,7 @@ sim::Task<>
 V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
                         uint64_t recv_cookie)
 {
-    const sim::Tick arrival = sim_.now();
+    const sim::Tick arrival = node_.sim().now();
     CpuLease lease = co_await node_.cpus().acquire(
         osmodel::CpuPool::kNormalPriority,
         orderKey(conn.staging_base, req.offset));
@@ -415,7 +393,7 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
     }
     co_await lease.run(config_.complete_cost, CpuCat::Other);
     postCompletion(conn, req, status, payload_digest, digest_valid);
-    server_time_.add(static_cast<double>(sim_.now() - arrival));
+    server_time_.add(static_cast<double>(node_.sim().now() - arrival));
     repostRecv(conn, recv_cookie);
     node_.cpus().release();
     if (gated)
@@ -429,8 +407,7 @@ V3Server::handleHello(Connection &conn, const dsa::RequestMsg &req,
     co_await lease.run(config_.complete_cost, CpuCat::Other);
     auto ack = std::make_shared<dsa::ServerMsg>();
     ack->kind = dsa::ServerMsg::Kind::HelloAck;
-    disk::Volume *volume = path_.volumeManager().volume(req.volume);
-    ack->hello.volume_capacity = volume ? volume->capacity() : 0;
+    ack->hello.volume_capacity = volumeCapacity(req.volume);
     ack->hello.request_credits = config_.request_credits;
     ack->hello.staging_slots = config_.staging_slots;
     ack->hello.staging_slot_bytes =
@@ -495,11 +472,8 @@ sim::Task<dsa::IoStatus>
 V3Server::doRead(Connection &conn, const dsa::RequestMsg &req,
                  CpuLease &lease, uint32_t &digest, bool &digest_valid)
 {
-    disk::Volume *volume = path_.volumeManager().volume(req.volume);
-    if (!volume || req.len == 0 ||
-        req.offset + req.len > volume->capacity()) {
+    if (!validRange(req.volume, req.offset, req.len, false))
         co_return dsa::IoStatus::Error;
-    }
 
     // Transient pieces (caching off, or a fill that could not use a
     // frame) are RDMA sources too: register each with the NIC the
@@ -526,7 +500,7 @@ V3Server::doRead(Connection &conn, const dsa::RequestMsg &req,
         sim::MemorySpace &mem = node_.memory();
         // The response digest and the first piece's doorbell run
         // back to back: one charge.
-        sim::Tick charge = digestTicks(req.len, config_.digest_per_kb);
+        sim::Tick charge = sim::perKbTicks(req.len, config_.digest_per_kb);
         uint32_t crc = 0;
         uint64_t pos = 0;
         sent = true;
@@ -567,10 +541,7 @@ sim::Task<dsa::IoStatus>
 V3Server::doWrite(Connection &conn, const dsa::RequestMsg &req,
                   CpuLease &lease)
 {
-    disk::Volume *volume = path_.volumeManager().volume(req.volume);
-    if (!volume || req.len == 0 ||
-        req.offset + req.len > volume->capacity() ||
-        req.offset % kSector != 0 || req.len % kSector != 0 ||
+    if (!validRange(req.volume, req.offset, req.len, true) ||
         req.staging_slot >= config_.staging_slots ||
         req.len > config_.staging_slot_bytes) {
         co_return dsa::IoStatus::Error;
@@ -586,7 +557,7 @@ V3Server::doWrite(Connection &conn, const dsa::RequestMsg &req,
     // it: a block damaged on the way in must never become "the"
     // durable copy. Taint covers phantom runs; the CRC compare
     // additionally covers real-memory runs.
-    co_await lease.run(digestTicks(req.len, config_.digest_per_kb),
+    co_await lease.run(sim::perKbTicks(req.len, config_.digest_per_kb),
                        CpuCat::Other);
     const bool tainted =
         conn.staging_tainted.erase(req.staging_slot) > 0;
@@ -613,11 +584,8 @@ V3Server::doWrite(Connection &conn, const dsa::RequestMsg &req,
 sim::Task<dsa::IoStatus>
 V3Server::doHint(const dsa::RequestMsg &req, CpuLease &lease)
 {
-    disk::Volume *volume = path_.volumeManager().volume(req.volume);
-    if (!volume || req.len == 0 ||
-        req.offset + req.len > volume->capacity()) {
+    if (!validRange(req.volume, req.offset, req.len, false))
         co_return dsa::IoStatus::Error;
-    }
     BlockCache *cache = path_.cache();
     if (!cache)
         co_return dsa::IoStatus::Ok; // nothing to manage; still acked

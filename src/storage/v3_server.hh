@@ -3,10 +3,10 @@
  * The V3 storage server: request manager pipeline over the cache,
  * volume and disk managers (Figure 1 of the paper).
  *
- * One V3Server is one storage node: a 2-CPU host (Table 2) with a VI
- * NIC, a large block cache, and locally attached disks organized
- * into volumes. Clients connect VI endpoints to it and speak the DSA
- * protocol (dsa/protocol.hh).
+ * One V3Server is one storage::StorageNode (a 2-CPU host, a large
+ * block cache, and locally attached disks organized into volumes)
+ * behind a VI NIC. Clients connect VI endpoints to it and speak the
+ * DSA protocol (dsa/protocol.hh).
  *
  * Request manager structure, per section 2.1: the server "runs at
  * user level and communicates with clients with user-level VI
@@ -57,24 +57,20 @@
 
 #include "dsa/protocol.hh"
 #include "net/fabric.hh"
-#include "osmodel/node.hh"
 #include "sim/simulation.hh"
-#include "sim/stats.hh"
 #include "sim/task.hh"
-#include "storage/admission_gate.hh"
-#include "storage/block_path.hh"
+#include "storage/storage_node.hh"
 #include "vi/fault_injector.hh"
 #include "vi/vi_nic.hh"
 
 namespace v3sim::storage
 {
 
-/** Static configuration of one V3 storage node. */
-struct V3ServerConfig : BlockPathConfig
+/** Static configuration of one V3 storage node: the shared node
+ *  fields plus the VI front end's flow-control grants. */
+struct V3ServerConfig : StorageNodeConfig
 {
-    std::string name = "v3";
-    int cpus = 2;
-    osmodel::HostCosts host_costs = osmodel::HostCosts::storageNode();
+    V3ServerConfig() : StorageNodeConfig("v3", sim::usecs(0.04)) {}
 
     /** Outstanding-request credits granted per client connection
      *  (matches posted receive descriptors — DSA flow control). */
@@ -85,49 +81,19 @@ struct V3ServerConfig : BlockPathConfig
 
     /** Size of one staging slot (must cover the largest write). */
     uint64_t staging_slot_bytes = 128 * 1024;
-
-    /** Phantom memory for large workload runs. */
-    bool phantom_memory = false;
-
-    /** @name Request-manager CPU costs (charged on the server CPUs)
-     * @{ */
-    sim::Tick parse_cost = sim::usecs(5.0);
-    sim::Tick complete_cost = sim::usecs(4.0);
-    /** Per-KB cost of the end-to-end CRC32C digest (verify staged
-     *  write payloads, digest read responses). Charged in phantom
-     *  and real-memory runs alike; see dsa::payloadDigest. */
-    sim::Tick digest_per_kb = sim::usecs(0.04);
-    /** @} */
-
-    /** Overload control: bounded admission queue + per-tenant DRR
-     *  fair queueing in front of the data path (DESIGN.md §12).
-     *  Disabled by default — the paper's closed-loop experiments run
-     *  the ungated pipeline. */
-    AdmissionConfig admission;
 };
 
 /** One V3 storage node. */
-class V3Server : public vi::NodeFaultTarget
+class V3Server : public StorageNode, public vi::NodeFaultTarget
 {
   public:
     V3Server(sim::Simulation &sim, net::Fabric &fabric,
              V3ServerConfig config);
 
-    V3Server(const V3Server &) = delete;
-    V3Server &operator=(const V3Server &) = delete;
-
-    osmodel::Node &node() { return node_; }
     vi::ViNic &nic() { return *nic_; }
-    DiskManager &diskManager() { return path_.diskManager(); }
-    VolumeManager &volumeManager() { return path_.volumeManager(); }
-    BlockCache *cache() { return path_.cache(); }
     const V3ServerConfig &config() const { return config_; }
 
-    /**
-     * Begins accepting client connections. Call after volumes are
-     * assembled.
-     */
-    void start();
+    void start() override;
 
     /**
      * Fail-stop crash: the NIC port leaves the fabric (in-flight
@@ -157,9 +123,7 @@ class V3Server : public vi::NodeFaultTarget
      */
     uint64_t bootEpoch() const { return boot_epoch_; }
 
-    /** @name Statistics @{ */
-    uint64_t readCount() const { return reads_.value(); }
-    uint64_t writeCount() const { return writes_.value(); }
+    /** @name Statistics (beyond StorageNode's) @{ */
     uint64_t hintCount() const { return hints_.value(); }
     uint64_t prefetchedBlocks() const { return prefetched_.value(); }
     uint64_t retransmitHits() const { return retransmit_hits_.value(); }
@@ -168,42 +132,6 @@ class V3Server : public vi::NodeFaultTarget
 
     /** Request messages dropped because they arrived damaged. */
     uint64_t badRequestCount() const { return bad_requests_.value(); }
-    /** Write payloads rejected by the staging digest/taint check. */
-    uint64_t
-    digestMismatchCount() const
-    {
-        return digest_mismatches_.value();
-    }
-    /** Verify-on-read hits: blocks found damaged on disk. */
-    uint64_t
-    integrityErrorCount() const
-    {
-        return path_.integrityErrorCount();
-    }
-
-    /** @name Admission gate (config.admission; DESIGN.md §12) @{ */
-    /** Requests refused with IoStatus::Busy at the queue bound. */
-    uint64_t shedCount() const { return admission_gate_.shedCount(); }
-    /** Requests that waited in the admission queue. */
-    uint64_t
-    admissionQueuedCount() const
-    {
-        return admission_gate_.queuedCount();
-    }
-    /** Requests that passed the gate (directly or via the queue). */
-    uint64_t
-    admittedCount() const
-    {
-        return admission_gate_.admittedCount();
-    }
-    /** @} */
-
-    /** Server-resident time per request: arrival at the request
-     *  manager to completion post (the Figure 4 "V3 Storage Server"
-     *  component). */
-    const sim::Sampler &serverTime() const { return server_time_.raw(); }
-
-    double cacheHitRatio() const { return path_.cacheHitRatio(); }
     /** @} */
 
   private:
@@ -306,10 +234,8 @@ class V3Server : public vi::NodeFaultTarget
     /** Prunes the retransmission filter below the client's ack. */
     static void pruneSeqs(Connection &conn, uint64_t ack_below);
 
-    sim::Simulation &sim_;
     net::Fabric &fabric_;
     V3ServerConfig config_;
-    osmodel::Node node_;
     std::unique_ptr<vi::ViNic> nic_;
     vi::MemHandle cache_handle_;
 
@@ -317,27 +243,12 @@ class V3Server : public vi::NodeFaultTarget
     bool crashed_ = false;
     uint64_t boot_epoch_ = 0;
 
-    /// Registry path prefix ("server.<name>", uniquified); must
-    /// precede the metric references so it is initialised first.
-    std::string metric_prefix_;
-
-    BlockPath path_; ///< registers under metric_prefix_
-
-    sim::CounterHandle reads_;
-    sim::CounterHandle writes_;
     sim::CounterHandle hints_;
     sim::CounterHandle prefetched_;
     sim::CounterHandle retransmit_hits_;
     sim::CounterHandle crashes_;
     sim::CounterHandle restarts_;
     sim::CounterHandle bad_requests_;
-    sim::CounterHandle digest_mismatches_;
-    sim::SamplerHandle server_time_;
-
-    /** Overload-control gate in front of the data path
-     *  (config_.admission; DESIGN.md §12). Declared after
-     *  metric_prefix_: it registers its own metrics under it. */
-    AdmissionGate admission_gate_;
 };
 
 } // namespace v3sim::storage

@@ -55,27 +55,11 @@ class VolumeManager
             std::move(children), stripe_unit));
     }
 
-    /** Convenience: concatenation of @p disks. */
-    uint32_t
-    addConcatVolume(const std::vector<disk::Disk *> &disks)
-    {
-        std::vector<disk::Volume *> children;
-        for (disk::Disk *d : disks) {
-            parts_.push_back(
-                std::make_unique<disk::SingleDiskVolume>(*d));
-            children.push_back(parts_.back().get());
-        }
-        return addVolume(
-            std::make_unique<disk::ConcatVolume>(std::move(children)));
-    }
-
     disk::Volume *
     volume(uint32_t id)
     {
         return id < volumes_.size() ? volumes_[id].get() : nullptr;
     }
-
-    size_t volumeCount() const { return volumes_.size(); }
 
   private:
     std::vector<std::unique_ptr<disk::Volume>> volumes_;

@@ -74,13 +74,6 @@ FaultInjector::setCorruptRate(double p)
 }
 
 void
-FaultInjector::corruptWindow(sim::Tick from, sim::Tick until)
-{
-    corrupt_from_ = from;
-    corrupt_until_ = until;
-}
-
-void
 FaultInjector::corruptRdmaNext(ViNic &nic, int count)
 {
     nic.corruptNextRdma(count);
@@ -209,8 +202,6 @@ FaultInjector::clear()
     corrupt_next_ = 0;
     corrupt_towards_.reset();
     corrupt_rate_ = 0.0;
-    corrupt_from_ = 0;
-    corrupt_until_ = 0;
     cancelScheduled();
 }
 
@@ -248,10 +239,6 @@ FaultInjector::shouldCorrupt(const net::Packet &packet)
     }
     if (!corrupt && corrupt_rate_ > 0.0 &&
         corrupt_rng_->bernoulli(corrupt_rate_)) {
-        corrupt = true;
-    }
-    if (!corrupt && sim_.now() >= corrupt_from_ &&
-        sim_.now() < corrupt_until_) {
         corrupt = true;
     }
 

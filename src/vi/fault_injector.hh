@@ -13,10 +13,10 @@
  *  - dropNext(n): lose the next n packets (optionally one direction);
  *  - lossRate(p): Bernoulli loss until cleared;
  *  - blackout(from, until): total loss inside a time window;
- *  - corruptNext(n) / corruptRate(p) / corruptWindow(from, until):
- *    the same three patterns, but the packet is delivered with a
- *    damaged payload instead of dropped — exercising the end-to-end
- *    digest machinery instead of retransmission timers;
+ *  - corruptNext(n) / corruptRate(p): the first two patterns, but
+ *    the packet is delivered with a damaged payload instead of
+ *    dropped — exercising the end-to-end digest machinery instead of
+ *    retransmission timers;
  *  - corruptRdmaNext(nic, n): damage the next n inbound RDMA
  *    fragments at a specific NIC's DMA engine (past the link CRC);
  *  - injectLatentError / setTornWriteRate: silent media corruption
@@ -95,9 +95,6 @@ class FaultInjector
     /** Random per-packet corruption with probability @p p until
      *  cleared (0 clears). Independent of the loss process. */
     void setCorruptRate(double p);
-
-    /** Corrupts everything delivered in [from, until). */
-    void corruptWindow(sim::Tick from, sim::Tick until);
 
     /** Damages the next @p count inbound RDMA fragments at @p nic's
      *  DMA engine (see ViNic::corruptNextRdma). */
@@ -220,8 +217,6 @@ class FaultInjector
     int corrupt_next_ = 0;
     std::optional<net::PortId> corrupt_towards_;
     double corrupt_rate_ = 0.0;
-    sim::Tick corrupt_from_ = 0;
-    sim::Tick corrupt_until_ = 0;
 
     /** Handles of scheduled break/crash/restart events; fired ones
      *  are pruned opportunistically on the next track(). */

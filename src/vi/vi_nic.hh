@@ -67,14 +67,11 @@ class ViEndpoint
     EndpointState state() const { return state_; }
     ViNic &nic() { return *nic_; }
 
-    net::PortId remotePort() const { return remote_port_; }
     EndpointId remoteEndpoint() const { return remote_ep_; }
 
     /** Receive descriptors currently posted and unconsumed. */
     size_t postedRecvCount() const { return recv_queue_.size(); }
 
-    CompletionQueue *sendCq() { return send_cq_; }
-    CompletionQueue *recvCq() { return recv_cq_; }
 
     /** Observer for connection state changes (connected, error). */
     void
@@ -252,11 +249,6 @@ class ViNic
     uint64_t protectionErrors() const
     {
         return protection_errors_.value();
-    }
-    /** Inbound packets this NIC delivered with damaged payloads. */
-    uint64_t packetsCorrupted() const
-    {
-        return packets_corrupted_.value();
     }
     /** @} */
 

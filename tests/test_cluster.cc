@@ -288,9 +288,8 @@ class ClusterTest : public ::testing::Test
         storage_params.v3_nodes = 4;
         storage_params.disks_per_node = 2;
         storage_params.cache_bytes_per_node = 4 * util::kMiB;
-        storage_params.mirrored = true;
+        storage_params.layout = scenarios::Layout::Cluster;
         storage_params.mirror.probe_interval = sim::msecs(2);
-        storage_params.cluster = true;
 
         bed_ = std::make_unique<Testbed>(
             Backend::Cdsa, HostParams::midSize(), storage_params,

@@ -170,7 +170,7 @@ class IntegrityTest : public ::testing::Test
         storage_params.disk_spec = disk::DiskSpec::scsi10k();
         storage_params.disk_spec.capacity_bytes = 2 * util::kMiB;
         storage_params.cache_bytes_per_node = 4 * util::kMiB;
-        storage_params.mirrored = true;
+        storage_params.layout = scenarios::Layout::Mirrored;
         storage_params.mirror.probe_interval = sim::msecs(2);
         storage_params.mirror.scrub_rate_bytes_per_sec = scrub_rate;
         storage_params.mirror.scrub_chunk = 64 * util::kKiB;

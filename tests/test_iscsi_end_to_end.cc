@@ -213,7 +213,7 @@ TEST(IscsiTestbed, TestbedIscsiBackend)
     scenarios::Testbed bed(Backend::Iscsi, HostParams::midSize(),
                            storage);
     ASSERT_TRUE(bed.connectAll());
-    ASSERT_EQ(bed.iscsiTargets().size(), 4u);
+    ASSERT_EQ(bed.nodes().size(), 4u);
     ASSERT_EQ(bed.iscsiInitiators().size(), 4u);
 
     const uint64_t len = 64 * 1024; // crosses a stripe boundary
@@ -229,6 +229,11 @@ TEST(IscsiTestbed, TestbedIscsiBackend)
     EXPECT_TRUE(ok);
     // The rival's signature: I/O completions arrive by interrupt.
     EXPECT_GT(bed.hostInterrupts(), 0u);
+    // The node aggregates read the targets as they read V3 servers.
+    EXPECT_EQ(bed.caches().size(), 4u);
+    EXPECT_GT(bed.diskUtilization(), 0.0);
+    EXPECT_GE(bed.serverCacheHitRatio(), 0.0);
+    EXPECT_LE(bed.serverCacheHitRatio(), 1.0);
 }
 
 } // namespace

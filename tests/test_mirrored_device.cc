@@ -46,7 +46,7 @@ class MirroredDeviceTest : public ::testing::Test
         storage_params.v3_nodes = 2;
         storage_params.disks_per_node = 2;
         storage_params.cache_bytes_per_node = 4 * util::kMiB;
-        storage_params.mirrored = true;
+        storage_params.layout = scenarios::Layout::Mirrored;
         storage_params.mirror.probe_interval = sim::msecs(2);
 
         bed_ = std::make_unique<Testbed>(
@@ -260,7 +260,7 @@ runDoubleFault(uint64_t tie_seed)
     storage_params.v3_nodes = 2;
     storage_params.disks_per_node = 2;
     storage_params.cache_bytes_per_node = 4 * util::kMiB;
-    storage_params.mirrored = true;
+    storage_params.layout = scenarios::Layout::Mirrored;
     storage_params.mirror.probe_interval = sim::msecs(2);
 
     Testbed bed(Backend::Cdsa, HostParams::midSize(),

@@ -17,17 +17,38 @@ namespace
 
 TEST(Testbed, AssemblesV3Platform)
 {
-    Testbed testbed(Backend::Cdsa, HostParams::midSize(),
-                    StorageParams::midSize());
-    EXPECT_TRUE(testbed.connectAll());
-    EXPECT_EQ(testbed.servers().size(), 4u);
-    EXPECT_EQ(testbed.clients().size(), 4u);
-    EXPECT_GT(testbed.device().capacity(), 0u);
-    // 4 nodes x 15 disks.
-    size_t disks = 0;
-    for (auto &server : testbed.servers())
-        disks += server->diskManager().diskCount();
-    EXPECT_EQ(disks, 60u);
+    // The same four nodes under each layout: striped, node pairs
+    // mirrored (RAID-10), and RAID-10 run as a cluster volume service.
+    uint64_t striped_capacity = 0;
+    for (const Layout layout :
+         {Layout::Striped, Layout::Mirrored, Layout::Cluster}) {
+        SCOPED_TRACE(static_cast<int>(layout));
+        StorageParams storage = StorageParams::midSize();
+        storage.layout = layout;
+        Testbed testbed(Backend::Cdsa, HostParams::midSize(), storage);
+        EXPECT_TRUE(testbed.connectAll());
+        EXPECT_EQ(testbed.servers().size(), 4u);
+        EXPECT_EQ(testbed.clients().size(), 4u);
+        EXPECT_GT(testbed.device().capacity(), 0u);
+        // 4 nodes x 15 disks.
+        size_t disks = 0;
+        for (auto &server : testbed.servers())
+            disks += server->diskManager().diskCount();
+        EXPECT_EQ(disks, 60u);
+
+        const bool cluster = layout == Layout::Cluster;
+        EXPECT_EQ(testbed.mirrors().size(),
+                  layout == Layout::Striped ? 0u : 2u);
+        EXPECT_EQ(testbed.meta() != nullptr, cluster);
+        EXPECT_EQ(testbed.directory() != nullptr, cluster);
+        EXPECT_EQ(testbed.nodeTargets().size(), cluster ? 4u : 0u);
+        // A mirror exposes one leg's capacity: half the striped
+        // volume.
+        if (layout == Layout::Striped)
+            striped_capacity = testbed.device().capacity();
+        else
+            EXPECT_EQ(testbed.device().capacity(), striped_capacity / 2);
+    }
 }
 
 TEST(Testbed, AssemblesLocalPlatform)
@@ -39,6 +60,19 @@ TEST(Testbed, AssemblesLocalPlatform)
     EXPECT_NE(testbed.local(), nullptr);
     EXPECT_TRUE(testbed.servers().empty());
 }
+
+#ifndef NDEBUG // the layout check is an assert
+TEST(TestbedDeathTest, OnlyDsaClientsPairIntoMirrors)
+{
+    StorageParams storage;
+    storage.layout = Layout::Mirrored;
+    EXPECT_DEATH(Testbed(Backend::Local, HostParams::midSize(), storage),
+                 "DSA clients");
+    storage.layout = Layout::Cluster;
+    EXPECT_DEATH(Testbed(Backend::Iscsi, HostParams::midSize(), storage),
+                 "DSA clients");
+}
+#endif
 
 TEST(RawVi, SmallMessageNearSevenMicroseconds)
 {
