@@ -436,12 +436,8 @@ fig05(Suite &, util::BenchReporter &out)
     for (const int outstanding : {1, 2, 4, 8, 16, 32}) {
         const auto r = rig.measureThroughput(8192, true, outstanding,
                                              window, true);
-        // Tail latency over the same window, from the client histogram.
-        const sim::Histogram *hist = rig.sim().metrics().findHistogram(
-            "client.kdsa0.latency_hist_ns");
         table.add({outstanding, r.mean_response_us / 1e3, r.mbps,
-                   hist ? hist->quantile(0.95) / 1e6 : 0.0,
-                   hist ? hist->quantile(0.99) / 1e6 : 0.0});
+                   r.p95_us / 1e3, r.p99_us / 1e3});
     }
     table.print();
     closingNote(out, "anchors",
@@ -599,7 +595,7 @@ optimizationStack(Suite &suite, util::BenchReporter &out,
         for (const int c : {0, 1}) {
             TpccRunConfig config = tpccConfig(
                 platform, c == 0 ? Backend::Kdsa : Backend::Cdsa);
-            config.opts = step.opts;
+            config.dsa.opts = step.opts;
             const double tpmc = suite.tpcc(config, out).second.oltp.tpmc;
             if (base[c] == 0)
                 base[c] = tpmc;
@@ -821,8 +817,8 @@ abl_intr_threshold(Suite &suite, util::BenchReporter &out)
     for (const auto &[high, low] : marks) {
         TpccRunConfig config =
             tpccConfig(Platform::MidSize, Backend::Kdsa, kAblationWindow);
-        config.intr_high_watermark = high;
-        config.intr_low_watermark = low;
+        config.dsa.intr_high_watermark = high;
+        config.dsa.intr_low_watermark = low;
         const TpccRun &run = suite.tpcc(config, out);
         if (base == 0)
             base = run.second.oltp.tpmc;
@@ -851,7 +847,7 @@ abl_poll_interval(Suite &suite, util::BenchReporter &out)
     for (const int interval_us : {5, 10, 25, 50, 100, 250}) {
         TpccRunConfig config =
             tpccConfig(Platform::MidSize, Backend::Cdsa, kAblationWindow);
-        config.poll_interval = sim::usecs(interval_us);
+        config.dsa.poll_interval = sim::usecs(interval_us);
         const TpccRunResult &result = suite.tpcc(config, out).second;
         if (base == 0)
             base = result.oltp.tpmc;
@@ -940,7 +936,7 @@ abl_flow_credits(Suite &suite, util::BenchReporter &out)
     for (const uint32_t credits : {2u, 4u, 8u, 16u, 32u, 64u}) {
         TpccRunConfig config =
             tpccConfig(Platform::MidSize, Backend::Kdsa, kAblationWindow);
-        config.flow_credits = credits;
+        config.dsa.max_outstanding = credits;
         const TpccRunResult &result = suite.tpcc(config, out).second;
         if (base == 0)
             base = result.oltp.tpmc;
@@ -970,7 +966,7 @@ abl_miniport(Suite &suite, util::BenchReporter &out)
     for (const int layers : {0, 1, 2, 4}) {
         TpccRunConfig config =
             tpccConfig(Platform::MidSize, Backend::Kdsa, kAblationWindow);
-        config.kdsa_extra_layers = layers;
+        config.dsa.kdsa_extra_layers = layers;
         const TpccRunResult &result = suite.tpcc(config, out).second;
         if (base == 0)
             base = result.oltp.tpmc;

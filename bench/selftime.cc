@@ -135,7 +135,7 @@ runTpccProfile(Platform platform, bool quick,
     TpccRunConfig config;
     config.platform = platform;
     config.backend = Backend::Cdsa;
-    config.opts = opts;
+    config.dsa.opts = opts;
     config.seed = 1;
     if (quick) {
         config.warmup = sim::msecs(60);

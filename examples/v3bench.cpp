@@ -140,7 +140,7 @@ runTpccMode(const Options &options)
                                    ? options.window_ms
                                    : 800);
     if (!options.opts_on)
-        config.opts = dsa::DsaOptimizations::none();
+        config.dsa.opts = dsa::DsaOptimizations::none();
 
     std::printf("TPC-C %s, %s, optimizations %s ...\n",
                 options.platform == Platform::Large ? "large"

@@ -50,9 +50,8 @@ class BlockDevice
      * As read/write above, but stamps the request with the issuing
      * tenant id so the server's admission gate can fair-queue by
      * tenant (DESIGN.md §12). Devices that do not plumb the tag
-     * (local disk, mirrors) fall back to the untagged path; a shed
-     * request (IoStatus::Busy) surfaces as `false` here, like any
-     * other failed I/O.
+     * (local disk, mirrors) drop it; a shed request (IoStatus::Busy)
+     * surfaces as `false` here, like any other failed I/O.
      * @{ */
     virtual sim::Task<bool>
     read(uint64_t offset, uint64_t len, sim::Addr buffer,

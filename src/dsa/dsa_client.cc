@@ -53,8 +53,8 @@ resolve(sim::Completion<bool> *&waiter, bool ok)
 DsaClient::DsaClient(DsaImpl impl, osmodel::Node &node, vi::ViNic &nic,
                      net::PortId server_port, uint32_t volume,
                      DsaConfig config)
-    : impl_(impl),
-      node_(node),
+    : Session(node, clientPathSegment(impl, volume)),
+      impl_(impl),
       nic_(nic),
       server_port_(server_port),
       volume_(volume),
@@ -63,9 +63,6 @@ DsaClient::DsaClient(DsaImpl impl, osmodel::Node &node, vi::ViNic &nic,
                 std::string(dsaImplName(impl)) + ".lock"),
       vi_send_lock_(node.sim(), node.costs(), "vi.send"),
       vi_recv_lock_(node.sim(), node.costs(), "vi.recv"),
-      metric_prefix_(node.sim().metrics().uniquePrefix(
-          clientPathSegment(impl, volume))),
-      ios_(node.sim().metrics().counter(metric_prefix_ + ".ios")),
       retransmits_(node.sim().metrics().counter(metric_prefix_ +
                                                 ".retransmits")),
       reconnects_(node.sim().metrics().counter(metric_prefix_ +
@@ -82,11 +79,7 @@ DsaClient::DsaClient(DsaImpl impl, osmodel::Node &node, vi::ViNic &nic,
           metric_prefix_ + ".integrity_digest_mismatches")),
       integrity_errors_(node.sim().metrics().counter(
           metric_prefix_ + ".integrity_errors")),
-      busy_(node.sim().metrics().counter(metric_prefix_ + ".busy")),
-      latency_(node.sim().metrics().sampler(metric_prefix_ +
-                                            ".latency_ns")),
-      latency_hist_(node.sim().metrics().histogram(metric_prefix_ +
-                                                   ".latency_hist_ns"))
+      busy_(node.sim().metrics().counter(metric_prefix_ + ".busy"))
 {
     // wDSA cannot apply the section-3 optimizations: it is bound to
     // exact Win32 semantics (section 3: "opportunities for
@@ -397,32 +390,6 @@ DsaClient::settle(PendingIo &io, IoStatus status)
 }
 
 sim::Task<bool>
-DsaClient::read(uint64_t offset, uint64_t len, sim::Addr buffer)
-{
-    return submit(false, offset, len, buffer, 0);
-}
-
-sim::Task<bool>
-DsaClient::write(uint64_t offset, uint64_t len, sim::Addr buffer)
-{
-    return submit(true, offset, len, buffer, 0);
-}
-
-sim::Task<bool>
-DsaClient::read(uint64_t offset, uint64_t len, sim::Addr buffer,
-                uint64_t tenant)
-{
-    return submit(false, offset, len, buffer, tenant);
-}
-
-sim::Task<bool>
-DsaClient::write(uint64_t offset, uint64_t len, sim::Addr buffer,
-                 uint64_t tenant)
-{
-    return submit(true, offset, len, buffer, tenant);
-}
-
-sim::Task<bool>
 DsaClient::hint(HintKind kind, uint64_t offset, uint64_t len)
 {
     assert(impl_ == DsaImpl::Cdsa &&
@@ -453,8 +420,8 @@ DsaClient::hint(HintKind kind, uint64_t offset, uint64_t len)
 }
 
 sim::Task<bool>
-DsaClient::submit(bool is_write, uint64_t offset, uint64_t len,
-                  sim::Addr buffer, uint64_t tenant)
+DsaClient::io(bool is_write, uint64_t offset, uint64_t len,
+              sim::Addr buffer, uint64_t tenant)
 {
     if (dead_)
         co_return false;
@@ -512,11 +479,7 @@ DsaClient::submit(bool is_write, uint64_t offset, uint64_t len,
         staging_sem_->release();
     }
     credits_->release();
-    ios_.increment();
-    const double lat =
-        static_cast<double>(node_.sim().now() - io.issued_at);
-    latency_.add(lat);
-    latency_hist_.add(lat);
+    record(io.issued_at);
     co_return ok;
 }
 

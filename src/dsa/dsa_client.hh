@@ -54,15 +54,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dsa/block_device.hh"
 #include "dsa/dsa_costs.hh"
 #include "dsa/protocol.hh"
 #include "dsa/reg_cache.hh"
+#include "dsa/session.hh"
 #include "net/fabric.hh"
 #include "osmodel/node.hh"
 #include "osmodel/sim_lock.hh"
 #include "sim/simulation.hh"
-#include "sim/stats.hh"
 #include "sim/task.hh"
 #include "vi/vi_nic.hh"
 
@@ -80,7 +79,7 @@ enum class DsaImpl : uint8_t
 const char *dsaImplName(DsaImpl impl);
 
 /** One DSA connection: client NIC endpoint to one V3 volume. */
-class DsaClient : public BlockDevice
+class DsaClient : public Session
 {
   public:
     /**
@@ -96,25 +95,11 @@ class DsaClient : public BlockDevice
 
     ~DsaClient() override;
 
-    /**
-     * Connects, runs Hello, and sizes flow control from the server's
-     * grant. Must complete before the first read/write.
-     */
-    sim::Task<bool> connect();
+    /** Connects, runs Hello, and sizes flow control from the
+     *  server's grant. */
+    sim::Task<bool> connect() override;
 
-    /** BlockDevice API. The tenant-tagged overloads stamp the
-     *  request so the server's admission gate can fair-queue by
-     *  tenant (DESIGN.md §12); the untagged ones send tenant 0. @{ */
-    sim::Task<bool> read(uint64_t offset, uint64_t len,
-                         sim::Addr buffer) override;
-    sim::Task<bool> write(uint64_t offset, uint64_t len,
-                          sim::Addr buffer) override;
-    sim::Task<bool> read(uint64_t offset, uint64_t len,
-                         sim::Addr buffer, uint64_t tenant) override;
-    sim::Task<bool> write(uint64_t offset, uint64_t len,
-                          sim::Addr buffer, uint64_t tenant) override;
     uint64_t capacity() const override { return capacity_; }
-    /** @} */
 
     /**
      * Sends a caching/prefetch hint for [offset, offset+len) to the
@@ -139,8 +124,7 @@ class DsaClient : public BlockDevice
     sim::Task<bool> revive();
 
     /** @name Statistics @{ */
-    uint64_t ioCount() const { return ios_.value(); }
-    uint64_t retransmitCount() const { return retransmits_.value(); }
+    uint64_t retransmitCount() const override { return retransmits_.value(); }
     uint64_t reconnectCount() const { return reconnects_.value(); }
     /** Interrupt-path completions (vs polled). */
     uint64_t interruptCompletions() const
@@ -165,17 +149,6 @@ class DsaClient : public BlockDevice
     integrityErrorCount() const
     {
         return integrity_errors_.value();
-    }
-    /** I/Os the server's admission gate refused with Busy. The
-     *  client fails them immediately (deliberate backpressure, not
-     *  loss — retransmitting would re-feed the overload). */
-    uint64_t busyCount() const { return busy_.value(); }
-    /** End-to-end I/O latency (ns). */
-    const sim::Sampler &latency() const { return latency_.raw(); }
-    /** End-to-end I/O latency distribution (ns), for p50/p95/p99. */
-    const sim::Histogram &latencyHistogram() const
-    {
-        return latency_hist_.raw();
     }
     /** @} */
 
@@ -211,9 +184,8 @@ class DsaClient : public BlockDevice
     void untrack(PendingIo &io);
 
     /** Submits one request and waits for its completion. */
-    sim::Task<bool> submit(bool is_write, uint64_t offset,
-                           uint64_t len, sim::Addr buffer,
-                           uint64_t tenant);
+    sim::Task<bool> io(bool is_write, uint64_t offset, uint64_t len,
+                       sim::Addr buffer, uint64_t tenant) override;
 
     /** The implementation-specific issue-side path. */
     sim::Task<> issuePath(osmodel::CpuLease &lease, PendingIo &io);
@@ -302,7 +274,6 @@ class DsaClient : public BlockDevice
     }
 
     DsaImpl impl_;
-    osmodel::Node &node_;
     vi::ViNic &nic_;
     net::PortId server_port_;
     uint32_t volume_;
@@ -356,11 +327,6 @@ class DsaClient : public BlockDevice
     sim::Completion<bool> *connect_waiter_ = nullptr;
     sim::Completion<bool> *hello_waiter_ = nullptr;
 
-    /// Registry path prefix ("client.<impl><volume>", uniquified);
-    /// must precede the metric references so it is initialised first.
-    std::string metric_prefix_;
-
-    sim::CounterHandle ios_;
     sim::CounterHandle retransmits_;
     sim::CounterHandle reconnects_;
     sim::CounterHandle abandoned_reconnects_;
@@ -369,9 +335,10 @@ class DsaClient : public BlockDevice
     sim::CounterHandle polled_completions_;
     sim::CounterHandle digest_mismatches_;
     sim::CounterHandle integrity_errors_;
+    /** I/Os the server's admission gate refused with Busy. The
+     *  client fails them immediately (deliberate backpressure, not
+     *  loss — retransmitting would re-feed the overload). */
     sim::CounterHandle busy_;
-    sim::SamplerHandle latency_;
-    sim::HistogramHandle latency_hist_;
 };
 
 } // namespace v3sim::dsa

@@ -98,6 +98,13 @@ struct DsaClientCosts
 
     /** One completion-flag poll check (cDSA polling mode). */
     sim::Tick poll_check = sim::usecs(0.2);
+
+    // Defaulted in dsa_costs.cc, out of the includers' sight: GCC
+    // 12.2 has crashed (internal compiler error) on comparisons
+    // defaulted in this header, depending on what includes it (see
+    // DsaOptimizations).
+    bool operator==(const DsaClientCosts &) const;
+    std::strong_ordering operator<=>(const DsaClientCosts &) const;
 };
 
 /** DSA client configuration. */
@@ -162,6 +169,11 @@ struct DsaConfig
     /** Backup completion-drain period while interrupts are disabled
      *  (guards the batching scheme against idle stalls). */
     sim::Tick backup_poll_period = sim::usecs(50);
+
+    /** Field by field, so a config can key a run memo; defaulted in
+     *  dsa_costs.cc like DsaClientCosts'. */
+    bool operator==(const DsaConfig &) const;
+    std::strong_ordering operator<=>(const DsaConfig &) const;
 };
 
 } // namespace v3sim::dsa

@@ -8,32 +8,16 @@ using osmodel::CpuLease;
 
 LocalBackend::LocalBackend(osmodel::Node &node, disk::Volume &volume,
                            HbaCosts costs)
-    : node_(node), volume_(volume), costs_(costs),
-      metric_prefix_(node.sim().metrics().uniquePrefix("client.local")),
-      ios_(node.sim().metrics().counter(metric_prefix_ + ".ios")),
+    : Session(node, "client.local"),
+      volume_(volume),
+      costs_(costs),
       interrupts_(node.sim().metrics().counter(metric_prefix_ +
-                                               ".interrupts")),
-      latency_(node.sim().metrics().sampler(metric_prefix_ +
-                                            ".latency_ns")),
-      latency_hist_(node.sim().metrics().histogram(
-          metric_prefix_ + ".latency_hist_ns"))
+                                               ".interrupts"))
 {}
 
 sim::Task<bool>
-LocalBackend::read(uint64_t offset, uint64_t len, sim::Addr buffer)
-{
-    return submit(false, offset, len, buffer);
-}
-
-sim::Task<bool>
-LocalBackend::write(uint64_t offset, uint64_t len, sim::Addr buffer)
-{
-    return submit(true, offset, len, buffer);
-}
-
-sim::Task<bool>
-LocalBackend::submit(bool is_write, uint64_t offset, uint64_t len,
-                     sim::Addr buffer)
+LocalBackend::io(bool is_write, uint64_t offset, uint64_t len,
+                 sim::Addr buffer, uint64_t /*tenant*/)
 {
     const sim::Tick start = node_.sim().now();
     const uint64_t pages = sim::pageSpan(buffer, len);
@@ -62,11 +46,7 @@ LocalBackend::submit(bool is_write, uint64_t offset, uint64_t len,
     }(this, is_write, offset, len, buffer, &completion, pages));
 
     const bool ok = co_await completion.wait();
-    ios_.increment();
-    const double lat =
-        static_cast<double>(node_.sim().now() - start);
-    latency_.add(lat);
-    latency_hist_.add(lat);
+    record(start);
     co_return ok;
 }
 

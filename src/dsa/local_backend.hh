@@ -27,9 +27,8 @@
 #include <memory>
 
 #include "disk/volume.hh"
-#include "dsa/block_device.hh"
+#include "dsa/session.hh"
 #include "osmodel/node.hh"
-#include "sim/stats.hh"
 
 namespace v3sim::dsa
 {
@@ -48,27 +47,21 @@ struct HbaCosts
     sim::Tick coalesce_window = sim::usecs(15);
 };
 
-/** Locally attached storage through the kernel driver stack. */
-class LocalBackend : public BlockDevice
+/** Locally attached storage through the kernel driver stack; the
+ *  HBA path carries no tenant tag. */
+class LocalBackend : public Session
 {
   public:
     LocalBackend(osmodel::Node &node, disk::Volume &volume,
                  HbaCosts costs = {});
 
-    sim::Task<bool> read(uint64_t offset, uint64_t len,
-                         sim::Addr buffer) override;
-    sim::Task<bool> write(uint64_t offset, uint64_t len,
-                          sim::Addr buffer) override;
+    /** Nothing to connect: the disks are attached. */
+    sim::Task<bool> connect() override { co_return true; }
+
     uint64_t capacity() const override { return volume_.capacity(); }
 
-    uint64_t ioCount() const { return ios_.value(); }
+    uint64_t retransmitCount() const override { return 0; }
     uint64_t interruptCount() const { return interrupts_.value(); }
-    const sim::Sampler &latency() const { return latency_.raw(); }
-    /** End-to-end I/O latency distribution (ns), for p50/p95/p99. */
-    const sim::Histogram &latencyHistogram() const
-    {
-        return latency_hist_.raw();
-    }
 
   private:
     struct Done
@@ -78,8 +71,8 @@ class LocalBackend : public BlockDevice
         uint64_t pages;
     };
 
-    sim::Task<bool> submit(bool is_write, uint64_t offset,
-                           uint64_t len, sim::Addr buffer);
+    sim::Task<bool> io(bool is_write, uint64_t offset, uint64_t len,
+                       sim::Addr buffer, uint64_t tenant) override;
 
     /** Controller completion: queue + coalesced interrupt. */
     void onMechanismDone(sim::Completion<bool> *completion, bool ok,
@@ -87,20 +80,12 @@ class LocalBackend : public BlockDevice
 
     sim::Task<> interruptHandler(osmodel::CpuLease lease);
 
-    osmodel::Node &node_;
     disk::Volume &volume_;
     HbaCosts costs_;
     std::deque<Done> done_queue_;
     bool interrupt_pending_ = false;
 
-    /// Registry path prefix ("client.local", uniquified); must
-    /// precede the metric references so it is initialised first.
-    std::string metric_prefix_;
-
-    sim::CounterHandle ios_;
     sim::CounterHandle interrupts_;
-    sim::SamplerHandle latency_;
-    sim::HistogramHandle latency_hist_;
 };
 
 } // namespace v3sim::dsa

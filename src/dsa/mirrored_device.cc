@@ -9,21 +9,9 @@
 namespace v3sim::dsa
 {
 
-MirrorReplica
-MirrorReplica::forClient(DsaClient &client)
-{
-    MirrorReplica replica;
-    replica.device = &client;
-    replica.revive = [&client] { return client.revive(); };
-    replica.integrity_errors = [&client] {
-        return client.integrityErrorCount();
-    };
-    return replica;
-}
-
 MirroredDevice::MirroredDevice(sim::Simulation &sim,
                                sim::MemorySpace &memory,
-                               std::vector<MirrorReplica> replicas,
+                               std::vector<DsaClient *> replicas,
                                MirrorConfig config)
     : sim_(sim),
       memory_(memory),
@@ -54,12 +42,9 @@ MirroredDevice::MirroredDevice(sim::Simulation &sim,
 {
     assert(replicas.size() >= 2 && "a mirror needs at least two legs");
     assert(config_.resync_chunk > 0 && config_.resync_parallel > 0);
-    replicas_.reserve(replicas.size());
-    for (MirrorReplica &leg : replicas) {
-        Replica replica;
-        replica.leg = std::move(leg);
-        replicas_.push_back(std::move(replica));
-    }
+    replicas_.resize(replicas.size());
+    for (size_t i = 0; i < replicas.size(); ++i)
+        replicas_[i].client = replicas[i];
     scratch_ = memory_.allocate(config_.resync_chunk *
                                 config_.resync_parallel);
     sim.metrics().gauge(metric_prefix_ + ".dirty_bytes", [this] {
@@ -88,7 +73,7 @@ MirroredDevice::capacity() const
 {
     uint64_t min_cap = UINT64_MAX;
     for (const Replica &replica : replicas_)
-        min_cap = std::min(min_cap, replica.leg.device->capacity());
+        min_cap = std::min(min_cap, replica.client->capacity());
     return min_cap == UINT64_MAX ? 0 : min_cap;
 }
 
@@ -207,18 +192,15 @@ MirroredDevice::read(uint64_t offset, uint64_t len, sim::Addr buffer)
             break; // every replica failed out
         Replica &replica = replicas_[idx];
         const uint64_t errors_before =
-            replica.leg.integrity_errors
-                ? replica.leg.integrity_errors()
-                : 0;
-        const bool ok = co_await replica.leg.device->read(
-            offset, len, buffer);
+            replica.client->integrityErrorCount();
+        const bool ok =
+            co_await replica.client->read(offset, len, buffer);
         if (ok) {
             if (degraded())
                 degraded_reads_.increment();
             co_return true;
         }
-        if (replica.leg.integrity_errors &&
-            replica.leg.integrity_errors() > errors_before) {
+        if (replica.client->integrityErrorCount() > errors_before) {
             if (co_await repairRange(idx, offset, len, buffer))
                 co_return true;
             // No replica holds a good copy of this range.
@@ -276,8 +258,8 @@ MirroredDevice::write(uint64_t offset, uint64_t len, sim::Addr buffer)
                       uint8_t &flag) -> sim::Task<> {
             flag = (co_await device->write(off, n, buf)) ? 1 : 0;
             g.done();
-        }(replicas_[targets[t]].leg.device, offset, len, buffer,
-          group, ok[t]));
+        }(replicas_[targets[t]].client, offset, len, buffer, group,
+          ok[t]));
     }
     co_await group.wait();
 
@@ -361,7 +343,7 @@ MirroredDevice::failReplica(size_t idx)
         << config_.name << ": replica " << idx
         << " failed over, mirror degraded ("
         << activeReplicas() << "/" << replicas_.size() << " active)";
-    if (replica.leg.revive && !replica.resyncing) {
+    if (!replica.resyncing) {
         replica.resyncing = true;
         sim::spawn(resyncTask(idx));
     }
@@ -397,14 +379,14 @@ MirroredDevice::repairRange(size_t idx, uint64_t offset, uint64_t len,
     for (size_t peer = 0; peer < replicas_.size(); ++peer) {
         if (peer == idx || !replicas_[peer].active)
             continue;
-        if (!co_await replicas_[peer].leg.device->read(offset, len,
-                                                       buffer)) {
+        if (!co_await replicas_[peer].client->read(offset, len,
+                                                   buffer)) {
             continue; // peer unreachable or also rotten; try another
         }
         // The caller's buffer now holds a verified copy; rewrite the
         // damaged leg from it (overwriting clears the latent marks).
-        if (co_await replicas_[idx].leg.device->write(offset, len,
-                                                      buffer)) {
+        if (co_await replicas_[idx].client->write(offset, len,
+                                                  buffer)) {
             integrity_repairs_.increment();
             V3LOG(Info, "mirror")
                 << config_.name << ": repaired " << len
@@ -449,13 +431,11 @@ MirroredDevice::scrubTask()
                 if (!replica.active)
                     continue; // resync will rebuild it anyway
                 const uint64_t errors_before =
-                    replica.leg.integrity_errors
-                        ? replica.leg.integrity_errors()
-                        : 0;
-                if (co_await replica.leg.device->read(off, n, buf))
+                    replica.client->integrityErrorCount();
+                if (co_await replica.client->read(off, n, buf))
                     continue;
-                if (replica.leg.integrity_errors &&
-                    replica.leg.integrity_errors() > errors_before) {
+                if (replica.client->integrityErrorCount() >
+                    errors_before) {
                     if (!co_await repairRange(idx, off, n, buf))
                         unrecoverable_.increment();
                 }
@@ -484,7 +464,7 @@ MirroredDevice::resyncTask(size_t idx)
         sim::Tick probe_delay = config_.probe_interval;
         for (;;) {
             co_await sim_.sleep(probe_delay);
-            if (co_await replica.leg.revive())
+            if (co_await replica.client->revive())
                 break;
             probe_delay = std::min(probe_delay * 2,
                                    config_.probe_max_interval);
@@ -570,8 +550,8 @@ MirroredDevice::resyncTask(size_t idx)
                                       : kWriteFail;
                         }
                         g.done();
-                    }(replicas_[src].leg.device, replica.leg.device,
-                      batch[p], slot, group, result[p]));
+                    }(replicas_[src].client, replica.client, batch[p],
+                      slot, group, result[p]));
                 }
                 co_await group.wait();
 

@@ -38,7 +38,6 @@
 #define V3SIM_DSA_MIRRORED_DEVICE_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -112,43 +111,18 @@ struct MirrorConfig
     uint32_t scrub_pass_limit = 0;
 };
 
-/**
- * One leg of the mirror: the device I/O goes to, plus an optional
- * revive hook the resync prober calls to test whether a failed
- * replica's node is reachable again. Without a revive hook a failed
- * replica stays failed (no automatic readmission).
- */
-struct MirrorReplica
-{
-    BlockDevice *device = nullptr;
-    std::function<sim::Task<bool>()> revive;
-
-    /**
-     * Monotone count of IntegrityError completions from this leg
-     * (the server found a block damaged on disk). The mirror
-     * snapshots it around each read to tell "the node is dead"
-     * (failover) from "the data is rotten" (repair from the peer and
-     * keep the replica). Optional: without it every read failure is
-     * treated as a node fault.
-     */
-    std::function<uint64_t()> integrity_errors;
-
-    /** Wires all fields to a DsaClient (device + revive() +
-     *  integrityErrorCount()). */
-    static MirrorReplica forClient(DsaClient &client);
-};
-
 /** RAID-1 across V3 replicas with failover and background resync. */
 class MirroredDevice : public BlockDevice
 {
   public:
     /**
      * @param memory host memory for the resync bounce buffer.
-     * @param replicas at least two legs, all the same capacity class
-     *        (effective capacity is the minimum).
+     * @param replicas at least two legs, one DSA client each, all
+     *        the same capacity class (effective capacity is the
+     *        minimum).
      */
     MirroredDevice(sim::Simulation &sim, sim::MemorySpace &memory,
-                   std::vector<MirrorReplica> replicas,
+                   std::vector<DsaClient *> replicas,
                    MirrorConfig config = {});
 
     MirroredDevice(const MirroredDevice &) = delete;
@@ -217,7 +191,7 @@ class MirroredDevice : public BlockDevice
   private:
     struct Replica
     {
-        MirrorReplica leg;
+        DsaClient *client = nullptr;
         bool active = true;
         bool resyncing = false;
         /** Tick of the most recent failover; orders the legs of a
@@ -242,7 +216,7 @@ class MirroredDevice : public BlockDevice
     };
 
     /** Fails a replica out of the mirror (idempotent) and starts its
-     *  resync task when a revive hook is available. */
+     *  resync task. */
     void failReplica(size_t idx);
 
     /** Merges [offset, offset+len) into the replica's dirty log. */

@@ -9,10 +9,10 @@ namespace v3sim::iscsi
 using osmodel::CpuCat;
 
 Initiator::Initiator(osmodel::Node &host, net::Fabric &fabric,
-                     InitiatorConfig config)
-    : host_(host), config_(config),
-      metric_prefix_(
-          host.sim().metrics().uniquePrefix("iscsi.init")),
+                     net::PortId target_port, InitiatorConfig config)
+    : Session(host, "iscsi.init"),
+      target_port_(target_port),
+      config_(config),
       tcp_(host.sim().queue(), fabric, host.sim().metrics(),
            metric_prefix_ + ".tcp", host.name() + ".iscsi",
            config_.tcp),
@@ -22,22 +22,17 @@ Initiator::Initiator(osmodel::Node &host, net::Fabric &fabric,
                   return onPdu(std::move(pdu), tainted, lease);
               }),
       slots_(host.sim().queue(), config_.max_outstanding),
-      ios_(host.sim().metrics().counter(metric_prefix_ + ".ios")),
       digest_retries_(host.sim().metrics().counter(
           metric_prefix_ + ".digest_retries")),
       errors_(host.sim().metrics().counter(metric_prefix_ +
                                            ".errors")),
-      busy_(host.sim().metrics().counter(metric_prefix_ + ".busy")),
-      latency_(host.sim().metrics().sampler(metric_prefix_ +
-                                            ".latency_ns")),
-      latency_hist_(host.sim().metrics().histogram(
-          metric_prefix_ + ".latency_hist_ns"))
+      busy_(host.sim().metrics().counter(metric_prefix_ + ".busy"))
 {}
 
 sim::Task<bool>
-Initiator::connect(net::PortId target_port)
+Initiator::connect()
 {
-    co_await tcp_.connect(target_port);
+    co_await tcp_.connect(target_port_);
     // Login negotiates the volume and learns its capacity. Setup
     // path, outside every measurement window: no CPU charges.
     auto pdu = std::make_shared<Pdu>();
@@ -53,37 +48,11 @@ Initiator::connect(net::PortId target_port)
 }
 
 sim::Task<bool>
-Initiator::read(uint64_t offset, uint64_t len, sim::Addr buffer)
-{
-    return io(false, offset, len, buffer, 0);
-}
-
-sim::Task<bool>
-Initiator::write(uint64_t offset, uint64_t len, sim::Addr buffer)
-{
-    return io(true, offset, len, buffer, 0);
-}
-
-sim::Task<bool>
-Initiator::read(uint64_t offset, uint64_t len, sim::Addr buffer,
-                uint64_t tenant)
-{
-    return io(false, offset, len, buffer, tenant);
-}
-
-sim::Task<bool>
-Initiator::write(uint64_t offset, uint64_t len, sim::Addr buffer,
-                 uint64_t tenant)
-{
-    return io(true, offset, len, buffer, tenant);
-}
-
-sim::Task<bool>
 Initiator::io(bool is_write, uint64_t offset, uint64_t len,
               sim::Addr buffer, uint64_t tenant)
 {
     co_await slots_.acquire(buffer);
-    const sim::Tick start = host_.sim().now();
+    const sim::Tick start = node_.sim().now();
 
     bool ok = false;
     ScsiStatus last = ScsiStatus::Good;
@@ -111,12 +80,7 @@ Initiator::io(bool is_write, uint64_t offset, uint64_t len,
         errors_.increment();
     }
 
-    const double elapsed =
-        static_cast<double>(host_.sim().now() - start);
-    ios_.increment();
-    latency_.add(elapsed);
-    latency_hist_.add(elapsed);
-
+    record(start);
     slots_.release();
     co_return ok;
 }
@@ -134,10 +98,10 @@ Initiator::issueOnce(bool is_write, uint64_t offset, uint64_t len,
 
     // Arbitration key: the user buffer address — unique per
     // concurrent submitter and pure content (DESIGN.md §8.3).
-    osmodel::CpuLease lease = co_await host_.cpus().acquire(
+    osmodel::CpuLease lease = co_await node_.cpus().acquire(
         osmodel::CpuPool::kNormalPriority, buffer);
     // Issue-side syscall crossing into the kernel initiator.
-    const sim::Tick sys = host_.costs().syscall;
+    const sim::Tick sys = node_.costs().syscall;
     co_await lease.run(sys, CpuCat::Kernel);
     driver_.addSyscallNs(sys);
     // Down through the SCSI class/port/filter stack to the miniport.
@@ -161,7 +125,7 @@ Initiator::issueOnce(bool is_write, uint64_t offset, uint64_t len,
         // attempt (the damage model mutates delivered vectors, so a
         // retry must never re-send the same one — see pdu.hh).
         pdu->data_len = len;
-        sim::MemorySpace &mem = host_.memory();
+        sim::MemorySpace &mem = node_.memory();
         if (!mem.phantom()) {
             pdu->data =
                 std::make_shared<std::vector<uint8_t>>(len);
@@ -185,7 +149,7 @@ Initiator::issueOnce(bool is_write, uint64_t offset, uint64_t len,
     // in-flight command on this stream (DESIGN.md §8.3).
     message.order_key = buffer;
     tcp_.sendMessage(std::move(message));
-    host_.cpus().release();
+    node_.cpus().release();
 
     const ScsiStatus status = co_await pending.done.wait();
     pending_.erase(itt);
@@ -240,15 +204,15 @@ Initiator::onPdu(std::shared_ptr<Pdu> pdu, bool tainted,
     const ScsiStatus status =
         damaged ? ScsiStatus::DigestError : pdu->status;
     if (status == ScsiStatus::Good && !cmd.is_write && pdu->data &&
-        !host_.memory().phantom()) {
+        !node_.memory().phantom()) {
         // Content effect of the kernel->user socket copy the driver
         // already charged for this PDU.
-        host_.memory().write(
+        node_.memory().write(
             cmd.buffer, pdu->data->data(),
             std::min<uint64_t>(cmd.len, pdu->data->size()));
     }
     // Wake the blocked application thread.
-    const sim::Tick wake = host_.costs().context_switch;
+    const sim::Tick wake = node_.costs().context_switch;
     co_await lease.run(wake, CpuCat::Kernel);
     driver_.addSyscallNs(wake);
     cmd.done.set(status);

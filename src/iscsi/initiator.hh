@@ -1,7 +1,7 @@
 /**
  * @file
  * iSCSI initiator — the kernel software-initiator path on the
- * database host, as a dsa::BlockDevice (DESIGN.md §11).
+ * database host, as a dsa::Session (DESIGN.md §11).
  *
  * This is the commercial rival the paper's VI transport competes
  * with: every I/O goes through a syscall into the kernel, the iSCSI
@@ -32,7 +32,7 @@
 #include <memory>
 #include <string>
 
-#include "dsa/block_device.hh"
+#include "dsa/session.hh"
 #include "iscsi/pdu.hh"
 #include "iscsi/tcp_host.hh"
 #include "net/fabric.hh"
@@ -80,38 +80,28 @@ struct InitiatorConfig
 };
 
 /** One iSCSI session from a host to a target. */
-class Initiator : public dsa::BlockDevice
+class Initiator : public dsa::Session
 {
   public:
-    /** Attaches a NIC port for @p host on @p fabric. Metrics land
-     *  under a uniquified "iscsi.init" prefix. */
+    /** Attaches a NIC port for @p host on @p fabric, for the target
+     *  at @p target_port. Metrics land under a uniquified
+     *  "iscsi.init" prefix. */
     Initiator(osmodel::Node &host, net::Fabric &fabric,
-              InitiatorConfig config = {});
-
-    Initiator(const Initiator &) = delete;
-    Initiator &operator=(const Initiator &) = delete;
+              net::PortId target_port, InitiatorConfig config = {});
 
     /** TCP handshake plus iSCSI login; resolves true when the target
      *  reported a usable volume. Call before faults are armed. */
-    sim::Task<bool> connect(net::PortId target_port);
+    sim::Task<bool> connect() override;
 
-    /** @name dsa::BlockDevice
-     * The tenant-tagged overloads stamp the command PDU so the
-     * target's admission gate can fair-queue by tenant (DESIGN.md
-     * §12); the untagged ones send tenant 0. @{ */
-    sim::Task<bool> read(uint64_t offset, uint64_t len,
-                         sim::Addr buffer) override;
-    sim::Task<bool> write(uint64_t offset, uint64_t len,
-                          sim::Addr buffer) override;
-    sim::Task<bool> read(uint64_t offset, uint64_t len,
-                         sim::Addr buffer, uint64_t tenant) override;
-    sim::Task<bool> write(uint64_t offset, uint64_t len,
-                          sim::Addr buffer, uint64_t tenant) override;
     uint64_t capacity() const override { return capacity_; }
-    /** @} */
 
     /** @name Statistics @{ */
-    uint64_t ioCount() const { return ios_.value(); }
+    /** TCP segment retransmissions on the session's stream. */
+    uint64_t
+    retransmitCount() const override
+    {
+        return tcp_.retransmitCount();
+    }
     /** Whole-command retries after a digest failure. */
     uint64_t digestRetryCount() const
     {
@@ -119,17 +109,6 @@ class Initiator : public dsa::BlockDevice
     }
     /** I/Os that ultimately failed (status or retries exhausted). */
     uint64_t errorCount() const { return errors_.value(); }
-    /** I/Os the target's admission gate refused with Busy. Failed
-     *  immediately, never retried (deliberate backpressure). */
-    uint64_t busyCount() const { return busy_.value(); }
-    /** End-to-end I/O latency (ns). */
-    const sim::Sampler &latency() const { return latency_.raw(); }
-    /** End-to-end I/O latency distribution (ns). */
-    const sim::Histogram &latencyHistogram() const
-    {
-        return latency_hist_.raw();
-    }
-    net::TcpStream &tcp() { return tcp_; }
     /** @} */
 
   private:
@@ -143,19 +122,15 @@ class Initiator : public dsa::BlockDevice
     };
 
     sim::Task<bool> io(bool is_write, uint64_t offset, uint64_t len,
-                       sim::Addr buffer, uint64_t tenant);
+                       sim::Addr buffer, uint64_t tenant) override;
     sim::Task<ScsiStatus> issueOnce(bool is_write, uint64_t offset,
                                     uint64_t len, sim::Addr buffer,
                                     uint64_t tenant);
     sim::Task<> onPdu(std::shared_ptr<Pdu> pdu, bool tainted,
                       osmodel::CpuLease &lease);
 
-    osmodel::Node &host_;
+    net::PortId target_port_;
     InitiatorConfig config_;
-
-    /// Registry path prefix ("iscsi.init", uniquified); must precede
-    /// the metric references so it is initialised first.
-    std::string metric_prefix_;
 
     net::TcpStream tcp_;
     TcpHostDriver driver_;
@@ -171,12 +146,11 @@ class Initiator : public dsa::BlockDevice
     sim::Completion<> login_done_;
     uint64_t capacity_ = 0;
 
-    sim::CounterHandle ios_;
     sim::CounterHandle digest_retries_;
     sim::CounterHandle errors_;
+    /** I/Os the target's admission gate refused with Busy. Failed
+     *  immediately, never retried (deliberate backpressure). */
     sim::CounterHandle busy_;
-    sim::SamplerHandle latency_;
-    sim::HistogramHandle latency_hist_;
 };
 
 } // namespace v3sim::iscsi

@@ -40,18 +40,14 @@ MicroRig::warmRegion(uint64_t size)
         config_.cache_bytes ? config_.cache_bytes / 2 : 8 * util::kMiB,
         8 * util::kMiB);
     warm_bytes_ = std::max<uint64_t>(region, size);
-    bool done = false;
-    sim::spawn([](MicroRig *rig, uint64_t request, bool &flag)
-                   -> sim::Task<> {
+    sim::spawn([](MicroRig *rig, uint64_t request) -> sim::Task<> {
         for (uint64_t off = 0; off + request <= rig->warm_bytes_;
              off += request) {
             co_await rig->device().read(off, request,
                                         rig->buffer_pool_);
         }
-        flag = true;
-    }(this, std::max<uint64_t>(size, 8192), done));
+    }(this, std::max<uint64_t>(size, 8192)));
     sim().run();
-    (void)done;
 }
 
 MicroRig::LatencyResult
@@ -102,24 +98,12 @@ MicroRig::measureLatency(uint64_t size, bool is_read, int iterations,
             result.server_us = served.mean() / 1e3;
     }
 
-    // Tail latency from the client-side histogram (DSA client for
-    // V3 backends, the iSCSI session for Iscsi, the HBA path for
-    // Local).
-    const sim::Histogram *hist = nullptr;
-    if (testbed_->local()) {
-        hist = &testbed_->local()->latencyHistogram();
-    } else if (!testbed_->clients().empty()) {
-        hist = &testbed_->clients().front()->latencyHistogram();
-    } else if (!testbed_->iscsiInitiators().empty()) {
-        hist = &testbed_->iscsiInitiators()
-                    .front()
-                    ->latencyHistogram();
-    }
-    if (hist && hist->count() > 0) {
-        result.p50_us = hist->quantile(0.50) / 1e3;
-        result.p95_us = hist->quantile(0.95) / 1e3;
-        result.p99_us = hist->quantile(0.99) / 1e3;
-    }
+    // Tail latency from the rig's one session.
+    const sim::Histogram &hist =
+        testbed_->sessions().front()->latencyHistogram();
+    result.p50_us = hist.quantile(0.50) / 1e3;
+    result.p95_us = hist.quantile(0.95) / 1e3;
+    result.p99_us = hist.quantile(0.99) / 1e3;
     return result;
 }
 
@@ -180,6 +164,10 @@ MicroRig::measureThroughput(uint64_t size, bool is_read,
         result.cpu_us_per_io =
             sim::toUsecs(host().cpus().totalBusyTime()) /
             static_cast<double>(completed);
+    const sim::Histogram &hist =
+        testbed_->sessions().front()->latencyHistogram();
+    result.p95_us = hist.quantile(0.95) / 1e3;
+    result.p99_us = hist.quantile(0.99) / 1e3;
     return result;
 }
 

@@ -62,8 +62,8 @@ class MicroRig
         double mean_us = 0;         ///< end-to-end response time
         double cpu_overhead_us = 0; ///< host CPU busy per I/O
         double server_us = 0;       ///< V3-server-resident time
-        /** Client-observed tail latency (log2-bucket histogram on
-         *  the DSA client / local HBA path). @{ */
+        /** Client-observed tail latency (the session's log2-bucket
+         *  histogram). @{ */
         double p50_us = 0;
         double p95_us = 0;
         double p99_us = 0;
@@ -93,6 +93,11 @@ class MicroRig
         double iops = 0;
         /** Host CPU busy per completed I/O over the window. */
         double cpu_us_per_io = 0;
+        /** Client-observed tail latency over the window and drain
+         *  (the session's histogram). @{ */
+        double p95_us = 0;
+        double p99_us = 0;
+        /** @} */
     };
 
     ThroughputResult measureThroughput(uint64_t size, bool is_read,

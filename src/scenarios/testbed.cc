@@ -100,10 +100,14 @@ Testbed::Testbed(Backend backend, HostParams host_params,
         buildLocal(host_params.phantom_memory);
         return;
     }
-    std::vector<dsa::BlockDevice *> children =
-        buildNodes(host_params.phantom_memory, dsa_config);
-    if (layout != Layout::Striped)
+    buildNodes(host_params.phantom_memory, dsa_config);
+    std::vector<dsa::BlockDevice *> children;
+    if (layout == Layout::Striped) {
+        for (const auto &session : sessions_)
+            children.push_back(session.get());
+    } else {
         children = pairMirrors();
+    }
     striped_ = std::make_unique<dsa::StripedDevice>(
         children, storage_params_.stripe_unit);
     device_ = striped_.get();
@@ -133,11 +137,12 @@ Testbed::buildLocal(bool phantom)
     }
     local_volume_ = std::make_unique<disk::StripeVolume>(
         parts, storage_params_.stripe_unit);
-    local_ = std::make_unique<dsa::LocalBackend>(*host_, *local_volume_);
-    device_ = local_.get();
+    sessions_.push_back(
+        std::make_unique<dsa::LocalBackend>(*host_, *local_volume_));
+    device_ = sessions_.back().get();
 }
 
-std::vector<dsa::BlockDevice *>
+void
 Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
 {
     // The same storage-node hardware for every transport (disks,
@@ -155,7 +160,6 @@ Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
         config.phantom_memory = phantom;
         config.admission = params.admission;
     };
-    std::vector<dsa::BlockDevice *> sessions;
     for (int n = 0; n < params.v3_nodes; ++n) {
         std::unique_ptr<storage::StorageNode> node;
         if (backend_ == Backend::Iscsi) {
@@ -183,23 +187,21 @@ Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
             iscsi::InitiatorConfig config;
             config.volume = volume;
             config.max_outstanding = params.request_credits;
-            iscsi_initiators_.push_back(std::make_unique<iscsi::Initiator>(
-                *host_, fabric_, config));
-            sessions.push_back(iscsi_initiators_.back().get());
+            sessions_.push_back(std::make_unique<iscsi::Initiator>(
+                *host_, fabric_,
+                static_cast<iscsi::Target &>(*node).port(), config));
         } else {
             // One client NIC per server, one DSA connection per pair.
             nics_.push_back(std::make_unique<vi::ViNic>(
                 sim_, fabric_, host_->memory(),
                 "db.nic" + std::to_string(n)));
-            clients_.push_back(std::make_unique<dsa::DsaClient>(
+            sessions_.push_back(std::make_unique<dsa::DsaClient>(
                 backendImpl(backend_), *host_, *nics_.back(),
                 static_cast<storage::V3Server &>(*node).nic().port(),
                 volume, dsa_config));
-            sessions.push_back(clients_.back().get());
         }
         nodes_.push_back(std::move(node));
     }
-    return sessions;
 }
 
 std::vector<dsa::BlockDevice *>
@@ -207,16 +209,15 @@ Testbed::pairMirrors()
 {
     assert(storage_params_.v3_nodes % 2 == 0 &&
            "mirroring pairs nodes; v3_nodes must be even");
+    const std::vector<dsa::DsaClient *> legs = clients();
     std::vector<dsa::BlockDevice *> pairs;
-    for (size_t pair = 0; pair + 1 < clients_.size(); pair += 2) {
+    for (size_t pair = 0; pair + 1 < legs.size(); pair += 2) {
         dsa::MirrorConfig mirror_config = storage_params_.mirror;
         mirror_config.name = "m" + std::to_string(pair / 2);
-        std::vector<dsa::MirrorReplica> legs;
-        legs.push_back(dsa::MirrorReplica::forClient(*clients_[pair]));
-        legs.push_back(
-            dsa::MirrorReplica::forClient(*clients_[pair + 1]));
         mirrors_.push_back(std::make_unique<dsa::MirroredDevice>(
-            sim_, host_->memory(), std::move(legs), mirror_config));
+            sim_, host_->memory(),
+            std::vector<dsa::DsaClient *>{legs[pair], legs[pair + 1]},
+            mirror_config));
         pairs.push_back(mirrors_.back().get());
     }
     return pairs;
@@ -274,22 +275,15 @@ Testbed::buildCluster()
 bool
 Testbed::connectAll()
 {
-    if (backend_ == Backend::Local)
-        return true;
     bool all_ok = true;
-    int pending = static_cast<int>(nodes_.size());
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-        sim::Task<bool> attempt =
-            backend_ == Backend::Iscsi
-                ? iscsi_initiators_[n]->connect(
-                      static_cast<iscsi::Target &>(*nodes_[n]).port())
-                : clients_[n]->connect();
-        sim::spawn([](sim::Task<bool> session, bool &ok,
+    int pending = static_cast<int>(sessions_.size());
+    for (const auto &session : sessions_) {
+        sim::spawn([](dsa::Session &s, bool &ok,
                       int &remaining) -> sim::Task<> {
-            if (!co_await std::move(session))
+            if (!co_await s.connect())
                 ok = false;
             --remaining;
-        }(std::move(attempt), all_ok, pending));
+        }(*session, all_ok, pending));
     }
     sim_.run();
     return all_ok && pending == 0;
@@ -302,6 +296,16 @@ Testbed::servers() const
     for (const auto &node : nodes_)
         if (auto *server = dynamic_cast<storage::V3Server *>(node.get()))
             out.push_back(server);
+    return out;
+}
+
+std::vector<dsa::DsaClient *>
+Testbed::clients() const
+{
+    std::vector<dsa::DsaClient *> out;
+    for (const auto &session : sessions_)
+        if (auto *client = dynamic_cast<dsa::DsaClient *>(session.get()))
+            out.push_back(client);
     return out;
 }
 

@@ -14,12 +14,13 @@
  *
  * Every networked backend builds its nodes in one loop: a
  * storage::StorageNode (V3Server or iscsi::Target), its disks and
- * striped volume, then the host's session to it. StorageParams::layout
- * composes the database volume from the sessions: striped across the
- * nodes, or, over DSA clients, striped across dsa::MirroredDevice
- * node pairs (RAID-10), optionally run as a cluster volume service,
- * so availability experiments can crash nodes via faults() while
- * I/O continues.
+ * striped volume, then the host's dsa::Session to it (a DsaClient or
+ * an iscsi::Initiator); Local has one session, its LocalBackend.
+ * StorageParams::layout composes the database volume from the
+ * sessions: striped across the nodes, or, over DSA clients, striped
+ * across dsa::MirroredDevice node pairs (RAID-10), optionally run as
+ * a cluster volume service, so availability experiments can crash
+ * nodes via faults() while I/O continues.
  *
  * Every testbed owns a vi::FaultInjector over its fabric (faults()),
  * so experiments can script packet loss, connection breaks and
@@ -161,7 +162,7 @@ class Testbed
     Testbed &operator=(const Testbed &) = delete;
     ~Testbed();
 
-    /** Connects every session (no-op for Local). Run to ready. */
+    /** Connects every session. Run to ready. */
     bool connectAll();
 
     sim::Simulation &sim() { return sim_; }
@@ -181,19 +182,15 @@ class Testbed
     /** The V3 servers among nodes() (empty unless a DSA backend). */
     std::vector<storage::V3Server *> servers() const;
 
-    std::vector<std::unique_ptr<dsa::DsaClient>> &clients()
+    /** The host's sessions in node order; Local has one. */
+    const std::vector<std::unique_ptr<dsa::Session>> &sessions() const
     {
-        return clients_;
+        return sessions_;
     }
 
-    dsa::LocalBackend *local() { return local_.get(); }
-
-    /** iSCSI sessions, one per target (empty unless
-     *  Backend::Iscsi). */
-    std::vector<std::unique_ptr<iscsi::Initiator>> &iscsiInitiators()
-    {
-        return iscsi_initiators_;
-    }
+    /** The DSA clients among sessions() (empty unless a DSA
+     *  backend). */
+    std::vector<dsa::DsaClient *> clients() const;
 
     /** Every storage-node block cache in the testbed, regardless of
      *  backend (V3 servers or iSCSI targets); empty for Local. */
@@ -243,9 +240,8 @@ class Testbed
 
   private:
     void buildLocal(bool phantom);
-    /** The node loop; returns the host's sessions in node order. */
-    std::vector<dsa::BlockDevice *>
-    buildNodes(bool phantom, const dsa::DsaConfig &dsa_config);
+    /** The node loop: each node, then the host's session to it. */
+    void buildNodes(bool phantom, const dsa::DsaConfig &dsa_config);
     /** Pairs adjacent DSA clients into mirrors; returns the mirrors. */
     std::vector<dsa::BlockDevice *> pairMirrors();
     /** The cluster control plane over the mirrors. */
@@ -260,8 +256,10 @@ class Testbed
 
     std::vector<std::unique_ptr<storage::StorageNode>> nodes_;
     std::vector<std::unique_ptr<vi::ViNic>> nics_;
-    std::vector<std::unique_ptr<dsa::DsaClient>> clients_;
-    std::vector<std::unique_ptr<iscsi::Initiator>> iscsi_initiators_;
+    std::vector<std::unique_ptr<disk::Disk>> local_disks_;
+    std::vector<std::unique_ptr<disk::SingleDiskVolume>> local_parts_;
+    std::unique_ptr<disk::StripeVolume> local_volume_;
+    std::vector<std::unique_ptr<dsa::Session>> sessions_;
     std::vector<std::unique_ptr<dsa::MirroredDevice>> mirrors_;
     std::unique_ptr<dsa::StripedDevice> striped_;
 
@@ -270,11 +268,6 @@ class Testbed
     std::unique_ptr<cluster::VolumeDirectory> directory_;
     std::vector<std::unique_ptr<vi::CompositeFaultTarget>>
         composite_targets_;
-
-    std::vector<std::unique_ptr<disk::Disk>> local_disks_;
-    std::vector<std::unique_ptr<disk::SingleDiskVolume>> local_parts_;
-    std::unique_ptr<disk::StripeVolume> local_volume_;
-    std::unique_ptr<dsa::LocalBackend> local_;
 
     dsa::BlockDevice *device_ = nullptr;
 };

@@ -57,6 +57,23 @@ platformEngine(Platform platform, Backend backend,
     return config;
 }
 
+dsa::DsaConfig
+loadedDsaConfig()
+{
+    // Under a loaded database, SQL Server's scheduler keeps polling
+    // between work items rather than sleeping (section 3.2: "Under
+    // heavy database workloads this scheme almost eliminates the
+    // number of interrupts"). Model: a long poll window with a
+    // scheduler-pass check interval.
+    dsa::DsaConfig config;
+    config.poll_interval = sim::usecs(25);
+    config.poll_timeout = sim::msecs(50);
+    // One flag check inside the scheduler's poll pass is a cached
+    // read, far cheaper than the micro-benchmark's isolated check.
+    config.costs.poll_check = sim::nsecs(200);
+    return config;
+}
+
 TpccRunResult
 runTpcc(const TpccRunConfig &config)
 {
@@ -65,38 +82,15 @@ runTpcc(const TpccRunConfig &config)
                           : HostParams::midSize();
     host.phantom_memory = true;
 
-    dsa::DsaConfig dsa_config;
     StorageParams storage = config.platform == Platform::Large
                                 ? StorageParams::large()
                                 : StorageParams::midSize();
     storage.cache_policy = config.cache_policy;
     if (config.local_disks > 0)
         storage.local_disks = config.local_disks;
-    if (config.flow_credits > 0) {
-        storage.request_credits = config.flow_credits;
-        dsa_config.max_outstanding = config.flow_credits;
-    }
+    storage.request_credits = config.dsa.max_outstanding;
 
-    dsa_config.opts = config.opts;
-    // Under a loaded database, SQL Server's scheduler keeps polling
-    // between work items rather than sleeping (section 3.2: "Under
-    // heavy database workloads this scheme almost eliminates the
-    // number of interrupts"). Model: a long poll window with a
-    // scheduler-pass check interval.
-    dsa_config.poll_interval = sim::usecs(25);
-    dsa_config.poll_timeout = sim::msecs(50);
-    // One flag check inside the scheduler's poll pass is a cached
-    // read, far cheaper than the micro-benchmark's isolated check.
-    dsa_config.costs.poll_check = sim::nsecs(200);
-    if (config.intr_high_watermark > 0) {
-        dsa_config.intr_high_watermark = config.intr_high_watermark;
-        dsa_config.intr_low_watermark = config.intr_low_watermark;
-    }
-    if (config.poll_interval > 0)
-        dsa_config.poll_interval = config.poll_interval;
-    dsa_config.kdsa_extra_layers = config.kdsa_extra_layers;
-
-    Testbed testbed(config.backend, host, storage, dsa_config,
+    Testbed testbed(config.backend, host, storage, config.dsa,
                     config.seed);
     if (config.tie_seed != 0)
         testbed.sim().queue().setTieShuffle(config.tie_seed);
@@ -135,7 +129,7 @@ runTpcc(const TpccRunConfig &config)
     }
 
     db::OltpConfig engine_config =
-        platformEngine(config.platform, config.backend, config.opts);
+        platformEngine(config.platform, config.backend, config.dsa.opts);
     if (config.workers > 0)
         engine_config.workers = config.workers;
 
@@ -147,10 +141,8 @@ runTpcc(const TpccRunConfig &config)
     result.server_cache_hit = testbed.serverCacheHitRatio();
     result.disk_utilization = testbed.diskUtilization();
     result.host_interrupts = testbed.hostInterrupts();
-    for (auto &client : testbed.clients())
-        result.retransmits += client->retransmitCount();
-    for (auto &init : testbed.iscsiInitiators())
-        result.retransmits += init->tcp().retransmitCount();
+    for (const auto &session : testbed.sessions())
+        result.retransmits += session->retransmitCount();
     result.metrics_json = testbed.sim().metrics().toJson();
     result.events_fired = testbed.sim().queue().firedCount();
     result.sim_elapsed = testbed.sim().now();

@@ -27,13 +27,20 @@ enum class Platform : uint8_t
     Large,
 };
 
+/** The DSA client settings of a loaded database: SQL Server's
+ *  scheduler polls completion flags between work items. */
+dsa::DsaConfig loadedDsaConfig();
+
 /** One TPC-C experiment description. Ordered field by field, so a
  *  config can key a run memo with no field left out. */
 struct TpccRunConfig
 {
     Backend backend = Backend::Cdsa;
     Platform platform = Platform::MidSize;
-    dsa::DsaOptimizations opts = dsa::DsaOptimizations::all();
+    /** The DSA clients' settings (ablations vary one field); its
+     *  max_outstanding also sets the storage nodes' request
+     *  credits. */
+    dsa::DsaConfig dsa = loadedDsaConfig();
     storage::CachePolicy cache_policy = storage::CachePolicy::Mq;
 
     /** Local backend: directly attached disk count (Figure 13
@@ -50,13 +57,6 @@ struct TpccRunConfig
     /** Nonzero arms EventQueue tie-shuffle with this seed before the
      *  run, for abl_determinism-style byte-identical double runs. */
     uint64_t tie_seed = 0;
-
-    /** Optional DSA overrides for ablation sweeps (0 = default). */
-    uint32_t intr_high_watermark = 0;
-    uint32_t intr_low_watermark = 0;
-    sim::Tick poll_interval = 0;
-    uint32_t flow_credits = 0;
-    int kdsa_extra_layers = 0;
 
     auto operator<=>(const TpccRunConfig &) const = default;
 };

@@ -104,11 +104,10 @@ class Rig
             iscsi::InitiatorConfig init_config;
             init_config.volume = volume_;
             initiator_ = std::make_unique<iscsi::Initiator>(
-                host_, fabric_, init_config);
-            sim::spawn([](iscsi::Initiator &init, net::PortId port,
-                          bool &out) -> Task<> {
-                out = co_await init.connect(port);
-            }(*initiator_, target_->port(), connected_));
+                host_, fabric_, target_->port(), init_config);
+            sim::spawn([](iscsi::Initiator &init, bool &out) -> Task<> {
+                out = co_await init.connect();
+            }(*initiator_, connected_));
             device_ = initiator_.get();
             cache_ = target_->cache();
             disks_ = &target_->diskManager();

@@ -56,13 +56,12 @@ class IscsiEndToEnd : public ::testing::Test
 
         InitiatorConfig init_config;
         init_config.volume = volume;
-        initiator_ = std::make_unique<Initiator>(host_, fabric_,
-                                                 init_config);
+        initiator_ = std::make_unique<Initiator>(
+            host_, fabric_, target_->port(), init_config);
         bool ok = false;
-        sim::spawn([](Initiator &init, net::PortId port,
-                      bool &out) -> Task<> {
-            out = co_await init.connect(port);
-        }(*initiator_, target_->port(), ok));
+        sim::spawn([](Initiator &init, bool &out) -> Task<> {
+            out = co_await init.connect();
+        }(*initiator_, ok));
         sim_.run();
         EXPECT_TRUE(ok);
         EXPECT_GT(initiator_->capacity(), 0u);
@@ -214,9 +213,12 @@ TEST(IscsiTestbed, TestbedIscsiBackend)
                            storage);
     ASSERT_TRUE(bed.connectAll());
     ASSERT_EQ(bed.nodes().size(), 4u);
-    ASSERT_EQ(bed.iscsiInitiators().size(), 4u);
+    ASSERT_EQ(bed.sessions().size(), 4u);
+    EXPECT_TRUE(bed.clients().empty());
 
-    const uint64_t len = 64 * 1024; // crosses a stripe boundary
+    // Exactly one 64 KiB stripe unit: the whole I/O lands on the
+    // first target.
+    const uint64_t len = 64 * 1024;
     const Addr buffer = bed.host().memory().allocate(len);
     bool ok = false;
     sim::spawn([](dsa::BlockDevice &dev, uint64_t len, Addr buffer,
@@ -227,6 +229,15 @@ TEST(IscsiTestbed, TestbedIscsiBackend)
     }(bed.device(), len, buffer, ok));
     bed.sim().run();
     EXPECT_TRUE(ok);
+    // One write and one read, on a lossless fabric.
+    uint64_t ios = 0;
+    uint64_t retransmits = 0;
+    for (const auto &session : bed.sessions()) {
+        ios += session->ioCount();
+        retransmits += session->retransmitCount();
+    }
+    EXPECT_EQ(ios, 2u);
+    EXPECT_EQ(retransmits, 0u);
     // The rival's signature: I/O completions arrive by interrupt.
     EXPECT_GT(bed.hostInterrupts(), 0u);
     // The node aggregates read the targets as they read V3 servers.

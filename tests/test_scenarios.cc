@@ -28,6 +28,7 @@ TEST(Testbed, AssemblesV3Platform)
         Testbed testbed(Backend::Cdsa, HostParams::midSize(), storage);
         EXPECT_TRUE(testbed.connectAll());
         EXPECT_EQ(testbed.servers().size(), 4u);
+        EXPECT_EQ(testbed.sessions().size(), 4u);
         EXPECT_EQ(testbed.clients().size(), 4u);
         EXPECT_GT(testbed.device().capacity(), 0u);
         // 4 nodes x 15 disks.
@@ -57,7 +58,9 @@ TEST(Testbed, AssemblesLocalPlatform)
     storage.local_disks = 32;
     Testbed testbed(Backend::Local, HostParams::midSize(), storage);
     EXPECT_TRUE(testbed.connectAll());
-    EXPECT_NE(testbed.local(), nullptr);
+    // One session, the local HBA path; no V3 nodes, no DSA clients.
+    EXPECT_EQ(testbed.sessions().size(), 1u);
+    EXPECT_TRUE(testbed.clients().empty());
     EXPECT_TRUE(testbed.servers().empty());
 }
 
@@ -147,6 +150,25 @@ TEST(MicroRig, UncachedVsLocalWithinBand)
     EXPECT_GT(rv.mean_us / rl.mean_us, 0.97);
 }
 
+TEST(MicroRig, SessionQuantilesOnEveryBackend)
+{
+    // Every backend's session feeds the rig's tail latencies.
+    for (const Backend backend : {Backend::Local, Backend::Kdsa,
+                                  Backend::Wdsa, Backend::Cdsa,
+                                  Backend::Iscsi}) {
+        SCOPED_TRACE(backendName(backend));
+        MicroRig::Config config;
+        config.backend = backend;
+        MicroRig rig(config);
+        ASSERT_TRUE(rig.ready());
+        EXPECT_GT(rig.measureLatency(8192, true, 10, true).p50_us, 0.0);
+        const auto window =
+            rig.measureThroughput(8192, true, 4, sim::msecs(20), true);
+        EXPECT_GT(window.p95_us, 0.0);
+        EXPECT_LE(window.p95_us, window.p99_us);
+    }
+}
+
 TEST(TpccRun, SmokeRunProducesSaneNumbers)
 {
     TpccRunConfig config;
@@ -178,6 +200,22 @@ TEST(TpccRun, WorkloadConfigsMatchPaperScale)
         static_cast<double>(mid.workingSetBytes());
     EXPECT_NEAR(ratio, 9.6, 1.0);
     EXPECT_DOUBLE_EQ(mid.read_fraction, 0.70);
+}
+
+TEST(TpccRun, ConfigKeysOnItsDsaSettings)
+{
+    // Spelling out the default watermarks and credits is the default
+    // run; any other DSA setting is a different run.
+    TpccRunConfig spelled;
+    spelled.dsa.intr_high_watermark = 4;
+    spelled.dsa.intr_low_watermark = 2;
+    spelled.dsa.max_outstanding = 64;
+    EXPECT_EQ(spelled, TpccRunConfig{});
+
+    TpccRunConfig polled;
+    polled.dsa.poll_interval = sim::usecs(50);
+    EXPECT_NE(polled, TpccRunConfig{});
+    EXPECT_TRUE(polled < TpccRunConfig{} || TpccRunConfig{} < polled);
 }
 
 TEST(TpccRun, BackendNamesRoundTrip)
