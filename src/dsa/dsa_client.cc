@@ -131,6 +131,7 @@ DsaClient::DsaClient(DsaImpl impl, osmodel::Node &node, vi::ViNic &nic,
     flag_handle_ = flag_reg->handle;
     for (uint32_t i = 0; i < slots; ++i)
         free_flags_.push_back(slots - 1 - i);
+    flag_io_.assign(slots, nullptr);
 
     // Observe inbound RDMA writes so flag completions work even with
     // phantom memory, and so damaged fragments taint the buffers
@@ -145,8 +146,8 @@ DsaClient::~DsaClient() = default;
 uint64_t
 DsaClient::ackBelow() const
 {
-    return outstanding_seqs_.empty() ? next_seq_
-                                     : *outstanding_seqs_.begin();
+    return pending_.empty() ? next_seq_
+                            : pending_.front().value.io->msg.seq;
 }
 
 int
@@ -299,17 +300,17 @@ DsaClient::onRdmaEvent(const vi::ViNic::RdmaEvent &event)
         // damaged fragments are detected even when memory is phantom
         // (no bytes to CRC). A (re)transfer starts at the buffer
         // base, which clears taint from an earlier damaged attempt.
-        for (auto &[id, io] : pending_) {
-            if (io->buffer == sim::kNullAddr ||
-                event.addr < io->buffer ||
-                event.addr >= io->buffer + io->msg.len) {
-                continue;
-            }
+        const auto *hit = pending_.findIf([&event](const auto &item) {
+            const Outstanding &out = item.value;
+            return out.buffer != sim::kNullAddr &&
+                   event.addr >= out.buffer && event.addr < out.end;
+        });
+        if (hit != nullptr) {
+            PendingIo *io = hit->value.io;
             if (event.addr == io->buffer)
                 io->tainted = false;
             if (event.corrupted)
                 io->tainted = true;
-            break;
         }
         return;
     }
@@ -325,14 +326,8 @@ DsaClient::onRdmaEvent(const vi::ViNic::RdmaEvent &event)
     }
     const uint32_t index =
         static_cast<uint32_t>((event.addr - flag_base_) / 8);
-    auto it = flag_to_io_.find(index);
-    if (it == flag_to_io_.end())
-        return;
-    auto pending = pending_.find(it->second);
-    if (pending == pending_.end())
-        return;
-    PendingIo *io = pending->second;
-    if (io->done)
+    PendingIo *io = flag_io_[index];
+    if (io == nullptr || io->done)
         return;
 
     io->flag_set = true;
@@ -500,9 +495,9 @@ DsaClient::track(PendingIo &io, uint64_t offset, uint64_t len)
         flag_base_ + static_cast<uint64_t>(io.flag_index) * 8;
     io.msg.header_digest = headerDigest(io.msg);
 
-    outstanding_seqs_.insert(io.msg.seq);
-    pending_[io.id] = &io;
-    flag_to_io_[io.flag_index] = io.id;
+    pending_.insert(io.id, Outstanding{&io, io.buffer,
+                                       io.buffer + io.msg.len});
+    flag_io_[io.flag_index] = &io;
     if (!node_.memory().phantom())
         node_.memory().writeU64(io.msg.flag_addr, 0);
 }
@@ -512,8 +507,7 @@ DsaClient::untrack(PendingIo &io)
 {
     io.retx_timer.cancel();
     pending_.erase(io.id);
-    flag_to_io_.erase(io.flag_index);
-    outstanding_seqs_.erase(io.msg.seq);
+    flag_io_[io.flag_index] = nullptr;
     free_flags_.push_back(io.flag_index);
 }
 
@@ -783,10 +777,10 @@ sim::Task<>
 DsaClient::completeFromResponse(CpuLease &lease,
                                 const ResponseMsg &response)
 {
-    auto it = pending_.find(response.request_id);
-    if (it == pending_.end() || it->second->done)
+    const Outstanding *out = pending_.find(response.request_id);
+    if (out == nullptr || out->io->done)
         co_return; // stale duplicate (retransmission crossing)
-    PendingIo *io = it->second;
+    PendingIo *io = out->io;
 
     // End-to-end verification before the completion is accepted.
     IoStatus status = response.status;
@@ -964,10 +958,10 @@ DsaClient::scheduleRetransmit(PendingIo &io)
 sim::Task<>
 DsaClient::retransmit(uint64_t io_id)
 {
-    auto it = pending_.find(io_id);
-    if (it == pending_.end() || it->second->done)
+    const Outstanding *out = pending_.find(io_id);
+    if (out == nullptr || out->io->done)
         co_return;
-    PendingIo *io = it->second;
+    PendingIo *io = out->io;
 
     if (dead_) {
         // The client died while this I/O was outstanding. The
@@ -1037,10 +1031,10 @@ DsaClient::reconnect()
             dead_ = true;
             reconnecting_ = false;
             std::vector<PendingIo *> doomed;
-            for (auto &[id, io] : pending_) {
-                if (!io->done)
-                    doomed.push_back(io);
-            }
+            pending_.forEach([&doomed](const auto &item) {
+                if (!item.value.io->done)
+                    doomed.push_back(item.value.io);
+            });
             for (PendingIo *io : doomed) {
                 io->done = true;
                 io->ok = false;
@@ -1052,19 +1046,16 @@ DsaClient::reconnect()
     }
     ready_ = true;
 
-    // Replay every outstanding request in sequence order. The new
-    // server-side connection starts a fresh dedup filter, so writes
-    // re-stage their data and re-execute (idempotent block writes).
+    // Replay every outstanding request in sequence order (pending_'s
+    // id order). The new server-side connection starts a fresh dedup
+    // filter, so writes re-stage their data and re-execute
+    // (idempotent block writes).
     std::vector<PendingIo *> replay;
     replay.reserve(pending_.size());
-    for (auto &[id, io] : pending_) {
-        if (!io->done)
-            replay.push_back(io);
-    }
-    std::sort(replay.begin(), replay.end(),
-              [](const PendingIo *a, const PendingIo *b) {
-                  return a->msg.seq < b->msg.seq;
-              });
+    pending_.forEach([&replay](const auto &item) {
+        if (!item.value.io->done)
+            replay.push_back(item.value.io);
+    });
     for (PendingIo *io : replay) {
         io->retx_timer.cancel();
         co_await resend(*io);

@@ -45,13 +45,9 @@
 #define V3SIM_DSA_DSA_CLIENT_HH
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dsa/dsa_costs.hh"
@@ -63,6 +59,7 @@
 #include "osmodel/sim_lock.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+#include "util/ordered_index.hh"
 #include "vi/vi_nic.hh"
 
 namespace v3sim::dsa
@@ -172,6 +169,15 @@ class DsaClient : public Session
         sim::Tick issued_at = 0;
         sim::Completion<bool> completion;
         sim::EventQueue::Handle retx_timer;
+    };
+
+    /** One entry of pending_. The I/O's buffer range is copied in so
+     *  the RDMA-taint lookup scans contiguous memory. */
+    struct Outstanding
+    {
+        PendingIo *io = nullptr;
+        sim::Addr buffer = sim::kNullAddr; ///< kNullAddr for hints
+        sim::Addr end = sim::kNullAddr;    ///< buffer + len
     };
 
     /** Gives @p io its id, flag slot and sequence number, completes
@@ -317,13 +323,13 @@ class DsaClient : public Session
 
     uint64_t next_id_ = 1;
     uint64_t next_seq_ = 0;
-    /// Ordered by io id (issue order): reconnect replay collection
-    /// and RDMA-taint scans iterate it, so order must be
-    /// deterministic (DESIGN.md §8).
-    std::map<uint64_t, PendingIo *> pending_;
-    std::set<uint64_t> outstanding_seqs_;
-    /// Point lookups only (flag index -> io id); never iterated.
-    std::unordered_map<uint32_t, uint64_t> flag_to_io_;
+    /// Outstanding I/Os by id. track() issues ids and sequence
+    /// numbers together, so id order is sequence order: the front
+    /// holds the ack watermark, and reconnect replay and RDMA-taint
+    /// lookups walk it in that order (DESIGN.md §8).
+    util::OrderedIndex<uint64_t, Outstanding> pending_;
+    /// Flag slot -> the I/O it belongs to, nullptr while free.
+    std::vector<PendingIo *> flag_io_;
     sim::Completion<bool> *connect_waiter_ = nullptr;
     sim::Completion<bool> *hello_waiter_ = nullptr;
 

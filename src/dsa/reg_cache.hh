@@ -18,11 +18,12 @@
 #define V3SIM_DSA_REG_CACHE_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "util/ordered_index.hh"
 #include "vi/memory_registry.hh"
 
 namespace v3sim::dsa
@@ -71,8 +72,12 @@ class RegCache
                 return std::nullopt;
             reg->cost += flush_cost;
         }
-        if (batched_)
-            ++regions_[reg->region].allocated;
+        if (batched_) {
+            RegionState *state = regions_.find(reg->region);
+            if (state == nullptr)
+                state = &regions_.insert(reg->region, RegionState{});
+            ++state->allocated;
+        }
         return Result{reg->handle, reg->cost};
     }
 
@@ -91,14 +96,14 @@ class RegCache
             return cost.value_or(0);
         }
         const uint32_t region = registry_.regionOf(handle);
-        auto it = regions_.find(region);
-        if (it == regions_.end())
+        RegionState *state = regions_.find(region);
+        if (state == nullptr)
             return 0; // already flushed (stale handle)
-        ++it->second.released;
-        if (it->second.allocated >= registry_.regionEntries() &&
-            it->second.released >= it->second.allocated) {
+        ++state->released;
+        if (state->allocated >= registry_.regionEntries() &&
+            state->released >= state->allocated) {
             const auto result = registry_.deregisterRegion(region);
-            regions_.erase(it);
+            regions_.erase(region);
             return result.cost;
         }
         return 0;
@@ -108,15 +113,16 @@ class RegCache
     sim::Tick
     flushReleased()
     {
+        std::vector<uint32_t> flushed;
+        regions_.forEach([&flushed](const auto &item) {
+            const RegionState &state = item.value;
+            if (state.released >= state.allocated && state.allocated > 0)
+                flushed.push_back(item.key);
+        });
         sim::Tick cost = 0;
-        for (auto it = regions_.begin(); it != regions_.end();) {
-            if (it->second.released >= it->second.allocated &&
-                it->second.allocated > 0) {
-                cost += registry_.deregisterRegion(it->first).cost;
-                it = regions_.erase(it);
-            } else {
-                ++it;
-            }
+        for (const uint32_t region : flushed) {
+            cost += registry_.deregisterRegion(region).cost;
+            regions_.erase(region);
         }
         return cost;
     }
@@ -136,7 +142,7 @@ class RegCache
     bool batched_;
     /// Ordered by region id: flushReleased() iterates (and charges
     /// deregistration costs) in a deterministic order.
-    std::map<uint32_t, RegionState> regions_;
+    util::OrderedIndex<uint32_t, RegionState> regions_;
     sim::Counter forced_flushes_;
 };
 

@@ -94,7 +94,7 @@ Initiator::issueOnce(bool is_write, uint64_t offset, uint64_t len,
     pending.len = len;
     pending.buffer = buffer;
     const uint64_t itt = next_itt_++;
-    pending_.emplace(itt, &pending);
+    pending_.insert(itt, &pending);
 
     // Arbitration key: the user buffer address — unique per
     // concurrent submitter and pure content (DESIGN.md §8.3).
@@ -196,10 +196,10 @@ Initiator::onPdu(std::shared_ptr<Pdu> pdu, bool tainted,
         driver_.addCrcNs(dig);
     }
 
-    auto it = pending_.find(pdu->itt);
-    if (it == pending_.end())
+    const auto *found = pending_.find(pdu->itt);
+    if (found == nullptr)
         co_return; // stale tag (late duplicate after a retry)
-    Pending &cmd = *it->second;
+    Pending &cmd = **found;
 
     const ScsiStatus status =
         damaged ? ScsiStatus::DigestError : pdu->status;

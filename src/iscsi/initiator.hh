@@ -28,7 +28,6 @@
 #define V3SIM_ISCSI_INITIATOR_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -41,6 +40,7 @@
 #include "sim/metrics.hh"
 #include "sim/resource.hh"
 #include "sim/task.hh"
+#include "util/ordered_index.hh"
 
 namespace v3sim::iscsi
 {
@@ -135,8 +135,8 @@ class Initiator : public dsa::Session
     net::TcpStream tcp_;
     TcpHostDriver driver_;
 
-    /** Outstanding commands by task tag (ordered: determinism). */
-    std::map<uint64_t, Pending *> pending_;
+    /** Outstanding commands by task tag. */
+    util::OrderedIndex<uint64_t, Pending *> pending_;
     uint64_t next_itt_ = 1;
     /** Bounds outstanding commands at max_outstanding; keyed
      *  final-band grants keep saturated admission content-ordered

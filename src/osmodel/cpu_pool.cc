@@ -47,8 +47,13 @@ CpuPool::park(std::coroutine_handle<> h, int priority,
               uint64_t order_key, uint64_t tiebreak)
 {
     const Waiter w{h, priority, order_key, tiebreak, next_seq_++};
-    waiters_.insert(
-        std::upper_bound(waiters_.begin(), waiters_.end(), w), w);
+    // Kept descending, so the next grant pops off the back.
+    const auto granted_later = [](const Waiter &a, const Waiter &b) {
+        return b < a;
+    };
+    waiters_.insert(std::upper_bound(waiters_.begin(), waiters_.end(),
+                                     w, granted_later),
+                    w);
     if (!arb_scheduled_) {
         arb_scheduled_ = true;
         sim_.queue().scheduleFinal([this] { arbitrate(); });
@@ -76,8 +81,8 @@ CpuPool::arbitrate()
     // need a fresh arbitration pass later this same tick.
     arb_scheduled_ = false;
     while (busy_ < cpus_ && !waiters_.empty()) {
-        const Waiter w = waiters_.front();
-        waiters_.erase(waiters_.begin());
+        const Waiter w = waiters_.back();
+        waiters_.pop_back();
         ++busy_;
         w.handle.resume();
     }

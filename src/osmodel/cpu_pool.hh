@@ -224,7 +224,9 @@ class CpuPool
     int cpus_;
     std::string name_;
     int busy_ = 0;
-    std::vector<Waiter> waiters_; ///< kept sorted (insertion sort)
+    /** Kept sorted in descending order (insertion sort); the back
+     *  is granted next. */
+    std::vector<Waiter> waiters_;
     uint64_t next_seq_ = 0;
     bool arb_scheduled_ = false;
     /** Completed-run time per category (excludes active runs). */

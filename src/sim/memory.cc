@@ -33,7 +33,7 @@ MemorySpace::allocate(uint64_t len)
     block.len = len;
     if (!phantom_)
         block.bytes = allocateZeroed(len);
-    blocks_.emplace(base, std::move(block));
+    blocks_.insert(base, std::move(block));
     allocated_bytes_ += len;
     return base;
 }
@@ -41,24 +41,23 @@ MemorySpace::allocate(uint64_t len)
 void
 MemorySpace::free(Addr base)
 {
-    auto it = blocks_.find(base);
-    if (it == blocks_.end())
+    const Block *block = blocks_.find(base);
+    if (block == nullptr)
         return;
-    allocated_bytes_ -= it->second.len;
-    blocks_.erase(it);
+    allocated_bytes_ -= block->len;
+    blocks_.erase(base);
 }
 
 const MemorySpace::Block *
 MemorySpace::findBlock(Addr addr, uint64_t len, Addr *base) const
 {
-    if (addr == kNullAddr || blocks_.empty())
+    if (addr == kNullAddr)
         return nullptr;
-    auto it = blocks_.upper_bound(addr);
-    if (it == blocks_.begin())
+    const auto *item = blocks_.floor(addr);
+    if (item == nullptr)
         return nullptr;
-    --it;
-    const Addr block_base = it->first;
-    const Block &block = it->second;
+    const Addr block_base = item->key;
+    const Block &block = item->value;
     if (addr < block_base || addr - block_base > block.len ||
         len > block.len - (addr - block_base)) {
         return nullptr;

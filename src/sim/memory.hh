@@ -27,9 +27,10 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
+
+#include "util/ordered_index.hh"
 
 namespace v3sim::sim
 {
@@ -153,7 +154,8 @@ class MemorySpace
     bool phantom_;
     std::string name_;
     Addr next_ = kPageSize; // keep kNullAddr unused
-    std::map<Addr, Block> blocks_;
+    /** Live allocations by base address. */
+    util::OrderedIndex<Addr, Block> blocks_;
     uint64_t allocated_bytes_ = 0;
 };
 

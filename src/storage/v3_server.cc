@@ -282,11 +282,13 @@ V3Server::serviceLoop(Connection &conn)
     }
 }
 
-void
-V3Server::pruneSeqs(Connection &conn, uint64_t ack_below)
+size_t
+V3Server::dedupEntries() const
 {
-    conn.seqs.erase(conn.seqs.begin(),
-                    conn.seqs.lower_bound(ack_below));
+    size_t entries = 0;
+    for (const auto &conn : connections_)
+        entries += conn->seqs.size();
+    return entries;
 }
 
 sim::Task<>
@@ -299,7 +301,8 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
         orderKey(conn.staging_base, req.offset));
     co_await lease.run(config_.parse_cost, CpuCat::Other);
 
-    pruneSeqs(conn, req.ack_below);
+    // Everything below the client's ack watermark has completed there.
+    conn.seqs.eraseBelow(req.ack_below);
 
     if (req.op == dsa::DsaOp::Hello) {
         co_await handleHello(conn, req, lease);
@@ -310,10 +313,9 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
 
     // Retransmission filter (exactly-once for writes, no duplicate
     // execution for hints).
-    const auto seq_it = conn.seqs.find(req.seq);
-    if (seq_it != conn.seqs.end()) {
+    if (const auto *seen = conn.seqs.find(req.seq)) {
         retransmit_hits_.increment();
-        if (seq_it->second == Connection::SeqState::InProgress) {
+        if (*seen == Connection::SeqState::InProgress) {
             // The original is still being served; it will complete.
             repostRecv(conn, recv_cookie);
             node_.cpus().release();
@@ -321,7 +323,7 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
         }
         if (req.op != dsa::DsaOp::Read) {
             const dsa::IoStatus replay =
-                seq_it->second == Connection::SeqState::DoneOk
+                *seen == Connection::SeqState::DoneOk
                     ? dsa::IoStatus::Ok
                     : dsa::IoStatus::Error;
             co_await lease.run(config_.complete_cost, CpuCat::Other);
@@ -335,7 +337,7 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
         // bare replayed status would strand it. Reads are idempotent;
         // fall through and re-execute so the data is RDMA'd again.
     }
-    conn.seqs[req.seq] = Connection::SeqState::InProgress;
+    conn.seqs.set(req.seq, Connection::SeqState::InProgress);
 
     // Overload control (DESIGN.md §12): data-path requests pass the
     // admission gate; hints stay ungated (advisory and cheap, they
@@ -387,9 +389,9 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
         // re-stage and re-execute, not replay this failure.
         conn.seqs.erase(req.seq);
     } else {
-        conn.seqs[req.seq] = status == dsa::IoStatus::Ok
-                                 ? Connection::SeqState::DoneOk
-                                 : Connection::SeqState::DoneFail;
+        conn.seqs.set(req.seq, status == dsa::IoStatus::Ok
+                                   ? Connection::SeqState::DoneOk
+                                   : Connection::SeqState::DoneFail);
     }
     co_await lease.run(config_.complete_cost, CpuCat::Other);
     postCompletion(conn, req, status, payload_digest, digest_valid);

@@ -48,8 +48,8 @@
 #ifndef V3SIM_STORAGE_V3_SERVER_HH
 #define V3SIM_STORAGE_V3_SERVER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -60,6 +60,7 @@
 #include "sim/simulation.hh"
 #include "sim/task.hh"
 #include "storage/storage_node.hh"
+#include "util/seq_window.hh"
 #include "vi/fault_injector.hh"
 #include "vi/vi_nic.hh"
 
@@ -127,6 +128,9 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
     uint64_t hintCount() const { return hints_.value(); }
     uint64_t prefetchedBlocks() const { return prefetched_.value(); }
     uint64_t retransmitHits() const { return retransmit_hits_.value(); }
+    /** Sequences the retransmission filters hold, over every
+     *  connection (bounded by the clients' ack watermarks). */
+    size_t dedupEntries() const;
     uint64_t crashCount() const { return crashes_.value(); }
     uint64_t restartCount() const { return restarts_.value(); }
 
@@ -159,11 +163,10 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
         sim::Addr staging_base = sim::kNullAddr;
         vi::MemHandle staging_handle;
 
-        /** Retransmission filter: seq -> completed ok/in-progress.
-         *  Ordered so pruneSeqs can range-erase below the ack and
-         *  iteration order is deterministic (DESIGN.md §8). */
+        /** Retransmission filter: seq -> completed ok/in-progress,
+         *  from the client's ack watermark up. */
         enum class SeqState : uint8_t { InProgress, DoneOk, DoneFail };
-        std::map<uint64_t, SeqState> seqs;
+        util::SeqWindow<SeqState> seqs;
         /** Staging slots whose latest inbound RDMA transfer carried a
          *  damaged fragment (set by the NIC's RdmaEvent observer,
          *  consumed by doWrite). This is how phantom-memory runs —
@@ -230,9 +233,6 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
 
     /** Re-posts the request receive buffer (returns the credit). */
     void repostRecv(Connection &conn, uint64_t cookie);
-
-    /** Prunes the retransmission filter below the client's ack. */
-    static void pruneSeqs(Connection &conn, uint64_t ack_below);
 
     net::Fabric &fabric_;
     V3ServerConfig config_;

@@ -1,28 +1,35 @@
 #include "memory_registry.hh"
 
 #include <cassert>
+#include <type_traits>
 
 namespace v3sim::vi
 {
 
 MemoryRegistry::MemoryRegistry(const ViCosts &costs,
                                uint32_t region_entries)
-    : costs_(costs), region_entries_(region_entries)
+    : costs_(costs),
+      region_entries_(region_entries),
+      table_entries_(costs_.max_table_entries),
+      table_bytes_(sim::allocateZeroed(uint64_t{table_entries_} *
+                                       sizeof(Entry))),
+      table_(reinterpret_cast<Entry *>(table_bytes_.get()))
 {
+    static_assert(std::is_trivially_copyable_v<Entry>,
+                  "zeroed bytes must be a valid free entry");
     assert(region_entries_ >= 1);
-    table_.resize(costs_.max_table_entries);
-    free_bits_.assign((table_.size() + 63) / 64, ~uint64_t(0));
-    if (table_.size() % 64 != 0)
+    free_bits_.assign((table_entries_ + 63) / 64, ~uint64_t(0));
+    if (table_entries_ % 64 != 0)
         free_bits_.back() =
-            (uint64_t(1) << (table_.size() % 64)) - 1;
+            (uint64_t(1) << (table_entries_ % 64)) - 1;
 }
 
 bool
 MemoryRegistry::findFreeSlot(uint32_t *slot)
 {
-    if (live_entries_ >= table_.size())
+    if (live_entries_ >= table_entries_)
         return false;
-    const uint32_t n = static_cast<uint32_t>(table_.size());
+    const uint32_t n = table_entries_;
     // First free slot at or after cursor_, wrapping — the same
     // round-robin policy as a linear probe of the table, but over the
     // free-slot bitmap. Probing order: the cursor word's high bits,
@@ -85,9 +92,7 @@ MemoryRegistry::registerMemory(sim::Addr addr, uint64_t len,
         cost += static_cast<sim::Tick>(sim::pageSpan(addr, len)) *
                 costs_.page_pin;
 
-    std::vector<uint32_t> &at_base = by_addr_[addr];
-    entry.pos = static_cast<uint32_t>(at_base.size());
-    at_base.push_back(slot);
+    linkByAddr(slot);
 
     RegResult result;
     result.handle = MemHandle{slot, entry.generation};
@@ -99,23 +104,12 @@ MemoryRegistry::registerMemory(sim::Addr addr, uint64_t len,
 std::optional<sim::Tick>
 MemoryRegistry::deregister(MemHandle handle)
 {
-    if (handle.slot >= table_.size())
+    if (handle.slot >= table_entries_)
         return std::nullopt;
-    Entry &entry = table_[handle.slot];
+    const Entry &entry = table_[handle.slot];
     if (!entry.in_use || entry.generation != handle.generation)
         return std::nullopt;
-
-    sim::Tick cost = costs_.table_remove;
-    if (entry.self_pinned)
-        cost += static_cast<sim::Tick>(
-                    sim::pageSpan(entry.addr, entry.len)) *
-                costs_.page_pin;
-
-    eraseByAddr(handle.slot);
-    registered_bytes_ -= entry.len;
-    --live_entries_;
-    entry = Entry{};
-    markSlotFree(handle.slot);
+    const sim::Tick cost = costs_.table_remove + release(handle.slot);
     deregistrations_.increment();
     return cost;
 }
@@ -126,40 +120,47 @@ MemoryRegistry::deregisterRegion(uint32_t region)
     RegionDeregResult result;
     const uint64_t first =
         static_cast<uint64_t>(region) * region_entries_;
-    if (first >= table_.size())
+    if (first >= table_entries_)
         return result;
     const uint64_t last =
-        std::min<uint64_t>(first + region_entries_, table_.size());
+        std::min<uint64_t>(first + region_entries_, table_entries_);
 
     // One table operation covers the whole region; unpinning (when
     // the entries pinned their own pages) still costs per page.
     result.cost = costs_.table_remove;
     for (uint64_t slot = first; slot < last; ++slot) {
-        Entry &entry = table_[slot];
-        if (!entry.in_use)
+        if (!table_[slot].in_use)
             continue;
-        if (entry.self_pinned) {
-            result.cost +=
-                static_cast<sim::Tick>(
-                    sim::pageSpan(entry.addr, entry.len)) *
-                costs_.page_pin;
-        }
-        eraseByAddr(static_cast<uint32_t>(slot));
-        registered_bytes_ -= entry.len;
-        --live_entries_;
-        entry = Entry{};
-        markSlotFree(static_cast<uint32_t>(slot));
+        result.cost += release(static_cast<uint32_t>(slot));
         ++result.entries_freed;
     }
     region_deregs_.increment();
     return result;
 }
 
+sim::Tick
+MemoryRegistry::release(uint32_t slot)
+{
+    Entry &entry = table_[slot];
+    const sim::Tick unpin =
+        entry.self_pinned
+            ? static_cast<sim::Tick>(
+                  sim::pageSpan(entry.addr, entry.len)) *
+                  costs_.page_pin
+            : 0;
+    unlinkByAddr(slot);
+    registered_bytes_ -= entry.len;
+    --live_entries_;
+    entry = Entry{};
+    markSlotFree(slot);
+    return unpin;
+}
+
 bool
 MemoryRegistry::covers(MemHandle handle, sim::Addr addr,
                        uint64_t len) const
 {
-    if (handle.slot >= table_.size())
+    if (handle.slot >= table_entries_)
         return false;
     const Entry &entry = table_[handle.slot];
     if (!entry.in_use || entry.generation != handle.generation)
@@ -171,14 +172,14 @@ MemoryRegistry::covers(MemHandle handle, sim::Addr addr,
 bool
 MemoryRegistry::anyCovers(sim::Addr addr, uint64_t len) const
 {
-    auto it = by_addr_.upper_bound(addr);
-    if (it == by_addr_.begin())
+    const auto *head = chain_heads_.floor(addr);
+    if (head == nullptr)
         return false;
-    --it;
     // Every entry sharing the closest base address gets a look: the
     // same buffer can carry several live registrations with
     // different lengths.
-    for (const uint32_t slot : it->second) {
+    for (uint32_t slot = head->value; slot != kNoSlot;
+         slot = table_[slot].next) {
         const Entry &entry = table_[slot];
         if (addr - entry.addr <= entry.len &&
             len <= entry.len - (addr - entry.addr)) {
@@ -195,16 +196,32 @@ MemoryRegistry::regionOf(MemHandle handle) const
 }
 
 void
-MemoryRegistry::eraseByAddr(uint32_t slot)
+MemoryRegistry::linkByAddr(uint32_t slot)
+{
+    Entry &entry = table_[slot];
+    entry.prev = kNoSlot;
+    if (uint32_t *head = chain_heads_.find(entry.addr)) {
+        entry.next = *head;
+        table_[*head].prev = slot;
+        *head = slot;
+    } else {
+        entry.next = kNoSlot;
+        chain_heads_.insert(entry.addr, slot);
+    }
+}
+
+void
+MemoryRegistry::unlinkByAddr(uint32_t slot)
 {
     const Entry &entry = table_[slot];
-    auto node = by_addr_.find(entry.addr);
-    std::vector<uint32_t> &at_base = node->second;
-    at_base[entry.pos] = at_base.back();
-    table_[at_base[entry.pos]].pos = entry.pos;
-    at_base.pop_back();
-    if (at_base.empty())
-        by_addr_.erase(node);
+    if (entry.next != kNoSlot)
+        table_[entry.next].prev = entry.prev;
+    if (entry.prev != kNoSlot)
+        table_[entry.prev].next = entry.next;
+    else if (entry.next != kNoSlot)
+        *chain_heads_.find(entry.addr) = entry.next;
+    else
+        chain_heads_.erase(entry.addr);
 }
 
 void

@@ -22,7 +22,6 @@
 #define V3SIM_VI_MEMORY_REGISTRY_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "util/ordered_index.hh"
 #include "vi/vi_costs.hh"
 #include "vi/vi_types.hh"
 
@@ -131,16 +131,23 @@ class MemoryRegistry
                          const std::string &prefix);
 
   private:
+    /** One translation-table entry. All-zero bytes are a free entry,
+     *  so the table lives in zero pages (sim::allocateZeroed) and
+     *  only the slots ever used cost resident memory. */
     struct Entry
     {
-        bool in_use = false;
-        uint64_t generation = 0;
-        sim::Addr addr = sim::kNullAddr;
-        uint64_t len = 0;
-        bool self_pinned = false; ///< pages were pinned by register
-        /** Position in by_addr_[addr] (swap-remove bookkeeping). */
-        uint32_t pos = 0;
+        uint64_t generation;
+        sim::Addr addr;
+        uint64_t len;
+        /** Neighbours in the chain of live entries at the same base
+         *  address; kNoSlot at either end. */
+        uint32_t prev;
+        uint32_t next;
+        bool in_use;
+        bool self_pinned; ///< pages were pinned by register
     };
+
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
 
     /** Advances the cursor to a free slot; false if table full. */
     bool findFreeSlot(uint32_t *slot);
@@ -157,14 +164,23 @@ class MemoryRegistry
         free_bits_[slot / 64] |= uint64_t(1) << (slot % 64);
     }
 
-    /** Drops @p slot's entry from the address index in O(1) (plus
-     *  the node erase when it was its base's last entry). */
-    void eraseByAddr(uint32_t slot);
+    /** Links @p slot's entry into its base address's chain. */
+    void linkByAddr(uint32_t slot);
+
+    /** Unlinks @p slot's entry from its base address's chain in O(1),
+     *  dropping the base from the index when it was the last. */
+    void unlinkByAddr(uint32_t slot);
+
+    /** Frees @p slot's live entry; returns its deregistration cost
+     *  before the table-remove charge (the unpinning, if any). */
+    sim::Tick release(uint32_t slot);
 
     /** Stored by value: callers may pass temporaries. */
     ViCosts costs_;
     uint32_t region_entries_;
-    std::vector<Entry> table_;
+    uint32_t table_entries_;
+    sim::ZeroedBytes table_bytes_;
+    Entry *table_;
     /** One bit per slot, set = free. The allocation probe walks this
      *  8KB-per-64Ki-entries bitmap instead of sweeping the cold
      *  multi-MB entry table; selection order is identical to the
@@ -175,14 +191,13 @@ class MemoryRegistry
     uint64_t registered_bytes_ = 0;
     uint64_t peak_bytes_ = 0;
     uint64_t next_generation_ = 1;
-    /** Live entries indexed by base address for O(log n) RDMA-target
-     *  validation: one node per base, holding the slots of every live
-     *  entry there. The same buffer may carry many live registrations
-     *  at once (wDSA registers per I/O; under batched deregistration
-     *  a buffer is registered again per I/O until its region
-     *  retires), and one deregistration must not invalidate the
-     *  siblings still covering the address. */
-    std::map<sim::Addr, std::vector<uint32_t>> by_addr_;
+    /** Live base addresses -> first slot of that base's chain, for
+     *  O(log n) RDMA-target validation. The same buffer may carry
+     *  many live registrations at once (wDSA registers per I/O;
+     *  under batched deregistration a buffer is registered again per
+     *  I/O until its region retires), and one deregistration must
+     *  not invalidate the siblings still covering the address. */
+    util::OrderedIndex<sim::Addr, uint32_t> chain_heads_;
 
     sim::Counter registrations_;
     sim::Counter deregistrations_;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "sim/memory.hh"
@@ -274,6 +276,93 @@ TEST_P(RegistryModelTest, MatchesBruteForceScanOfLiveEntries)
         }
         ASSERT_EQ(reg.registeredBytes(), bytes);
     }
+}
+
+TEST_P(RegistryModelTest, MatchesMapModelWithThousandsOfBases)
+{
+    // Batched deregistration at scale: thousands of distinct buffers,
+    // a few registrations each. A full table retires the next
+    // 1024-slot region, as dsa::RegCache's forced flush does, which
+    // drops hundreds of bases from the address index at once. The
+    // model keeps the lengths live at each base.
+    struct Live
+    {
+        MemHandle handle;
+        sim::Addr addr;
+        uint64_t len;
+    };
+    ViCosts costs;
+    costs.max_table_entries = 8192;
+    costs.max_registered_bytes = uint64_t{1} << 40;
+    MemoryRegistry reg(costs, /*region_entries=*/1024);
+    sim::Rng rng(GetParam());
+    std::vector<Live> live;
+    std::map<sim::Addr, std::multiset<uint64_t>> by_base;
+
+    const auto forget = [&by_base](const Live &entry) {
+        std::multiset<uint64_t> &lens = by_base[entry.addr];
+        lens.erase(lens.find(entry.len));
+        if (lens.empty())
+            by_base.erase(entry.addr);
+    };
+    // The documented rule: the closest live base <= addr decides.
+    const auto expectCovers = [&by_base](sim::Addr addr, uint64_t len) {
+        auto next = by_base.upper_bound(addr);
+        if (next == by_base.begin())
+            return false;
+        --next;
+        return addr - next->first + len <= *next->second.rbegin();
+    };
+
+    size_t most_bases = 0;
+    uint32_t retiring = 0;
+    for (int step = 0; step < 40000; ++step) {
+        const uint64_t op = rng.uniformInt(0, 99);
+        if (op < 60) {
+            const sim::Addr addr =
+                0x100000 + rng.uniformInt(0, 5999) * 0x2000;
+            const uint64_t len = 512 * rng.uniformInt(1, 16);
+            const auto result = reg.registerMemory(addr, len, true);
+            if (result) {
+                live.push_back(Live{result->handle, addr, len});
+                by_base[addr].insert(len);
+                continue;
+            }
+            const uint32_t region = retiring;
+            retiring = (retiring + 1) % 8;
+            const auto in_region = [&reg, region](const Live &entry) {
+                return reg.regionOf(entry.handle) == region;
+            };
+            EXPECT_EQ(reg.deregisterRegion(region).entries_freed,
+                      std::count_if(live.begin(), live.end(), in_region));
+            for (const Live &entry : live) {
+                if (in_region(entry))
+                    forget(entry);
+            }
+            std::erase_if(live, in_region);
+        } else if (op < 68 && !live.empty()) {
+            const size_t pick = rng.uniformInt(0, live.size() - 1);
+            ASSERT_TRUE(reg.deregister(live[pick].handle).has_value());
+            forget(live[pick]);
+            live[pick] = live.back();
+            live.pop_back();
+        } else {
+            const sim::Addr addr =
+                0x100000 - 0x1000 + rng.uniformInt(0, 6000 * 16) * 0x200;
+            const uint64_t len = 512 * rng.uniformInt(1, 20);
+            ASSERT_EQ(reg.anyCovers(addr, len), expectCovers(addr, len))
+                << "step " << step << " addr " << addr << " len " << len;
+        }
+        most_bases = std::max(most_bases, by_base.size());
+        ASSERT_EQ(reg.liveEntries(), live.size());
+        if (step % 1000 == 0) {
+            for (const Live &entry : live) {
+                ASSERT_TRUE(
+                    reg.covers(entry.handle, entry.addr, entry.len));
+            }
+        }
+    }
+    EXPECT_GE(most_bases, 3000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegistryModelTest,

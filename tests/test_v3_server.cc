@@ -2,7 +2,8 @@
  * @file
  * V3-server-focused tests: cache interaction of the request manager
  * (hit/miss, write-through update, sub-block and multi-block
- * requests), the cache-off path, and dedup-filter pruning.
+ * requests), the cache-off path, dedup-filter pruning, and read-data
+ * taint on a phantom-memory host.
  * Concurrent-miss coalescing and the other same-block races are
  * covered for both storage front ends in test_block_path.cc.
  */
@@ -28,10 +29,13 @@ using sim::Task;
 class V3ServerTest : public ::testing::Test
 {
   protected:
-    explicit V3ServerTest(uint64_t cache_bytes = 2ull * 1024 * 1024)
+    explicit V3ServerTest(uint64_t cache_bytes = 2ull * 1024 * 1024,
+                          bool phantom_host = false)
         : sim_(21),
           fabric_(sim_.queue()),
-          host_(sim_, osmodel::NodeConfig{.name = "db", .cpus = 4})
+          host_(sim_, osmodel::NodeConfig{.name = "db",
+                                          .cpus = 4,
+                                          .phantom_memory = phantom_host})
     {
         V3ServerConfig config;
         config.cache_bytes = cache_bytes;
@@ -176,8 +180,36 @@ TEST_F(V3ServerTest, DedupFilterPrunedByAckWatermark)
     // most recent window.
     ASSERT_TRUE(doRead(0, 8192, buf));
     // 31 requests done; the filter holds at most the unacked tail
-    // (the last request plus the hello).
-    EXPECT_LE(server_->retransmitHits(), 0u);
+    // (the last request; the hello never enters it).
+    EXPECT_LE(server_->dedupEntries(), 2u);
+    EXPECT_EQ(server_->retransmitHits(), 0u);
+}
+
+class V3ServerPhantomHostTest : public V3ServerTest
+{
+  protected:
+    // No cache: the read is served as transfers larger than one cLan
+    // packet, so each one arrives as several RDMA fragments.
+    V3ServerPhantomHostTest() : V3ServerTest(0, /*phantom_host=*/true) {}
+};
+
+TEST_F(V3ServerPhantomHostTest, DamageInLaterReadFragmentIsRetransmitted)
+{
+    // A phantom host has no bytes to digest, so the RDMA taint of the
+    // buffer a damaged fragment lands in is the only evidence. Damage
+    // only the second data fragment of a 128 KiB read (it lands past
+    // the buffer base): the read must be retransmitted, not accepted.
+    int data_fragments = 0;
+    fabric_.setCorruptFilter([&](const net::Packet &packet) {
+        if (packet.dst != nic_->port() || packet.wire_bytes < 4096)
+            return false;
+        return ++data_fragments == 2;
+    });
+    const Addr buf = host_.memory().allocate(128 * 1024);
+    ASSERT_TRUE(doRead(0, 128 * 1024, buf));
+    EXPECT_GE(data_fragments, 4); // the transfer, then its retransmission
+    EXPECT_EQ(client_->digestMismatchCount(), 1u);
+    EXPECT_EQ(client_->retransmitCount(), 1u);
 }
 
 class V3ServerNoCacheTest : public V3ServerTest

@@ -7,11 +7,21 @@
  * checks only it makes, among them `same_as_runTpcc`, which holds
  * v3perf's copy of scenarios::runTpcc's set-up to runTpcc.
  *
+ * It also pins the report's deterministic `sim` block (events fired,
+ * the CRC32C of the final metrics snapshot, every `sim_*` value) to
+ * a committed expected file: a change that moves one simulated cost,
+ * event or ordering fails here, not only in a paper_suite artifact.
+ * The expected file is a JSON object with exactly the `sim` block's
+ * keys; numbers compare equal after both are parsed.
+ *
  * Registered with ctest as `v3perf_checks_<workload>`; CMake passes
- * the v3perf binary, the workload name and the trace file to write.
+ * the v3perf binary, the workload name, the trace file to write and
+ * the expected `sim` block (tests/v3perf_expected/<workload>.json).
  */
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "util/json.hh"
@@ -33,8 +43,17 @@ fail(const std::string &why)
 int
 main(int argc, char **argv)
 {
-    if (argc != 4)
-        return fail("usage: v3perf_checks <v3perf> <workload> <trace>");
+    if (argc != 5) {
+        return fail("usage: v3perf_checks <v3perf> <workload> <trace> "
+                    "<expected-sim.json>");
+    }
+    std::ifstream expected_file(argv[4]);
+    std::stringstream expected_text;
+    expected_text << expected_file.rdbuf();
+    const auto expected = JsonValue::parse(expected_text.str());
+    if (!expected_file || !expected || !expected->isObject())
+        return fail(std::string("cannot read expected sim block ") + argv[4]);
+
     const std::string command = "\"" + std::string(argv[1]) +
                                 "\" --workload " + argv[2] +
                                 " --seed 1 --trace \"" + argv[3] + "\"";
@@ -69,8 +88,26 @@ main(int argc, char **argv)
         std::printf("check %s: %s\n", name.c_str(), ok ? "yes" : "NO");
         all_ok = all_ok && ok;
     }
+
+    const JsonValue *sim = report->find("sim");
+    if (!sim || !sim->isObject())
+        return fail("report has no sim block");
+    bool sim_ok = sim->object.size() == expected->object.size();
+    for (const auto &[name, want] : expected->object) {
+        const JsonValue *got = sim->find(name);
+        const bool same = got && got->type == JsonValue::Type::Number &&
+                          want.type == JsonValue::Type::Number &&
+                          got->number == want.number;
+        std::printf("sim %s: %.12g, expected %.12g: %s\n", name.c_str(),
+                    got ? got->number : 0.0, want.number,
+                    same ? "yes" : "NO");
+        sim_ok = sim_ok && same;
+    }
     if (!all_ok)
         return fail(std::string(argv[2]) + ": a check failed");
+    if (!sim_ok)
+        return fail(std::string(argv[2]) + ": sim block differs from " +
+                    argv[4]);
     if (status != 0)
         return fail("v3perf exited with status " + std::to_string(status));
     return 0;
