@@ -3,11 +3,14 @@
  * Simulator self-timing: how fast is the event loop itself?
  *
  * Every other bench measures the *modeled* system; this one measures
- * the harness. It times three fixed-seed profiles and reports raw
+ * the harness. It times four fixed-seed profiles and reports raw
  * events/sec and wall-seconds per simulated-second, so simulator
  * performance becomes a tracked BENCH_selftime.json trajectory
  * instead of folklore (ROADMAP: "Simulator speed overhaul for
- * million-client runs").
+ * million-client runs"). The profiles run in kRounds interleaved
+ * rounds, so a slow spell on a shared host hits each of them alike,
+ * and each reports its median wall time. The run exits 1 if a
+ * profile fires a different number of events in two rounds.
  *
  * Profiles:
  *  - core:  a pure event-queue churn — actors rescheduling
@@ -31,8 +34,11 @@
 // simlint:allow-file(wall-clock: self-timing bench measures real elapsed time)
 // simlint:allow-file(banned-header: chrono is the wall clock this bench exists to read)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <vector>
 
 #include "scenarios/tpcc_run.hh"
 #include "sim/random.hh"
@@ -45,6 +51,9 @@ using namespace v3sim::scenarios;
 
 namespace
 {
+
+/** Rounds each profile runs; it reports the median wall time. */
+constexpr int kRounds = 3;
 
 double
 wallNow()
@@ -160,46 +169,73 @@ main(int argc, char **argv)
     util::BenchReporter reporter("selftime", argc, argv);
 
     std::printf("Simulator self-timing (events/sec, "
-                "wall-seconds per simulated-second)\n\n");
+                "wall-seconds per simulated-second, median of %d "
+                "rounds)\n\n",
+                kRounds);
     util::TextTable table({"profile", "events", "sim_s", "wall_s",
                            "events/s", "wall/sim"});
 
-    struct Row
+    struct Profile
     {
         const char *name;
-        ProfileResult r;
+        std::function<ProfileResult()> run;
+        std::vector<ProfileResult> rounds;
     };
-    const uint64_t core_events =
-        reporter.quick() ? 200 * 1000 : 8 * 1000 * 1000;
-    Row rows[] = {
-        {"core", runCore(core_events)},
+    const bool quick = reporter.quick();
+    const uint64_t core_events = quick ? 200 * 1000 : 8 * 1000 * 1000;
+    Profile profiles[] = {
+        {"core", [&] { return runCore(core_events); }, {}},
         {"fig09",
-         runTpccProfile(Platform::Large, reporter.quick(),
-                        {/*batched_dereg=*/true,
-                         /*interrupt_batching=*/true,
-                         /*reduced_sync=*/false})},
-        {"fig10", runTpccProfile(Platform::Large, reporter.quick())},
-        {"fig13", runTpccProfile(Platform::MidSize,
-                                 reporter.quick())},
+         [&] {
+             return runTpccProfile(Platform::Large, quick,
+                                   {/*batched_dereg=*/true,
+                                    /*interrupt_batching=*/true,
+                                    /*reduced_sync=*/false});
+         },
+         {}},
+        {"fig10", [&] { return runTpccProfile(Platform::Large, quick); },
+         {}},
+        {"fig13",
+         [&] { return runTpccProfile(Platform::MidSize, quick); }, {}},
     };
+    for (int round = 0; round < kRounds; ++round) {
+        for (Profile &profile : profiles)
+            profile.rounds.push_back(profile.run());
+    }
 
-    for (const Row &row : rows) {
+    bool stable = true;
+    for (const Profile &profile : profiles) {
+        ProfileResult r = profile.rounds.front();
+        std::vector<double> walls;
+        for (const ProfileResult &round : profile.rounds) {
+            walls.push_back(round.wall_s);
+            if (round.events != r.events) {
+                std::fprintf(stderr,
+                             "selftime: %s fired %llu events in one "
+                             "round and %llu in another\n",
+                             profile.name,
+                             static_cast<unsigned long long>(r.events),
+                             static_cast<unsigned long long>(
+                                 round.events));
+                stable = false;
+            }
+        }
+        std::sort(walls.begin(), walls.end());
+        r.wall_s = walls[walls.size() / 2];
+
         const double eps =
-            row.r.wall_s > 0
-                ? static_cast<double>(row.r.events) / row.r.wall_s
-                : 0;
-        const double wps =
-            row.r.sim_s > 0 ? row.r.wall_s / row.r.sim_s : 0;
-        table.addRow({row.name, std::to_string(row.r.events),
-                      util::TextTable::num(row.r.sim_s, 3),
-                      util::TextTable::num(row.r.wall_s, 3),
+            r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0;
+        const double wps = r.sim_s > 0 ? r.wall_s / r.sim_s : 0;
+        table.addRow({profile.name, std::to_string(r.events),
+                      util::TextTable::num(r.sim_s, 3),
+                      util::TextTable::num(r.wall_s, 3),
                       util::TextTable::num(eps / 1e6, 3) + "M",
                       util::TextTable::num(wps, 3)});
         reporter.beginRow();
-        reporter.col("profile", std::string(row.name));
-        reporter.col("events", row.r.events);
-        reporter.col("sim_s", row.r.sim_s);
-        reporter.col("wall_s", row.r.wall_s);
+        reporter.col("profile", std::string(profile.name));
+        reporter.col("events", r.events);
+        reporter.col("sim_s", r.sim_s);
+        reporter.col("wall_s", r.wall_s);
         reporter.col("events_per_sec", eps);
         reporter.col("wall_per_sim_sec", wps);
     }
@@ -209,5 +245,9 @@ main(int argc, char **argv)
                   "cDSA TPC-C profiles at seed 1; fig09 is Figure 9's "
                   "slowest run (large, +dereg+intrpt, sync pairs not "
                   "reduced)");
-    return reporter.write() ? 0 : 1;
+    reporter.note("rounds", std::to_string(kRounds) +
+                                " interleaved rounds; wall_s is each "
+                                "profile's median");
+    const bool written = reporter.write();
+    return stable && written ? 0 : 1;
 }

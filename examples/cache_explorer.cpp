@@ -5,8 +5,8 @@
  * A storage-server cache sits *below* the database's buffer pool, so
  * it sees recency-poor, frequency-meaningful traffic. This example
  * replays three access patterns against LRU and MQ caches of equal
- * size and prints the hit ratios, plus the 15-call cDSA API in use
- * for a scatter/gather round trip.
+ * size and prints the hit ratios, plus the cDSA API in use for a
+ * scatter/gather round trip.
  *
  *   $ ./examples/cache_explorer
  */
@@ -101,7 +101,7 @@ main()
                 "patterns (512-block caches)\n\n");
     comparePolicies();
 
-    std::printf("\nPart 2: the cDSA 15-call API driving a live V3 "
+    std::printf("\nPart 2: the cDSA API driving a live V3 "
                 "server (MQ cache)\n\n");
 
     sim::Simulation sim(3);
@@ -163,11 +163,6 @@ main()
                     static_cast<unsigned long long>(
                         api->stats().interrupt_completions));
 
-        // Ask the server to prefetch a cold megabyte; the WillNeed
-        // hint is acknowledged immediately and the server fetches in
-        // the background.
-        api->hint(dsa::CdsaHint::WillNeed, 1 << 20, 1 << 20);
-        co_await s.sleep(sim::msecs(50)); // let the prefetch land
         const auto stats = api->stats();
         std::printf("stats: %llu I/Os, %llu polled completions\n",
                     static_cast<unsigned long long>(stats.ios),
@@ -178,12 +173,9 @@ main()
 
     sim.run();
     std::printf("\nserver cache after the run: %llu resident "
-                "blocks (%llu prefetched via WillNeed), hit ratio "
-                "%.0f%%\n",
+                "blocks, hit ratio %.0f%%\n",
                 static_cast<unsigned long long>(
                     server.cache()->residentBlocks()),
-                static_cast<unsigned long long>(
-                    server.prefetchedBlocks()),
                 server.cacheHitRatio() * 100);
     return 0;
 }

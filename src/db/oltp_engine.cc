@@ -21,13 +21,14 @@ OltpEngine::OltpEngine(osmodel::Node &node, dsa::BlockDevice &device,
       txn_latency_(node.sim().metrics().sampler(
           metric_prefix_ + ".txn_latency_ns"))
 {
-    // One page buffer per worker, from AWE so buffers are pinned
-    // physical memory the way SQL Server's cache is (section 3.1).
+    // One page buffer per worker. The storage backends model the
+    // buffers' pinning (AWE for cDSA, section 3.1) in their
+    // registration caches.
     worker_buffers_.reserve(static_cast<size_t>(config_.workers));
     worker_workloads_.reserve(static_cast<size_t>(config_.workers));
     for (int i = 0; i < config_.workers; ++i) {
         worker_buffers_.push_back(
-            node_.awe().allocate(workload_.config().page_size));
+            node_.memory().allocate(workload_.config().page_size));
         worker_workloads_.push_back(workload_.fork());
     }
     const char *latch_names[] = {"db.bufmgr", "db.lockmgr", "db.log",
@@ -44,8 +45,6 @@ OltpEngine::start()
     running_ = true;
     for (int i = 0; i < config_.workers; ++i)
         sim::spawn(worker(i));
-    if (config_.enable_log && log_device_)
-        sim::spawn(logWriter());
 }
 
 sim::Task<>
@@ -121,32 +120,12 @@ OltpEngine::worker(int id)
         }
 
         committed_.increment();
-        ++commits_since_flush_;
         if (type == tpcc::TxnType::NewOrder)
             new_orders_.increment();
         txn_latency_.add(
             static_cast<double>(node_.sim().now() - start));
     }
     --active_workers_;
-}
-
-sim::Task<>
-OltpEngine::logWriter()
-{
-    // Group commit: one sequential log write per interval covering
-    // every commit since the previous flush.
-    while (running_) {
-        co_await node_.sim().sleep(config_.log_interval);
-        if (commits_since_flush_ == 0 || !log_device_)
-            continue;
-        commits_since_flush_ = 0;
-        const uint64_t len = config_.log_write_bytes;
-        if (log_offset_ + len > log_device_->capacity())
-            log_offset_ = 0; // circular log
-        co_await log_device_->write(log_offset_, len,
-                                    worker_buffers_.front());
-        log_offset_ += len;
-    }
 }
 
 void

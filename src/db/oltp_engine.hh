@@ -13,8 +13,7 @@
  *
  * Workers are closed-loop (a new transaction starts when the
  * previous one commits), the standard way TPC-C drives a server at
- * saturation. A group-commit log writer streams sequential log
- * records to a dedicated device, as production databases do.
+ * saturation.
  */
 
 #ifndef V3SIM_DB_OLTP_ENGINE_HH
@@ -72,15 +71,6 @@ struct OltpConfig
     /** True when the backend completes by polling (cDSA). */
     bool polling_completion = false;
     /** @} */
-
-    /** Group-commit log writing (sequential stream on log_device). */
-    bool enable_log = false;
-
-    /** Bytes per log record group. */
-    uint64_t log_write_bytes = 4096;
-
-    /** Log flush interval (group commit window). */
-    sim::Tick log_interval = sim::msecs(1);
 };
 
 /** Results for one measurement window. */
@@ -107,7 +97,7 @@ class OltpEngine
     OltpEngine(const OltpEngine &) = delete;
     OltpEngine &operator=(const OltpEngine &) = delete;
 
-    /** Spawns the worker pool (and log writer, if enabled). */
+    /** Spawns the worker pool. */
     void start();
 
     /** Workers stop at their next transaction boundary. */
@@ -126,22 +116,13 @@ class OltpEngine
      */
     OltpResult run(sim::Tick warmup, sim::Tick window);
 
-    /** Directs log writes at @p device (sequential stream). */
-    void
-    setLogDevice(dsa::BlockDevice *device)
-    {
-        log_device_ = device;
-    }
-
   private:
     sim::Task<> worker(int id);
-    sim::Task<> logWriter();
 
     osmodel::Node &node_;
     dsa::BlockDevice &device_;
     tpcc::Workload &workload_;
     OltpConfig config_;
-    dsa::BlockDevice *log_device_ = nullptr;
 
     bool running_ = false;
     int active_workers_ = 0;
@@ -152,8 +133,6 @@ class OltpEngine
     /** One forked sampler per worker: random-draw assignment must
      *  not depend on same-tick worker resume order (DESIGN.md §8). */
     std::vector<tpcc::Workload> worker_workloads_;
-    uint64_t log_offset_ = 0;
-    uint64_t commits_since_flush_ = 0;
 
     /// Registry path prefix ("db.oltp", uniquified); must precede
     /// the metric references so it is initialised first.

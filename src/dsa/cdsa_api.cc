@@ -104,23 +104,6 @@ CdsaApi::wait(CdsaIoHandle handle)
     co_return ok;
 }
 
-void
-CdsaApi::hint(CdsaHint kind, uint64_t offset, uint64_t len)
-{
-    HintKind wire_kind = HintKind::Sequential;
-    switch (kind) {
-      case CdsaHint::WillNeed: wire_kind = HintKind::WillNeed; break;
-      case CdsaHint::DontNeed: wire_kind = HintKind::DontNeed; break;
-      case CdsaHint::Sequential:
-        wire_kind = HintKind::Sequential;
-        break;
-    }
-    sim::spawn([](DsaClient *client, HintKind k, uint64_t off,
-                  uint64_t n) -> sim::Task<> {
-        co_await client->hint(k, off, n);
-    }(client_.get(), wire_kind, offset, len));
-}
-
 CdsaVolumeInfo
 CdsaApi::volumeInfo() const
 {

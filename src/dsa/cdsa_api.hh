@@ -10,15 +10,16 @@
  * (constructed with DsaImpl::Cdsa). SQL Server's modification in the
  * paper amounts to calling these instead of Win32 file I/O.
  *
- * The fifteen calls:
+ * Fourteen of the fifteen calls are modelled:
  *   open, close,
  *   read, write                      (synchronous),
  *   readAsync, writeAsync            (asynchronous),
  *   readGather, writeScatter         (scatter/gather),
  *   poll, wait, cancel               (completions),
  *   setCompletionMode, volumeInfo,
- *   hint                             (caching/prefetch hints),
  *   stats.
+ * The paper also names caching/prefetch hints for the storage server
+ * but leaves them unevaluated, so they are left out here too.
  */
 
 #ifndef V3SIM_DSA_CDSA_API_HH
@@ -74,15 +75,6 @@ struct CdsaVolumeInfo
     bool connected = false;
 };
 
-/** Storage-server hint kinds (accepted and recorded; the paper's
- *  experiments do not use them: "beyond the scope of this paper"). */
-enum class CdsaHint : uint8_t
-{
-    WillNeed,
-    DontNeed,
-    Sequential,
-};
-
 /** Aggregate statistics exposed to the application. */
 struct CdsaStats
 {
@@ -93,7 +85,7 @@ struct CdsaStats
     uint64_t interrupt_completions = 0;
 };
 
-/** The 15-call cDSA interface over one volume connection. */
+/** The cDSA interface over one volume connection. */
 class CdsaApi
 {
   public:
@@ -154,12 +146,7 @@ class CdsaApi
     /** (13) volume metadata. */
     CdsaVolumeInfo volumeInfo() const;
 
-    /** (14) caching/prefetch hint to the storage server.
-     *  Fire-and-forget: the server acknowledges asynchronously and,
-     *  for WillNeed, prefetches the range into its cache. */
-    void hint(CdsaHint kind, uint64_t offset, uint64_t len);
-
-    /** (15) statistics snapshot. */
+    /** (14) statistics snapshot. */
     CdsaStats stats() const;
 
     DsaClient &client() { return *client_; }

@@ -302,8 +302,7 @@ DsaClient::onRdmaEvent(const vi::ViNic::RdmaEvent &event)
         // base, which clears taint from an earlier damaged attempt.
         const auto *hit = pending_.findIf([&event](const auto &item) {
             const Outstanding &out = item.value;
-            return out.buffer != sim::kNullAddr &&
-                   event.addr >= out.buffer && event.addr < out.end;
+            return event.addr >= out.buffer && event.addr < out.end;
         });
         if (hit != nullptr) {
             PendingIo *io = hit->value.io;
@@ -382,36 +381,6 @@ DsaClient::settle(PendingIo &io, IoStatus status)
     io.done = true;
     io.ok = status == IoStatus::Ok;
     return true;
-}
-
-sim::Task<bool>
-DsaClient::hint(HintKind kind, uint64_t offset, uint64_t len)
-{
-    assert(impl_ == DsaImpl::Cdsa &&
-           "hints are part of the cDSA API");
-    if (dead_ || !ready_)
-        co_return false;
-
-    co_await credits_->acquire(offset);
-
-    PendingIo io;
-    io.msg.op = DsaOp::Hint;
-    io.msg.hint = kind;
-    track(io, offset, len);
-    {
-        CpuLease lease = co_await acquireCpu(io.msg.offset);
-        co_await lease.run(config_.costs.request_build +
-                               config_.costs.cdsa_issue,
-                           CpuCat::Dsa);
-        co_await lease.run(nic_.costs().doorbell, CpuCat::Vi);
-        postRequest(io);
-        cpus().release();
-    }
-    scheduleRetransmit(io);
-    const bool ok = co_await awaitCompletion(io);
-    untrack(io);
-    credits_->release();
-    co_return ok;
 }
 
 sim::Task<bool>
@@ -599,9 +568,6 @@ DsaClient::postRequest(PendingIo &io)
 
     // NIC arbitration key for everything this I/O transmits: the
     // client buffer (content; unique per concurrent submitter).
-    const uint64_t tx_key = io.buffer != sim::kNullAddr
-                                ? io.buffer
-                                : io.msg.offset;
     if (io.msg.op == DsaOp::Write && io.msg.len > 0) {
         vi::WorkDescriptor data;
         data.local_addr = io.buffer;
@@ -609,7 +575,7 @@ DsaClient::postRequest(PendingIo &io)
         data.remote_addr =
             staging_base_ + static_cast<uint64_t>(io.msg.staging_slot) *
                                 staging_slot_bytes_;
-        data.order_key = tx_key;
+        data.order_key = io.buffer;
         nic_.postRdmaWrite(*ep_, data, io.handle);
     }
 
@@ -619,7 +585,7 @@ DsaClient::postRequest(PendingIo &io)
     desc.local_addr = msg_buf_;
     desc.len = kRequestWireBytes;
     desc.control = std::move(control);
-    desc.order_key = tx_key;
+    desc.order_key = io.buffer;
     nic_.postSend(*ep_, desc, msg_handle_);
 }
 
@@ -740,7 +706,7 @@ sim::Task<>
 DsaClient::deregisterBuffer(CpuLease &lease, PendingIo &io)
 {
     if (!io.handle.valid())
-        co_return; // buffer-less request (hint)
+        co_return; // never registered: the NIC was out of resources
     if (config_.opts.batched_dereg) {
         // Bookkeeping only until a whole region retires; the
         // amortized region operation needs no page locking because

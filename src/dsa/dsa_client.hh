@@ -98,15 +98,6 @@ class DsaClient : public Session
 
     uint64_t capacity() const override { return capacity_; }
 
-    /**
-     * Sends a caching/prefetch hint for [offset, offset+len) to the
-     * storage server (cDSA only — the advanced feature of section
-     * 2.2). Resolves true once the server acknowledged it; WillNeed
-     * prefetching proceeds asynchronously on the server.
-     */
-    sim::Task<bool> hint(HintKind kind, uint64_t offset,
-                         uint64_t len);
-
     const DsaConfig &config() const { return config_; }
     bool connected() const { return ready_; }
 
@@ -176,8 +167,8 @@ class DsaClient : public Session
     struct Outstanding
     {
         PendingIo *io = nullptr;
-        sim::Addr buffer = sim::kNullAddr; ///< kNullAddr for hints
-        sim::Addr end = sim::kNullAddr;    ///< buffer + len
+        sim::Addr buffer = sim::kNullAddr;
+        sim::Addr end = sim::kNullAddr; ///< buffer + len
     };
 
     /** Gives @p io its id, flag slot and sequence number, completes
@@ -258,11 +249,10 @@ class DsaClient : public Session
 
     /**
      * Host CPU admission for work on an I/O keyed by @p key — its
-     * buffer, or the offset of a buffer-less hint: content, unique
-     * per concurrent submitter. Several clients can serve one
-     * submitter (a mirror's legs share the application's buffer), so
-     * equal keys break by this client's NIC port, never by arrival
-     * order (DESIGN.md §8.3).
+     * buffer: content, unique per concurrent submitter. Several
+     * clients can serve one submitter (a mirror's legs share the
+     * application's buffer), so equal keys break by this client's NIC
+     * port, never by arrival order (DESIGN.md §8.3).
      */
     auto
     acquireCpu(uint64_t key)

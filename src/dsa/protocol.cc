@@ -74,8 +74,6 @@ headerDigest(const RequestMsg &req)
     put(&req.len, sizeof(req.len));
     put(&req.tenant, sizeof(req.tenant));
     put(&req.staging_slot, sizeof(req.staging_slot));
-    const uint8_t hint = static_cast<uint8_t>(req.hint);
-    put(&hint, sizeof(hint));
     return util::crc32c(buf, at);
 }
 

@@ -95,21 +95,6 @@ enum class DsaOp : uint8_t
     Hello,
     Read,
     Write,
-    /** Caching/prefetching hint (a cDSA advanced feature, section
-     *  2.2: "cDSA also supports more advanced features, such as
-     *  caching and prefetching hints for the storage server"). */
-    Hint,
-};
-
-/** Hint kinds carried by DsaOp::Hint. */
-enum class HintKind : uint8_t
-{
-    /** Prefetch the range into the server cache. */
-    WillNeed,
-    /** Drop the range from the server cache. */
-    DontNeed,
-    /** Expect sequential access (accepted; advisory). */
-    Sequential,
 };
 
 /** Client-to-server request (control sidecar of a VI send). */
@@ -142,8 +127,6 @@ struct RequestMsg
     CompletionMode completion = CompletionMode::Message;
     /** RdmaFlag mode: address of the request's completion flag. */
     sim::Addr flag_addr = sim::kNullAddr;
-    /** DsaOp::Hint only. */
-    HintKind hint = HintKind::WillNeed;
 
     /** CRC32C over the request header fields (headerDigest). */
     uint32_t header_digest = 0;

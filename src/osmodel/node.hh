@@ -1,7 +1,7 @@
 /**
  * @file
- * A simulated host: CPUs, memory, interrupt delivery, kernel I/O
- * path, and AWE allocation, bundled for convenient wiring.
+ * A simulated host: CPUs, memory, interrupt delivery and the kernel
+ * I/O path, bundled for convenient wiring.
  *
  * Database servers (Table 1) and V3 storage nodes (Table 2) are both
  * Nodes; they differ only in configuration. NICs and disks attach to
@@ -14,7 +14,6 @@
 #include <memory>
 #include <string>
 
-#include "osmodel/awe.hh"
 #include "osmodel/cpu_pool.hh"
 #include "osmodel/host_costs.hh"
 #include "osmodel/interrupt_controller.hh"
@@ -47,7 +46,6 @@ class Node
           cpus_(sim, config_.cpus, config_.name + ".cpu"),
           interrupts_(sim, cpus_, config_.costs),
           io_manager_(sim, config_.costs),
-          awe_(memory_),
           memory_lock_(sim, config_.costs, config_.name + ".mm")
     {}
 
@@ -62,7 +60,6 @@ class Node
     CpuPool &cpus() { return cpus_; }
     InterruptController &interrupts() { return interrupts_; }
     IoManager &ioManager() { return io_manager_; }
-    AweAllocator &awe() { return awe_; }
 
     /** The memory manager's page lock (the MmPfn-lock analog): any
      *  path that wires or unwires pages serializes here. This is the
@@ -80,7 +77,6 @@ class Node
     CpuPool cpus_;
     InterruptController interrupts_;
     IoManager io_manager_;
-    AweAllocator awe_;
     SimLock memory_lock_;
 };
 

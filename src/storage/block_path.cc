@@ -303,35 +303,4 @@ BlockPath::write(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
     co_return ok;
 }
 
-sim::Task<>
-BlockPath::prefetch(uint64_t order_key, uint32_t volume_id,
-                    uint64_t first, uint64_t last,
-                    sim::CounterHandle installed)
-{
-    const uint64_t bs = config_.block_size;
-    CpuLease lease = co_await node_.cpus().acquire(
-        CpuPool::kNormalPriority, order_key);
-    uint64_t b = first;
-    while (b <= last) {
-        const CacheKey key{volume_id, b};
-        co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-        if (cache_->contains(key) ||
-            loading_.find(key) != loading_.end()) {
-            ++b;
-            continue;
-        }
-        const uint64_t run_end = claimRun(volume_id, b, last);
-        ReadResult run;
-        co_await fill(lease, order_key, volume_id, b, run_end, b * bs,
-                      (run_end - b) * bs, run, {});
-        for (const Piece &piece : run.pieces) {
-            if (piece.pinned)
-                installed.increment();
-        }
-        release(run);
-        b = run_end;
-    }
-    node_.cpus().release();
-}
-
 } // namespace v3sim::storage

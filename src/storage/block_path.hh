@@ -155,14 +155,6 @@ class BlockPath
                           uint64_t len, sim::Addr src,
                           const bool *alive = nullptr);
 
-    /** Background fetch of the cold, unclaimed blocks [first, last]
-     *  into the cache through read()'s fill, on a CPU acquired under
-     *  @p order_key. Requires a cache. Counts each block installed in
-     *  @p installed. */
-    sim::Task<> prefetch(uint64_t order_key, uint32_t volume_id,
-                         uint64_t first, uint64_t last,
-                         sim::CounterHandle installed);
-
   private:
     /** Claims @p b and the cold, unclaimed blocks after it up to
      *  @p last in loading_; returns the end of the claimed run. */

@@ -35,9 +35,6 @@ V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
     : StorageNode(sim, config, "server." + config.name),
       fabric_(fabric),
       config_(std::move(config)),
-      hints_(sim.metrics().counter(metric_prefix_ + ".hints")),
-      prefetched_(
-          sim.metrics().counter(metric_prefix_ + ".prefetched")),
       retransmit_hits_(
           sim.metrics().counter(metric_prefix_ + ".retransmit_hits")),
       crashes_(sim.metrics().counter(metric_prefix_ + ".crashes")),
@@ -311,8 +308,7 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
         co_return;
     }
 
-    // Retransmission filter (exactly-once for writes, no duplicate
-    // execution for hints).
+    // Retransmission filter (exactly-once for writes).
     if (const auto *seen = conn.seqs.find(req.seq)) {
         retransmit_hits_.increment();
         if (*seen == Connection::SeqState::InProgress) {
@@ -339,16 +335,15 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
     }
     conn.seqs.set(req.seq, Connection::SeqState::InProgress);
 
-    // Overload control (DESIGN.md §12): data-path requests pass the
-    // admission gate; hints stay ungated (advisory and cheap, they
-    // never hold a service slot). The request is already recorded
-    // InProgress above, so a retransmission arriving while the
-    // original is parked in the gate is absorbed by the dedup filter
-    // instead of queueing twice. The wait itself parks off-CPU: a
-    // queued backlog must not pin the request-manager CPUs and
-    // starve the in-service requests that would drain it.
+    // Overload control (DESIGN.md §12): reads and writes pass the
+    // admission gate. The request is already recorded InProgress
+    // above, so a retransmission arriving while the original is
+    // parked in the gate is absorbed by the dedup filter instead of
+    // queueing twice. The wait itself parks off-CPU: a queued backlog
+    // must not pin the request-manager CPUs and starve the in-service
+    // requests that would drain it.
     bool gated = false;
-    if (config_.admission.enabled && req.op != dsa::DsaOp::Hint) {
+    if (config_.admission.enabled) {
         node_.cpus().release();
         const bool admitted = co_await admission_gate_.admit(
             req.tenant, req.len, orderKey(conn.staging_base, req.seq));
@@ -376,12 +371,9 @@ V3Server::handleRequest(Connection &conn, dsa::RequestMsg req,
         reads_.increment();
         status = co_await doRead(conn, req, lease, payload_digest,
                                  digest_valid);
-    } else if (req.op == dsa::DsaOp::Write) {
+    } else {
         writes_.increment();
         status = co_await doWrite(conn, req, lease);
-    } else {
-        hints_.increment();
-        status = co_await doHint(req, lease);
     }
 
     if (status == dsa::IoStatus::BadDigest) {
@@ -581,39 +573,6 @@ V3Server::doWrite(Connection &conn, const dsa::RequestMsg &req,
         lease, orderKey(conn.staging_base, req.offset), req.volume,
         req.offset, req.len, staging, &conn.alive);
     co_return ok ? dsa::IoStatus::Ok : dsa::IoStatus::Error;
-}
-
-sim::Task<dsa::IoStatus>
-V3Server::doHint(const dsa::RequestMsg &req, CpuLease &lease)
-{
-    if (!validRange(req.volume, req.offset, req.len, false))
-        co_return dsa::IoStatus::Error;
-    BlockCache *cache = path_.cache();
-    if (!cache)
-        co_return dsa::IoStatus::Ok; // nothing to manage; still acked
-
-    const uint64_t bs = config_.block_size;
-    const uint64_t first = req.offset / bs;
-    const uint64_t last = (req.offset + req.len - 1) / bs;
-
-    switch (req.hint) {
-      case dsa::HintKind::WillNeed:
-        // Acknowledge immediately; fetch in the background.
-        sim::spawn(path_.prefetch(orderKey(req.volume, first * bs),
-                                  req.volume, first, last,
-                                  prefetched_));
-        break;
-      case dsa::HintKind::DontNeed:
-        for (uint64_t b = first; b <= last; ++b) {
-            co_await lease.run(config_.cache_op_cost, CpuCat::Other);
-            cache->invalidate(CacheKey{req.volume, b});
-        }
-        break;
-      case dsa::HintKind::Sequential:
-        // Advisory only; accepted.
-        break;
-    }
-    co_return dsa::IoStatus::Ok;
 }
 
 } // namespace v3sim::storage

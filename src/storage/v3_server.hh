@@ -125,8 +125,6 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
     uint64_t bootEpoch() const { return boot_epoch_; }
 
     /** @name Statistics (beyond StorageNode's) @{ */
-    uint64_t hintCount() const { return hints_.value(); }
-    uint64_t prefetchedBlocks() const { return prefetched_.value(); }
     uint64_t retransmitHits() const { return retransmit_hits_.value(); }
     /** Sequences the retransmission filters hold, over every
      *  connection (bounded by the clients' ack watermarks). */
@@ -213,12 +211,6 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
                                      const dsa::RequestMsg &req,
                                      osmodel::CpuLease &lease);
 
-    /** Hint handling (cDSA advanced feature): WillNeed prefetches
-     *  asynchronously, DontNeed drops blocks, Sequential is
-     *  advisory. */
-    sim::Task<dsa::IoStatus> doHint(const dsa::RequestMsg &req,
-                                    osmodel::CpuLease &lease);
-
     /** Sends the completion (message or RDMA flag). The digest pair
      *  covers the read data already RDMA'd to the client (Message
      *  mode only; RdmaFlag clients detect damage via taint). */
@@ -243,8 +235,6 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
     bool crashed_ = false;
     uint64_t boot_epoch_ = 0;
 
-    sim::CounterHandle hints_;
-    sim::CounterHandle prefetched_;
     sim::CounterHandle retransmit_hits_;
     sim::CounterHandle crashes_;
     sim::CounterHandle restarts_;

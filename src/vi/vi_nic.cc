@@ -160,31 +160,6 @@ ViNic::postRdmaWrite(ViEndpoint &ep, const WorkDescriptor &desc,
     return true;
 }
 
-bool
-ViNic::postRdmaRead(ViEndpoint &ep, const WorkDescriptor &desc,
-                    MemHandle handle)
-{
-    if (ep.state_ != EndpointState::Connected)
-        return false;
-    if (!registry_.covers(handle, desc.local_addr, desc.len)) {
-        V3LOG(Warn, "vi") << name_
-                          << ": postRdmaRead on unregistered buffer";
-        return false;
-    }
-    // A small request frame; the remote NIC streams the data back as
-    // RdmaReadResp fragments targeted at our local buffer.
-    WireMsg msg;
-    msg.kind = WireMsg::Kind::RdmaReadReq;
-    msg.src_ep = ep.id_;
-    msg.dst_ep = ep.remote_ep_;
-    msg.remote_addr = desc.remote_addr; // source at the peer
-    msg.read_dest = desc.local_addr;    // sink here
-    msg.total_len = desc.len;
-    msg.read_cookie = desc.cookie;
-    sendControl(ep.remote_port_, std::move(msg), desc.order_key);
-    return true;
-}
-
 void
 ViNic::transmit(ViEndpoint &ep, const WorkDescriptor &desc,
                 WireMsg::Kind kind)
@@ -271,22 +246,20 @@ ViNic::transmit(ViEndpoint &ep, const WorkDescriptor &desc,
 }
 
 void
-ViNic::sendControl(net::PortId dst, WireMsg msg, uint64_t order_key)
+ViNic::sendControl(net::PortId dst, WireMsg msg)
 {
     auto payload = std::make_shared<WireMsg>(std::move(msg));
     net::Packet packet;
     packet.src = port_;
     packet.dst = dst;
     packet.wire_bytes = costs_.packet_header_bytes;
-    packet.order_key = order_key;
     packet.payload = std::move(payload);
     packets_sent_.increment();
     tx_engine_.submit(
         costs_.nic_tx_processing,
         [this, packet = std::move(packet)]() mutable {
             fabric_.send(std::move(packet));
-        },
-        order_key);
+        });
 }
 
 void
@@ -318,8 +291,7 @@ ViNic::onPacket(net::Packet packet)
             // the link CRC has already been checked and stripped.
             bool corrupt = packet.corrupted;
             if (corrupt_next_rdma_ > 0 &&
-                (msg->kind == WireMsg::Kind::Rdma ||
-                 msg->kind == WireMsg::Kind::RdmaReadResp)) {
+                msg->kind == WireMsg::Kind::Rdma) {
                 --corrupt_next_rdma_;
                 corrupt = true;
             }
@@ -331,12 +303,6 @@ ViNic::onPacket(net::Packet packet)
                 break;
               case WireMsg::Kind::Rdma:
                 handleRdmaMsg(*msg);
-                break;
-              case WireMsg::Kind::RdmaReadReq:
-                handleRdmaReadReq(*msg);
-                break;
-              case WireMsg::Kind::RdmaReadResp:
-                handleRdmaReadResp(*msg);
                 break;
               default:
                 handleControl(packet.src, *msg);
@@ -516,98 +482,6 @@ ViNic::handleRdmaMsg(const WireMsg &msg)
         completion.control = msg.control;
         if (ep->recv_cq_)
             ep->recv_cq_->push(completion);
-    }
-}
-
-void
-ViNic::handleRdmaReadReq(const WireMsg &msg)
-{
-    ViEndpoint *ep = endpoint(msg.dst_ep);
-    if (!ep || ep->state_ != EndpointState::Connected)
-        return;
-
-    // Memory protection: the requested source range must be
-    // registered here.
-    if (msg.total_len > 0 &&
-        !registry_.anyCovers(msg.remote_addr, msg.total_len)) {
-        protection_errors_.increment();
-        V3LOG(Warn, "vi") << name_
-                          << ": RDMA-read protection error on ep "
-                          << ep->id_;
-        failEndpoint(*ep, WorkStatus::ProtectionError,
-                     /*notify_peer=*/true);
-        return;
-    }
-
-    // Stream the data back, fragmenting like any transfer. Served
-    // entirely by the NIC: no CPU, no completion on this side.
-    const uint64_t max_frag = costs_.max_packet_bytes;
-    uint64_t offset = 0;
-    do {
-        const uint64_t frag_len =
-            std::min<uint64_t>(max_frag, msg.total_len - offset);
-        auto resp = std::make_shared<WireMsg>();
-        resp->kind = WireMsg::Kind::RdmaReadResp;
-        resp->src_ep = ep->id_;
-        resp->dst_ep = msg.src_ep;
-        resp->offset = offset;
-        resp->frag_len = frag_len;
-        resp->total_len = msg.total_len;
-        resp->last = offset + frag_len >= msg.total_len;
-        resp->read_dest = msg.read_dest;
-        resp->read_cookie = msg.read_cookie;
-        if (!memory_.phantom() && frag_len > 0) {
-            resp->data.resize(frag_len);
-            memory_.read(msg.remote_addr + offset, resp->data.data(),
-                         frag_len);
-        }
-        net::Packet packet;
-        packet.src = port_;
-        packet.dst = ep->remote_port_;
-        packet.wire_bytes = frag_len + costs_.packet_header_bytes;
-        // Content key: the read's sink address identifies the
-        // transfer no matter what order requests arrived in.
-        packet.order_key = msg.read_dest;
-        packet.payload = std::move(resp);
-        packets_sent_.increment();
-        tx_engine_.submit(
-            costs_.nic_tx_processing,
-            [this, packet = std::move(packet)]() mutable {
-                fabric_.send(std::move(packet));
-            },
-            msg.read_dest);
-        offset += frag_len;
-    } while (offset < msg.total_len);
-}
-
-void
-ViNic::handleRdmaReadResp(const WireMsg &msg)
-{
-    ViEndpoint *ep = endpoint(msg.dst_ep);
-    if (!ep || ep->state_ != EndpointState::Connected)
-        return;
-    if (!msg.data.empty()) {
-        memory_.write(msg.read_dest + msg.offset, msg.data.data(),
-                      msg.data.size());
-    }
-    if (rdma_observer_) {
-        RdmaEvent event;
-        event.addr = msg.read_dest + msg.offset;
-        event.len = msg.frag_len;
-        event.last = msg.last;
-        event.corrupted = msg.corrupted;
-        event.meta = msg.meta;
-        rdma_observer_(event);
-    }
-    if (msg.last && ep->recv_cq_) {
-        WorkCompletion completion;
-        completion.type = WorkType::RdmaRead;
-        completion.status = WorkStatus::Ok;
-        completion.endpoint = ep->id_;
-        completion.cookie = msg.read_cookie;
-        completion.len = msg.total_len;
-        completion.corrupted = msg.corrupted;
-        ep->recv_cq_->push(completion);
     }
 }
 

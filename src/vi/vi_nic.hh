@@ -199,11 +199,10 @@ class ViNic
     }
 
     /**
-     * Fault injection: damages the next @p count inbound RDMA
-     * fragments (RDMA writes and RDMA-read responses) as they DMA
-     * into this host's memory — modelling a bad NIC receive buffer or
-     * DMA engine, the corruption class the link CRC cannot see at
-     * all because it happens after the CRC check.
+     * Fault injection: damages the next @p count inbound RDMA write
+     * fragments as they DMA into this host's memory — modelling a bad
+     * NIC receive buffer or DMA engine, the corruption class the link
+     * CRC cannot see at all because it happens after the CRC check.
      */
     void corruptNextRdma(int count) { corrupt_next_rdma_ += count; }
 
@@ -231,17 +230,6 @@ class ViNic
     bool postRdmaWrite(ViEndpoint &ep, const WorkDescriptor &desc,
                        MemHandle handle);
 
-    /**
-     * Posts an RDMA read: pulls desc.len bytes from desc.remote_addr
-     * in the peer's memory into the local buffer. Serviced entirely
-     * by the remote NIC (no remote CPU, no remote completion). The
-     * local completion (type RdmaRead) lands on the endpoint's
-     * *receive* CQ when the data has arrived. @return false on
-     * validation failure.
-     */
-    bool postRdmaRead(ViEndpoint &ep, const WorkDescriptor &desc,
-                      MemHandle handle);
-
     /** @name Statistics @{ */
     uint64_t packetsSent() const { return packets_sent_.value(); }
     uint64_t packetsReceived() const { return packets_received_.value(); }
@@ -264,8 +252,6 @@ class ViNic
             Disconnect,
             Send,
             Rdma,
-            RdmaReadReq,
-            RdmaReadResp,
         };
 
         Kind kind = Kind::Send;
@@ -275,9 +261,7 @@ class ViNic
         uint64_t frag_len = 0;
         uint64_t total_len = 0;
         bool last = true;
-        sim::Addr remote_addr = sim::kNullAddr; // RDMA target/source
-        sim::Addr read_dest = sim::kNullAddr;   // RDMA-read sink
-        uint64_t read_cookie = 0;               // RDMA-read match
+        sim::Addr remote_addr = sim::kNullAddr; // RDMA target
         bool has_immediate = false;
         uint32_t immediate = 0;
         uint64_t meta = 0; // WorkDescriptor::meta sidecar
@@ -290,10 +274,8 @@ class ViNic
     void transmit(ViEndpoint &ep, const WorkDescriptor &desc,
                   WireMsg::Kind kind);
 
-    /** Sends a small control message (connect/disconnect family).
-     *  @p order_key orders it against same-tick transmit work. */
-    void sendControl(net::PortId dst, WireMsg msg,
-                     uint64_t order_key = 0);
+    /** Sends a small control message (connect/disconnect family). */
+    void sendControl(net::PortId dst, WireMsg msg);
 
     void onPacket(net::Packet packet);
 
@@ -304,8 +286,6 @@ class ViNic
     void handleControl(net::PortId src_port, const WireMsg &msg);
     void handleSendMsg(const WireMsg &msg);
     void handleRdmaMsg(const WireMsg &msg);
-    void handleRdmaReadReq(const WireMsg &msg);
-    void handleRdmaReadResp(const WireMsg &msg);
 
     /** Errors the connection and flushes posted receives. */
     void failEndpoint(ViEndpoint &ep, WorkStatus reason,

@@ -41,11 +41,6 @@ enum class WorkType : uint8_t
     Send,
     Recv,
     RdmaWrite,
-    /** RDMA read: pulls remote memory into a local buffer without
-     *  remote CPU involvement. Optional in the VI spec (the paper's
-     *  cLan lacked it); provided here for the Infiniband-direction
-     *  systems the paper's sections 7-8 point to. */
-    RdmaRead,
 };
 
 /** Completion status. */

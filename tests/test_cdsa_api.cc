@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the public cDSA 15-call API surface.
+ * Tests for the public cDSA API surface.
  */
 
 #include <gtest/gtest.h>
@@ -8,10 +8,7 @@
 #include <vector>
 
 #include "dsa/cdsa_api.hh"
-#include "net/fabric.hh"
-#include "osmodel/node.hh"
-#include "sim/simulation.hh"
-#include "storage/v3_server.hh"
+#include "single_node_rig.hh"
 
 namespace v3sim::dsa
 {
@@ -21,26 +18,13 @@ namespace
 using sim::Addr;
 using sim::Task;
 
-class CdsaApiTest : public ::testing::Test
+class CdsaApiTest : public ::testing::Test, public test::SingleNodeRig
 {
   protected:
     CdsaApiTest()
-        : sim_(77),
-          fabric_(sim_.queue()),
-          host_(sim_, osmodel::NodeConfig{.name = "db", .cpus = 4})
+        : SingleNodeRig({.seed = 77,
+                         .server = test::serverWithCache(4 * util::kMiB)})
     {
-        storage::V3ServerConfig config;
-        config.cache_bytes = 4ull * 1024 * 1024;
-        server_ = std::make_unique<storage::V3Server>(sim_, fabric_,
-                                                      config);
-        auto disks = server_->diskManager().addDisks(
-            disk::DiskSpec::scsi10k(), "d", 2);
-        volume_ = server_->volumeManager().addStripedVolume(
-            disks, 64 * 1024);
-        server_->start();
-        nic_ = std::make_unique<vi::ViNic>(sim_, fabric_,
-                                           host_.memory(), "nic");
-
         sim::spawn([](CdsaApiTest *test) -> Task<> {
             test->api_ = co_await CdsaApi::open(
                 test->host_, *test->nic_,
@@ -49,12 +33,6 @@ class CdsaApiTest : public ::testing::Test
         sim_.run();
     }
 
-    sim::Simulation sim_;
-    net::Fabric fabric_;
-    osmodel::Node host_;
-    std::unique_ptr<storage::V3Server> server_;
-    uint32_t volume_ = 0;
-    std::unique_ptr<vi::ViNic> nic_;
     std::unique_ptr<CdsaApi> api_;
 };
 
@@ -165,7 +143,6 @@ TEST_F(CdsaApiTest, StatsReflectTraffic)
     EXPECT_EQ(stats.retransmits, 0u);
     EXPECT_GT(stats.polled_completions + stats.interrupt_completions,
               0u);
-    api_->hint(CdsaHint::Sequential, 0, 65536); // accepted quietly
     api_->close();
 }
 

@@ -14,10 +14,7 @@
 
 #include "dsa/dsa_client.hh"
 #include "dsa/local_backend.hh"
-#include "net/fabric.hh"
-#include "osmodel/node.hh"
-#include "sim/simulation.hh"
-#include "storage/v3_server.hh"
+#include "single_node_rig.hh"
 
 namespace v3sim::dsa
 {
@@ -32,28 +29,17 @@ using sim::Tick;
 using sim::usecs;
 
 /** Client host + V3 server with a striped 4-disk volume. */
-class EndToEnd : public ::testing::TestWithParam<DsaImpl>
+class EndToEnd : public ::testing::TestWithParam<DsaImpl>,
+                 public test::SingleNodeRig
 {
   protected:
     EndToEnd()
-        : sim_(12345),
-          fabric_(sim_.queue()),
-          host_(sim_, NodeConfig{.name = "db", .cpus = 4})
-    {
-        storage::V3ServerConfig server_config;
-        server_config.name = "v3";
-        server_config.cache_bytes = 4ull * 1024 * 1024;
-        server_ = std::make_unique<storage::V3Server>(sim_, fabric_,
-                                                      server_config);
-        auto disks = server_->diskManager().addDisks(
-            disk::DiskSpec::scsi10k(), "v3.d", 4);
-        volume_ = server_->volumeManager().addStripedVolume(
-            disks, 64 * 1024);
-        server_->start();
-
-        nic_ = std::make_unique<vi::ViNic>(sim_, fabric_,
-                                           host_.memory(), "db.nic");
-    }
+        : SingleNodeRig({.seed = 12345,
+                         .server = test::serverWithCache(4 * util::kMiB),
+                         .disk_name = "v3.d",
+                         .disks = 4,
+                         .nic_name = "db.nic"})
+    {}
 
     std::unique_ptr<DsaClient>
     makeClient(DsaImpl impl, DsaConfig config = {})
@@ -93,13 +79,6 @@ class EndToEnd : public ::testing::TestWithParam<DsaImpl>
         }
         return true;
     }
-
-    sim::Simulation sim_;
-    net::Fabric fabric_;
-    Node host_;
-    std::unique_ptr<storage::V3Server> server_;
-    uint32_t volume_ = 0;
-    std::unique_ptr<vi::ViNic> nic_;
 };
 
 TEST_P(EndToEnd, ConnectAndHello)
@@ -311,21 +290,12 @@ TEST(DsaComparison, LatencyOrderingMatchesPaper)
     // Section 5.1: cDSA has the lowest latency, kDSA next, wDSA the
     // highest (single outstanding 8K cached read).
     auto measure = [](DsaImpl impl) {
-        sim::Simulation sim(7);
-        net::Fabric fabric(sim.queue());
-        Node host(sim, NodeConfig{.name = "db", .cpus = 4});
-
-        storage::V3ServerConfig server_config;
-        server_config.cache_bytes = 16ull * 1024 * 1024;
-        storage::V3Server server(sim, fabric, server_config);
-        auto disks = server.diskManager().addDisks(
-            disk::DiskSpec::scsi10k(), "d", 2);
-        const uint32_t volume =
-            server.volumeManager().addStripedVolume(disks, 64 * 1024);
-        server.start();
-
-        vi::ViNic nic(sim, fabric, host.memory(), "db.nic");
-        DsaClient client(impl, host, nic, server.nic().port(),
+        test::SingleNodeRig rig(
+            {.seed = 7,
+             .server = test::serverWithCache(16 * util::kMiB),
+             .nic_name = "db.nic"});
+        auto &[sim, fabric, host, server, volume, nic] = rig;
+        DsaClient client(impl, host, *nic, server->nic().port(),
                          volume);
         const Addr buf = host.memory().allocate(8192);
 

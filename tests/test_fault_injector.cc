@@ -9,10 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "dsa/dsa_client.hh"
-#include "net/fabric.hh"
-#include "osmodel/node.hh"
-#include "sim/simulation.hh"
-#include "storage/v3_server.hh"
+#include "single_node_rig.hh"
 #include "vi/fault_injector.hh"
 
 namespace v3sim::vi
@@ -23,27 +20,14 @@ namespace
 using sim::Addr;
 using sim::Task;
 
-class FaultInjectorTest : public ::testing::Test
+class FaultInjectorTest : public ::testing::Test, public test::SingleNodeRig
 {
   protected:
     FaultInjectorTest()
-        : sim_(123),
-          fabric_(sim_.queue()),
-          injector_(sim_, fabric_),
-          host_(sim_, osmodel::NodeConfig{.name = "db", .cpus = 4})
+        : SingleNodeRig({.seed = 123,
+                         .server = test::serverWithCache(4 * util::kMiB)}),
+          injector_(sim_, fabric_)
     {
-        storage::V3ServerConfig config;
-        config.cache_bytes = 4ull * 1024 * 1024;
-        server_ = std::make_unique<storage::V3Server>(sim_, fabric_,
-                                                      config);
-        auto disks = server_->diskManager().addDisks(
-            disk::DiskSpec::scsi10k(), "d", 2);
-        volume_ = server_->volumeManager().addStripedVolume(
-            disks, 64 * 1024);
-        server_->start();
-        nic_ = std::make_unique<ViNic>(sim_, fabric_, host_.memory(),
-                                       "nic");
-
         dsa::DsaConfig dsa_config;
         dsa_config.retransmit_timeout = sim::msecs(8);
         dsa_config.max_retransmits = 3;
@@ -83,13 +67,7 @@ class FaultInjectorTest : public ::testing::Test
         return succeeded;
     }
 
-    sim::Simulation sim_;
-    net::Fabric fabric_;
     FaultInjector injector_;
-    osmodel::Node host_;
-    std::unique_ptr<storage::V3Server> server_;
-    uint32_t volume_ = 0;
-    std::unique_ptr<ViNic> nic_;
     std::unique_ptr<dsa::DsaClient> client_;
     Addr buffer_ = sim::kNullAddr;
 };
@@ -283,29 +261,19 @@ TEST_F(FaultInjectorTest, DuplicateResponsesAfterRetransmissionIgnored)
 std::string
 runScriptedOutage(uint64_t seed)
 {
-    sim::Simulation sim(seed);
-    net::Fabric fabric(sim.queue());
+    test::SingleNodeRig rig(
+        {.seed = seed, .server = test::serverWithCache(4 * util::kMiB)});
+    auto &[sim, fabric, host, server, volume, nic] = rig;
     FaultInjector injector(sim, fabric);
-    osmodel::Node host(sim, osmodel::NodeConfig{.name = "db",
-                                                .cpus = 4});
-    storage::V3ServerConfig config;
-    config.cache_bytes = 4ull * 1024 * 1024;
-    storage::V3Server server(sim, fabric, config);
-    auto disks = server.diskManager().addDisks(
-        disk::DiskSpec::scsi10k(), "d", 2);
-    const uint32_t volume =
-        server.volumeManager().addStripedVolume(disks, 64 * 1024);
-    server.start();
-    ViNic nic(sim, fabric, host.memory(), "nic");
     dsa::DsaConfig dsa_config;
     dsa_config.retransmit_timeout = sim::msecs(8);
     dsa_config.max_retransmits = 3;
     dsa_config.reconnect_delay = sim::msecs(2);
-    dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, nic,
-                          server.nic().port(), volume, dsa_config);
+    dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, *nic,
+                          server->nic().port(), volume, dsa_config);
     injector.setLossRate(0.01);
     injector.scheduleNodeOutage(sim::msecs(10), sim::msecs(45),
-                                server);
+                                *server);
     const sim::Addr buffer = host.memory().allocate(8192);
     sim::spawn([](sim::Simulation &s, dsa::DsaClient &c,
                   sim::Addr buf) -> Task<> {
@@ -351,26 +319,16 @@ std::string
 runScriptedCorruption(uint64_t seed, double corrupt_rate,
                       bool arm_then_clear = false)
 {
-    sim::Simulation sim(seed);
-    net::Fabric fabric(sim.queue());
+    test::SingleNodeRig rig(
+        {.seed = seed, .server = test::serverWithCache(4 * util::kMiB)});
+    auto &[sim, fabric, host, server, volume, nic] = rig;
     FaultInjector injector(sim, fabric);
-    osmodel::Node host(sim, osmodel::NodeConfig{.name = "db",
-                                                .cpus = 4});
-    storage::V3ServerConfig config;
-    config.cache_bytes = 4ull * 1024 * 1024;
-    storage::V3Server server(sim, fabric, config);
-    auto disks = server.diskManager().addDisks(
-        disk::DiskSpec::scsi10k(), "d", 2);
-    const uint32_t volume =
-        server.volumeManager().addStripedVolume(disks, 64 * 1024);
-    server.start();
-    ViNic nic(sim, fabric, host.memory(), "nic");
     dsa::DsaConfig dsa_config;
     dsa_config.retransmit_timeout = sim::msecs(8);
     dsa_config.max_retransmits = 3;
     dsa_config.reconnect_delay = sim::msecs(2);
-    dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, nic,
-                          server.nic().port(), volume, dsa_config);
+    dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, *nic,
+                          server->nic().port(), volume, dsa_config);
     if (arm_then_clear) {
         // Fork the lazy corruption RNG, then fully disarm it.
         injector.setCorruptRate(0.5);
@@ -380,7 +338,7 @@ runScriptedCorruption(uint64_t seed, double corrupt_rate,
         injector.setCorruptRate(corrupt_rate);
         // Cold latent damage outside the workload's footprint: the
         // injection itself must be deterministic and inert.
-        injector.injectLatentError(server.diskManager().disk(0),
+        injector.injectLatentError(server->diskManager().disk(0),
                                    128 * 1024, 8192);
     }
     const sim::Addr buffer = host.memory().allocate(8192);

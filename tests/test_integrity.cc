@@ -203,18 +203,17 @@ class IntegrityTest : public ::testing::Test
         return ok;
     }
 
-    /** Evicts [offset, offset+kIo) from server @p n's cache so the
-     *  next read faults it from media (and its verify-on-read). */
+    /** Evicts the block at @p offset (kIo is one cache block) from
+     *  server @p n's cache so the next read faults it from media (and
+     *  its verify-on-read). */
     bool
     dropFromCache(size_t n, uint64_t offset)
     {
-        bool ok = false;
-        sim::spawn([](DsaClient &c, uint64_t off, bool &out)
-                       -> Task<> {
-            out = co_await c.hint(HintKind::DontNeed, off, kIo);
-        }(*bed_->clients()[n], offset, ok));
-        bed_->sim().runUntil(bed_->sim().now() + sim::msecs(50));
-        return ok;
+        storage::BlockCache *cache = server(n).cache();
+        if (cache == nullptr)
+            return false;
+        cache->invalidate(storage::CacheKey{0, offset / kIo});
+        return true;
     }
 
     Addr

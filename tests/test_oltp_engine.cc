@@ -181,24 +181,5 @@ TEST_F(OltpEngineTest, StopHaltsWorkers)
     EXPECT_EQ(engine.committedCount(), committed);
 }
 
-TEST_F(OltpEngineTest, LogWriterStreamsSequentially)
-{
-    sim::Simulation s;
-    osmodel::Node n(s, osmodel::NodeConfig{.name = "db", .cpus = 4});
-    FakeDevice data(s, sim::usecs(100));
-    FakeDevice log(s, sim::usecs(50));
-    tpcc::TpccConfig wc;
-    wc.warehouses = 4;
-    wc.bytes_per_warehouse = 8 * util::kMiB;
-    tpcc::Workload w(wc, data.capacity(), s.forkRng());
-    OltpConfig config;
-    config.workers = 8;
-    config.enable_log = true;
-    OltpEngine engine(n, data, w, config);
-    engine.setLogDevice(&log);
-    engine.run(sim::msecs(10), sim::msecs(100));
-    EXPECT_GT(log.ios, 0u);
-}
-
 } // namespace
 } // namespace v3sim::db

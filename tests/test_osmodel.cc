@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for interrupt delivery, the kernel I/O-manager path,
- * AWE allocation, and Node wiring.
+ * Unit tests for interrupt delivery, the kernel I/O-manager path
+ * and Node wiring.
  */
 
 #include <gtest/gtest.h>
@@ -103,22 +103,6 @@ TEST(IoManager, PinningIsOptional)
     const HostCosts &c = node.costs();
     EXPECT_EQ(node.cpus().busyTime(CpuCat::Kernel),
               c.syscall + c.irp_issue + 2 * c.lock_hold);
-}
-
-TEST(Awe, AllocationsArePinned)
-{
-    sim::Simulation sim;
-    Node node(sim, NodeConfig{.name = "host"});
-    const sim::Addr a = node.awe().allocate(64 * 1024);
-    ASSERT_NE(a, sim::kNullAddr);
-    EXPECT_TRUE(node.awe().isPinned(a));
-    EXPECT_TRUE(node.awe().isPinned(a + 64 * 1024 - 1));
-    EXPECT_FALSE(node.awe().isPinned(a + 64 * 1024));
-
-    // Non-AWE allocations are not pinned.
-    const sim::Addr b = node.memory().allocate(4096);
-    EXPECT_FALSE(node.awe().isPinned(b));
-    EXPECT_EQ(node.awe().totalBytes(), 64u * 1024);
 }
 
 TEST(Node, PhantomMemoryConfig)

@@ -12,11 +12,8 @@
 #include <vector>
 
 #include "dsa/dsa_client.hh"
-#include "net/fabric.hh"
-#include "osmodel/node.hh"
 #include "scenarios/microbench.hh"
-#include "sim/simulation.hh"
-#include "storage/v3_server.hh"
+#include "single_node_rig.hh"
 
 namespace v3sim
 {
@@ -35,20 +32,11 @@ TEST_P(RoundTripProperty, DataSurvivesWriteReadCycle)
 {
     const auto [impl, size] = GetParam();
 
-    sim::Simulation sim(1234 + size);
-    net::Fabric fabric(sim.queue());
-    osmodel::Node host(sim, osmodel::NodeConfig{.name = "db",
-                                                .cpus = 4});
-    storage::V3ServerConfig server_config;
-    server_config.cache_bytes = 8ull * 1024 * 1024;
-    storage::V3Server server(sim, fabric, server_config);
-    auto disks = server.diskManager().addDisks(
-        disk::DiskSpec::scsi10k(), "d", 3);
-    const uint32_t volume =
-        server.volumeManager().addStripedVolume(disks, 64 * 1024);
-    server.start();
-    vi::ViNic nic(sim, fabric, host.memory(), "nic");
-    dsa::DsaClient client(impl, host, nic, server.nic().port(),
+    test::SingleNodeRig rig({.seed = 1234 + size,
+                             .server = test::serverWithCache(8 * util::kMiB),
+                             .disks = 3});
+    auto &[sim, fabric, host, server, volume, nic] = rig;
+    dsa::DsaClient client(impl, host, *nic, server->nic().port(),
                           volume);
 
     const sim::Addr wbuf = host.memory().allocate(size);
@@ -111,22 +99,13 @@ TEST(Determinism, SameSeedSameMicroResult)
 TEST(Determinism, SameSeedSameEventCount)
 {
     auto run_once = [](uint64_t seed) {
-        sim::Simulation sim(seed);
-        net::Fabric fabric(sim.queue());
-        osmodel::Node host(
-            sim, osmodel::NodeConfig{.name = "db", .cpus = 2});
-        storage::V3ServerConfig config;
-        config.cache_bytes = 1024 * 1024;
-        storage::V3Server server(sim, fabric, config);
-        auto disks = server.diskManager().addDisks(
-            disk::DiskSpec::scsi10k(), "d", 2);
-        const uint32_t volume =
-            server.volumeManager().addStripedVolume(disks,
-                                                    64 * 1024);
-        server.start();
-        vi::ViNic nic(sim, fabric, host.memory(), "nic");
-        dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, nic,
-                              server.nic().port(), volume);
+        test::SingleNodeRig rig(
+            {.seed = seed,
+             .server = test::serverWithCache(util::kMiB),
+             .host = {.name = "db", .cpus = 2}});
+        auto &[sim, fabric, host, server, volume, nic] = rig;
+        dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, *nic,
+                              server->nic().port(), volume);
         const sim::Addr buf = host.memory().allocate(8192);
         sim::spawn([](dsa::DsaClient &c, sim::Addr b,
                       sim::Simulation &s) -> sim::Task<> {
@@ -150,21 +129,11 @@ TEST(Determinism, SameSeedSameEventCount)
 /** Conservation: fabric bytes, server op counts, cache accounting. */
 TEST(Conservation, ServerCountsMatchClientCounts)
 {
-    sim::Simulation sim(5);
-    net::Fabric fabric(sim.queue());
-    osmodel::Node host(sim, osmodel::NodeConfig{.name = "db",
-                                                .cpus = 4});
-    storage::V3ServerConfig server_config;
-    server_config.cache_bytes = 4ull * 1024 * 1024;
-    storage::V3Server server(sim, fabric, server_config);
-    auto disks = server.diskManager().addDisks(
-        disk::DiskSpec::scsi10k(), "d", 2);
-    const uint32_t volume =
-        server.volumeManager().addStripedVolume(disks, 64 * 1024);
-    server.start();
-    vi::ViNic nic(sim, fabric, host.memory(), "nic");
-    dsa::DsaClient client(dsa::DsaImpl::Kdsa, host, nic,
-                          server.nic().port(), volume);
+    test::SingleNodeRig rig(
+        {.seed = 5, .server = test::serverWithCache(4 * util::kMiB)});
+    auto &[sim, fabric, host, server, volume, nic] = rig;
+    dsa::DsaClient client(dsa::DsaImpl::Kdsa, host, *nic,
+                          server->nic().port(), volume);
     const sim::Addr buf = host.memory().allocate(8192);
 
     int reads = 0, writes = 0;
@@ -186,15 +155,15 @@ TEST(Conservation, ServerCountsMatchClientCounts)
     }(client, buf, sim, reads, writes));
     sim.run();
 
-    EXPECT_EQ(server.readCount(), static_cast<uint64_t>(reads));
-    EXPECT_EQ(server.writeCount(), static_cast<uint64_t>(writes));
+    EXPECT_EQ(server->readCount(), static_cast<uint64_t>(reads));
+    EXPECT_EQ(server->writeCount(), static_cast<uint64_t>(writes));
     EXPECT_EQ(client.ioCount(),
               static_cast<uint64_t>(reads + writes));
     // No loss on a healthy fabric: nothing dropped, no retransmits.
     EXPECT_EQ(fabric.packetsDropped(), 0u);
     EXPECT_EQ(client.retransmitCount(), 0u);
     // Cache lookups happened for every read block.
-    EXPECT_EQ(server.cache()->hits() + server.cache()->misses(),
+    EXPECT_EQ(server->cache()->hits() + server->cache()->misses(),
               static_cast<uint64_t>(reads));
 }
 

@@ -13,10 +13,7 @@
 #include <vector>
 
 #include "dsa/dsa_client.hh"
-#include "net/fabric.hh"
-#include "osmodel/node.hh"
-#include "sim/simulation.hh"
-#include "storage/v3_server.hh"
+#include "single_node_rig.hh"
 
 namespace v3sim::storage
 {
@@ -26,27 +23,17 @@ namespace
 using sim::Addr;
 using sim::Task;
 
-class V3ServerTest : public ::testing::Test
+class V3ServerTest : public ::testing::Test, public test::SingleNodeRig
 {
   protected:
     explicit V3ServerTest(uint64_t cache_bytes = 2ull * 1024 * 1024,
                           bool phantom_host = false)
-        : sim_(21),
-          fabric_(sim_.queue()),
-          host_(sim_, osmodel::NodeConfig{.name = "db",
-                                          .cpus = 4,
-                                          .phantom_memory = phantom_host})
+        : SingleNodeRig({.seed = 21,
+                         .server = test::serverWithCache(cache_bytes),
+                         .host = {.name = "db",
+                                  .cpus = 4,
+                                  .phantom_memory = phantom_host}})
     {
-        V3ServerConfig config;
-        config.cache_bytes = cache_bytes;
-        server_ = std::make_unique<V3Server>(sim_, fabric_, config);
-        auto disks = server_->diskManager().addDisks(
-            disk::DiskSpec::scsi10k(), "d", 2);
-        volume_ = server_->volumeManager().addStripedVolume(
-            disks, 64 * 1024);
-        server_->start();
-        nic_ = std::make_unique<vi::ViNic>(sim_, fabric_,
-                                           host_.memory(), "nic");
         client_ = std::make_unique<dsa::DsaClient>(
             dsa::DsaImpl::Cdsa, host_, *nic_,
             server_->nic().port(), volume_);
@@ -80,12 +67,6 @@ class V3ServerTest : public ::testing::Test
         return ok;
     }
 
-    sim::Simulation sim_;
-    net::Fabric fabric_;
-    osmodel::Node host_;
-    std::unique_ptr<V3Server> server_;
-    uint32_t volume_ = 0;
-    std::unique_ptr<vi::ViNic> nic_;
     std::unique_ptr<dsa::DsaClient> client_;
 };
 

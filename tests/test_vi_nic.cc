@@ -382,86 +382,6 @@ TEST_F(ViNicTest, PostOnErroredEndpointRejected)
     EXPECT_FALSE(client_nic_.postRecv(*client_ep_, send, src_h));
 }
 
-TEST_F(ViNicTest, RdmaReadPullsRemoteDataWithoutRemoteCpu)
-{
-    connectPair();
-    const std::string text = "server-resident block";
-    auto [dst, dst_h] = makeBuffer(client_nic_, client_mem_, 256);
-    (void)dst_h;
-    auto [src, src_h] = makeBuffer(server_nic_, server_mem_, 256);
-    (void)src_h;
-    server_mem_.write(src, text.data(), text.size());
-
-    vi::WorkDescriptor read;
-    read.cookie = 99;
-    read.local_addr = dst;
-    read.len = text.size();
-    read.remote_addr = src;
-    ASSERT_TRUE(client_nic_.postRdmaRead(*client_ep_, read,
-                                         client_nic_.registry()
-                                             .registerMemory(dst, 256,
-                                                             true)
-                                             ->handle));
-    sim_.run();
-
-    std::string out(text.size(), '\0');
-    client_mem_.read(dst, out.data(), out.size());
-    EXPECT_EQ(out, text);
-    // Requester's completion arrives on its receive CQ.
-    auto completion = client_rcq_.poll();
-    ASSERT_TRUE(completion.has_value());
-    EXPECT_EQ(completion->type, WorkType::RdmaRead);
-    EXPECT_EQ(completion->cookie, 99u);
-    EXPECT_EQ(completion->len, text.size());
-    // The remote CPU saw nothing: no completions, no interrupts.
-    EXPECT_TRUE(server_rcq_.empty());
-    EXPECT_EQ(server_rcq_.interruptCount(), 0u);
-}
-
-TEST_F(ViNicTest, RdmaReadOfLargeRegionFragments)
-{
-    connectPair();
-    const uint64_t len = 128 * util::kKiB;
-    auto [dst, dst_h] = makeBuffer(client_nic_, client_mem_, len);
-    auto [src, src_h] = makeBuffer(server_nic_, server_mem_, len);
-    (void)src_h;
-    std::vector<uint8_t> pattern(len);
-    for (size_t i = 0; i < len; ++i)
-        pattern[i] = static_cast<uint8_t>(i % 241);
-    server_mem_.write(src, pattern.data(), len);
-
-    const uint64_t before = server_nic_.packetsSent();
-    vi::WorkDescriptor read;
-    read.local_addr = dst;
-    read.len = len;
-    read.remote_addr = src;
-    ASSERT_TRUE(client_nic_.postRdmaRead(*client_ep_, read, dst_h));
-    sim_.run();
-
-    // Three response fragments at the cLan packet size.
-    EXPECT_EQ(server_nic_.packetsSent() - before, 3u);
-    std::vector<uint8_t> out(len);
-    client_mem_.read(dst, out.data(), len);
-    EXPECT_EQ(out, pattern);
-}
-
-TEST_F(ViNicTest, RdmaReadFromUnregisteredMemoryBreaksConnection)
-{
-    connectPair();
-    auto [dst, dst_h] = makeBuffer(client_nic_, client_mem_, 64);
-    const Addr unregistered = server_mem_.allocate(64);
-
-    vi::WorkDescriptor read;
-    read.local_addr = dst;
-    read.len = 64;
-    read.remote_addr = unregistered;
-    ASSERT_TRUE(client_nic_.postRdmaRead(*client_ep_, read, dst_h));
-    sim_.run();
-    EXPECT_EQ(server_nic_.protectionErrors(), 1u);
-    EXPECT_EQ(server_ep_->state(), EndpointState::Error);
-    EXPECT_EQ(client_ep_->state(), EndpointState::Error);
-}
-
 TEST_F(ViNicTest, DroppedRequestLosesMessageSilently)
 {
     connectPair();

@@ -7,6 +7,14 @@
 # also appear as `paper_suite name`), so an experiment can't be added
 # or renamed without its documentation moving with it. A bare word
 # does not count: "calibrated" does not document `calibrate`.
+#
+# Every repository path backticked in README.md, DESIGN.md or
+# EXPERIMENTS.md (a word starting src/, tests/, bench/, tools/,
+# examples/ or perfbench/) must name an existing file or directory,
+# so deleting or moving a file fails here until the docs follow. A
+# binary name passes when its source exists (`bench/paper_suite`
+# names bench/paper_suite.cc). Placeholders and globs (<...>, *,
+# {...}) are skipped, as is everything inside fenced code blocks.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -61,7 +69,44 @@ if(_missing)
         "figure/claim it reproduces, how to run it).")
 endif()
 
+set(_path_count 0)
+set(_stale "")
+foreach(_md IN ITEMS README.md DESIGN.md EXPERIMENTS.md)
+    file(READ "${REPO_ROOT}/${_md}" _text)
+    string(REGEX REPLACE "```[^`]*```" "" _text "${_text}")
+    string(REGEX MATCHALL "`[^`]+`" _spans "${_text}")
+    foreach(_span IN LISTS _spans)
+        string(REGEX MATCHALL
+            "[ `\t\n](src|tests|bench|tools|examples|perfbench)/[^ `\t\n]*"
+            _paths "${_span}")
+        foreach(_path IN LISTS _paths)
+            string(SUBSTRING "${_path}" 1 -1 _path)
+            if(_path MATCHES "[<>*{}]")
+                continue()
+            endif()
+            math(EXPR _path_count "${_path_count} + 1")
+            set(_found FALSE)
+            foreach(_suffix IN ITEMS "" .cc .cpp .hh)
+                if(EXISTS "${REPO_ROOT}/${_path}${_suffix}")
+                    set(_found TRUE)
+                endif()
+            endforeach()
+            if(NOT _found)
+                list(APPEND _stale "${_md}: ${_path}")
+            endif()
+        endforeach()
+    endforeach()
+endforeach()
+
+if(_stale)
+    list(JOIN _stale ", " _stale_list)
+    message(FATAL_ERROR
+        "docs_drift: backticked paths that name no file or directory: "
+        "${_stale_list}. Fix the path or drop the reference.")
+endif()
+
 list(LENGTH _benches _bench_count)
 message(STATUS
     "docs_drift: ${_bench_count} bench sources and ${_item_count} "
-    "paper_suite items documented in EXPERIMENTS.md")
+    "paper_suite items documented in EXPERIMENTS.md; ${_path_count} "
+    "backticked repository paths resolve")
