@@ -1328,12 +1328,11 @@ runIntegrityPoint(Suite &suite, double rate, const IntegrityTimes &times,
     };
     storage::V3Server &rotten = *bed.servers().front();
     for (uint64_t off : latent_offsets) {
-        bed.faults().injectLatentError(
-            rotten.diskManager().disk(off / stripe_unit),
-            off % stripe_unit, kIoBytes);
+        bed.faults().injectLatentError(rotten.disk(off / stripe_unit),
+                                       off % stripe_unit, kIoBytes);
     }
-    const disk::Volume *vol0 = rotten.volumeManager().volume(0);
-    const disk::Volume *vol1 = bed.servers()[1]->volumeManager().volume(0);
+    const disk::StripeVolume *vol0 = &rotten.volume();
+    const disk::StripeVolume *vol1 = &bed.servers()[1]->volume();
 
     const sim::Tick t_end = sim.now() + times.run;
 
@@ -1376,7 +1375,8 @@ runIntegrityPoint(Suite &suite, double rate, const IntegrityTimes &times,
     // first triggers the repair.
     const sim::Addr probe_buf = mem.allocate(kIoBytes);
     sim::spawn([](sim::Simulation &s, dsa::MirroredDevice &device,
-                  const disk::Volume *oracle, std::vector<uint64_t> offsets,
+                  const disk::StripeVolume *oracle,
+                  std::vector<uint64_t> offsets,
                   sim::Addr buffer, sim::Tick deadline) -> sim::Task<> {
         for (uint64_t off : offsets) {
             int attempts = 0;

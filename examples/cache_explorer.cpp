@@ -113,13 +113,8 @@ main()
     storage::V3ServerConfig server_config;
     server_config.cache_bytes = 16 * util::kMiB;
     server_config.cache_policy = storage::CachePolicy::Mq;
+    server_config.disk_count = 2;
     storage::V3Server server(sim, fabric, server_config);
-    auto disks = server.diskManager().addDisks(
-        disk::DiskSpec::scsi10k(), "v3.d", 2);
-    const uint32_t volume =
-        server.volumeManager().addStripedVolume(disks,
-                                                64 * util::kKiB);
-    server.start();
 
     sim::spawn([](sim::Simulation &s, osmodel::Node &h,
                   vi::ViNic &n, net::PortId port,
@@ -169,7 +164,7 @@ main()
                     static_cast<unsigned long long>(
                         stats.polled_completions));
         api->close();
-    }(sim, host, nic, server.nic().port(), volume));
+    }(sim, host, nic, server.nic().port(), /*volume=*/0));
 
     sim.run();
     std::printf("\nserver cache after the run: %llu resident "

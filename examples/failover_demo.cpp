@@ -46,20 +46,15 @@ main()
 
     storage::V3ServerConfig server_config;
     server_config.cache_bytes = 32 * util::kMiB;
+    server_config.disk_count = 4;
     storage::V3Server server(sim, fabric, server_config);
-    auto disks = server.diskManager().addDisks(
-        disk::DiskSpec::scsi10k(), "v3.d", 4);
-    const uint32_t volume =
-        server.volumeManager().addStripedVolume(disks,
-                                                64 * util::kKiB);
-    server.start();
 
     dsa::DsaConfig config;
     config.retransmit_timeout = sim::msecs(10);
     config.max_retransmits = 2;
     config.reconnect_delay = sim::msecs(2);
     dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, nic,
-                          server.nic().port(), volume, config);
+                          server.nic().port(), /*volume=*/0, config);
 
     const sim::Addr buffer = host.memory().allocate(8192);
     int completed = 0, failed = 0;

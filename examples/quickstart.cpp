@@ -40,17 +40,12 @@ main()
     storage::V3ServerConfig server_config;
     server_config.name = "v3";
     server_config.cache_bytes = 64 * util::kMiB;
+    server_config.disk_count = 4;
     storage::V3Server server(sim, fabric, server_config);
-    auto disks = server.diskManager().addDisks(
-        disk::DiskSpec::scsi10k(), "v3.d", 4);
-    const uint32_t volume =
-        server.volumeManager().addStripedVolume(disks,
-                                                64 * util::kKiB);
-    server.start();
 
-    // 4. A cDSA connection to that volume.
+    // 4. A cDSA connection to that volume (the node's one, id 0).
     dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, nic,
-                          server.nic().port(), volume);
+                          server.nic().port(), /*volume=*/0);
 
     // 5. Application code is a coroutine: connect, write, read.
     const sim::Addr buffer = host.memory().allocate(8192);

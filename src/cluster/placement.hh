@@ -27,6 +27,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/stripe.hh"
+
 namespace v3sim::cluster
 {
 
@@ -77,8 +79,8 @@ struct PlacementMap
     size_t
     shardFor(uint64_t offset) const
     {
-        return static_cast<size_t>((offset / stripe_unit) %
-                                   shards.size());
+        return util::stripeChunk(offset, 1, stripe_unit, shards.size())
+            .child;
     }
 
     /** Locates @p node in the map; returns false when absent. */

@@ -149,15 +149,15 @@ Disk::Disk(sim::Simulation &sim, DiskSpec spec, sim::Rng rng,
 {
     busy_integral_.reset(sim_.now(), 0.0);
     sim.metrics().gauge(metric_prefix_ + ".utilization",
-                        [this] { return utilization(); });
+                        [this] { return utilization(); }, this);
     sim.metrics().gauge(metric_prefix_ + ".queue_depth", [this] {
         return static_cast<double>(queue_.size());
-    });
+    }, this);
     // The busy integral restarts at the current busy state, not zero:
     // a command in flight at the epoch boundary keeps accruing.
     sim.metrics().onEpochReset([this](sim::Tick at) {
         busy_integral_.reset(at, busy_ ? 1.0 : 0.0);
-    });
+    }, this);
 }
 
 void
@@ -302,11 +302,13 @@ Disk::serviceTime(const Command &cmd)
         // Rotational latency: uniform in [0, one rotation); with
         // tagged queuing the drive serves the rotationally nearest
         // of the queued commands, shrinking the expectation to
-        // roughly rotation/(depth+2).
+        // roughly rotation/(depth+2). The paper's UltraSCSI and
+        // Mylex FC controllers both queue tagged commands; it is
+        // what lets 10-15K RPM arrays sustain well over
+        // 1/(seek+half-rotation) IOPS.
         double rot = rng_.nextDouble();
-        if (spec_.tagged_queuing && !queue_.empty()) {
+        if (!queue_.empty())
             rot /= static_cast<double>(queue_.size() + 1);
-        }
         t += static_cast<sim::Tick>(
             rot * static_cast<double>(spec_.rotationTime()));
     }
@@ -352,15 +354,6 @@ double
 Disk::utilization() const
 {
     return busy_integral_.average(sim_.now());
-}
-
-void
-Disk::resetStats()
-{
-    completed_.reset();
-    service_stats_.reset();
-    latency_stats_.reset();
-    busy_integral_.reset(sim_.now(), busy_ ? 1.0 : 0.0);
 }
 
 } // namespace v3sim::disk

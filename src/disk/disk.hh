@@ -110,6 +110,9 @@ class Disk : public vi::MediaFaultTarget
          SchedPolicy policy = SchedPolicy::Elevator,
          bool phantom_store = false);
 
+    /** Retires the disk's gauges and epoch hook. */
+    ~Disk() override { sim_.metrics().retire(this); }
+
     Disk(const Disk &) = delete;
     Disk &operator=(const Disk &) = delete;
 
@@ -153,7 +156,6 @@ class Disk : public vi::MediaFaultTarget
     uint64_t latentErrorCount() const { return latent_errors_.value(); }
     uint64_t tornWriteCount() const { return torn_writes_.value(); }
     double utilization() const;
-    void resetStats();
     /** @} */
 
   private:

@@ -39,13 +39,6 @@ struct DiskSpec
     /** Per-command controller/firmware overhead. */
     sim::Tick controller_overhead = sim::msecs(0.20);
 
-    /** Tagged command queuing: the drive reorders queued commands by
-     *  rotational position, so expected rotational latency shrinks
-     *  roughly as rotation/(depth+1). Both the paper's UltraSCSI and
-     *  Mylex FC controllers used TCQ; it is what lets 10-15K RPM
-     *  arrays sustain well over 1/(seek+half-rotation) IOPS. */
-    bool tagged_queuing = true;
-
     /** One full rotation. */
     sim::Tick
     rotationTime() const

@@ -23,6 +23,7 @@
 
 #include "sim/memory.hh"
 #include "sim/task.hh"
+#include "util/stripe.hh"
 
 namespace v3sim::dsa
 {
@@ -93,8 +94,8 @@ class StripedDevice : public BlockDevice
         uint64_t min_cap = UINT64_MAX;
         for (const BlockDevice *child : children_)
             min_cap = std::min(min_cap, child->capacity());
-        return (min_cap / stripe_unit_) * stripe_unit_ *
-               children_.size();
+        return util::stripeCapacity(min_cap, stripe_unit_,
+                                    children_.size());
     }
 
     sim::Task<bool>
@@ -134,15 +135,9 @@ class StripedDevice : public BlockDevice
         bool all_ok = true;
         uint64_t done = 0;
         while (done < len) {
-            const uint64_t pos = offset + done;
-            const uint64_t unit = pos / stripe_unit_;
-            const uint64_t within = pos % stripe_unit_;
-            const size_t child =
-                static_cast<size_t>(unit % children_.size());
-            const uint64_t child_off =
-                (unit / children_.size()) * stripe_unit_ + within;
-            const uint64_t chunk =
-                std::min(len - done, stripe_unit_ - within);
+            const util::StripeChunk chunk = util::stripeChunk(
+                offset + done, len - done, stripe_unit_,
+                children_.size());
 
             group.add();
             sim::spawn([](BlockDevice *device, uint64_t off,
@@ -156,9 +151,9 @@ class StripedDevice : public BlockDevice
                 if (!result)
                     ok = false;
                 g.done();
-            }(children_[child], child_off, chunk, buffer + done,
-              is_write, tenant, group, all_ok));
-            done += chunk;
+            }(children_[chunk.child], chunk.child_offset, chunk.len,
+              buffer + done, is_write, tenant, group, all_ok));
+            done += chunk.len;
         }
         co_await group.wait();
         co_return all_ok;

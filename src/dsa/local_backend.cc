@@ -6,7 +6,7 @@ namespace v3sim::dsa
 using osmodel::CpuCat;
 using osmodel::CpuLease;
 
-LocalBackend::LocalBackend(osmodel::Node &node, disk::Volume &volume,
+LocalBackend::LocalBackend(osmodel::Node &node, disk::StripeVolume &volume,
                            HbaCosts costs)
     : Session(node, "client.local"),
       volume_(volume),

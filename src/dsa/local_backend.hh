@@ -13,7 +13,8 @@
  * Path model, per request:
  *  issue:     I/O manager (syscall + IRP + probe-and-lock + two sync
  *             pairs) + a small HBA driver cost;
- *  mechanism: the local Volume (same disk models as a V3 node);
+ *  mechanism: the local disk::StripeVolume (same disk models as a
+ *             V3 node);
  *  complete:  controller interrupt (with natural coalescing: one
  *             interrupt drains all completions pending at that
  *             moment), HBA completion cost, I/O manager completion
@@ -52,7 +53,7 @@ struct HbaCosts
 class LocalBackend : public Session
 {
   public:
-    LocalBackend(osmodel::Node &node, disk::Volume &volume,
+    LocalBackend(osmodel::Node &node, disk::StripeVolume &volume,
                  HbaCosts costs = {});
 
     /** Nothing to connect: the disks are attached. */
@@ -80,7 +81,7 @@ class LocalBackend : public Session
 
     sim::Task<> interruptHandler(osmodel::CpuLease lease);
 
-    disk::Volume &volume_;
+    disk::StripeVolume &volume_;
     HbaCosts costs_;
     std::deque<Done> done_queue_;
     bool interrupt_pending_ = false;

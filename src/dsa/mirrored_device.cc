@@ -49,7 +49,7 @@ MirroredDevice::MirroredDevice(sim::Simulation &sim,
                                 config_.resync_parallel);
     sim.metrics().gauge(metric_prefix_ + ".dirty_bytes", [this] {
         return static_cast<double>(dirtyBytes());
-    });
+    }, this);
     // The scrubber is strictly opt-in: with the default rate of 0 no
     // task is ever spawned and fault-free runs stay bit-identical.
     // Even when enabled it starts lazily on the first I/O (see

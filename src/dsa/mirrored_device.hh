@@ -125,6 +125,9 @@ class MirroredDevice : public BlockDevice
                    std::vector<DsaClient *> replicas,
                    MirrorConfig config = {});
 
+    /** Retires the dirty_bytes gauge. */
+    ~MirroredDevice() override { sim_.metrics().retire(this); }
+
     MirroredDevice(const MirroredDevice &) = delete;
     MirroredDevice &operator=(const MirroredDevice &) = delete;
 

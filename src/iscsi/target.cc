@@ -19,10 +19,6 @@ Target::Target(sim::Simulation &sim, net::Fabric &fabric,
                      osmodel::CpuLease &lease) {
                   return onPdu(std::move(pdu), tainted, lease);
               })
-{}
-
-void
-Target::start()
 {
     tcp_.listen();
 }

@@ -58,8 +58,6 @@ class Target : public storage::StorageNode
 
     const TargetConfig &config() const { return config_; }
 
-    void start() override;
-
     /** The port initiators connect() to. */
     net::PortId port() const { return tcp_.port(); }
 

@@ -28,18 +28,19 @@ CpuPool::CpuPool(sim::Simulation &sim, int cpus, std::string name)
     auto &m = sim.metrics();
     const std::string prefix =
         m.uniquePrefix("cpu." + (name_.empty() ? "pool" : name_));
-    m.gauge(prefix + ".utilization", [this] { return utilization(); });
+    m.gauge(prefix + ".utilization", [this] { return utilization(); },
+            this);
     static constexpr const char *kCatPath[kCpuCatCount] = {
         "sql", "kernel", "lock", "dsa", "vi", "other",
     };
     for (size_t c = 0; c < kCpuCatCount; ++c) {
         m.gauge(prefix + ".category." + kCatPath[c], [this, c] {
             return utilization(static_cast<CpuCat>(c));
-        });
+        }, this);
     }
     // The busy-time window restarts with the registry epoch so the
     // utilization gauges describe the current measurement window.
-    m.onEpochReset([this](sim::Tick) { resetStats(); });
+    m.onEpochReset([this](sim::Tick) { resetStats(); }, this);
 }
 
 void

@@ -59,8 +59,7 @@ class CpuPool;
 
 /**
  * Possession of one CPU. Obtained from CpuPool::acquire(); must be
- * released exactly once via CpuPool::release() (or the RAII helper
- * CpuLeaseGuard below when the scope is simple).
+ * released exactly once via CpuPool::release().
  */
 class CpuLease
 {
@@ -101,6 +100,9 @@ class CpuPool
     static constexpr int kNormalPriority = 1;
 
     CpuPool(sim::Simulation &sim, int cpus, std::string name = "");
+
+    /** Retires the pool's utilization gauges and epoch hook. */
+    ~CpuPool() { sim_.metrics().retire(this); }
 
     CpuPool(const CpuPool &) = delete;
     CpuPool &operator=(const CpuPool &) = delete;

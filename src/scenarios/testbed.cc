@@ -124,19 +124,16 @@ Testbed::buildLocal(bool phantom)
                           ? storage_params_.local_disks
                           : storage_params_.v3_nodes *
                                 storage_params_.disks_per_node;
-    std::vector<disk::Volume *> parts;
+    std::vector<disk::Disk *> spindles;
     for (int i = 0; i < count; ++i) {
         local_disks_.push_back(std::make_unique<disk::Disk>(
             sim_, storage_params_.disk_spec, sim_.forkRng(),
             "local.d" + std::to_string(i), disk::SchedPolicy::Elevator,
             phantom));
-        local_parts_.push_back(
-            std::make_unique<disk::SingleDiskVolume>(
-                *local_disks_.back()));
-        parts.push_back(local_parts_.back().get());
+        spindles.push_back(local_disks_.back().get());
     }
     local_volume_ = std::make_unique<disk::StripeVolume>(
-        parts, storage_params_.stripe_unit);
+        std::move(spindles), storage_params_.stripe_unit);
     sessions_.push_back(
         std::make_unique<dsa::LocalBackend>(*host_, *local_volume_));
     device_ = sessions_.back().get();
@@ -146,15 +143,17 @@ void
 Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
 {
     // The same storage-node hardware for every transport (disks,
-    // cache size and policy, CPU count, admission gate). Each node is
-    // assembled (front end, disks, striped volume, start) before its
-    // session: the disks fork the simulation's random streams in
-    // this order.
+    // cache size and policy, CPU count, admission gate). Each node
+    // (front end, disks, striped volume) is built before its session:
+    // the disks fork the simulation's random streams in this order.
     const StorageParams &params = storage_params_;
     const auto shared = [&](storage::StorageNodeConfig &config,
                             int n) {
         // The front end's default name plus the index: v3.0, tgt.0.
         config.name += "." + std::to_string(n);
+        config.disk_spec = params.disk_spec;
+        config.disk_count = params.disks_per_node;
+        config.stripe_unit = params.stripe_unit;
         config.cache_bytes = params.cache_bytes_per_node;
         config.cache_policy = params.cache_policy;
         config.phantom_memory = phantom;
@@ -174,18 +173,10 @@ Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
             node = std::make_unique<storage::V3Server>(sim_, fabric_,
                                                        config);
         }
-        auto disks = node->diskManager().addDisks(
-            params.disk_spec, node->node().name() + ".d",
-            params.disks_per_node, phantom);
-        const uint32_t volume = node->volumeManager().addStripedVolume(
-            disks, params.stripe_unit);
-        node->start();
-
         if (backend_ == Backend::Iscsi) {
             // The rival transport: the host needs no VI NIC, each
             // initiator attaches a plain fabric port.
             iscsi::InitiatorConfig config;
-            config.volume = volume;
             config.max_outstanding = params.request_credits;
             sessions_.push_back(std::make_unique<iscsi::Initiator>(
                 *host_, fabric_,
@@ -198,7 +189,7 @@ Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
             sessions_.push_back(std::make_unique<dsa::DsaClient>(
                 backendImpl(backend_), *host_, *nics_.back(),
                 static_cast<storage::V3Server &>(*node).nic().port(),
-                volume, dsa_config));
+                /*volume=*/0, dsa_config));
         }
         nodes_.push_back(std::move(node));
     }
@@ -348,9 +339,8 @@ Testbed::diskUtilization() const
     double sum = 0;
     int count = 0;
     for (const auto &node : nodes_) {
-        storage::DiskManager &manager = node->diskManager();
-        for (size_t i = 0; i < manager.diskCount(); ++i) {
-            sum += manager.disk(i).utilization();
+        for (size_t i = 0; i < node->diskCount(); ++i) {
+            sum += node->disk(i).utilization();
             ++count;
         }
     }

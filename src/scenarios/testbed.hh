@@ -13,9 +13,10 @@
  *    per node.
  *
  * Every networked backend builds its nodes in one loop: a
- * storage::StorageNode (V3Server or iscsi::Target), its disks and
- * striped volume, then the host's dsa::Session to it (a DsaClient or
- * an iscsi::Initiator); Local has one session, its LocalBackend.
+ * storage::StorageNode (V3Server or iscsi::Target, which builds its
+ * own disks and striped volume), then the host's dsa::Session to it
+ * (a DsaClient or an iscsi::Initiator); Local has one session, its
+ * LocalBackend.
  * StorageParams::layout composes the database volume from the
  * sessions: striped across the nodes, or, over DSA clients, striped
  * across dsa::MirroredDevice node pairs (RAID-10), optionally run as
@@ -257,7 +258,6 @@ class Testbed
     std::vector<std::unique_ptr<storage::StorageNode>> nodes_;
     std::vector<std::unique_ptr<vi::ViNic>> nics_;
     std::vector<std::unique_ptr<disk::Disk>> local_disks_;
-    std::vector<std::unique_ptr<disk::SingleDiskVolume>> local_parts_;
     std::unique_ptr<disk::StripeVolume> local_volume_;
     std::vector<std::unique_ptr<dsa::Session>> sessions_;
     std::vector<std::unique_ptr<dsa::MirroredDevice>> mirrors_;

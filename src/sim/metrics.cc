@@ -1,5 +1,6 @@
 #include "metrics.hh"
 
+#include <cassert>
 #include <stdexcept>
 
 #include "util/json.hh"
@@ -85,21 +86,37 @@ MetricRegistry::timeWeighted(const std::string &path)
 
 void
 MetricRegistry::gauge(const std::string &path,
-                      std::function<double()> fn)
+                      std::function<double()> fn, const void *owner)
 {
     checkNewPath(path);
     if (!fn)
         throw std::invalid_argument("gauge callback must be set");
-    gauges_.push_back(std::move(fn));
+    gauges_.push_back({std::move(fn), owner});
     index_.emplace(path,
                    Entry{MetricKind::Gauge, gauges_.size() - 1});
 }
 
 void
-MetricRegistry::onEpochReset(std::function<void(Tick)> hook)
+MetricRegistry::onEpochReset(std::function<void(Tick)> hook,
+                             const void *owner)
 {
     if (hook)
-        hooks_.push_back(std::move(hook));
+        hooks_.push_back({std::move(hook), owner});
+}
+
+void
+MetricRegistry::retire(const void *owner)
+{
+    assert(owner && "only an owned callback can be retired");
+    for (auto &gauge : gauges_) {
+        if (gauge.owner != owner)
+            continue;
+        const double last = gauge.fn();
+        gauge.fn = [last] { return last; };
+        gauge.owner = nullptr;
+    }
+    std::erase_if(hooks_,
+                  [owner](const auto &hook) { return hook.owner == owner; });
 }
 
 std::string
@@ -161,7 +178,7 @@ MetricRegistry::resetEpoch()
         tw.reset(at, tw.current());
     // Gauges are derived; nothing to reset.
     for (const auto &hook : hooks_)
-        hook(at);
+        hook.fn(at);
     epoch_start_ = at;
 }
 
@@ -203,7 +220,7 @@ MetricRegistry::snapshot() const
             break;
           }
           case MetricKind::Gauge:
-            v.value = gauges_[entry.index]();
+            v.value = gauges_[entry.index].fn();
             break;
         }
         snap.emplace(path, v);

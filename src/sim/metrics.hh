@@ -28,10 +28,13 @@
  *    the registering component dies, but must not outlive the
  *    registry.
  *  - gauges + hooks: gauge() registers a lazy callback for derived
- *    values (hit ratio, utilization, live table entries); its owner
- *    must outlive any snapshot. onEpochReset() registers a callback
- *    for window-style state the registry cannot reset by itself
- *    (CpuPool's accounting window, a Disk's busy integral).
+ *    values (hit ratio, utilization, live table entries).
+ *    onEpochReset() registers a callback for window-style state the
+ *    registry cannot reset by itself (CpuPool's accounting window, a
+ *    Disk's busy integral). Both name the owner their callback reads,
+ *    and the owner's destructor calls retire(): from then on its
+ *    gauges report the value read at retirement (frozen, like a dead
+ *    owner's counter handle) and its hooks no longer run.
  *
  * Paths must be unique; duplicate registration throws. Components
  * whose instance names are not guaranteed unique derive their prefix
@@ -193,13 +196,24 @@ class MetricRegistry
     TimeWeightedHandle timeWeighted(const std::string &path);
     /** @} */
 
-    /** Registers a lazy derived value. The callback must stay valid
-     *  for as long as snapshots are taken. */
-    void gauge(const std::string &path, std::function<double()> fn);
+    /** Registers a lazy derived value read from @p owner, which
+     *  calls retire() before it dies (so the registry outlives it);
+     *  a null owner must outlive the registry. */
+    void gauge(const std::string &path, std::function<double()> fn,
+               const void *owner = nullptr);
 
     /** Registers a hook run by resetEpoch() (accounting windows the
-     *  registry cannot reset itself). Same lifetime rule as gauges. */
-    void onEpochReset(std::function<void(Tick)> hook);
+     *  registry cannot reset itself). Same owner rule as gauges. */
+    void onEpochReset(std::function<void(Tick)> hook,
+                      const void *owner = nullptr);
+
+    /**
+     * Retires everything @p owner (non-null) registered: each gauge
+     * reads its callback one last time and reports that value from
+     * then on; each hook stops running. Owners call this from their
+     * destructors.
+     */
+    void retire(const void *owner);
 
     /**
      * Returns a registry-unique dotted prefix: @p base itself the
@@ -289,9 +303,17 @@ class MetricRegistry
     std::deque<Sampler> samplers_;
     std::deque<Histogram> histograms_;
     std::deque<TimeWeighted> time_weighted_;
-    std::deque<std::function<double()>> gauges_;
 
-    std::vector<std::function<void(Tick)>> hooks_;
+    /** A gauge or hook callback and the object it reads (null once
+     *  retired, or for callbacks that outlive the registry). */
+    template <typename Fn>
+    struct Owned
+    {
+        Fn fn;
+        const void *owner;
+    };
+    std::deque<Owned<std::function<double()>>> gauges_;
+    std::vector<Owned<std::function<void(Tick)>>> hooks_;
     std::map<std::string, uint32_t> prefix_uses_;
     NowFn now_;
     Tick epoch_start_ = 0;

@@ -139,21 +139,32 @@ class BlockCache
     registerMetrics(sim::MetricRegistry &metrics,
                     const std::string &prefix)
     {
+        metrics_ = &metrics;
         metrics.gauge(prefix + ".hits", [this] {
             return static_cast<double>(hits());
-        });
+        }, this);
         metrics.gauge(prefix + ".misses", [this] {
             return static_cast<double>(misses());
-        });
+        }, this);
         metrics.gauge(prefix + ".hit_ratio",
-                      [this] { return hitRatio(); });
+                      [this] { return hitRatio(); }, this);
         metrics.gauge(prefix + ".resident_blocks", [this] {
             return static_cast<double>(residentBlocks());
-        });
-        metrics.onEpochReset([this](sim::Tick) { resetStats(); });
+        }, this);
+        metrics.onEpochReset([this](sim::Tick) { resetStats(); }, this);
     }
 
   protected:
+    /** Retires what registerMetrics() published. Every policy's
+     *  destructor calls it: the resident_blocks gauge reads the
+     *  policy, which is gone by the time ~BlockCache runs. */
+    void
+    retireMetrics()
+    {
+        if (metrics_)
+            metrics_->retire(this);
+    }
+
     sim::Addr frameAddr(uint64_t index) const
     {
         return base_ + index * block_size_;
@@ -169,6 +180,8 @@ class BlockCache
   private:
     sim::Counter hits_;
     sim::Counter misses_;
+    /** Where registerMetrics() published; null until then. */
+    sim::MetricRegistry *metrics_ = nullptr;
 };
 
 /** Classic LRU with pinning. */
@@ -177,6 +190,7 @@ class LruCache : public BlockCache
   public:
     LruCache(sim::MemorySpace &memory, uint64_t block_size,
              uint64_t capacity_blocks);
+    ~LruCache() override { retireMetrics(); }
 
     std::optional<sim::Addr> lookupAndPin(CacheKey key) override;
     std::optional<sim::Addr> insertAndPin(CacheKey key) override;

@@ -42,10 +42,20 @@ BlockPath::BlockPath(sim::Simulation &sim, osmodel::Node &node,
                      const BlockPathConfig &config)
     : node_(node),
       config_(config),
-      disks_(sim),
       integrity_errors_(sim.metrics().counter(
           metric_prefix + ".integrity_verify_failures"))
 {
+    std::vector<disk::Disk *> spindles;
+    for (int i = 0; i < config_.disk_count; ++i) {
+        disks_.push_back(std::make_unique<disk::Disk>(
+            sim, config_.disk_spec, sim.forkRng(),
+            node_.name() + ".d." + std::to_string(i),
+            disk::SchedPolicy::Elevator, node_.memory().phantom()));
+        spindles.push_back(disks_.back().get());
+    }
+    volume_ = std::make_unique<disk::StripeVolume>(std::move(spindles),
+                                                   config_.stripe_unit);
+
     if (config_.cache_bytes < config_.block_size)
         return;
     const uint64_t blocks = config_.cache_bytes / config_.block_size;
@@ -60,14 +70,13 @@ BlockPath::BlockPath(sim::Simulation &sim, osmodel::Node &node,
 }
 
 ReadStatus
-BlockPath::verify(bool read_ok, disk::Volume &volume, uint64_t off,
-                  uint64_t len)
+BlockPath::verify(bool read_ok, uint64_t off, uint64_t len)
 {
     if (!read_ok)
         return ReadStatus::DiskError;
     // Damaged platter data must never enter the cache (it would
     // masquerade as a verified copy) or reach a client as good data.
-    if (volume.corrupt(off, len)) {
+    if (volume_->corrupt(off, len)) {
         integrity_errors_.increment();
         return ReadStatus::IntegrityError;
     }
@@ -85,7 +94,6 @@ BlockPath::read(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
     if (!cache_) {
         // Caching off: one transient covering the sector-aligned
         // envelope, one volume read.
-        disk::Volume &volume = *volumes_.volume(volume_id);
         const uint64_t a_off = offset / kSector * kSector;
         const uint64_t a_len =
             (offset + len + kSector - 1) / kSector * kSector - a_off;
@@ -98,10 +106,10 @@ BlockPath::read(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
         co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
 
         node_.cpus().release();
-        const bool ok = co_await volume.read(a_off, a_len, mem, tbuf);
+        const bool ok = co_await volume_->read(a_off, a_len, mem, tbuf);
         lease = co_await node_.cpus().acquire(CpuPool::kNormalPriority,
                                               order_key);
-        out.status = verify(ok, volume, a_off, a_len);
+        out.status = verify(ok, a_off, a_len);
         co_return out;
     }
 
@@ -163,7 +171,6 @@ BlockPath::fill(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
                 uint64_t len, ReadResult &out,
                 const TransientHook &on_transient)
 {
-    disk::Volume &volume = *volumes_.volume(volume_id);
     sim::MemorySpace &mem = node_.memory();
     const uint64_t bs = config_.block_size;
     const uint64_t run_bytes = (run_end - b) * bs;
@@ -172,10 +179,10 @@ BlockPath::fill(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
 
     node_.cpus().release();
     const bool read_ok =
-        co_await volume.read(b * bs, run_bytes, mem, tbuf);
+        co_await volume_->read(b * bs, run_bytes, mem, tbuf);
     lease = co_await node_.cpus().acquire(CpuPool::kNormalPriority,
                                           order_key);
-    const ReadStatus status = verify(read_ok, volume, b * bs, run_bytes);
+    const ReadStatus status = verify(read_ok, b * bs, run_bytes);
     const bool ok = status == ReadStatus::Ok;
 
     bool tbuf_needed = false;
@@ -286,8 +293,7 @@ BlockPath::write(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
     if (!alive || *alive) {
         co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
         node_.cpus().release();
-        ok = co_await volumes_.volume(volume_id)->write(offset, len, mem,
-                                                       src);
+        ok = co_await volume_->write(offset, len, mem, src);
         lease = co_await node_.cpus().acquire(CpuPool::kNormalPriority,
                                               order_key);
     }

@@ -1,10 +1,10 @@
 /**
  * @file
- * The storage node's block path: the cache, volume and disk managers
- * behind the request manager (Figure 1 of the paper), with the
- * in-flight state that keeps the cache coherent while requests
- * interleave: miss coalescing, fill-then-expose, verify-on-read and
- * the stale-fill guard (DESIGN.md §6d). storage::V3Server and
+ * The storage node's block path: the cache, volume and disks behind
+ * the request manager (Figure 1 of the paper), with the in-flight
+ * state that keeps the cache coherent while requests interleave:
+ * miss coalescing, fill-then-expose, verify-on-read and the
+ * stale-fill guard (DESIGN.md §6d). storage::V3Server and
  * iscsi::Target both run their data through it and keep only their
  * transport.
  */
@@ -18,14 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "disk/disk.hh"
+#include "disk/volume.hh"
 #include "osmodel/node.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
 #include "storage/block_cache.hh"
-#include "storage/disk_manager.hh"
 #include "storage/mq_cache.hh"
-#include "storage/volume_manager.hh"
 #include "util/flat_map.hh"
+#include "util/units.hh"
 
 namespace v3sim::storage
 {
@@ -41,6 +42,15 @@ enum class CachePolicy : uint8_t
  *  block path; V3ServerConfig and iscsi::TargetConfig extend it. */
 struct BlockPathConfig
 {
+    /** @name The node's disks: disk_count spindles of disk_spec,
+     *  named "<node>.d.<i>", striped in stripe_unit units into the
+     *  node's one volume (id 0). The defaults are Table 2's mid-size
+     *  node. @{ */
+    disk::DiskSpec disk_spec = disk::DiskSpec::scsi10k();
+    int disk_count = 15;
+    uint64_t stripe_unit = 64 * util::kKiB;
+    /** @} */
+
     /** Cache block size (the paper's experiments fix this at 8 KB). */
     uint64_t block_size = 8192;
 
@@ -100,7 +110,10 @@ class BlockPath
      *  NIC. */
     using TransientHook = std::function<void(sim::Addr, uint64_t)>;
 
-    /** Registers integrity_verify_failures and the cache's metrics
+    /** Builds the disks (in index order, each forking the
+     *  simulation's random stream; phantom stores exactly when the
+     *  node's memory is phantom) and the volume over them, and
+     *  registers integrity_verify_failures and the cache's metrics
      *  (".cache.*") under the front end's @p metric_prefix. */
     BlockPath(sim::Simulation &sim, osmodel::Node &node,
               const std::string &metric_prefix,
@@ -109,8 +122,9 @@ class BlockPath
     BlockPath(const BlockPath &) = delete;
     BlockPath &operator=(const BlockPath &) = delete;
 
-    DiskManager &diskManager() { return disks_; }
-    VolumeManager &volumeManager() { return volumes_; }
+    size_t diskCount() const { return disks_.size(); }
+    disk::Disk &disk(size_t i) { return *disks_.at(i); }
+    disk::StripeVolume &volume() { return *volume_; }
     /** The block cache; null when caching is off. */
     BlockCache *cache() { return cache_.get(); }
 
@@ -172,13 +186,12 @@ class BlockPath
                                const TransientHook &on_transient);
 
     /** Verify-on-read verdict for a disk read of [off, off+len). */
-    ReadStatus verify(bool read_ok, disk::Volume &volume, uint64_t off,
-                      uint64_t len);
+    ReadStatus verify(bool read_ok, uint64_t off, uint64_t len);
 
     osmodel::Node &node_;
     BlockPathConfig config_;
-    DiskManager disks_;
-    VolumeManager volumes_;
+    std::vector<std::unique_ptr<disk::Disk>> disks_;
+    std::unique_ptr<disk::StripeVolume> volume_;
     std::unique_ptr<BlockCache> cache_;
 
     /** Blocks currently being read from disk (miss coalescing). */

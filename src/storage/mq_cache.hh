@@ -60,6 +60,7 @@ class MqCache : public BlockCache
   public:
     MqCache(sim::MemorySpace &memory, uint64_t block_size,
             uint64_t capacity_blocks, MqConfig config = {});
+    ~MqCache() override { retireMetrics(); }
 
     std::optional<sim::Addr> lookupAndPin(CacheKey key) override;
     std::optional<sim::Addr> insertAndPin(CacheKey key) override;

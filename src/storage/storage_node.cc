@@ -25,8 +25,7 @@ StorageNode::StorageNode(sim::Simulation &sim,
 uint64_t
 StorageNode::volumeCapacity(uint32_t volume_id)
 {
-    const disk::Volume *volume = path_.volumeManager().volume(volume_id);
-    return volume ? volume->capacity() : 0;
+    return volume_id == 0 ? path_.volume().capacity() : 0;
 }
 
 bool

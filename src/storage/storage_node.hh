@@ -7,7 +7,8 @@
  *
  * storage::V3Server (VI) and iscsi::Target (TCP) derive from it and
  * keep only their transport, so the VI-vs-iSCSI comparison runs on
- * the same box behind a different wire.
+ * the same box behind a different wire. A node serves clients from
+ * the end of its constructor.
  */
 
 #ifndef V3SIM_STORAGE_STORAGE_NODE_HH
@@ -70,12 +71,16 @@ class StorageNode
     StorageNode(const StorageNode &) = delete;
     StorageNode &operator=(const StorageNode &) = delete;
 
-    /** Begins accepting clients. Call after volumes are assembled. */
-    virtual void start() = 0;
-
     osmodel::Node &node() { return node_; }
-    DiskManager &diskManager() { return path_.diskManager(); }
-    VolumeManager &volumeManager() { return path_.volumeManager(); }
+    /** @name The node's disks and the one volume striped over them
+     *  (config.disk_count, disk_spec, stripe_unit) @{ */
+    size_t diskCount() const { return path_.diskCount(); }
+    disk::Disk &disk(size_t i) { return path_.disk(i); }
+    disk::StripeVolume &volume() { return path_.volume(); }
+    /** Capacity of volume @p volume_id; 0 for any id but 0, the
+     *  node's one volume. */
+    uint64_t volumeCapacity(uint32_t volume_id);
+    /** @} */
     /** The block cache; null when caching is off. */
     BlockCache *cache() { return path_.cache(); }
 
@@ -109,9 +114,6 @@ class StorageNode
      *  ("server.v3.0", "iscsi.tgt#2", ...). */
     StorageNode(sim::Simulation &sim, const StorageNodeConfig &config,
                 const std::string &metric_base);
-
-    /** Capacity of volume @p volume_id; 0 when there is none. */
-    uint64_t volumeCapacity(uint32_t volume_id);
 
     /** The check every request passes before the block path: a
      *  non-empty range inside the volume, sector-aligned for a

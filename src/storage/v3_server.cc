@@ -65,11 +65,7 @@ V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
         assert(reg.has_value() && "cache must fit the server NIC");
         cache_handle_ = reg->handle;
     }
-}
 
-void
-V3Server::start()
-{
     nic_->setAcceptHandler(
         [this](net::PortId remote_port, vi::EndpointId remote_ep) {
             return accept(remote_port, remote_ep);
@@ -123,9 +119,9 @@ V3Server::restart()
     ++boot_epoch_;
     restarts_.increment();
     V3LOG(Info, "v3") << config_.name << ": node restart";
-    // Cold restart: port back up; the accept handler from start() is
-    // still armed, so new connections are admitted immediately. The
-    // cache is already empty from crash().
+    // Cold restart: port back up; the accept handler armed at
+    // construction still is, so new connections are admitted
+    // immediately. The cache is already empty from crash().
     fabric_.setPortUp(nic_->port(), true);
 }
 

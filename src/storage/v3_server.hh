@@ -1,10 +1,10 @@
 /**
  * @file
  * The V3 storage server: request manager pipeline over the cache,
- * volume and disk managers (Figure 1 of the paper).
+ * volume and disks (Figure 1 of the paper).
  *
  * One V3Server is one storage::StorageNode (a 2-CPU host, a large
- * block cache, and locally attached disks organized into volumes)
+ * block cache, and locally attached disks striped into one volume)
  * behind a VI NIC. Clients connect VI endpoints to it and speak the
  * DSA protocol (dsa/protocol.hh).
  *
@@ -94,8 +94,6 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
     vi::ViNic &nic() { return *nic_; }
     const V3ServerConfig &config() const { return config_; }
 
-    void start() override;
-
     /**
      * Fail-stop crash: the NIC port leaves the fabric (in-flight
      * packets to/from it vanish), every connection dies silently —
@@ -107,7 +105,7 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
 
     /**
      * Cold restart: the port comes back up and the accept handler
-     * (still armed from start()) admits fresh connections. The cache
+     * (armed since construction) admits fresh connections. The cache
      * starts empty; clients must reconnect and replay. Idempotent.
      */
     void restart() override;

@@ -24,6 +24,12 @@ MemoryRegistry::MemoryRegistry(const ViCosts &costs,
             (uint64_t(1) << (table_entries_ % 64)) - 1;
 }
 
+MemoryRegistry::~MemoryRegistry()
+{
+    if (metrics_)
+        metrics_->retire(this);
+}
+
 bool
 MemoryRegistry::findFreeSlot(uint32_t *slot)
 {
@@ -228,33 +234,34 @@ void
 MemoryRegistry::registerMetrics(sim::MetricRegistry &metrics,
                                 const std::string &prefix)
 {
+    metrics_ = &metrics;
     metrics.gauge(prefix + ".registrations", [this] {
         return static_cast<double>(registrations_.value());
-    });
+    }, this);
     metrics.gauge(prefix + ".deregistrations", [this] {
         return static_cast<double>(deregistrations_.value());
-    });
+    }, this);
     metrics.gauge(prefix + ".region_deregs", [this] {
         return static_cast<double>(region_deregs_.value());
-    });
+    }, this);
     metrics.gauge(prefix + ".failures", [this] {
         return static_cast<double>(failures_.value());
-    });
+    }, this);
     metrics.gauge(prefix + ".pinned_bytes", [this] {
         return static_cast<double>(registered_bytes_);
-    });
+    }, this);
     metrics.gauge(prefix + ".live_entries", [this] {
         return static_cast<double>(live_entries_);
-    });
+    }, this);
     metrics.gauge(prefix + ".peak_bytes", [this] {
         return static_cast<double>(peak_bytes_);
-    });
+    }, this);
     metrics.onEpochReset([this](sim::Tick) {
         registrations_.reset();
         deregistrations_.reset();
         region_deregs_.reset();
         failures_.reset();
-    });
+    }, this);
 }
 
 } // namespace v3sim::vi

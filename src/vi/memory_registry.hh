@@ -68,6 +68,12 @@ class MemoryRegistry
     explicit MemoryRegistry(const ViCosts &costs,
                             uint32_t region_entries = 1000);
 
+    /** Retires the metrics registerMetrics() published. */
+    ~MemoryRegistry();
+
+    MemoryRegistry(const MemoryRegistry &) = delete;
+    MemoryRegistry &operator=(const MemoryRegistry &) = delete;
+
     /**
      * Registers [addr, addr+len). Fails (nullopt) when the table is
      * out of entries or the byte capacity would be exceeded — the
@@ -203,6 +209,8 @@ class MemoryRegistry
     sim::Counter deregistrations_;
     sim::Counter region_deregs_;
     sim::Counter failures_;
+    /** Where registerMetrics() published; null until then. */
+    sim::MetricRegistry *metrics_ = nullptr;
 };
 
 } // namespace v3sim::vi

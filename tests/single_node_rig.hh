@@ -1,8 +1,8 @@
 /**
  * @file
  * The single-node rig the DSA tests share: one database host and one
- * V3 server on a fabric, the server's disks striped into one volume,
- * the server started, and a host NIC to connect clients through.
+ * V3 server on a fabric (the server builds its disks and striped
+ * volume), and a host NIC to connect clients through.
  */
 
 #ifndef V3SIM_TESTS_SINGLE_NODE_RIG_HH
@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 
-#include "disk/disk_spec.hh"
 #include "net/fabric.hh"
 #include "osmodel/node.hh"
 #include "sim/simulation.hh"
@@ -23,36 +22,44 @@
 namespace v3sim::test
 {
 
-/** The default V3 server configuration with a @p cache_bytes cache. */
+/** The default V3 server configuration with a @p cache_bytes cache
+ *  and @p disks SCSI 10K spindles ("v3.d.<i>") striped in 64 KiB
+ *  units. */
 inline storage::V3ServerConfig
-serverWithCache(uint64_t cache_bytes)
+serverWithCache(uint64_t cache_bytes, int disks = 2)
 {
     storage::V3ServerConfig config;
     config.cache_bytes = cache_bytes;
+    config.disk_count = disks;
     return config;
+}
+
+/** Commands completed across @p node's disks. */
+inline uint64_t
+diskOps(storage::StorageNode &node)
+{
+    uint64_t total = 0;
+    for (size_t i = 0; i < node.diskCount(); ++i)
+        total += node.disk(i).completedCount();
+    return total;
 }
 
 /** What a SingleNodeRig is built from. */
 struct SingleNodeRigParams
 {
     uint64_t seed = 1;
-    storage::V3ServerConfig server;
-    /** The server's disks are SCSI 10K spindles named
-     *  "<disk_name>.<i>". */
-    std::string disk_name = "d";
-    int disks = 2;
-    uint64_t stripe_unit = 64 * util::kKiB;
+    storage::V3ServerConfig server = serverWithCache(256 * util::kMiB);
     osmodel::NodeConfig host{.name = "db", .cpus = 4};
     std::string nic_name = "nic";
 };
 
 /**
- * Builds Simulation, Fabric, host Node, V3Server, disks, striped
- * volume, server start() and host ViNic, in that order: the order
- * fixes RNG forks, fabric ports and metric names, which the tests'
- * expectations depend on. Fixtures derive from the rig (the members
- * carry the names their bodies use); a test that needs a rig of its
- * own declares one.
+ * Builds Simulation, Fabric, host Node, V3Server (with its disks and
+ * volume) and host ViNic, in that order: the order fixes RNG forks,
+ * fabric ports and metric names, which the tests' expectations
+ * depend on. Fixtures derive from the rig (the members carry the
+ * names their bodies use); a test that needs a rig of its own
+ * declares one.
  */
 struct SingleNodeRig
 {
@@ -62,22 +69,16 @@ struct SingleNodeRig
           host_(sim_, params.host),
           server_(std::make_unique<storage::V3Server>(sim_, fabric_,
                                                       params.server)),
-          volume_(server_->volumeManager().addStripedVolume(
-              server_->diskManager().addDisks(disk::DiskSpec::scsi10k(),
-                                              params.disk_name,
-                                              params.disks),
-              params.stripe_unit))
-    {
-        server_->start();
-        nic_ = std::make_unique<vi::ViNic>(sim_, fabric_, host_.memory(),
-                                           params.nic_name);
-    }
+          nic_(std::make_unique<vi::ViNic>(sim_, fabric_, host_.memory(),
+                                           params.nic_name))
+    {}
 
     sim::Simulation sim_;
     net::Fabric fabric_;
     osmodel::Node host_;
     std::unique_ptr<storage::V3Server> server_;
-    uint32_t volume_;
+    /** The server's one volume. */
+    uint32_t volume_ = 0;
     std::unique_ptr<vi::ViNic> nic_;
 };
 

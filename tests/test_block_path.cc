@@ -41,6 +41,7 @@
 #include "osmodel/node.hh"
 #include "scenarios/testbed.hh"
 #include "sim/simulation.hh"
+#include "single_node_rig.hh"
 #include "storage/v3_server.hh"
 
 namespace v3sim::storage
@@ -77,48 +78,35 @@ class Rig
             V3ServerConfig config;
             config.cache_bytes = kCacheBytes;
             config.cache_policy = policy;
-            server_ = std::make_unique<V3Server>(sim_, fabric_, config);
-            volume_ = addVolume(server_->diskManager(),
-                                server_->volumeManager());
-            server_->start();
+            config.disk_count = 1;
+            auto server = std::make_unique<V3Server>(sim_, fabric_, config);
             nic_ = std::make_unique<vi::ViNic>(sim_, fabric_,
                                                host_.memory(), "nic");
-            client_ = std::make_unique<dsa::DsaClient>(
-                dsa::DsaImpl::Cdsa, host_, *nic_,
-                server_->nic().port(), volume_);
-            sim::spawn([](dsa::DsaClient &c, bool &out) -> Task<> {
-                out = co_await c.connect();
-            }(*client_, connected_));
-            device_ = client_.get();
-            cache_ = server_->cache();
-            disks_ = &server_->diskManager();
+            session_ = std::make_unique<dsa::DsaClient>(
+                dsa::DsaImpl::Cdsa, host_, *nic_, server->nic().port(),
+                /*volume=*/0);
+            node_ = std::move(server);
         } else {
             iscsi::TargetConfig config;
             config.cache_bytes = kCacheBytes;
             config.cache_policy = policy;
-            target_ = std::make_unique<iscsi::Target>(sim_, fabric_,
-                                                      config);
-            volume_ = addVolume(target_->diskManager(),
-                                target_->volumeManager());
-            target_->start();
-            iscsi::InitiatorConfig init_config;
-            init_config.volume = volume_;
-            initiator_ = std::make_unique<iscsi::Initiator>(
-                host_, fabric_, target_->port(), init_config);
-            sim::spawn([](iscsi::Initiator &init, bool &out) -> Task<> {
-                out = co_await init.connect();
-            }(*initiator_, connected_));
-            device_ = initiator_.get();
-            cache_ = target_->cache();
-            disks_ = &target_->diskManager();
+            config.disk_count = 1;
+            auto target =
+                std::make_unique<iscsi::Target>(sim_, fabric_, config);
+            session_ = std::make_unique<iscsi::Initiator>(
+                host_, fabric_, target->port(), iscsi::InitiatorConfig{});
+            node_ = std::move(target);
         }
+        sim::spawn([](dsa::Session &session, bool &out) -> Task<> {
+            out = co_await session.connect();
+        }(*session_, connected_));
         sim_.run();
     }
 
     bool connected() const { return connected_; }
-    BlockCache &cache() { return *cache_; }
-    CacheKey key(uint64_t block) const { return CacheKey{volume_, block}; }
-    uint64_t diskOps() const { return disks_->totalCompleted(); }
+    BlockCache &cache() { return *node_->cache(); }
+    CacheKey key(uint64_t block) const { return CacheKey{0, block}; }
+    uint64_t diskOps() const { return test::diskOps(*node_); }
 
     /** A block-sized host buffer filled with @p byte. */
     Addr
@@ -150,7 +138,7 @@ class Rig
         sim::spawn([](dsa::BlockDevice &dev, bool w, uint64_t blk,
                       Addr b, bool &out) -> Task<> {
             out = co_await ioTask(dev, w, blk, b);
-        }(*device_, is_write, block, buf, ok));
+        }(*session_, is_write, block, buf, ok));
         sim_.run();
         return ok;
     }
@@ -176,7 +164,7 @@ class Rig
                       bool &ok, bool &done) -> Task<> {
             ok = co_await ioTask(dev, false, blk, buf);
             done = true;
-        }(*device_, block, first_buf, result.first_ok, first_done));
+        }(*session_, block, first_buf, result.first_ok, first_done));
         sim::spawn([](sim::Simulation &sim, dsa::BlockDevice &dev,
                       sim::Tick wait, bool is_write, uint64_t blk,
                       Addr buf, const bool &first_done,
@@ -184,21 +172,13 @@ class Rig
             co_await sim.sleep(wait);
             out.overlapped = !first_done;
             out.second_ok = co_await ioTask(dev, is_write, blk, buf);
-        }(sim_, *device_, delay, second_is_write, block, second_buf,
+        }(sim_, *session_, delay, second_is_write, block, second_buf,
           first_done, result));
         sim_.run();
         return result;
     }
 
   private:
-    static uint32_t
-    addVolume(DiskManager &disks, VolumeManager &volumes)
-    {
-        return volumes.addStripedVolume(
-            disks.addDisks(disk::DiskSpec::scsi10k(), "d", 1),
-            64 * 1024);
-    }
-
     static Task<bool>
     ioTask(dsa::BlockDevice &dev, bool is_write, uint64_t block,
            Addr buf)
@@ -214,17 +194,48 @@ class Rig
     sim::Simulation sim_;
     net::Fabric fabric_;
     osmodel::Node host_;
-    std::unique_ptr<V3Server> server_;
+    std::unique_ptr<StorageNode> node_;
     std::unique_ptr<vi::ViNic> nic_;
-    std::unique_ptr<dsa::DsaClient> client_;
-    std::unique_ptr<iscsi::Target> target_;
-    std::unique_ptr<iscsi::Initiator> initiator_;
-    dsa::BlockDevice *device_ = nullptr;
-    BlockCache *cache_ = nullptr;
-    DiskManager *disks_ = nullptr;
-    uint32_t volume_ = 0;
+    std::unique_ptr<dsa::Session> session_;
     bool connected_ = false;
 };
+
+/** Both front ends build config.disk_count disks named
+ *  "<name>.d.<i>" and stripe them, in whole stripe units, into volume
+ *  0, the only volume they have. */
+TEST(NodeDisks, EachFrontEndBuildsItsDisksAndOneVolume)
+{
+    constexpr int kDisks = 3;
+    constexpr uint64_t kUnit = 40 * util::kKiB;
+    const uint64_t disk_bytes = disk::DiskSpec::scsi10k().capacity_bytes;
+    ASSERT_NE(disk_bytes % kUnit, 0u) << "the unit must not divide a disk";
+    for (const Backend backend : {Backend::Kdsa, Backend::Iscsi}) {
+        sim::Simulation sim(5);
+        net::Fabric fabric(sim.queue());
+        std::unique_ptr<StorageNode> node;
+        if (backend == Backend::Kdsa) {
+            V3ServerConfig config;
+            config.disk_count = kDisks;
+            config.stripe_unit = kUnit;
+            node = std::make_unique<V3Server>(sim, fabric, config);
+        } else {
+            iscsi::TargetConfig config;
+            config.disk_count = kDisks;
+            config.stripe_unit = kUnit;
+            node = std::make_unique<iscsi::Target>(sim, fabric, config);
+        }
+        const std::string name = backend == Backend::Kdsa ? "v3" : "tgt";
+        ASSERT_EQ(node->diskCount(), size_t{kDisks});
+        for (size_t i = 0; i < node->diskCount(); ++i) {
+            EXPECT_EQ(node->disk(i).name(),
+                      name + ".d." + std::to_string(i));
+        }
+        EXPECT_EQ(node->volume().capacity(),
+                  kDisks * (disk_bytes / kUnit) * kUnit);
+        EXPECT_EQ(node->volumeCapacity(0), node->volume().capacity());
+        EXPECT_EQ(node->volumeCapacity(1), 0u) << name;
+    }
+}
 
 using RaceParam = std::tuple<Backend, CachePolicy, sim::Tick>;
 

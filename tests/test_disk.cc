@@ -280,7 +280,7 @@ TEST(Disk, UtilizationAndReset)
     }(disk));
     sim.run();
     EXPECT_GT(disk.utilization(), 0.9); // busy the whole run
-    disk.resetStats();
+    sim.metrics().resetEpoch();
     EXPECT_EQ(disk.completedCount(), 0u);
 }
 

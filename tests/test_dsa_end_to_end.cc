@@ -35,9 +35,7 @@ class EndToEnd : public ::testing::TestWithParam<DsaImpl>,
   protected:
     EndToEnd()
         : SingleNodeRig({.seed = 12345,
-                         .server = test::serverWithCache(4 * util::kMiB),
-                         .disk_name = "v3.d",
-                         .disks = 4,
+                         .server = test::serverWithCache(4 * util::kMiB, 4),
                          .nic_name = "db.nic"})
     {}
 
@@ -328,7 +326,7 @@ TEST(LocalBackendTest, KernelPathRoundTrip)
     Node host(sim, NodeConfig{.name = "db", .cpus = 4});
     disk::Disk disk(sim, disk::DiskSpec::scsi10k(), sim.forkRng(),
                     "local.d0");
-    disk::SingleDiskVolume volume(disk);
+    disk::StripeVolume volume({&disk}, disk.spec().capacity_bytes);
     LocalBackend local(host, volume);
 
     const Addr wbuf = host.memory().allocate(8192);

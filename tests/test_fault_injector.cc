@@ -338,8 +338,7 @@ runScriptedCorruption(uint64_t seed, double corrupt_rate,
         injector.setCorruptRate(corrupt_rate);
         // Cold latent damage outside the workload's footprint: the
         // injection itself must be deterministic and inert.
-        injector.injectLatentError(server->diskManager().disk(0),
-                                   128 * 1024, 8192);
+        injector.injectLatentError(server->disk(0), 128 * 1024, 8192);
     }
     const sim::Addr buffer = host.memory().allocate(8192);
     sim::spawn([](sim::Simulation &s, dsa::DsaClient &c,

@@ -45,19 +45,12 @@ class IscsiEndToEnd : public ::testing::Test
         TargetConfig target_config;
         target_config.name = "tgt";
         target_config.cache_bytes = 0;
+        target_config.disk_count = 1;
         target_ = std::make_unique<Target>(sim_, fabric_,
                                            target_config);
-        auto disks = target_->diskManager().addDisks(
-            disk::DiskSpec::scsi10k(), "tgt.d", 1);
-        const uint32_t volume =
-            target_->volumeManager().addStripedVolume(disks,
-                                                      64 * 1024);
-        target_->start();
 
-        InitiatorConfig init_config;
-        init_config.volume = volume;
         initiator_ = std::make_unique<Initiator>(
-            host_, fabric_, target_->port(), init_config);
+            host_, fabric_, target_->port(), InitiatorConfig{});
         bool ok = false;
         sim::spawn([](Initiator &init, bool &out) -> Task<> {
             out = co_await init.connect();
@@ -190,7 +183,7 @@ TEST_F(IscsiEndToEnd, LatentMediaError)
     // initiator's buffer as Good data.
     const Addr wbuf = patternBuffer(kIo, 9);
     ASSERT_TRUE(runIo(true, 0, kIo, wbuf));
-    target_->diskManager().disk(0).store().markCorrupt(0, kIo);
+    target_->disk(0).store().markCorrupt(0, kIo);
 
     const Addr rbuf = host_.memory().allocate(kIo);
     EXPECT_FALSE(runIo(false, 0, kIo, rbuf));

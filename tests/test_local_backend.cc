@@ -29,17 +29,15 @@ class LocalBackendTestFixture : public ::testing::Test
         : sim_(9),
           host_(sim_, osmodel::NodeConfig{.name = "db", .cpus = 4})
     {
+        std::vector<disk::Disk *> spindles;
         for (int i = 0; i < 4; ++i) {
             std::string name("d");
             name.append(std::to_string(i));
             disks_.push_back(std::make_unique<disk::Disk>(
                 sim_, disk::DiskSpec::scsi10k(), sim_.forkRng(), name));
-            parts_.push_back(
-                std::make_unique<disk::SingleDiskVolume>(
-                    *disks_.back()));
-            part_ptrs_.push_back(parts_.back().get());
+            spindles.push_back(disks_.back().get());
         }
-        volume_ = std::make_unique<disk::StripeVolume>(part_ptrs_,
+        volume_ = std::make_unique<disk::StripeVolume>(spindles,
                                                        64 * 1024);
         local_ = std::make_unique<LocalBackend>(host_, *volume_);
     }
@@ -47,8 +45,6 @@ class LocalBackendTestFixture : public ::testing::Test
     sim::Simulation sim_;
     osmodel::Node host_;
     std::vector<std::unique_ptr<disk::Disk>> disks_;
-    std::vector<std::unique_ptr<disk::SingleDiskVolume>> parts_;
-    std::vector<disk::Volume *> part_ptrs_;
     std::unique_ptr<disk::StripeVolume> volume_;
     std::unique_ptr<LocalBackend> local_;
 };
@@ -80,7 +76,7 @@ TEST_F(LocalBackendTestFixture, InterruptCoalescingUnderConcurrency)
     fast.media_rate_bps = 1e9;
     fast.controller_overhead = sim::usecs(2);
     disk::Disk disk(sim_, fast, sim_.forkRng(), "fast");
-    disk::SingleDiskVolume volume(disk);
+    disk::StripeVolume volume({&disk}, fast.capacity_bytes);
     LocalBackend fast_local(host_, volume);
 
     const int kIos = 64;

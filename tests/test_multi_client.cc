@@ -16,6 +16,7 @@
 #include "net/fabric.hh"
 #include "osmodel/node.hh"
 #include "sim/simulation.hh"
+#include "single_node_rig.hh"
 #include "storage/v3_server.hh"
 
 namespace v3sim
@@ -34,13 +35,9 @@ class MultiClientTest : public ::testing::Test
         storage::V3ServerConfig config;
         config.cache_bytes = 4ull * 1024 * 1024;
         config.request_credits = 16;
+        config.disk_count = 4;
         server_ = std::make_unique<storage::V3Server>(sim_, fabric_,
                                                       config);
-        auto disks = server_->diskManager().addDisks(
-            disk::DiskSpec::scsi10k(), "d", 4);
-        volume_ = server_->volumeManager().addStripedVolume(
-            disks, 64 * 1024);
-        server_->start();
     }
 
     /** Creates one host + NIC + connected client. */
@@ -187,7 +184,7 @@ TEST_F(MultiClientTest, ConcurrentSameBlockMissesCoalesce)
 
     EXPECT_TRUE(ok_a);
     EXPECT_TRUE(ok_b);
-    EXPECT_EQ(server_->diskManager().totalCompleted(), 1u);
+    EXPECT_EQ(test::diskOps(*server_), 1u);
 }
 
 } // namespace

@@ -32,9 +32,9 @@ TEST_P(RoundTripProperty, DataSurvivesWriteReadCycle)
 {
     const auto [impl, size] = GetParam();
 
-    test::SingleNodeRig rig({.seed = 1234 + size,
-                             .server = test::serverWithCache(8 * util::kMiB),
-                             .disks = 3});
+    test::SingleNodeRig rig(
+        {.seed = 1234 + size,
+         .server = test::serverWithCache(8 * util::kMiB, 3)});
     auto &[sim, fabric, host, server, volume, nic] = rig;
     dsa::DsaClient client(impl, host, *nic, server->nic().port(),
                           volume);

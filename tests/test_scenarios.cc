@@ -34,7 +34,7 @@ TEST(Testbed, AssemblesV3Platform)
         // 4 nodes x 15 disks.
         size_t disks = 0;
         for (auto &server : testbed.servers())
-            disks += server->diskManager().diskCount();
+            disks += server->diskCount();
         EXPECT_EQ(disks, 60u);
 
         const bool cluster = layout == Layout::Cluster;

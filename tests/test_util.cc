@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for util: size parsing/formatting, the table printer,
- * and the flat hot-path tables (OrderedIndex, SeqWindow) checked
- * against std::map models.
+ * the flat hot-path tables (OrderedIndex, SeqWindow) checked against
+ * std::map models, and the stripe geometry.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "sim/random.hh"
 #include "util/ordered_index.hh"
 #include "util/seq_window.hh"
+#include "util/stripe.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 
@@ -255,6 +256,40 @@ TEST(SeqWindow, MatchesStdMapUnderRandomOperations)
             }
         }
     }
+}
+
+TEST(Stripe, ChunksTileAnyRange)
+{
+    // Seeded ranges over assorted geometries, nearly all unaligned:
+    // stepping chunk by chunk must tile [offset, offset+len) with
+    // chunks that each lie inside one stripe unit, end at its
+    // boundary unless the range ends first, and sit on the child
+    // (offset / unit) % width at the same place in its row.
+    sim::Rng rng(23);
+    for (int trial = 0; trial < 20000; ++trial) {
+        const uint64_t unit = 512 * rng.uniformInt(1, 512);
+        const size_t width = static_cast<size_t>(rng.uniformInt(1, 9));
+        const uint64_t offset = rng.uniformInt(0, 1ull << 36);
+        const uint64_t len = rng.uniformInt(1, 4 * unit * width);
+        uint64_t done = 0;
+        while (done < len) {
+            const uint64_t pos = offset + done;
+            const StripeChunk chunk =
+                stripeChunk(pos, len - done, unit, width);
+            ASSERT_GT(chunk.len, 0u);
+            ASSERT_LE(done + chunk.len, len);
+            ASSERT_EQ(pos / unit, (pos + chunk.len - 1) / unit);
+            ASSERT_TRUE(done + chunk.len == len ||
+                        (pos + chunk.len) % unit == 0);
+            ASSERT_EQ(chunk.child, (pos / unit) % width);
+            ASSERT_EQ(chunk.child_offset,
+                      pos / unit / width * unit + pos % unit);
+            done += chunk.len;
+        }
+        ASSERT_EQ(done, len);
+    }
+    // Whole stripe units of the smallest child only.
+    EXPECT_EQ(stripeCapacity(10 * 4096 + 100, 4096, 3), 30u * 4096);
 }
 
 } // namespace

@@ -146,7 +146,7 @@ TEST_F(V3ServerTest, WritesAreDurableOnDisk)
     host_.memory().fill(wbuf, 0x5C, 8192);
     ASSERT_TRUE(doWrite(32768, 8192, wbuf));
     // The write committed to the spindles before completing.
-    EXPECT_GE(server_->diskManager().totalCompleted(), 1u);
+    EXPECT_GE(test::diskOps(*server_), 1u);
 }
 
 TEST_F(V3ServerTest, DedupFilterPrunedByAckWatermark)
@@ -215,7 +215,7 @@ TEST_F(V3ServerNoCacheTest, CacheOffPathRoundTrips)
     host_.memory().read(rbuf, out.data(), out.size());
     EXPECT_EQ(out, pattern);
     // Every read went to the spindles.
-    EXPECT_GE(server_->diskManager().totalCompleted(), 2u);
+    EXPECT_GE(test::diskOps(*server_), 2u);
 }
 
 TEST_F(V3ServerNoCacheTest, UnalignedReadServedViaAlignedEnvelope)

@@ -15,6 +15,15 @@
 # binary name passes when its source exists (`bench/paper_suite`
 # names bench/paper_suite.cc). Placeholders and globs (<...>, *,
 # {...}) are skipped, as is everything inside fenced code blocks.
+#
+# Every backticked span in those docs shaped like a C++ name must
+# name words that occur in the sources (src/, bench/, tests/,
+# tools/, examples/, perfbench/), so deleting or renaming a class or
+# function fails here too. Three shapes count, the whole span being
+# one of: a qualified name (`storage::BlockPath`, also with a
+# trailing `()`), a CamelCase name (`BlockPath`) and a call
+# (`connect()`). Every identifier in such a span must occur in the
+# sources as a whole word. Fenced code blocks are skipped here too.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -105,8 +114,65 @@ if(_stale)
         "${_stale_list}. Fix the path or drop the reference.")
 endif()
 
+# Every identifier of the sources, once.
+set(_ident "[A-Za-z_][A-Za-z0-9_]*")
+set(_words "")
+foreach(_dir IN ITEMS src bench tests tools examples perfbench)
+    file(GLOB_RECURSE _sources
+        "${REPO_ROOT}/${_dir}/*.cc" "${REPO_ROOT}/${_dir}/*.hh"
+        "${REPO_ROOT}/${_dir}/*.cpp" "${REPO_ROOT}/${_dir}/*.py"
+        "${REPO_ROOT}/${_dir}/*.cmake"
+        "${REPO_ROOT}/${_dir}/CMakeLists.txt")
+    foreach(_src IN LISTS _sources)
+        file(READ "${_src}" _code)
+        string(REGEX MATCHALL "${_ident}" _ids "${_code}")
+        list(APPEND _words ${_ids})
+    endforeach()
+    list(REMOVE_DUPLICATES _words)
+endforeach()
+
+set(_name_shapes
+    "^${_ident}(::~?${_ident})+(\\(\\))?$" # qualified name
+    "^[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*$"    # CamelCase name
+    "^${_ident}\\(\\)$")                   # call
+set(_name_count 0)
+foreach(_md IN ITEMS README.md DESIGN.md EXPERIMENTS.md)
+    file(READ "${REPO_ROOT}/${_md}" _text)
+    string(REGEX REPLACE "```[^`]*```" "" _text "${_text}")
+    string(REGEX MATCHALL "`[^`]+`" _spans "${_text}")
+    foreach(_span IN LISTS _spans)
+        string(REGEX REPLACE "^`(.*)`$" "\\1" _span "${_span}")
+        set(_is_name FALSE)
+        foreach(_shape IN LISTS _name_shapes)
+            if(_span MATCHES "${_shape}")
+                set(_is_name TRUE)
+            endif()
+        endforeach()
+        if(NOT _is_name)
+            continue()
+        endif()
+        math(EXPR _name_count "${_name_count} + 1")
+        string(REGEX MATCHALL "${_ident}" _ids "${_span}")
+        foreach(_id IN LISTS _ids)
+            list(FIND _words "${_id}" _at)
+            if(_at EQUAL -1)
+                list(APPEND _stale "${_md}: ${_span}")
+                break()
+            endif()
+        endforeach()
+    endforeach()
+endforeach()
+
+if(_stale)
+    list(JOIN _stale ", " _stale_list)
+    message(FATAL_ERROR
+        "docs_drift: backticked C++ names that occur nowhere in the "
+        "sources: ${_stale_list}. Fix the name or drop the reference.")
+endif()
+
 list(LENGTH _benches _bench_count)
 message(STATUS
     "docs_drift: ${_bench_count} bench sources and ${_item_count} "
     "paper_suite items documented in EXPERIMENTS.md; ${_path_count} "
-    "backticked repository paths resolve")
+    "backticked repository paths resolve; ${_name_count} backticked "
+    "C++ names occur in the sources")
