@@ -54,6 +54,7 @@
 #include "util/bench_reporter.hh"
 #include "util/crc32c.hh"
 #include "util/json.hh"
+#include "util/stripe.hh"
 #include "util/table.hh"
 #include "vi/memory_registry.hh"
 
@@ -1326,12 +1327,14 @@ runIntegrityPoint(Suite &suite, double rate, const IntegrityTimes &times,
         2 * stripe_unit,
         3 * stripe_unit,
     };
-    storage::V3Server &rotten = *bed.servers().front();
+    disk::StripeVolume &rotten = bed.servers().front()->volume();
     for (uint64_t off : latent_offsets) {
-        bed.faults().injectLatentError(rotten.disk(off / stripe_unit),
-                                       off % stripe_unit, kIoBytes);
+        const util::StripeChunk chunk = util::stripeChunk(
+            off, kIoBytes, stripe_unit, rotten.diskCount());
+        bed.faults().injectLatentError(rotten.disk(chunk.child),
+                                       chunk.child_offset, chunk.len);
     }
-    const disk::StripeVolume *vol0 = &rotten.volume();
+    const disk::StripeVolume *vol0 = &rotten;
     const disk::StripeVolume *vol1 = &bed.servers()[1]->volume();
 
     const sim::Tick t_end = sim.now() + times.run;

@@ -117,9 +117,8 @@ main()
     storage::V3Server server(sim, fabric, server_config);
 
     sim::spawn([](sim::Simulation &s, osmodel::Node &h,
-                  vi::ViNic &n, net::PortId port,
-                  uint32_t vol) -> sim::Task<> {
-        auto api = co_await dsa::CdsaApi::open(h, n, port, vol);
+                  vi::ViNic &n, net::PortId port) -> sim::Task<> {
+        auto api = co_await dsa::CdsaApi::open(h, n, port);
         if (!api) {
             std::printf("open failed\n");
             co_return;
@@ -164,7 +163,7 @@ main()
                     static_cast<unsigned long long>(
                         stats.polled_completions));
         api->close();
-    }(sim, host, nic, server.nic().port(), /*volume=*/0));
+    }(sim, host, nic, server.nic().port()));
 
     sim.run();
     std::printf("\nserver cache after the run: %llu resident "

@@ -54,7 +54,7 @@ main()
     config.max_retransmits = 2;
     config.reconnect_delay = sim::msecs(2);
     dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, nic,
-                          server.nic().port(), /*volume=*/0, config);
+                          server.nic().port(), config);
 
     const sim::Addr buffer = host.memory().allocate(8192);
     int completed = 0, failed = 0;

@@ -43,9 +43,9 @@ main()
     server_config.disk_count = 4;
     storage::V3Server server(sim, fabric, server_config);
 
-    // 4. A cDSA connection to that volume (the node's one, id 0).
+    // 4. A cDSA connection to that volume.
     dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, nic,
-                          server.nic().port(), /*volume=*/0);
+                          server.nic().port());
 
     // 5. Application code is a coroutine: connect, write, read.
     const sim::Addr buffer = host.memory().allocate(8192);

@@ -7,14 +7,11 @@ namespace v3sim::cluster
 {
 
 HeartbeatMonitor::HeartbeatMonitor(sim::Simulation &sim,
-                                   HeartbeatConfig config,
                                    std::vector<HeartbeatPeer> peers)
-    : sim_(sim), config_(std::move(config)),
-      metric_prefix_(config_.name),
-      probes_(sim.metrics().counter(metric_prefix_ + ".probes")),
-      down_events_(
-          sim.metrics().counter(metric_prefix_ + ".down_events")),
-      up_events_(sim.metrics().counter(metric_prefix_ + ".up_events"))
+    : sim_(sim),
+      probes_(sim.metrics().counter("hb.probes")),
+      down_events_(sim.metrics().counter("hb.down_events")),
+      up_events_(sim.metrics().counter("hb.up_events"))
 {
     peers_.reserve(peers.size());
     for (HeartbeatPeer &peer : peers)
@@ -36,7 +33,7 @@ HeartbeatMonitor::probeLoop()
 {
     std::vector<bool> alive_at_send(peers_.size(), false);
     while (running_) {
-        co_await sim_.sleep(config_.interval);
+        co_await sim_.sleep(kInterval);
         co_await sim_.queue().finalBand();
         if (!running_)
             break;
@@ -45,7 +42,7 @@ HeartbeatMonitor::probeLoop()
         // in between has dropped the request on the floor.
         for (size_t i = 0; i < peers_.size(); ++i)
             alive_at_send[i] = peers_[i].peer.alive();
-        co_await sim_.sleep(2 * config_.rpc_delay);
+        co_await sim_.sleep(2 * kRpcDelay);
         co_await sim_.queue().finalBand();
         if (!running_)
             break;
@@ -56,7 +53,7 @@ HeartbeatMonitor::probeLoop()
                 alive_at_send[i] && state.peer.alive();
             if (!replied) {
                 state.epoch_valid = false;
-                if (++state.misses >= config_.miss_threshold &&
+                if (++state.misses >= kMissThreshold &&
                     !state.down) {
                     state.down = true;
                     down_events_.increment();
@@ -85,7 +82,7 @@ HeartbeatMonitor::probeLoop()
                         << state.peer.name
                         << " bounced (boot epoch changed)";
                 }
-                state.misses = config_.miss_threshold;
+                state.misses = kMissThreshold;
                 continue;
             }
             state.misses = 0;

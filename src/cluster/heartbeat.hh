@@ -12,7 +12,7 @@
  * to time out independently.
  *
  * The monitor probes every peer on a fixed interval; a peer is
- * declared down after miss_threshold consecutive unanswered probes
+ * declared down after kMissThreshold consecutive unanswered probes
  * (one missed heartbeat is jitter, three is a crash — the standard
  * phi-accrual-lite compromise), and up again on the first answered
  * probe. A peer whose boot epoch changed between two answered probes
@@ -41,22 +41,6 @@
 namespace v3sim::cluster
 {
 
-/** Failure-detector configuration. */
-struct HeartbeatConfig
-{
-    std::string name = "hb";
-
-    /** Probe period. Detection latency is roughly
-     *  interval * miss_threshold + 2 * rpc_delay. */
-    sim::Tick interval = sim::msecs(2);
-
-    /** One-way probe RPC delay. */
-    sim::Tick rpc_delay = sim::usecs(40);
-
-    /** Consecutive missed probes before a peer is declared down. */
-    int miss_threshold = 3;
-};
-
 /** One monitored peer, described by callbacks so the monitor depends
  *  on nothing above the sim layer. */
 struct HeartbeatPeer
@@ -73,7 +57,18 @@ struct HeartbeatPeer
 class HeartbeatMonitor
 {
   public:
-    HeartbeatMonitor(sim::Simulation &sim, HeartbeatConfig config,
+    /** Probe period. Detection latency is roughly
+     *  kInterval * kMissThreshold + 2 * kRpcDelay. */
+    static constexpr sim::Tick kInterval = sim::msecs(2);
+
+    /** One-way probe RPC delay. */
+    static constexpr sim::Tick kRpcDelay = sim::usecs(40);
+
+    /** Consecutive missed probes before a peer is declared down. */
+    static constexpr int kMissThreshold = 3;
+
+    /** Registers the "hb.*" counters. */
+    HeartbeatMonitor(sim::Simulation &sim,
                      std::vector<HeartbeatPeer> peers);
 
     HeartbeatMonitor(const HeartbeatMonitor &) = delete;
@@ -111,13 +106,10 @@ class HeartbeatMonitor
     sim::Task<> probeLoop();
 
     sim::Simulation &sim_;
-    HeartbeatConfig config_;
     std::vector<PeerState> peers_;
     bool started_ = false;
     bool running_ = false;
 
-    // Prefix member must precede the metric references (init order).
-    std::string metric_prefix_;
     sim::CounterHandle probes_;
     sim::CounterHandle down_events_;
     sim::CounterHandle up_events_;

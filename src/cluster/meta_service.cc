@@ -6,17 +6,15 @@
 namespace v3sim::cluster
 {
 
-MetaService::MetaService(sim::Simulation &sim, MetaConfig config,
-                         PlacementMap genesis)
-    : sim_(sim), config_(std::move(config)),
-      metric_prefix_(config_.name),
-      elections_(sim.metrics().counter(metric_prefix_ + ".elections")),
-      commits_(sim.metrics().counter(metric_prefix_ + ".commits")),
-      rejects_(sim.metrics().counter(metric_prefix_ + ".rejects")),
-      fetches_(sim.metrics().counter(metric_prefix_ + ".fetches"))
+MetaService::MetaService(sim::Simulation &sim, PlacementMap genesis)
+    : sim_(sim),
+      elections_(sim.metrics().counter("meta.elections")),
+      commits_(sim.metrics().counter("meta.commits")),
+      rejects_(sim.metrics().counter("meta.rejects")),
+      fetches_(sim.metrics().counter("meta.fetches"))
 {
-    replicas_.reserve(static_cast<size_t>(config_.replicas));
-    for (int id = 0; id < config_.replicas; ++id)
+    replicas_.reserve(static_cast<size_t>(kReplicas));
+    for (int id = 0; id < kReplicas; ++id)
         replicas_.push_back(std::make_unique<MetaReplica>(id));
 
     // The genesis map is epoch 1, record zero of every log: the
@@ -29,7 +27,7 @@ MetaService::MetaService(sim::Simulation &sim, MetaConfig config,
                                 ReplicaState::Active};
     for (auto &replica : replicas_)
         replica->append(birth);
-    lease_until_ = sim_.now() + config_.lease_duration;
+    lease_until_ = sim_.now() + kLeaseDuration;
 }
 
 void
@@ -56,7 +54,7 @@ MetaService::propose(int shard, int node, ReplicaState state)
 {
     start();
     // Client -> primary hop.
-    co_await sim_.sleep(config_.rpc_delay);
+    co_await sim_.sleep(kRpcDelay);
     co_await afterLeasePass();
     if (primary_ < 0 || replicas_[static_cast<size_t>(primary_)]->crashed()) {
         rejects_.increment();
@@ -64,7 +62,7 @@ MetaService::propose(int shard, int node, ReplicaState state)
     }
     const int leader = primary_;
     // Primary -> replicas fan-out and ack collection.
-    co_await sim_.sleep(2 * config_.rpc_delay);
+    co_await sim_.sleep(2 * kRpcDelay);
     co_await afterLeasePass();
     // The leader may have crashed or been superseded while the
     // round trip was in flight; a deposed leader must not commit.
@@ -98,7 +96,7 @@ sim::Task<bool>
 MetaService::fetch(PlacementMap &out)
 {
     start();
-    co_await sim_.sleep(2 * config_.rpc_delay);
+    co_await sim_.sleep(2 * kRpcDelay);
     co_await afterLeasePass();
     if (liveCount() < majority())
         co_return false;
@@ -122,8 +120,8 @@ sim::Task<>
 MetaService::leaseLoop()
 {
     while (running_) {
-        lease_pass_at_ = sim_.now() + config_.lease_interval;
-        co_await sim_.sleep(config_.lease_interval);
+        lease_pass_at_ = sim_.now() + kLeaseInterval;
+        co_await sim_.sleep(kLeaseInterval);
         // All lease arithmetic in the final band: a crash and a
         // renewal landing on the same tick must resolve the same way
         // regardless of event-queue tie order.
@@ -142,7 +140,7 @@ MetaService::leaseLoop()
         }
         if (primary_ >= 0 &&
             !replicas_[static_cast<size_t>(primary_)]->crashed()) {
-            lease_until_ = sim_.now() + config_.lease_duration;
+            lease_until_ = sim_.now() + kLeaseDuration;
             continue;
         }
         if (sim_.now() < lease_until_) {
@@ -162,7 +160,7 @@ MetaService::leaseLoop()
             }
         }
         primary_ = winner;
-        lease_until_ = sim_.now() + config_.lease_duration;
+        lease_until_ = sim_.now() + kLeaseDuration;
         elections_.increment();
         // A view-change record: epoch bumps with no placement
         // delta, so every client is forced through a refetch and

@@ -21,7 +21,7 @@
  * the real-world version of this argument needs bounded clock skew
  * folded into the lease duration.) Losing the primary therefore
  * costs availability of *metadata writes* for at most
- * lease_duration, never consistency; data-plane I/O keeps flowing on
+ * kLeaseDuration, never consistency; data-plane I/O keeps flowing on
  * the last fetched map the whole time.
  *
  * Determinism (DESIGN.md §8): every decision that could race with
@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cluster/placement.hh"
@@ -47,26 +46,6 @@
 
 namespace v3sim::cluster
 {
-
-/** Metadata-service configuration. */
-struct MetaConfig
-{
-    std::string name = "meta";
-
-    /** Metadata replica count (majority = replicas/2 + 1). */
-    int replicas = 3;
-
-    /** One-way metadata RPC delay (client->primary,
-     *  primary->replica). */
-    sim::Tick rpc_delay = sim::usecs(40);
-
-    /** Primary lease renewal period. */
-    sim::Tick lease_interval = sim::msecs(5);
-
-    /** Lease validity; an election waits out the old lease, so this
-     *  bounds metadata-write unavailability after a primary crash. */
-    sim::Tick lease_duration = sim::msecs(15);
-};
 
 /**
  * One metadata replica: a durable log of placement records plus a
@@ -100,10 +79,24 @@ class MetaReplica : public vi::NodeFaultTarget
 class MetaService
 {
   public:
-    /** @param genesis initial map; committed as epoch 1, record 0 of
-     *  every replica's log. Replica 0 holds the genesis lease. */
-    MetaService(sim::Simulation &sim, MetaConfig config,
-                PlacementMap genesis);
+    /** Metadata replica count (majority = kReplicas/2 + 1). */
+    static constexpr int kReplicas = 3;
+
+    /** One-way metadata RPC delay (client->primary,
+     *  primary->replica). */
+    static constexpr sim::Tick kRpcDelay = sim::usecs(40);
+
+    /** Primary lease renewal period. */
+    static constexpr sim::Tick kLeaseInterval = sim::msecs(5);
+
+    /** Lease validity; an election waits out the old lease, so this
+     *  bounds metadata-write unavailability after a primary crash. */
+    static constexpr sim::Tick kLeaseDuration = sim::msecs(15);
+
+    /** Registers the "meta.*" counters. @p genesis is the initial
+     *  map, committed as epoch 1, record 0 of every replica's log;
+     *  replica 0 holds the genesis lease. */
+    MetaService(sim::Simulation &sim, PlacementMap genesis);
 
     MetaService(const MetaService &) = delete;
     MetaService &operator=(const MetaService &) = delete;
@@ -165,7 +158,6 @@ class MetaService
     size_t liveCount() const;
 
     sim::Simulation &sim_;
-    MetaConfig config_;
     std::vector<std::unique_ptr<MetaReplica>> replicas_;
 
     /** Committed state (what a majority of logs agrees on). */
@@ -179,8 +171,6 @@ class MetaService
     bool started_ = false;
     bool running_ = false;
 
-    // Prefix member must precede the metric references (init order).
-    std::string metric_prefix_;
     sim::CounterHandle elections_;
     sim::CounterHandle commits_;
     sim::CounterHandle rejects_;

@@ -10,17 +10,13 @@ VolumeDirectory::VolumeDirectory(
     sim::Simulation &sim, MetaService &meta,
     HeartbeatMonitor &heartbeats,
     std::vector<dsa::MirroredDevice *> shards,
-    dsa::BlockDevice &data, DirectoryConfig config)
+    dsa::BlockDevice &data)
     : sim_(sim), meta_(meta), heartbeats_(heartbeats),
       shards_(std::move(shards)), data_(data),
-      config_(std::move(config)),
-      metric_prefix_(config_.name),
-      reads_(sim.metrics().counter(metric_prefix_ + ".reads")),
-      writes_(sim.metrics().counter(metric_prefix_ + ".writes")),
-      stale_redirects_(
-          sim.metrics().counter(metric_prefix_ + ".stale_redirects")),
-      driven_failovers_(
-          sim.metrics().counter(metric_prefix_ + ".driven_failovers"))
+      reads_(sim.metrics().counter("vdir.reads")),
+      writes_(sim.metrics().counter("vdir.writes")),
+      stale_redirects_(sim.metrics().counter("vdir.stale_redirects")),
+      driven_failovers_(sim.metrics().counter("vdir.driven_failovers"))
 {
     // Routing starts on the genesis map; every node begins Active.
     cached_ = meta_.committed();
@@ -60,7 +56,7 @@ VolumeDirectory::route()
         if (cached_.epoch == meta_.committedEpoch())
             co_return true;
         stale_redirects_.increment();
-        co_await sim_.sleep(config_.redirect_delay);
+        co_await sim_.sleep(kRedirectDelay);
         // Awaits are hoisted out of condition position throughout
         // this file: g++ 12.2 miscompiles some coroutines whose
         // co_await sits in an if-condition (the ramp hands out a
@@ -98,7 +94,7 @@ sim::Task<>
 VolumeDirectory::reconcileLoop()
 {
     while (running_) {
-        co_await sim_.sleep(config_.reconcile_interval);
+        co_await sim_.sleep(kReconcileInterval);
         co_await sim_.queue().finalBand();
         if (!running_)
             break;

@@ -32,7 +32,6 @@
 #define V3SIM_CLUSTER_VOLUME_DIRECTORY_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cluster/heartbeat.hh"
@@ -46,21 +45,6 @@
 namespace v3sim::cluster
 {
 
-/** Directory configuration. */
-struct DirectoryConfig
-{
-    std::string name = "vdir";
-
-    /** Reconcile-loop period: how often observed node/leg state is
-     *  compared against the committed map. */
-    sim::Tick reconcile_interval = sim::msecs(2);
-
-    /** Penalty for routing with a stale epoch: one metadata-refetch
-     *  redirect round trip (on top of MetaService::fetch's own
-     *  modeled delay). */
-    sim::Tick redirect_delay = sim::usecs(80);
-};
-
 /**
  * The clustered volume, as a BlockDevice. Route every I/O through
  * the cached placement map, refetching on epoch change; run the
@@ -69,7 +53,17 @@ struct DirectoryConfig
 class VolumeDirectory : public dsa::BlockDevice
 {
   public:
+    /** Reconcile-loop period: how often observed node/leg state is
+     *  compared against the committed map. */
+    static constexpr sim::Tick kReconcileInterval = sim::msecs(2);
+
+    /** Penalty for routing with a stale epoch: one metadata-refetch
+     *  redirect round trip (on top of MetaService::fetch's own
+     *  modeled delay). */
+    static constexpr sim::Tick kRedirectDelay = sim::usecs(80);
+
     /**
+     * Registers the "vdir.*" counters.
      * @param shards  the mirror behind each stripe column, indexed
      *                by shard id (node 2s = leg 0, node 2s+1 = leg 1
      *                of shard s, matching the genesis map);
@@ -79,7 +73,7 @@ class VolumeDirectory : public dsa::BlockDevice
     VolumeDirectory(sim::Simulation &sim, MetaService &meta,
                     HeartbeatMonitor &heartbeats,
                     std::vector<dsa::MirroredDevice *> shards,
-                    dsa::BlockDevice &data, DirectoryConfig config);
+                    dsa::BlockDevice &data);
 
     VolumeDirectory(const VolumeDirectory &) = delete;
     VolumeDirectory &operator=(const VolumeDirectory &) = delete;
@@ -122,7 +116,6 @@ class VolumeDirectory : public dsa::BlockDevice
     HeartbeatMonitor &heartbeats_;
     std::vector<dsa::MirroredDevice *> shards_;
     dsa::BlockDevice &data_;
-    DirectoryConfig config_;
 
     /** The map this client last fetched; I/O routes against it. */
     PlacementMap cached_;
@@ -134,8 +127,6 @@ class VolumeDirectory : public dsa::BlockDevice
     bool started_ = false;
     bool running_ = false;
 
-    // Prefix member must precede the metric references (init order).
-    std::string metric_prefix_;
     sim::CounterHandle reads_;
     sim::CounterHandle writes_;
     sim::CounterHandle stale_redirects_;

@@ -1,6 +1,5 @@
 #include "volume.hh"
 
-#include <algorithm>
 #include <cassert>
 
 #include "util/stripe.hh"
@@ -8,17 +7,20 @@
 namespace v3sim::disk
 {
 
-StripeVolume::StripeVolume(std::vector<Disk *> disks,
-                           uint64_t stripe_unit)
-    : disks_(std::move(disks)), stripe_unit_(stripe_unit)
+StripeVolume::StripeVolume(sim::Simulation &sim, const DiskSpec &spec,
+                           int count, const std::string &name_prefix,
+                           bool phantom, uint64_t stripe_unit)
+    : stripe_unit_(stripe_unit),
+      capacity_(util::stripeCapacity(spec.capacity_bytes, stripe_unit,
+                                     static_cast<size_t>(count)))
 {
-    assert(!disks_.empty());
+    assert(count > 0);
     assert(stripe_unit_ > 0);
-    uint64_t smallest = UINT64_MAX;
-    for (const Disk *disk : disks_)
-        smallest = std::min(smallest, disk->spec().capacity_bytes);
-    capacity_ = util::stripeCapacity(smallest, stripe_unit_,
-                                     disks_.size());
+    for (int i = 0; i < count; ++i) {
+        disks_.push_back(std::make_unique<Disk>(
+            sim, spec, sim.forkRng(), name_prefix + std::to_string(i),
+            SchedPolicy::Elevator, phantom));
+    }
 }
 
 sim::Task<bool>
@@ -57,7 +59,7 @@ StripeVolume::run(uint64_t offset, uint64_t len, sim::MemorySpace *mem,
             if (!result)
                 ok = false;
             g.done();
-        }(disks_[chunk.child], chunk.child_offset, chunk.len, mem,
+        }(disks_[chunk.child].get(), chunk.child_offset, chunk.len, mem,
           addr + done, is_write, group, all_ok));
 
         done += chunk.len;

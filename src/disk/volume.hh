@@ -6,8 +6,10 @@
  * disks attached to V3 storage nodes. V3 volumes can span multiple
  * V3 nodes using combinations of RAID, such as concatenation and
  * other disk organizations." Every experiment here gives each node
- * one RAID-0 volume over all of its disks (storage::BlockPath builds
- * it); spanning nodes is the host side's job (dsa::StripedDevice,
+ * one RAID-0 volume over all of its disks, and the volume builds
+ * those disks itself: storage::BlockPath holds a node's volume, and
+ * scenarios::Testbed builds the Local platform's disk array the same
+ * way. Spanning nodes is the host side's job (dsa::StripedDevice,
  * dsa::MirroredDevice).
  */
 
@@ -15,6 +17,8 @@
 #define V3SIM_DISK_VOLUME_HH
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "disk/disk.hh"
@@ -24,14 +28,25 @@
 namespace v3sim::disk
 {
 
-/** RAID-0: a fixed stripe unit round-robined across borrowed disks,
- *  with real data movement to and from host memory. */
+/** RAID-0: a fixed stripe unit round-robined across the volume's own
+ *  disks, with real data movement to and from host memory. */
 class StripeVolume
 {
   public:
-    StripeVolume(std::vector<Disk *> disks, uint64_t stripe_unit);
+    /** Builds @p count elevator disks of @p spec named
+     *  "<name_prefix><i>", in index order, each forking the
+     *  simulation's random stream, with phantom stores when
+     *  @p phantom. */
+    StripeVolume(sim::Simulation &sim, const DiskSpec &spec, int count,
+                 const std::string &name_prefix, bool phantom,
+                 uint64_t stripe_unit);
+
+    StripeVolume(const StripeVolume &) = delete;
+    StripeVolume &operator=(const StripeVolume &) = delete;
 
     uint64_t capacity() const { return capacity_; }
+    size_t diskCount() const { return disks_.size(); }
+    Disk &disk(size_t i) { return *disks_.at(i); }
 
     /**
      * Reads [offset, offset+len) into host memory at @p addr.
@@ -60,7 +75,7 @@ class StripeVolume
                         sim::MemorySpace *mem, sim::Addr addr,
                         bool is_write);
 
-    std::vector<Disk *> disks_;
+    std::vector<std::unique_ptr<Disk>> disks_;
     uint64_t stripe_unit_;
     uint64_t capacity_;
 };

@@ -5,11 +5,10 @@ namespace v3sim::dsa
 
 sim::Task<std::unique_ptr<CdsaApi>>
 CdsaApi::open(osmodel::Node &node, vi::ViNic &nic,
-              net::PortId server_port, uint32_t volume,
-              DsaConfig config)
+              net::PortId server_port, DsaConfig config)
 {
-    auto client = std::make_unique<DsaClient>(
-        DsaImpl::Cdsa, node, nic, server_port, volume, config);
+    auto client = std::make_unique<DsaClient>(DsaImpl::Cdsa, node, nic,
+                                              server_port, config);
     if (!co_await client->connect())
         co_return nullptr;
     co_return std::unique_ptr<CdsaApi>(new CdsaApi(std::move(client)));

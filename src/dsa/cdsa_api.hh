@@ -92,7 +92,7 @@ class CdsaApi
     /** (1) open: connects the underlying DSA client. */
     static sim::Task<std::unique_ptr<CdsaApi>>
     open(osmodel::Node &node, vi::ViNic &nic, net::PortId server_port,
-         uint32_t volume, DsaConfig config = {});
+         DsaConfig config = {});
 
     /** (2) close: tears the connection down. */
     void close();

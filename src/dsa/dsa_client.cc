@@ -26,9 +26,11 @@ dsaImplName(DsaImpl impl)
 namespace
 {
 
-/** Registry path segment: lowercase impl + volume, e.g. "cdsa0". */
+/** Registry path: lowercase impl + "0", e.g. "client.cdsa0". The 0
+ *  names the server's one volume and stays because every committed
+ *  artifact carries it. */
 std::string
-clientPathSegment(DsaImpl impl, uint32_t volume)
+clientPathSegment(DsaImpl impl)
 {
     const char *impl_path = "?";
     switch (impl) {
@@ -36,7 +38,7 @@ clientPathSegment(DsaImpl impl, uint32_t volume)
       case DsaImpl::Wdsa: impl_path = "wdsa"; break;
       case DsaImpl::Cdsa: impl_path = "cdsa"; break;
     }
-    return std::string("client.") + impl_path + std::to_string(volume);
+    return std::string("client.") + impl_path + "0";
 }
 
 /** Resolves @p waiter with @p ok, if one is armed, disarming it
@@ -51,13 +53,11 @@ resolve(sim::Completion<bool> *&waiter, bool ok)
 } // namespace
 
 DsaClient::DsaClient(DsaImpl impl, osmodel::Node &node, vi::ViNic &nic,
-                     net::PortId server_port, uint32_t volume,
-                     DsaConfig config)
-    : Session(node, clientPathSegment(impl, volume)),
+                     net::PortId server_port, DsaConfig config)
+    : Session(node, clientPathSegment(impl)),
       impl_(impl),
       nic_(nic),
       server_port_(server_port),
-      volume_(volume),
       config_(config),
       own_lock_(node.sim(), node.costs(),
                 std::string(dsaImplName(impl)) + ".lock"),
@@ -269,7 +269,6 @@ DsaClient::establish()
         co_await lease.run(config_.costs.request_build, CpuCat::Dsa);
         auto hello = std::make_shared<RequestMsg>();
         hello->op = DsaOp::Hello;
-        hello->volume = volume_;
         hello->completion = CompletionMode::Message;
         vi::WorkDescriptor desc;
         desc.local_addr = msg_buf_;
@@ -456,7 +455,6 @@ DsaClient::track(PendingIo &io, uint64_t offset, uint64_t len)
     io.issued_at = node_.sim().now();
     io.msg.request_id = io.id;
     io.msg.seq = next_seq_++;
-    io.msg.volume = volume_;
     io.msg.offset = offset;
     io.msg.len = static_cast<uint32_t>(len);
     io.msg.completion = mode_;

@@ -75,7 +75,8 @@ enum class DsaImpl : uint8_t
 
 const char *dsaImplName(DsaImpl impl);
 
-/** One DSA connection: client NIC endpoint to one V3 volume. */
+/** One DSA connection: client NIC endpoint to a V3 node's one
+ *  volume (id 0 on the wire). */
 class DsaClient : public Session
 {
   public:
@@ -84,11 +85,9 @@ class DsaClient : public Session
      * @param nic the client NIC this connection rides (the paper's
      *        configurations pair one NIC with one V3 node).
      * @param server_port fabric port of the V3 server.
-     * @param volume volume id at that server.
      */
     DsaClient(DsaImpl impl, osmodel::Node &node, vi::ViNic &nic,
-              net::PortId server_port, uint32_t volume,
-              DsaConfig config = {});
+              net::PortId server_port, DsaConfig config = {});
 
     ~DsaClient() override;
 
@@ -272,7 +271,6 @@ class DsaClient : public Session
     DsaImpl impl_;
     vi::ViNic &nic_;
     net::PortId server_port_;
-    uint32_t volume_;
     DsaConfig config_;
     CompletionMode mode_;
 

@@ -6,11 +6,9 @@ namespace v3sim::dsa
 using osmodel::CpuCat;
 using osmodel::CpuLease;
 
-LocalBackend::LocalBackend(osmodel::Node &node, disk::StripeVolume &volume,
-                           HbaCosts costs)
+LocalBackend::LocalBackend(osmodel::Node &node, disk::StripeVolume &volume)
     : Session(node, "client.local"),
       volume_(volume),
-      costs_(costs),
       interrupts_(node.sim().metrics().counter(metric_prefix_ +
                                                ".interrupts"))
 {}

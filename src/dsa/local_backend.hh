@@ -53,8 +53,7 @@ struct HbaCosts
 class LocalBackend : public Session
 {
   public:
-    LocalBackend(osmodel::Node &node, disk::StripeVolume &volume,
-                 HbaCosts costs = {});
+    LocalBackend(osmodel::Node &node, disk::StripeVolume &volume);
 
     /** Nothing to connect: the disks are attached. */
     sim::Task<bool> connect() override { co_return true; }
@@ -82,7 +81,7 @@ class LocalBackend : public Session
     sim::Task<> interruptHandler(osmodel::CpuLease lease);
 
     disk::StripeVolume &volume_;
-    HbaCosts costs_;
+    const HbaCosts costs_{};
     std::deque<Done> done_queue_;
     bool interrupt_pending_ = false;
 

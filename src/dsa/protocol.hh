@@ -111,7 +111,7 @@ struct RequestMsg
      *  the client, so the server may prune its dedup filter. */
     uint64_t ack_below = 0;
 
-    uint32_t volume = 0;
+    uint32_t volume = 0; ///< 0, the server's one volume
     uint64_t offset = 0;
     uint32_t len = 0;
 

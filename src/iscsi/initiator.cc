@@ -37,7 +37,6 @@ Initiator::connect()
     // path, outside every measurement window: no CPU charges.
     auto pdu = std::make_shared<Pdu>();
     pdu->op = PduOp::LoginRequest;
-    pdu->volume = config_.volume;
     pdu->header_digest = pduHeaderDigest(*pdu);
     net::TcpMessage message;
     message.bytes = pduWireBytes(*pdu);
@@ -116,7 +115,6 @@ Initiator::issueOnce(bool is_write, uint64_t offset, uint64_t len,
     pdu->op = PduOp::ScsiCommand;
     pdu->itt = itt;
     pdu->is_write = is_write;
-    pdu->volume = config_.volume;
     pdu->offset = offset;
     pdu->xfer_len = len;
     pdu->tenant = tenant;

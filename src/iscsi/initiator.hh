@@ -48,9 +48,6 @@ namespace v3sim::iscsi
 /** Static initiator parameters. */
 struct InitiatorConfig
 {
-    /** Target volume this session addresses. */
-    uint32_t volume = 0;
-
     net::TcpConfig tcp;
 
     /** Outstanding-command limit (the session queue depth). */

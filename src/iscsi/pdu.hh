@@ -82,7 +82,7 @@ struct Pdu
      *  so the target keeps no per-task state). */
     uint64_t itt = 0;
     bool is_write = false;
-    uint32_t volume = 0;
+    uint32_t volume = 0;   ///< 0, the target's one volume
     uint64_t offset = 0;   ///< byte offset on the target volume
     uint64_t xfer_len = 0; ///< requested transfer length
     /** Issuing tenant id (open-loop multiplexing): the target's

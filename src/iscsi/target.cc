@@ -144,8 +144,8 @@ Target::doRead(osmodel::CpuLease &lease, const Pdu &cmd,
                std::shared_ptr<std::vector<uint8_t>> &data_out)
 {
     sim::MemorySpace &mem = node_.memory();
-    const storage::BlockPath::ReadResult got = co_await path_.read(
-        lease, cmd.itt, cmd.volume, cmd.offset, cmd.xfer_len);
+    const storage::BlockPath::ReadResult got =
+        co_await path_.read(lease, cmd.itt, cmd.offset, cmd.xfer_len);
     if (got.status == storage::ReadStatus::Ok) {
         // Assemble the response data segment (store-and-forward: no
         // RDMA to place cache frames into remote buffers).
@@ -187,9 +187,8 @@ Target::doWrite(osmodel::CpuLease &lease, const Pdu &cmd)
 
     // Write through the cache and commit to disk before responding
     // (durability, §5.2).
-    const bool ok = co_await path_.write(lease, cmd.itt, cmd.volume,
-                                         cmd.offset, cmd.xfer_len,
-                                         staging);
+    const bool ok = co_await path_.write(lease, cmd.itt, cmd.offset,
+                                         cmd.xfer_len, staging);
     mem.free(staging);
     co_return ok ? ScsiStatus::Good : ScsiStatus::CheckCondition;
 }

@@ -124,16 +124,9 @@ Testbed::buildLocal(bool phantom)
                           ? storage_params_.local_disks
                           : storage_params_.v3_nodes *
                                 storage_params_.disks_per_node;
-    std::vector<disk::Disk *> spindles;
-    for (int i = 0; i < count; ++i) {
-        local_disks_.push_back(std::make_unique<disk::Disk>(
-            sim_, storage_params_.disk_spec, sim_.forkRng(),
-            "local.d" + std::to_string(i), disk::SchedPolicy::Elevator,
-            phantom));
-        spindles.push_back(local_disks_.back().get());
-    }
     local_volume_ = std::make_unique<disk::StripeVolume>(
-        std::move(spindles), storage_params_.stripe_unit);
+        sim_, storage_params_.disk_spec, count, "local.d", phantom,
+        storage_params_.stripe_unit);
     sessions_.push_back(
         std::make_unique<dsa::LocalBackend>(*host_, *local_volume_));
     device_ = sessions_.back().get();
@@ -189,7 +182,7 @@ Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
             sessions_.push_back(std::make_unique<dsa::DsaClient>(
                 backendImpl(backend_), *host_, *nics_.back(),
                 static_cast<storage::V3Server &>(*node).nic().port(),
-                /*volume=*/0, dsa_config));
+                dsa_config));
         }
         nodes_.push_back(std::move(node));
     }
@@ -233,7 +226,7 @@ Testbed::buildCluster()
         genesis.shards.push_back(std::move(shard));
     }
     meta_service_ = std::make_unique<cluster::MetaService>(
-        sim_, storage_params_.meta, std::move(genesis));
+        sim_, std::move(genesis));
 
     std::vector<cluster::HeartbeatPeer> peers;
     for (storage::V3Server *srv : nodes) {
@@ -242,18 +235,18 @@ Testbed::buildCluster()
             [srv] { return srv->bootEpoch(); }});
     }
     heartbeat_ = std::make_unique<cluster::HeartbeatMonitor>(
-        sim_, storage_params_.heartbeat, std::move(peers));
+        sim_, std::move(peers));
 
     std::vector<dsa::MirroredDevice *> shard_mirrors;
     for (auto &mirror : mirrors_)
         shard_mirrors.push_back(mirror.get());
     directory_ = std::make_unique<cluster::VolumeDirectory>(
         sim_, *meta_service_, *heartbeat_, std::move(shard_mirrors),
-        *striped_, storage_params_.directory);
+        *striped_);
     device_ = directory_.get();
 
     // Whole-box fault targets: node i and, on the first
-    // meta.replicas boxes, its co-located metadata replica.
+    // MetaService::kReplicas boxes, its co-located metadata replica.
     for (size_t n = 0; n < nodes.size(); ++n) {
         auto target = std::make_unique<vi::CompositeFaultTarget>();
         target->add(*nodes[n]);
@@ -337,18 +330,17 @@ Testbed::diskUtilization() const
     // Disk by disk in node order, then the local disks: the sum's
     // rounding is part of the fig10/fig13 artifacts.
     double sum = 0;
-    int count = 0;
-    for (const auto &node : nodes_) {
-        for (size_t i = 0; i < node->diskCount(); ++i) {
-            sum += node->disk(i).utilization();
-            ++count;
-        }
-    }
-    for (const auto &d : local_disks_) {
-        sum += d->utilization();
-        ++count;
-    }
-    return count ? sum / count : 0.0;
+    size_t count = 0;
+    const auto add = [&](disk::StripeVolume &volume) {
+        for (size_t i = 0; i < volume.diskCount(); ++i)
+            sum += volume.disk(i).utilization();
+        count += volume.diskCount();
+    };
+    for (const auto &node : nodes_)
+        add(node->volume());
+    if (local_volume_)
+        add(*local_volume_);
+    return count ? sum / static_cast<double>(count) : 0.0;
 }
 
 uint64_t

@@ -105,9 +105,9 @@ enum class Layout : uint8_t
      * Mirrored, run as one fault-tolerant volume service
      * (src/cluster): placement-metadata service with lease-holding
      * primary, heartbeat failure detection, and a client-side volume
-     * directory driving node-level failover. The first meta.replicas
-     * nodes co-host a metadata replica (one failure domain per box —
-     * see vi::CompositeFaultTarget).
+     * directory driving node-level failover. The first
+     * MetaService::kReplicas nodes co-host a metadata replica (one
+     * failure domain per box — see vi::CompositeFaultTarget).
      */
     Cluster,
 };
@@ -128,11 +128,8 @@ struct StorageParams
     uint32_t staging_slots = 32;
 
     Layout layout = Layout::Striped;
-    /** Mirrored and Cluster use mirror; Cluster also the rest. */
+    /** Mirrored and Cluster use mirror. */
     dsa::MirrorConfig mirror;
-    cluster::MetaConfig meta;
-    cluster::HeartbeatConfig heartbeat;
-    cluster::DirectoryConfig directory;
 
     /** Overload control at every storage node (V3 servers and iSCSI
      *  targets alike; DESIGN.md §12). Disabled by default. */
@@ -220,8 +217,8 @@ class Testbed
     /**
      * Whole-box fault targets, one per storage node (Layout::Cluster
      * only): crashing target i takes out server i AND, on the first
-     * meta.replicas nodes, its co-located metadata replica. Feed
-     * these to faults().scheduleNodeOutage / startChaos.
+     * MetaService::kReplicas nodes, its co-located metadata replica.
+     * Feed these to faults().scheduleNodeOutage / startChaos.
      */
     std::vector<vi::NodeFaultTarget *> nodeTargets();
 
@@ -257,7 +254,6 @@ class Testbed
 
     std::vector<std::unique_ptr<storage::StorageNode>> nodes_;
     std::vector<std::unique_ptr<vi::ViNic>> nics_;
-    std::vector<std::unique_ptr<disk::Disk>> local_disks_;
     std::unique_ptr<disk::StripeVolume> local_volume_;
     std::vector<std::unique_ptr<dsa::Session>> sessions_;
     std::vector<std::unique_ptr<dsa::MirroredDevice>> mirrors_;

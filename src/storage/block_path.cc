@@ -42,20 +42,12 @@ BlockPath::BlockPath(sim::Simulation &sim, osmodel::Node &node,
                      const BlockPathConfig &config)
     : node_(node),
       config_(config),
+      volume_(sim, config.disk_spec, config.disk_count,
+              node.name() + ".d.", node.memory().phantom(),
+              config.stripe_unit),
       integrity_errors_(sim.metrics().counter(
           metric_prefix + ".integrity_verify_failures"))
 {
-    std::vector<disk::Disk *> spindles;
-    for (int i = 0; i < config_.disk_count; ++i) {
-        disks_.push_back(std::make_unique<disk::Disk>(
-            sim, config_.disk_spec, sim.forkRng(),
-            node_.name() + ".d." + std::to_string(i),
-            disk::SchedPolicy::Elevator, node_.memory().phantom()));
-        spindles.push_back(disks_.back().get());
-    }
-    volume_ = std::make_unique<disk::StripeVolume>(std::move(spindles),
-                                                   config_.stripe_unit);
-
     if (config_.cache_bytes < config_.block_size)
         return;
     const uint64_t blocks = config_.cache_bytes / config_.block_size;
@@ -76,7 +68,7 @@ BlockPath::verify(bool read_ok, uint64_t off, uint64_t len)
         return ReadStatus::DiskError;
     // Damaged platter data must never enter the cache (it would
     // masquerade as a verified copy) or reach a client as good data.
-    if (volume_->corrupt(off, len)) {
+    if (volume_.corrupt(off, len)) {
         integrity_errors_.increment();
         return ReadStatus::IntegrityError;
     }
@@ -84,9 +76,8 @@ BlockPath::verify(bool read_ok, uint64_t off, uint64_t len)
 }
 
 sim::Task<BlockPath::ReadResult>
-BlockPath::read(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
-                uint64_t offset, uint64_t len,
-                const TransientHook &on_transient)
+BlockPath::read(CpuLease &lease, uint64_t order_key, uint64_t offset,
+                uint64_t len, const TransientHook &on_transient)
 {
     ReadResult out;
     sim::MemorySpace &mem = node_.memory();
@@ -106,7 +97,7 @@ BlockPath::read(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
         co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
 
         node_.cpus().release();
-        const bool ok = co_await volume_->read(a_off, a_len, mem, tbuf);
+        const bool ok = co_await volume_.read(a_off, a_len, mem, tbuf);
         lease = co_await node_.cpus().acquire(CpuPool::kNormalPriority,
                                               order_key);
         out.status = verify(ok, a_off, a_len);
@@ -116,7 +107,7 @@ BlockPath::read(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
     const uint64_t last = (offset + len - 1) / config_.block_size;
     uint64_t b = offset / config_.block_size;
     while (b <= last) {
-        const CacheKey key{volume_id, b};
+        const CacheKey key{0, b};
         co_await lease.run(config_.cache_op_cost, CpuCat::Other);
 
         if (auto frame = cache_->lookupAndPin(key)) {
@@ -138,10 +129,9 @@ BlockPath::read(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
             continue;
         }
 
-        const uint64_t run_end = claimRun(volume_id, b, last);
-        out.status = co_await fill(lease, order_key, volume_id, b,
-                                   run_end, offset, len, out,
-                                   on_transient);
+        const uint64_t run_end = claimRun(b, last);
+        out.status = co_await fill(lease, order_key, b, run_end, offset,
+                                   len, out, on_transient);
         if (out.status != ReadStatus::Ok)
             co_return out;
         b = run_end;
@@ -150,15 +140,13 @@ BlockPath::read(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
 }
 
 uint64_t
-BlockPath::claimRun(uint32_t volume_id, uint64_t b, uint64_t last)
+BlockPath::claimRun(uint64_t b, uint64_t last)
 {
     uint64_t run_end = b + 1;
-    loading_[CacheKey{volume_id, b}] = std::make_unique<sim::CondEvent>();
-    while (run_end <= last &&
-           !cache_->contains(CacheKey{volume_id, run_end}) &&
-           loading_.find(CacheKey{volume_id, run_end}) ==
-               loading_.end()) {
-        loading_[CacheKey{volume_id, run_end}] =
+    loading_[CacheKey{0, b}] = std::make_unique<sim::CondEvent>();
+    while (run_end <= last && !cache_->contains(CacheKey{0, run_end}) &&
+           loading_.find(CacheKey{0, run_end}) == loading_.end()) {
+        loading_[CacheKey{0, run_end}] =
             std::make_unique<sim::CondEvent>();
         ++run_end;
     }
@@ -166,10 +154,9 @@ BlockPath::claimRun(uint32_t volume_id, uint64_t b, uint64_t last)
 }
 
 sim::Task<ReadStatus>
-BlockPath::fill(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
-                uint64_t b, uint64_t run_end, uint64_t offset,
-                uint64_t len, ReadResult &out,
-                const TransientHook &on_transient)
+BlockPath::fill(CpuLease &lease, uint64_t order_key, uint64_t b,
+                uint64_t run_end, uint64_t offset, uint64_t len,
+                ReadResult &out, const TransientHook &on_transient)
 {
     sim::MemorySpace &mem = node_.memory();
     const uint64_t bs = config_.block_size;
@@ -179,7 +166,7 @@ BlockPath::fill(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
 
     node_.cpus().release();
     const bool read_ok =
-        co_await volume_->read(b * bs, run_bytes, mem, tbuf);
+        co_await volume_.read(b * bs, run_bytes, mem, tbuf);
     lease = co_await node_.cpus().acquire(CpuPool::kNormalPriority,
                                           order_key);
     const ReadStatus status = verify(read_ok, b * bs, run_bytes);
@@ -187,7 +174,7 @@ BlockPath::fill(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
 
     bool tbuf_needed = false;
     for (uint64_t bb = b; bb < run_end; ++bb) {
-        const CacheKey key{volume_id, bb};
+        const CacheKey key{0, bb};
         const sim::Addr data = tbuf + (bb - b) * bs;
         co_await lease.run(config_.cache_op_cost, CpuCat::Other);
         // A write racing this fill may have committed newer bytes
@@ -241,9 +228,8 @@ BlockPath::release(const ReadResult &result)
 }
 
 sim::Task<bool>
-BlockPath::write(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
-                 uint64_t offset, uint64_t len, sim::Addr src,
-                 const bool *alive)
+BlockPath::write(CpuLease &lease, uint64_t order_key, uint64_t offset,
+                 uint64_t len, sim::Addr src, const bool *alive)
 {
     sim::MemorySpace &mem = node_.memory();
     const uint64_t bs = config_.block_size;
@@ -256,11 +242,11 @@ BlockPath::write(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
     // every covered block now; on the way out, mark any fill still in
     // flight stale.
     for (uint64_t b = first; b <= last; ++b)
-        ++writing_[CacheKey{volume_id, b}];
+        ++writing_[CacheKey{0, b}];
 
     if (cache_) {
         for (uint64_t b = first; b <= last; ++b) {
-            const CacheKey key{volume_id, b};
+            const CacheKey key{0, b};
             const uint64_t block_start = b * bs;
             const uint64_t piece_start = std::max(block_start, offset);
             const uint64_t piece_end =
@@ -293,13 +279,13 @@ BlockPath::write(CpuLease &lease, uint64_t order_key, uint32_t volume_id,
     if (!alive || *alive) {
         co_await lease.run(config_.disk_sched_cost, CpuCat::Other);
         node_.cpus().release();
-        ok = co_await volume_->write(offset, len, mem, src);
+        ok = co_await volume_.write(offset, len, mem, src);
         lease = co_await node_.cpus().acquire(CpuPool::kNormalPriority,
                                               order_key);
     }
 
     for (uint64_t b = first; b <= last; ++b) {
-        const CacheKey key{volume_id, b};
+        const CacheKey key{0, b};
         auto it = writing_.find(key);
         if (it != writing_.end() && --it->second == 0)
             writing_.erase(it);

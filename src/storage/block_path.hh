@@ -110,11 +110,10 @@ class BlockPath
      *  NIC. */
     using TransientHook = std::function<void(sim::Addr, uint64_t)>;
 
-    /** Builds the disks (in index order, each forking the
-     *  simulation's random stream; phantom stores exactly when the
-     *  node's memory is phantom) and the volume over them, and
-     *  registers integrity_verify_failures and the cache's metrics
-     *  (".cache.*") under the front end's @p metric_prefix. */
+    /** Builds the volume and its disks ("<node>.d.<i>", phantom
+     *  exactly when the node's memory is phantom), and registers
+     *  integrity_verify_failures and the cache's metrics (".cache.*")
+     *  under the front end's @p metric_prefix. */
     BlockPath(sim::Simulation &sim, osmodel::Node &node,
               const std::string &metric_prefix,
               const BlockPathConfig &config);
@@ -122,9 +121,8 @@ class BlockPath
     BlockPath(const BlockPath &) = delete;
     BlockPath &operator=(const BlockPath &) = delete;
 
-    size_t diskCount() const { return disks_.size(); }
-    disk::Disk &disk(size_t i) { return *disks_.at(i); }
-    disk::StripeVolume &volume() { return *volume_; }
+    /** The node's one volume; every cache key names it as volume 0. */
+    disk::StripeVolume &volume() { return volume_; }
     /** The block cache; null when caching is off. */
     BlockCache *cache() { return cache_.get(); }
 
@@ -150,8 +148,8 @@ class BlockPath
      * what was gathered.
      */
     sim::Task<ReadResult> read(osmodel::CpuLease &lease,
-                               uint64_t order_key, uint32_t volume_id,
-                               uint64_t offset, uint64_t len,
+                               uint64_t order_key, uint64_t offset,
+                               uint64_t len,
                                const TransientHook &on_transient = {});
 
     /** Unpins a read's frames and frees its transients. */
@@ -165,24 +163,22 @@ class BlockPath
      * writes nothing more). Returns true once the commit succeeded.
      */
     sim::Task<bool> write(osmodel::CpuLease &lease, uint64_t order_key,
-                          uint32_t volume_id, uint64_t offset,
-                          uint64_t len, sim::Addr src,
+                          uint64_t offset, uint64_t len, sim::Addr src,
                           const bool *alive = nullptr);
 
   private:
     /** Claims @p b and the cold, unclaimed blocks after it up to
      *  @p last in loading_; returns the end of the claimed run. */
-    uint64_t claimRun(uint32_t volume_id, uint64_t b, uint64_t last);
+    uint64_t claimRun(uint64_t b, uint64_t last);
 
     /** Reads the claimed run [b, run_end) into a transient, verifies
      *  it, installs what the stale-fill guard allows and releases the
      *  claims. Appends each block's overlap with [offset, offset+len)
      *  to @p out. */
     sim::Task<ReadStatus> fill(osmodel::CpuLease &lease,
-                               uint64_t order_key, uint32_t volume_id,
-                               uint64_t b, uint64_t run_end,
-                               uint64_t offset, uint64_t len,
-                               ReadResult &out,
+                               uint64_t order_key, uint64_t b,
+                               uint64_t run_end, uint64_t offset,
+                               uint64_t len, ReadResult &out,
                                const TransientHook &on_transient);
 
     /** Verify-on-read verdict for a disk read of [off, off+len). */
@@ -190,8 +186,7 @@ class BlockPath
 
     osmodel::Node &node_;
     BlockPathConfig config_;
-    std::vector<std::unique_ptr<disk::Disk>> disks_;
-    std::unique_ptr<disk::StripeVolume> volume_;
+    disk::StripeVolume volume_;
     std::unique_ptr<BlockCache> cache_;
 
     /** Blocks currently being read from disk (miss coalescing). */

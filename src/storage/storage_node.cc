@@ -23,17 +23,17 @@ StorageNode::StorageNode(sim::Simulation &sim,
 {}
 
 uint64_t
-StorageNode::volumeCapacity(uint32_t volume_id)
+StorageNode::volumeCapacity(uint32_t volume)
 {
-    return volume_id == 0 ? path_.volume().capacity() : 0;
+    return volume == 0 ? path_.volume().capacity() : 0;
 }
 
 bool
-StorageNode::validRange(uint32_t volume_id, uint64_t offset,
+StorageNode::validRange(uint32_t volume, uint64_t offset,
                         uint64_t len, bool write)
 {
     constexpr uint64_t kSector = disk::DiskStore::kSectorSize;
-    return len > 0 && offset + len <= volumeCapacity(volume_id) &&
+    return len > 0 && offset + len <= volumeCapacity(volume) &&
            (!write || (offset % kSector == 0 && len % kSector == 0));
 }
 

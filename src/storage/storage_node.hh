@@ -72,14 +72,12 @@ class StorageNode
     StorageNode &operator=(const StorageNode &) = delete;
 
     osmodel::Node &node() { return node_; }
-    /** @name The node's disks and the one volume striped over them
-     *  (config.disk_count, disk_spec, stripe_unit) @{ */
-    size_t diskCount() const { return path_.diskCount(); }
-    disk::Disk &disk(size_t i) { return path_.disk(i); }
+    /** @name The node's one volume and its disks (config.disk_count,
+     *  disk_spec, stripe_unit) @{ */
     disk::StripeVolume &volume() { return path_.volume(); }
-    /** Capacity of volume @p volume_id; 0 for any id but 0, the
-     *  node's one volume. */
-    uint64_t volumeCapacity(uint32_t volume_id);
+    /** Capacity of volume @p volume, an id off the wire; 0 for any
+     *  id but 0, the node's one volume. */
+    uint64_t volumeCapacity(uint32_t volume);
     /** @} */
     /** The block cache; null when caching is off. */
     BlockCache *cache() { return path_.cache(); }
@@ -118,7 +116,7 @@ class StorageNode
     /** The check every request passes before the block path: a
      *  non-empty range inside the volume, sector-aligned for a
      *  write. */
-    bool validRange(uint32_t volume_id, uint64_t offset, uint64_t len,
+    bool validRange(uint32_t volume, uint64_t offset, uint64_t len,
                     bool write);
 
     osmodel::Node node_;

@@ -479,8 +479,8 @@ V3Server::doRead(Connection &conn, const dsa::RequestMsg &req,
             registered = registered && reg.has_value();
         };
     const BlockPath::ReadResult got = co_await path_.read(
-        lease, orderKey(conn.staging_base, req.offset), req.volume,
-        req.offset, req.len, on_transient);
+        lease, orderKey(conn.staging_base, req.offset), req.offset,
+        req.len, on_transient);
 
     // RDMA each piece, in order, accumulating the response digest
     // over the delivered bytes (client-buffer order == piece order,
@@ -566,8 +566,8 @@ V3Server::doWrite(Connection &conn, const dsa::RequestMsg &req,
     // write: the node is fail-stop, so nothing may reach disk after
     // the cache died.
     const bool ok = co_await path_.write(
-        lease, orderKey(conn.staging_base, req.offset), req.volume,
-        req.offset, req.len, staging, &conn.alive);
+        lease, orderKey(conn.staging_base, req.offset), req.offset,
+        req.len, staging, &conn.alive);
     co_return ok ? dsa::IoStatus::Ok : dsa::IoStatus::Error;
 }
 

@@ -39,8 +39,8 @@ inline uint64_t
 diskOps(storage::StorageNode &node)
 {
     uint64_t total = 0;
-    for (size_t i = 0; i < node.diskCount(); ++i)
-        total += node.disk(i).completedCount();
+    for (size_t i = 0; i < node.volume().diskCount(); ++i)
+        total += node.volume().disk(i).completedCount();
     return total;
 }
 
@@ -77,8 +77,6 @@ struct SingleNodeRig
     net::Fabric fabric_;
     osmodel::Node host_;
     std::unique_ptr<storage::V3Server> server_;
-    /** The server's one volume. */
-    uint32_t volume_ = 0;
     std::unique_ptr<vi::ViNic> nic_;
 };
 

@@ -83,8 +83,7 @@ class Rig
             nic_ = std::make_unique<vi::ViNic>(sim_, fabric_,
                                                host_.memory(), "nic");
             session_ = std::make_unique<dsa::DsaClient>(
-                dsa::DsaImpl::Cdsa, host_, *nic_, server->nic().port(),
-                /*volume=*/0);
+                dsa::DsaImpl::Cdsa, host_, *nic_, server->nic().port());
             node_ = std::move(server);
         } else {
             iscsi::TargetConfig config;
@@ -225,9 +224,9 @@ TEST(NodeDisks, EachFrontEndBuildsItsDisksAndOneVolume)
             node = std::make_unique<iscsi::Target>(sim, fabric, config);
         }
         const std::string name = backend == Backend::Kdsa ? "v3" : "tgt";
-        ASSERT_EQ(node->diskCount(), size_t{kDisks});
-        for (size_t i = 0; i < node->diskCount(); ++i) {
-            EXPECT_EQ(node->disk(i).name(),
+        ASSERT_EQ(node->volume().diskCount(), size_t{kDisks});
+        for (size_t i = 0; i < node->volume().diskCount(); ++i) {
+            EXPECT_EQ(node->volume().disk(i).name(),
                       name + ".d." + std::to_string(i));
         }
         EXPECT_EQ(node->volume().capacity(),

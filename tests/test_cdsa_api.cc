@@ -27,8 +27,7 @@ class CdsaApiTest : public ::testing::Test, public test::SingleNodeRig
     {
         sim::spawn([](CdsaApiTest *test) -> Task<> {
             test->api_ = co_await CdsaApi::open(
-                test->host_, *test->nic_,
-                test->server_->nic().port(), test->volume_);
+                test->host_, *test->nic_, test->server_->nic().port());
         }(this));
         sim_.run();
     }

@@ -65,7 +65,7 @@ proposeNow(sim::Simulation &sim, MetaService &meta, int shard,
 TEST(MetaService, GenesisIsCommittedAsEpochOne)
 {
     sim::Simulation sim(7);
-    MetaService meta(sim, MetaConfig{}, twoShardGenesis());
+    MetaService meta(sim, twoShardGenesis());
 
     EXPECT_EQ(meta.committedEpoch(), 1u);
     EXPECT_EQ(meta.primary(), 0);
@@ -80,7 +80,7 @@ TEST(MetaService, GenesisIsCommittedAsEpochOne)
 TEST(MetaService, ProposeCommitsOnMajorityAndBumpsEpoch)
 {
     sim::Simulation sim(7);
-    MetaService meta(sim, MetaConfig{}, twoShardGenesis());
+    MetaService meta(sim, twoShardGenesis());
 
     EXPECT_TRUE(
         proposeNow(sim, meta, 0, 1, ReplicaState::Failed));
@@ -109,7 +109,7 @@ TEST(MetaService, ProposeCommitsOnMajorityAndBumpsEpoch)
 TEST(MetaService, ProposeAndFetchFailWithoutQuorum)
 {
     sim::Simulation sim(7);
-    MetaService meta(sim, MetaConfig{}, twoShardGenesis());
+    MetaService meta(sim, twoShardGenesis());
 
     // A minority fragment (1 of 3) must reject writes AND reads:
     // the surviving replica alone cannot prove its map is current.
@@ -142,7 +142,7 @@ TEST(MetaService, ProposeAndFetchFailWithoutQuorum)
 TEST(MetaService, PrimaryCrashElectsMinimumLiveAfterLeaseExpiry)
 {
     sim::Simulation sim(7);
-    MetaService meta(sim, MetaConfig{}, twoShardGenesis());
+    MetaService meta(sim, twoShardGenesis());
     meta.start();
 
     sim.runUntil(sim.now() + sim::msecs(2));
@@ -187,19 +187,18 @@ TEST(MetaService, ProposalOnElectionTickSeesTheNewPrimary)
          {1u, 2u, 3u, 4u, 5u, 6u, 7u, 20020817u}) {
         sim::Simulation sim(7);
         sim.queue().setTieShuffle(tie_seed);
-        const MetaConfig config;
-        MetaService meta(sim, config, twoShardGenesis());
+        MetaService meta(sim, twoShardGenesis());
         meta.start();
         sim.runUntil(sim::msecs(2));
         meta.replica(0).crash();
         // The genesis lease ends on a lease-loop tick.
-        const sim::Tick election = config.lease_duration;
+        const sim::Tick election = MetaService::kLeaseDuration;
         bool ok = false;
         sim::spawn([](sim::Simulation &s, MetaService &m, sim::Tick at,
                       bool &out) -> Task<> {
             co_await s.sleep(at - s.now());
             out = co_await m.propose(0, 0, ReplicaState::Failed);
-        }(sim, meta, election - config.rpc_delay, ok));
+        }(sim, meta, election - MetaService::kRpcDelay, ok));
         sim.runUntil(election - 1);
         ASSERT_EQ(meta.electionCount(), 0u);
         sim.runUntil(election + sim::msecs(1));
@@ -218,7 +217,7 @@ TEST(HeartbeatMonitor, DownAfterConsecutiveMissesUpOnAnswer)
     std::vector<HeartbeatPeer> peers;
     peers.push_back(HeartbeatPeer{"n0", [&alive] { return alive; },
                                   [&boot] { return boot; }});
-    HeartbeatMonitor hb(sim, HeartbeatConfig{}, std::move(peers));
+    HeartbeatMonitor hb(sim, std::move(peers));
     hb.start();
 
     sim.runUntil(sim.now() + sim::msecs(9));
@@ -251,7 +250,7 @@ TEST(HeartbeatMonitor, BounceSurfacesOneDownUpCycle)
     std::vector<HeartbeatPeer> peers;
     peers.push_back(HeartbeatPeer{"n0", [&alive] { return alive; },
                                   [&boot] { return boot; }});
-    HeartbeatMonitor hb(sim, HeartbeatConfig{}, std::move(peers));
+    HeartbeatMonitor hb(sim, std::move(peers));
     hb.start();
 
     sim.runUntil(sim.now() + sim::msecs(9));

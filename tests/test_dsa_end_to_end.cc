@@ -43,8 +43,7 @@ class EndToEnd : public ::testing::TestWithParam<DsaImpl>,
     makeClient(DsaImpl impl, DsaConfig config = {})
     {
         auto client = std::make_unique<DsaClient>(
-            impl, host_, *nic_, server_->nic().port(), volume_,
-            config);
+            impl, host_, *nic_, server_->nic().port(), config);
         bool ok = false;
         sim::spawn([](DsaClient &c, bool &out) -> Task<> {
             out = co_await c.connect();
@@ -292,9 +291,8 @@ TEST(DsaComparison, LatencyOrderingMatchesPaper)
             {.seed = 7,
              .server = test::serverWithCache(16 * util::kMiB),
              .nic_name = "db.nic"});
-        auto &[sim, fabric, host, server, volume, nic] = rig;
-        DsaClient client(impl, host, *nic, server->nic().port(),
-                         volume);
+        auto &[sim, fabric, host, server, nic] = rig;
+        DsaClient client(impl, host, *nic, server->nic().port());
         const Addr buf = host.memory().allocate(8192);
 
         sim::spawn([](sim::Simulation &s, DsaClient &c, Addr b) -> Task<> {
@@ -324,9 +322,9 @@ TEST(LocalBackendTest, KernelPathRoundTrip)
 {
     sim::Simulation sim(3);
     Node host(sim, NodeConfig{.name = "db", .cpus = 4});
-    disk::Disk disk(sim, disk::DiskSpec::scsi10k(), sim.forkRng(),
-                    "local.d0");
-    disk::StripeVolume volume({&disk}, disk.spec().capacity_bytes);
+    const disk::DiskSpec spec = disk::DiskSpec::scsi10k();
+    disk::StripeVolume volume(sim, spec, 1, "local.d", false,
+                              spec.capacity_bytes);
     LocalBackend local(host, volume);
 
     const Addr wbuf = host.memory().allocate(8192);

@@ -34,7 +34,7 @@ class FaultInjectorTest : public ::testing::Test, public test::SingleNodeRig
         dsa_config.reconnect_delay = sim::msecs(2);
         client_ = std::make_unique<dsa::DsaClient>(
             dsa::DsaImpl::Cdsa, host_, *nic_, server_->nic().port(),
-            volume_, dsa_config);
+            dsa_config);
         bool ok = false;
         sim::spawn([](dsa::DsaClient &c, bool &out) -> Task<> {
             out = co_await c.connect();
@@ -194,7 +194,7 @@ TEST_F(FaultInjectorTest, CrashedNodeRefusesNewConnections)
                                         host_.memory(), "nic2");
     auto client2 = std::make_unique<dsa::DsaClient>(
         dsa::DsaImpl::Cdsa, host_, *nic2, server_->nic().port(),
-        volume_, impatient);
+        impatient);
     bool ok = true;
     sim::spawn([](dsa::DsaClient &c, bool &out) -> Task<> {
         out = co_await c.connect();
@@ -224,7 +224,7 @@ TEST_F(FaultInjectorTest, DuplicateResponsesAfterRetransmissionIgnored)
                                         host_.memory(), "nic2");
     auto client2 = std::make_unique<dsa::DsaClient>(
         dsa::DsaImpl::Cdsa, host_, *nic2, server_->nic().port(),
-        volume_, eager);
+        eager);
     bool connected = false;
     sim::spawn([](dsa::DsaClient &c, bool &out) -> Task<> {
         out = co_await c.connect();
@@ -263,14 +263,14 @@ runScriptedOutage(uint64_t seed)
 {
     test::SingleNodeRig rig(
         {.seed = seed, .server = test::serverWithCache(4 * util::kMiB)});
-    auto &[sim, fabric, host, server, volume, nic] = rig;
+    auto &[sim, fabric, host, server, nic] = rig;
     FaultInjector injector(sim, fabric);
     dsa::DsaConfig dsa_config;
     dsa_config.retransmit_timeout = sim::msecs(8);
     dsa_config.max_retransmits = 3;
     dsa_config.reconnect_delay = sim::msecs(2);
     dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, *nic,
-                          server->nic().port(), volume, dsa_config);
+                          server->nic().port(), dsa_config);
     injector.setLossRate(0.01);
     injector.scheduleNodeOutage(sim::msecs(10), sim::msecs(45),
                                 *server);
@@ -321,14 +321,14 @@ runScriptedCorruption(uint64_t seed, double corrupt_rate,
 {
     test::SingleNodeRig rig(
         {.seed = seed, .server = test::serverWithCache(4 * util::kMiB)});
-    auto &[sim, fabric, host, server, volume, nic] = rig;
+    auto &[sim, fabric, host, server, nic] = rig;
     FaultInjector injector(sim, fabric);
     dsa::DsaConfig dsa_config;
     dsa_config.retransmit_timeout = sim::msecs(8);
     dsa_config.max_retransmits = 3;
     dsa_config.reconnect_delay = sim::msecs(2);
     dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, *nic,
-                          server->nic().port(), volume, dsa_config);
+                          server->nic().port(), dsa_config);
     if (arm_then_clear) {
         // Fork the lazy corruption RNG, then fully disarm it.
         injector.setCorruptRate(0.5);
@@ -338,7 +338,8 @@ runScriptedCorruption(uint64_t seed, double corrupt_rate,
         injector.setCorruptRate(corrupt_rate);
         // Cold latent damage outside the workload's footprint: the
         // injection itself must be deterministic and inert.
-        injector.injectLatentError(server->disk(0), 128 * 1024, 8192);
+        injector.injectLatentError(server->volume().disk(0), 128 * 1024,
+                                   8192);
     }
     const sim::Addr buffer = host.memory().allocate(8192);
     sim::spawn([](sim::Simulation &s, dsa::DsaClient &c,

@@ -305,7 +305,7 @@ TEST_F(IntegrityTest, LatentErrorDetectedAndRepairedFromMirror)
 
     // Rot the block on replica 0's media, then evict it from that
     // server's cache so a read actually faults it from the disk.
-    bed_->faults().injectLatentError(server(0).disk(0), 0, kIo);
+    bed_->faults().injectLatentError(server(0).volume().disk(0), 0, kIo);
     ASSERT_TRUE(dropFromCache(0, 0));
 
     const disk::StripeVolume *vol0 = &server(0).volume();
@@ -335,7 +335,7 @@ TEST_F(IntegrityTest, TornWriteDetectedAndRepaired)
     // Arm a certain tear on replica 0's disk, write one block
     // through the mirror, disarm. The tear silently corrupts the
     // tail sectors of replica 0's copy; replica 1 stays intact.
-    auto &media = server(0).disk(0);
+    auto &media = server(0).volume().disk(0);
     bed_->faults().setTornWriteRate(media, 1.0);
     const Addr buf = patternBuffer(7);
     ASSERT_TRUE(oneIo(true, 0, buf));
@@ -373,7 +373,7 @@ TEST_F(ScrubberTest, ScrubberRepairsColdDamage)
     // walk can find it. Injected before any I/O — the scrubber
     // starts with the first write and would otherwise finish its
     // bounded passes before the damage exists.
-    bed_->faults().injectLatentError(server(1).disk(1), 0, kIo);
+    bed_->faults().injectLatentError(server(1).volume().disk(1), 0, kIo);
     const disk::StripeVolume *vol1 = &server(1).volume();
     ASSERT_TRUE(vol1->corrupt(64 * util::kKiB, kIo));
 

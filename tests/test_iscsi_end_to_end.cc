@@ -183,7 +183,7 @@ TEST_F(IscsiEndToEnd, LatentMediaError)
     // initiator's buffer as Good data.
     const Addr wbuf = patternBuffer(kIo, 9);
     ASSERT_TRUE(runIo(true, 0, kIo, wbuf));
-    target_->disk(0).store().markCorrupt(0, kIo);
+    target_->volume().disk(0).store().markCorrupt(0, kIo);
 
     const Addr rbuf = host_.memory().allocate(kIo);
     EXPECT_FALSE(runIo(false, 0, kIo, rbuf));

@@ -6,10 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "dsa/local_backend.hh"
 #include "osmodel/node.hh"
 #include "sim/simulation.hh"
@@ -27,26 +23,16 @@ class LocalBackendTestFixture : public ::testing::Test
   protected:
     LocalBackendTestFixture()
         : sim_(9),
-          host_(sim_, osmodel::NodeConfig{.name = "db", .cpus = 4})
-    {
-        std::vector<disk::Disk *> spindles;
-        for (int i = 0; i < 4; ++i) {
-            std::string name("d");
-            name.append(std::to_string(i));
-            disks_.push_back(std::make_unique<disk::Disk>(
-                sim_, disk::DiskSpec::scsi10k(), sim_.forkRng(), name));
-            spindles.push_back(disks_.back().get());
-        }
-        volume_ = std::make_unique<disk::StripeVolume>(spindles,
-                                                       64 * 1024);
-        local_ = std::make_unique<LocalBackend>(host_, *volume_);
-    }
+          host_(sim_, osmodel::NodeConfig{.name = "db", .cpus = 4}),
+          volume_(sim_, disk::DiskSpec::scsi10k(), 4, "d", false,
+                  64 * 1024),
+          local_(host_, volume_)
+    {}
 
     sim::Simulation sim_;
     osmodel::Node host_;
-    std::vector<std::unique_ptr<disk::Disk>> disks_;
-    std::unique_ptr<disk::StripeVolume> volume_;
-    std::unique_ptr<LocalBackend> local_;
+    disk::StripeVolume volume_;
+    LocalBackend local_;
 };
 
 TEST_F(LocalBackendTestFixture, LatencyDominatedByDisk)
@@ -56,12 +42,12 @@ TEST_F(LocalBackendTestFixture, LatencyDominatedByDisk)
         for (int i = 0; i < 50; ++i)
             co_await dev.read(static_cast<uint64_t>(i) * 999424,
                               8192, b);
-    }(*local_, buf));
+    }(local_, buf));
     sim_.run();
     // Random-ish 8K reads: milliseconds, not microseconds.
-    EXPECT_GT(local_->latency().mean(), 1e6);
-    EXPECT_LT(local_->latency().mean(), 20e6);
-    EXPECT_EQ(local_->ioCount(), 50u);
+    EXPECT_GT(local_.latency().mean(), 1e6);
+    EXPECT_LT(local_.latency().mean(), 20e6);
+    EXPECT_EQ(local_.ioCount(), 50u);
 }
 
 TEST_F(LocalBackendTestFixture, InterruptCoalescingUnderConcurrency)
@@ -75,8 +61,8 @@ TEST_F(LocalBackendTestFixture, InterruptCoalescingUnderConcurrency)
     fast.full_stroke_seek = sim::usecs(2);
     fast.media_rate_bps = 1e9;
     fast.controller_overhead = sim::usecs(2);
-    disk::Disk disk(sim_, fast, sim_.forkRng(), "fast");
-    disk::StripeVolume volume({&disk}, fast.capacity_bytes);
+    disk::StripeVolume volume(sim_, fast, 1, "fast", false,
+                              fast.capacity_bytes);
     LocalBackend fast_local(host_, volume);
 
     const int kIos = 64;
@@ -102,7 +88,7 @@ TEST_F(LocalBackendTestFixture, KernelPathCostsPerIo)
     const Addr buf = host_.memory().allocate(8192);
     sim::spawn([](LocalBackend &dev, Addr b) -> Task<> {
         co_await dev.read(0, 8192, b);
-    }(*local_, buf));
+    }(local_, buf));
     sim_.run();
     // One I/O: syscall + IRP both ways + pin/unpin + HBA + interrupt
     // + context switch — tens of microseconds of host CPU.
@@ -131,7 +117,7 @@ TEST_F(LocalBackendTestFixture, StripedParallelismAcrossSpindles)
             co_await dev.read(static_cast<uint64_t>(id) * 65536,
                               8192, buf);
             g.done();
-        }(*local_, host_, i, group));
+        }(local_, host_, i, group));
     }
     sim::spawn([](sim::Simulation &s, sim::WaitGroup &g,
                   sim::Tick begin, sim::Tick &out) -> Task<> {
@@ -140,12 +126,10 @@ TEST_F(LocalBackendTestFixture, StripedParallelismAcrossSpindles)
     }(sim_, group, start, elapsed));
     sim_.run();
 
-    const double mean_service =
-        (disks_[0]->serviceStats().sum() +
-         disks_[1]->serviceStats().sum() +
-         disks_[2]->serviceStats().sum() +
-         disks_[3]->serviceStats().sum()) /
-        16.0;
+    double service_sum = 0;
+    for (size_t i = 0; i < volume_.diskCount(); ++i)
+        service_sum += volume_.disk(i).serviceStats().sum();
+    const double mean_service = service_sum / 16.0;
     // Wall time well under 16 serialized services.
     EXPECT_LT(static_cast<double>(elapsed), 10 * mean_service);
 }
@@ -156,7 +140,7 @@ TEST_F(LocalBackendTestFixture, FailedMechanismReportsFalse)
     bool ok = true;
     sim::spawn([](LocalBackend &dev, Addr b, bool &out) -> Task<> {
         out = co_await dev.read(dev.capacity() + 4096, 8192, b);
-    }(*local_, buf, ok));
+    }(local_, buf, ok));
     sim_.run();
     EXPECT_FALSE(ok);
 }

@@ -52,8 +52,7 @@ class MultiClientTest : public ::testing::Test
             sim_, fabric_, hosts_.back()->memory(),
             hosts_.back()->name() + ".nic"));
         clients_.push_back(std::make_unique<dsa::DsaClient>(
-            impl, *hosts_.back(), *nics_.back(),
-            server_->nic().port(), volume_));
+            impl, *hosts_.back(), *nics_.back(), server_->nic().port()));
         dsa::DsaClient &client = *clients_.back();
         bool ok = false;
         sim::spawn([](dsa::DsaClient &c, bool &out) -> Task<> {
@@ -69,7 +68,6 @@ class MultiClientTest : public ::testing::Test
     sim::Simulation sim_;
     net::Fabric fabric_;
     std::unique_ptr<storage::V3Server> server_;
-    uint32_t volume_ = 0;
     std::vector<std::unique_ptr<osmodel::Node>> hosts_;
     std::vector<std::unique_ptr<vi::ViNic>> nics_;
     std::vector<std::unique_ptr<dsa::DsaClient>> clients_;

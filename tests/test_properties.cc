@@ -35,9 +35,8 @@ TEST_P(RoundTripProperty, DataSurvivesWriteReadCycle)
     test::SingleNodeRig rig(
         {.seed = 1234 + size,
          .server = test::serverWithCache(8 * util::kMiB, 3)});
-    auto &[sim, fabric, host, server, volume, nic] = rig;
-    dsa::DsaClient client(impl, host, *nic, server->nic().port(),
-                          volume);
+    auto &[sim, fabric, host, server, nic] = rig;
+    dsa::DsaClient client(impl, host, *nic, server->nic().port());
 
     const sim::Addr wbuf = host.memory().allocate(size);
     const sim::Addr rbuf = host.memory().allocate(size);
@@ -103,9 +102,9 @@ TEST(Determinism, SameSeedSameEventCount)
             {.seed = seed,
              .server = test::serverWithCache(util::kMiB),
              .host = {.name = "db", .cpus = 2}});
-        auto &[sim, fabric, host, server, volume, nic] = rig;
+        auto &[sim, fabric, host, server, nic] = rig;
         dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, *nic,
-                              server->nic().port(), volume);
+                              server->nic().port());
         const sim::Addr buf = host.memory().allocate(8192);
         sim::spawn([](dsa::DsaClient &c, sim::Addr b,
                       sim::Simulation &s) -> sim::Task<> {
@@ -131,9 +130,9 @@ TEST(Conservation, ServerCountsMatchClientCounts)
 {
     test::SingleNodeRig rig(
         {.seed = 5, .server = test::serverWithCache(4 * util::kMiB)});
-    auto &[sim, fabric, host, server, volume, nic] = rig;
+    auto &[sim, fabric, host, server, nic] = rig;
     dsa::DsaClient client(dsa::DsaImpl::Kdsa, host, *nic,
-                          server->nic().port(), volume);
+                          server->nic().port());
     const sim::Addr buf = host.memory().allocate(8192);
 
     int reads = 0, writes = 0;

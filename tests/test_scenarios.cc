@@ -34,7 +34,7 @@ TEST(Testbed, AssemblesV3Platform)
         // 4 nodes x 15 disks.
         size_t disks = 0;
         for (auto &server : testbed.servers())
-            disks += server->diskCount();
+            disks += server->volume().diskCount();
         EXPECT_EQ(disks, 60u);
 
         const bool cluster = layout == Layout::Cluster;
@@ -62,6 +62,13 @@ TEST(Testbed, AssemblesLocalPlatform)
     EXPECT_EQ(testbed.sessions().size(), 1u);
     EXPECT_TRUE(testbed.clients().empty());
     EXPECT_TRUE(testbed.servers().empty());
+    // 32 disks "local.d<i>" striped in whole 64 KiB units.
+    const uint64_t unit = 64 * util::kKiB;
+    EXPECT_EQ(testbed.device().capacity(),
+              32 * (storage.disk_spec.capacity_bytes / unit) * unit);
+    const sim::MetricRegistry &registry = testbed.sim().metrics();
+    EXPECT_TRUE(registry.contains("disk.local.d31.completed"));
+    EXPECT_FALSE(registry.contains("disk.local.d32.completed"));
 }
 
 #ifndef NDEBUG // the layout check is an assert

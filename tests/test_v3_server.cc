@@ -35,8 +35,7 @@ class V3ServerTest : public ::testing::Test, public test::SingleNodeRig
                                   .phantom_memory = phantom_host}})
     {
         client_ = std::make_unique<dsa::DsaClient>(
-            dsa::DsaImpl::Cdsa, host_, *nic_,
-            server_->nic().port(), volume_);
+            dsa::DsaImpl::Cdsa, host_, *nic_, server_->nic().port());
         sim::spawn([](dsa::DsaClient &c) -> Task<> {
             co_await c.connect();
         }(*client_));

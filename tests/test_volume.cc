@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "disk/volume.hh"
@@ -26,12 +24,6 @@ class VolumeTest : public ::testing::Test
   protected:
     VolumeTest() : sim_(17)
     {
-        for (int i = 0; i < 4; ++i) {
-            std::string name("d");
-            name.append(std::to_string(i));
-            disks_.push_back(std::make_unique<Disk>(
-                sim_, DiskSpec::scsi10k(), sim_.forkRng(), name));
-        }
         buf_ = mem_.allocate(kBufLen);
         out_ = mem_.allocate(kBufLen);
         pattern_.resize(kBufLen);
@@ -40,23 +32,22 @@ class VolumeTest : public ::testing::Test
         mem_.write(buf_, pattern_.data(), kBufLen);
     }
 
-    /** The first @p n disks. */
-    std::vector<Disk *>
-    disks(int n)
+    /** @p n SCSI 10K disks "d<i>" striped in 64 KiB units. */
+    StripeVolume
+    stripe(int n)
     {
-        std::vector<Disk *> v;
-        for (int i = 0; i < n; ++i)
-            v.push_back(disks_[static_cast<size_t>(i)].get());
-        return v;
+        return StripeVolume(sim_, DiskSpec::scsi10k(), n, "d", false,
+                            64 * 1024);
     }
 
-    /** Disk @p i alone, as a one-disk stripe whose unit is the whole
-     *  disk, so no I/O splits. */
+    /** One disk as a one-disk stripe whose unit is the whole disk, so
+     *  no I/O splits. */
     StripeVolume
-    oneDisk(size_t i)
+    oneDisk()
     {
-        return StripeVolume({disks_[i].get()},
-                            disks_[i]->spec().capacity_bytes);
+        const DiskSpec spec = DiskSpec::scsi10k();
+        return StripeVolume(sim_, spec, 1, "single", false,
+                            spec.capacity_bytes);
     }
 
     /** Simulated time one write of [offset, offset+len) takes. */
@@ -96,20 +87,19 @@ class VolumeTest : public ::testing::Test
 
     sim::Simulation sim_;
     sim::MemorySpace mem_;
-    std::vector<std::unique_ptr<Disk>> disks_;
     sim::Addr buf_, out_;
     std::vector<uint8_t> pattern_;
 };
 
 TEST_F(VolumeTest, SingleDiskRoundTrip)
 {
-    StripeVolume single = oneDisk(0);
+    StripeVolume single = oneDisk();
     roundTrip(single, 8192, 8192);
 }
 
 TEST_F(VolumeTest, SingleDiskRejectsOutOfRange)
 {
-    StripeVolume single = oneDisk(0);
+    StripeVolume single = oneDisk();
     bool ok = true;
     sim::spawn([](StripeVolume &v, sim::MemorySpace &mem, sim::Addr buf,
                   bool &result) -> Task<> {
@@ -121,26 +111,26 @@ TEST_F(VolumeTest, SingleDiskRejectsOutOfRange)
 
 TEST_F(VolumeTest, StripeDistributesAcrossDisks)
 {
-    StripeVolume stripe(disks(4), 64 * 1024);
-    roundTrip(stripe, 0, 256 * 1024); // exactly one unit per disk
-    for (const auto &disk : disks_)
-        EXPECT_EQ(disk->completedCount(), 2u); // 1 write + 1 read
+    StripeVolume four = stripe(4);
+    roundTrip(four, 0, 256 * 1024); // exactly one unit per disk
+    for (size_t i = 0; i < four.diskCount(); ++i)
+        EXPECT_EQ(four.disk(i).completedCount(), 2u); // 1 write + 1 read
 }
 
 TEST_F(VolumeTest, StripeParallelismBeatsSingleDisk)
 {
     // 256K across 4 disks in parallel vs 256K on one disk.
-    StripeVolume stripe(disks(4), 64 * 1024);
-    StripeVolume single = oneDisk(3);
-    const Tick striped_time = writeTime(stripe, 0, 256 * 1024);
+    StripeVolume four = stripe(4);
+    StripeVolume single = oneDisk();
+    const Tick striped_time = writeTime(four, 0, 256 * 1024);
     EXPECT_LT(striped_time, writeTime(single, 0, 256 * 1024));
 }
 
 TEST_F(VolumeTest, StripeUnalignedSpanRoundTrip)
 {
-    StripeVolume stripe(disks(3), 64 * 1024);
+    StripeVolume three = stripe(3);
     // Start mid-unit, cross several units.
-    roundTrip(stripe, 32 * 1024 + 512, 150 * 1024);
+    roundTrip(three, 32 * 1024 + 512, 150 * 1024);
 }
 
 } // namespace
