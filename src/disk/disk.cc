@@ -335,7 +335,7 @@ Disk::startNext()
     head_pos_ = cmd.offset + cmd.len;
     service_stats_.add(static_cast<double>(service));
 
-    sim_.queue().schedule(service, [this, cmd = std::move(cmd)] {
+    auto complete = [this, cmd = std::move(cmd)] {
         latency_stats_.add(
             static_cast<double>(sim_.now() - cmd.enqueued));
         completed_.increment();
@@ -347,7 +347,9 @@ Disk::startNext()
         // work this tick; it precedes the pick too.
         scheduleStart();
         cmd.done();
-    });
+    };
+    static_assert(sim::EventFn::storesInline<decltype(complete)>());
+    sim_.queue().schedule(service, std::move(complete));
 }
 
 double

@@ -72,19 +72,18 @@ Fabric::send(Packet packet, std::function<void()> on_wire)
             order_key);
         return;
     }
-    src.tx->submit(
-        serialization,
-        [this, packet = std::move(packet),
-         on_wire = std::move(on_wire)]() mutable {
-            if (on_wire)
-                on_wire();
-            queue_.schedule(config_.propagation,
-                            [this, packet = std::move(packet)]()
-                                mutable {
-                                deliver(std::move(packet));
-                            });
-        },
-        order_key);
+    auto on_serialized = [this, packet = std::move(packet),
+                          on_wire = std::move(on_wire)]() mutable {
+        if (on_wire)
+            on_wire();
+        auto arrive = [this, packet = std::move(packet)]() mutable {
+            deliver(std::move(packet));
+        };
+        static_assert(sim::EventFn::storesInline<decltype(arrive)>());
+        queue_.schedule(config_.propagation, std::move(arrive));
+    };
+    static_assert(sim::EventFn::storesInline<decltype(on_serialized)>());
+    src.tx->submit(serialization, std::move(on_serialized), order_key);
 }
 
 void

@@ -46,12 +46,17 @@ using PortId = uint32_t;
 
 constexpr PortId kInvalidPort = UINT32_MAX;
 
-/** One message in flight: routing metadata plus an opaque payload. */
+/** One message in flight: routing metadata plus an opaque payload.
+ *  40 bytes: the per-packet callbacks of ViNic::transmit and
+ *  Fabric::send capture one beside a `std::function`, and
+ *  static_assert that the pair still fits EventFn's inline buffer. */
 struct Packet
 {
     PortId src = kInvalidPort;
     PortId dst = kInvalidPort;
-    uint64_t wire_bytes = 0;
+    /** Bytes on the wire: one VI fragment (at most the cLan's 64 KiB
+     *  packet) or one TCP segment, plus headers. */
+    uint32_t wire_bytes = 0;
     /**
      * Fault injection: the packet's payload was damaged in flight.
      * The fabric delivers it anyway — the link-level CRC that would

@@ -253,7 +253,7 @@ TcpStream::sendSegment(uint64_t seq, Work *work)
         seg->msg_bytes = msg.bytes;
         seg->msg_payload = msg.payload;
     }
-    uint64_t wire = seg->payload_bytes + config_.header_bytes;
+    const uint32_t wire = seg->payload_bytes + config_.header_bytes;
     if (seq < max_sent_)
         retransmits_.increment();
     else

@@ -10,6 +10,10 @@
  * identical either way. Dispatch goes through a per-type static ops
  * table (invoke/relocate/destroy) instead of a vtable so the holder
  * stays a POD-sized struct that pool-allocated events can embed.
+ * Owners that pool their holders (EventQueue's events, ServerPool's
+ * jobs) build the callable straight into the pooled holder with
+ * emplace(), so it is never relocated on the way in; hot call sites
+ * static_assert storesInline() on their capture type.
  */
 
 #ifndef V3SIM_SIM_EVENT_FN_HH
@@ -27,29 +31,13 @@ namespace v3sim::sim
 class EventFn
 {
   public:
-    /** Inline capture budget: fits a `this` pointer plus a command
-     *  struct holding a `std::function` completion (the disk's
-     *  service-done callback, the largest hot-path capture), and
-     *  keeps the pooled Event at two cache lines. */
+    /** Inline capture budget: fits a `this` pointer, a 40-byte
+     *  net::Packet and a `std::function` (the per-packet captures of
+     *  ViNic::transmit and Fabric::send, the largest hot-path
+     *  captures), and keeps the pooled Event at two cache lines. */
     static constexpr size_t kInlineBytes = 80;
 
     EventFn() noexcept = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventFn>>>
-    EventFn(F &&fn) // NOLINT(google-explicit-constructor)
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-            ops_ = inlineOps<Fn>();
-        } else {
-            ::new (static_cast<void *>(buf_))
-                Fn *(new Fn(std::forward<F>(fn)));
-            ops_ = boxedOps<Fn>();
-        }
-    }
 
     EventFn(EventFn &&other) noexcept { moveFrom(other); }
 
@@ -84,6 +72,36 @@ class EventFn
             ops_->destroy(buf_);
             ops_ = nullptr;
         }
+    }
+
+    /** Replaces the held callable with @p fn, built in this holder's
+     *  own storage: the only way a callable gets in, so an owner that
+     *  pools its holders never relocates one on the way in. */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        reset();
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>()) {
+            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
+            ops_ = inlineOps<Fn>();
+        } else {
+            ::new (static_cast<void *>(buf_))
+                Fn *(new Fn(std::forward<F>(fn)));
+            ops_ = boxedOps<Fn>();
+        }
+    }
+
+    /** Whether a callable of type @p F is held in the inline buffer
+     *  (no heap box). Hot call sites static_assert it on their
+     *  capture type, so a capture that grows past kInlineBytes fails
+     *  the build instead of allocating on every event. */
+    template <typename F>
+    static constexpr bool
+    storesInline()
+    {
+        return fitsInline<std::decay_t<F>>();
     }
 
   private:

@@ -1,7 +1,6 @@
 #include "event_queue.hh"
 
 #include <algorithm>
-#include <utility>
 
 namespace v3sim::sim
 {
@@ -34,20 +33,15 @@ EventQueue::tieRank(Tick when, uint64_t seq) const
     return mix64(tie_seed_ ^ seq) >> 1;
 }
 
-EventQueue::Event *
-EventQueue::allocEvent()
+void
+EventQueue::growPool()
 {
-    if (free_events_ == nullptr) {
-        pool_.emplace_back(new Event[kPoolChunk]);
-        Event *chunk = pool_.back().get();
-        for (size_t i = 0; i < kPoolChunk; ++i) {
-            chunk[i].next = free_events_;
-            free_events_ = &chunk[i];
-        }
+    pool_.emplace_back(new Event[kPoolChunk]);
+    Event *chunk = pool_.back().get();
+    for (size_t i = 0; i < kPoolChunk; ++i) {
+        chunk[i].next = free_events_;
+        free_events_ = &chunk[i];
     }
-    Event *event = free_events_;
-    free_events_ = event->next;
-    return event;
 }
 
 void
@@ -91,15 +85,18 @@ EventQueue::place(Event *event)
         static_cast<uint64_t>(event->when) >> kBucketShift;
     if (event->when < bottomLimit()) {
         // Sorted insert (descending; earliest at the back). New
-        // arrivals here are same-tick or near-past events, which land
-        // close to the back — short memmoves on a flat key array beat
-        // a heap sift's scattered dereferences.
+        // arrivals here are same-tick or near-future events, which
+        // land a few slots from the back, so insertion from the back
+        // moves a handful of flat keys and compares nothing else.
         const BottomItem item{event->when, event->tie, event->seq,
                               event};
-        bottom_.insert(std::lower_bound(bottom_.begin(),
-                                        bottom_.end(), item,
-                                        LaterItem{}),
-                       item);
+        bottom_.push_back(item);
+        auto slot = bottom_.end() - 1;
+        while (slot != bottom_.begin() && LaterItem{}(item, slot[-1])) {
+            *slot = slot[-1];
+            --slot;
+        }
+        *slot = item;
     } else if (bucket < windowEnd()) {
         Event *&head = buckets_[bucket & (kBucketCount - 1)];
         event->next = head;
@@ -114,65 +111,38 @@ EventQueue::place(Event *event)
 }
 
 void
-EventQueue::insertNew(Tick when, uint64_t tie, uint64_t seq,
-                      EventFn fn, uint32_t control)
+EventQueue::enqueue(Event *event, Tick when, uint32_t control)
 {
-    Event *event = allocEvent();
+    if (when < now_)
+        when = now_;
+    const uint64_t seq = next_seq_++;
     event->when = when;
-    event->tie = tie;
+    event->tie = tieRank(when, seq);
     event->seq = seq;
     event->next = nullptr;
     event->control = control;
-    event->fn = std::move(fn);
     place(event);
     ++pending_;
 }
 
 void
-EventQueue::schedule(Tick delay, EventFn fn)
+EventQueue::enqueueFinal(Event *event)
 {
-    if (delay < 0)
-        delay = 0;
-    scheduleAt(now_ + delay, std::move(fn));
-}
-
-void
-EventQueue::scheduleAt(Tick when, EventFn fn)
-{
-    if (when < now_)
-        when = now_;
-    const uint64_t seq = next_seq_++;
-    insertNew(when, tieRank(when, seq), seq, std::move(fn),
-              kNoControl);
-}
-
-void
-EventQueue::scheduleFinal(EventFn fn)
-{
-    const uint64_t seq = next_seq_++;
-    // The final band tops both the hashed ranks (< 2^63) and the
-    // zero-delay sequenced band (2^63 | seq), in shuffle and FIFO
-    // modes alike, so final events always close out their tick.
-    insertNew(now_, kFinalBase | seq, seq, std::move(fn), kNoControl);
-}
-
-EventQueue::Handle
-EventQueue::scheduleCancelable(Tick delay, EventFn fn)
-{
-    if (delay < 0)
-        delay = 0;
-    return scheduleAtCancelable(now_ + delay, std::move(fn));
-}
-
-EventQueue::Handle
-EventQueue::scheduleAtCancelable(Tick when, EventFn fn)
-{
-    if (when < now_)
-        when = now_;
-    const uint32_t slot = allocControl();
-    const uint64_t seq = next_seq_++;
-    insertNew(when, tieRank(when, seq), seq, std::move(fn), slot);
-    return Handle(this, slot, controls_[slot].gen);
+    // A final event follows every regular event of its tick (any tie
+    // rank, shuffled or not) and the final events queued before it;
+    // the FIFO is that order. It draws a seq like any event, so later
+    // events' seqs, and their tie-shuffle hashes, do not depend on
+    // which band an earlier event took.
+    ++next_seq_;
+    event->when = now_;
+    event->next = nullptr;
+    event->control = kNoControl;
+    if (final_tail_ != nullptr)
+        final_tail_->next = event;
+    else
+        final_head_ = event;
+    final_tail_ = event;
+    ++pending_;
 }
 
 void
@@ -204,8 +174,12 @@ EventQueue::advance()
 {
     if (!bottom_.empty())
         return true;
+    // Ring and overflow events lie at or past bottomLimit(); below it
+    // the final band's head has no regular event left to wait for.
+    if (final_head_ != nullptr && final_head_->when < bottomLimit())
+        return true;
     if (in_buckets_ == 0 && overflow_.empty())
-        return false;
+        return final_head_ != nullptr;
     const uint64_t overflow_min =
         overflow_.empty()
             ? UINT64_MAX
@@ -251,8 +225,16 @@ EventQueue::advance()
 void
 EventQueue::fireNext()
 {
-    Event *event = bottom_.back().event;
-    bottom_.pop_back();
+    Event *event;
+    if (finalNext()) {
+        event = final_head_;
+        final_head_ = event->next;
+        if (final_head_ == nullptr)
+            final_tail_ = nullptr;
+    } else {
+        event = bottom_.back().event;
+        bottom_.pop_back();
+    }
     --pending_;
     now_ = event->when;
     // Counted before the cancellation check so the tally is a pure
@@ -289,7 +271,7 @@ size_t
 EventQueue::runUntil(Tick until)
 {
     size_t fired = 0;
-    while (advance() && bottom_.back().when <= until) {
+    while (advance() && nextWhen() <= until) {
         fireNext();
         ++fired;
     }

@@ -12,23 +12,27 @@
  *  - a small sorted "bottom" region of events below the drained-
  *    bucket horizon (the events that can still fire before the next
  *    bucket is touched); sorted once per bucket melt, popped from
- *    the back,
+ *    the back, with mid-drain arrivals placed by insertion from the
+ *    back,
  *  - a ring of fixed-width buckets (unsorted intrusive lists)
  *    covering the near future; a bucket is sorted only when it
  *    becomes the next to fire, by melting it into the bottom heap,
  *  - an overflow min-heap for events beyond the bucket window,
- *    pulled into buckets when the window rebases past them.
+ *    pulled into buckets when the window rebases past them,
+ *  - beside them, the final band: an intrusive FIFO of the current
+ *    tick's scheduleFinal() events, each fired once no regular event
+ *    is left at its tick.
  *
  * Every region orders (or defers ordering of) events by the same
  * (when, tie, seq) key and region boundaries are pure functions of
  * `when`, so the queue pops the exact sequence the single heap did —
  * see DESIGN.md §10 for the invariants. Events themselves are
  * pool-allocated and intrusive (the bucket link lives in the event),
- * and callbacks are stored inline via sim::EventFn, so the
- * `schedule()` fast path performs no allocation at all once the pool
- * is warm. Cancellation handles are opt-in (`scheduleCancelable`)
- * and use generation-counted slots instead of shared_ptr control
- * blocks.
+ * and callbacks are built inside the pooled event via sim::EventFn,
+ * so the `schedule()` fast path performs no allocation and no
+ * callback relocation once the pool is warm. Cancellation handles
+ * are opt-in (`scheduleCancelable`) and use generation-counted slots
+ * instead of shared_ptr control blocks.
  *
  * Tie-shuffle debug mode (DESIGN.md §8): setTieShuffle(seed)
  * randomizes the ordering of *independently scheduled* events that
@@ -49,6 +53,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_fn.hh"
@@ -121,11 +126,23 @@ class EventQueue
      * slot, and — for callables within EventFn's inline budget — no
      * allocation.
      */
-    void schedule(Tick delay, EventFn fn);
+    template <typename F>
+    void
+    schedule(Tick delay, F &&fn)
+    {
+        scheduleAt(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
+    }
 
     /** Schedules @p fn at absolute time @p when (>= now, else
      *  clamped). Fire-and-forget, like schedule(). */
-    void scheduleAt(Tick when, EventFn fn);
+    template <typename F>
+    void
+    scheduleAt(Tick when, F &&fn)
+    {
+        Event *event = allocEvent();
+        event->fn.emplace(std::forward<F>(fn));
+        enqueue(event, when, kNoControl);
+    }
 
     /**
      * Schedules @p fn in the current tick's *final band*: it fires
@@ -142,7 +159,14 @@ class EventQueue
      * rather than of their (unspecified, tie-shuffled) arrival order.
      * See DESIGN.md §8.3.
      */
-    void scheduleFinal(EventFn fn);
+    template <typename F>
+    void
+    scheduleFinal(F &&fn)
+    {
+        Event *event = allocEvent();
+        event->fn.emplace(std::forward<F>(fn));
+        enqueueFinal(event);
+    }
 
     /**
      * Awaitable form of scheduleFinal(): resumes the coroutine in the
@@ -175,10 +199,25 @@ class EventQueue
 
     /** Like schedule(), but returns a cancellation Handle (this is
      *  the only path that touches a control slot). */
-    Handle scheduleCancelable(Tick delay, EventFn fn);
+    template <typename F>
+    Handle
+    scheduleCancelable(Tick delay, F &&fn)
+    {
+        return scheduleAtCancelable(now_ + (delay < 0 ? 0 : delay),
+                                    std::forward<F>(fn));
+    }
 
     /** Like scheduleAt(), but returns a cancellation Handle. */
-    Handle scheduleAtCancelable(Tick when, EventFn fn);
+    template <typename F>
+    Handle
+    scheduleAtCancelable(Tick when, F &&fn)
+    {
+        Event *event = allocEvent();
+        event->fn.emplace(std::forward<F>(fn));
+        const uint32_t slot = allocControl();
+        enqueue(event, when, slot);
+        return Handle(this, slot, controls_[slot].gen);
+    }
 
     /** Number of events scheduled but not yet fired or cancelled. */
     size_t pendingCount() const { return pending_; }
@@ -248,10 +287,11 @@ class EventQueue
         Tick when;
         /** Same-tick rank: FIFO sequence number, or a seed-derived
          *  hash under tie-shuffle (always < 2^63 for hashed ranks,
-         *  >= 2^63 for zero-delay events so they stay last). */
+         *  >= 2^63 for zero-delay events so they stay last). Unset
+         *  (like seq) for final events: the final band orders them. */
         uint64_t tie;
         uint64_t seq;
-        /** Bucket chain / free-list link. */
+        /** Bucket chain / final band / free-list link. */
         Event *next;
         /** Index into controls_, or kNoControl (fast path). */
         uint32_t control;
@@ -271,11 +311,12 @@ class EventQueue
     static constexpr uint32_t kNoControl = UINT32_MAX;
 
     /** Bucket geometry: 8192 buckets x 8.192us ≈ a 67ms window. Wide
-     *  enough that transaction think times and retransmit/poll
-     *  timeouts land directly in the ring; only failure injections
-     *  and end-of-run timers pay the overflow-heap double transit.
-     *  (The ring is 64KiB of pointers — still cache-friendly because
-     *  the melt scan only touches the populated stretch.) */
+     *  enough that service times, wire delays and poll intervals land
+     *  directly in the ring. Timers longer than the window pay the
+     *  overflow-heap double transit: DSA's 500 ms retransmit timeout
+     *  does so for every I/O, as do failure injections and end-of-run
+     *  timers. (The ring is 64KiB of pointers — still cache-friendly
+     *  because the melt scan only touches the populated stretch.) */
     static constexpr int kBucketShift = 13;
     static constexpr Tick kBucketWidth = Tick(1) << kBucketShift;
     static constexpr size_t kBucketCount = size_t(1) << 13;
@@ -283,9 +324,9 @@ class EventQueue
     /** Events per pool chunk. */
     static constexpr size_t kPoolChunk = 256;
 
-    /** Tie-rank band bases (see tie-shuffle model above). */
+    /** Tie rank of zero-delay events under tie-shuffle: above every
+     *  hashed rank (see the tie-shuffle model above). */
     static constexpr uint64_t kSequencedBase = 1ULL << 63;
-    static constexpr uint64_t kFinalBase = 3ULL << 62;
 
     /** Bottom/overflow element: the sort key copied out of the
      *  event, so melt sorts, sorted inserts and heap sifts compare
@@ -333,15 +374,29 @@ class EventQueue
 
     uint64_t tieRank(Tick when, uint64_t seq) const;
 
-    Event *allocEvent();
+    /** Pops a pooled event; its callback is empty. */
+    Event *
+    allocEvent()
+    {
+        if (free_events_ == nullptr)
+            growPool();
+        Event *event = free_events_;
+        free_events_ = event->next;
+        return event;
+    }
+
+    void growPool();
     void releaseEvent(Event *event);
     uint32_t allocControl();
     /** Frees the slot and bumps its generation; returns whether the
      *  event had been cancelled. */
     bool releaseControl(uint32_t slot);
 
-    void insertNew(Tick when, uint64_t tie, uint64_t seq, EventFn fn,
-                   uint32_t control);
+    /** Stamps @p event (callback already built) with its time, seq
+     *  and tie rank, and places it. */
+    void enqueue(Event *event, Tick when, uint32_t control);
+    /** Appends @p event to the final band at now(). */
+    void enqueueFinal(Event *event);
     /** Region dispatch: bottom heap / bucket ring / overflow. */
     void place(Event *event);
     /** Moves overflow events with bucket index <= @p limit into the
@@ -349,9 +404,28 @@ class EventQueue
      *  minimum, so far-future events stay in the compact heap until
      *  they are actually due. */
     void pullFromOverflow(uint64_t limit);
-    /** Ensures bottom_ holds the global minimum (melting buckets and
-     *  pulling overflow as needed). @return false iff no events. */
+    /** Ensures the next event to fire is reachable: bottom_ holds the
+     *  regular minimum whenever a regular event could precede or
+     *  share the final band's tick (melting buckets and pulling
+     *  overflow as needed). @return false iff no events. */
     bool advance();
+
+    /** True when the final band's head fires next: no regular event
+     *  is left at its tick. Precondition: advance(). */
+    bool
+    finalNext() const
+    {
+        return final_head_ != nullptr &&
+               (bottom_.empty() || bottom_.back().when > final_head_->when);
+    }
+
+    /** Tick of the next event to fire. Precondition: advance(). */
+    Tick
+    nextWhen() const
+    {
+        return finalNext() ? final_head_->when : bottom_.back().when;
+    }
+
     /** Pops and fires the next event. Precondition: advance(). */
     void fireNext();
 
@@ -389,6 +463,11 @@ class EventQueue
     /** Far region: min-heap of events at/after the window end.
      *  Keys are inlined (BottomItem) so heap sifts compare locally. */
     std::vector<BottomItem> overflow_;
+    /** Final band: scheduleFinal() events in seq order, linked
+     *  through Event::next. All share one tick (now() when they were
+     *  scheduled): time cannot pass a pending final event. */
+    Event *final_head_ = nullptr;
+    Event *final_tail_ = nullptr;
 
     Tick now_ = 0;
     uint64_t next_seq_ = 0;

@@ -35,14 +35,12 @@ ServerPool::releaseJob(Job *job)
 }
 
 void
-ServerPool::submit(Tick service, EventFn done, uint64_t order_key)
+ServerPool::enqueue(Job *job, Tick service, uint64_t order_key)
 {
-    Job *job = allocJob();
     job->service = service;
     job->enqueued = queue_.now();
     job->order_key = order_key;
     job->seq = next_seq_++;
-    job->done = std::move(done);
     // Never start in submission order: same-tick submissions race
     // (DESIGN.md §8.3). Gather them and admit in the final band,
     // ordered by (order_key, seq).
@@ -78,7 +76,9 @@ ServerPool::startJob(Job *job)
     ++busy_;
     busy_integral_.set(queue_.now(), static_cast<double>(busy_));
     wait_stats_.add(static_cast<double>(queue_.now() - job->enqueued));
-    queue_.schedule(job->service, [this, job] { onJobDone(job); });
+    auto complete = [this, job] { onJobDone(job); };
+    static_assert(EventFn::storesInline<decltype(complete)>());
+    queue_.schedule(job->service, complete);
 }
 
 void

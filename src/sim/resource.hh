@@ -29,6 +29,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -55,9 +56,17 @@ class ServerPool
     /**
      * Enqueues a job; @p done fires when its service completes. The
      * job starts in this tick's final band at the earliest; same-tick
-     * submissions are ordered by @p order_key, then submission.
+     * submissions are ordered by @p order_key, then submission. The
+     * callable is built inside the pooled job.
      */
-    void submit(Tick service, EventFn done, uint64_t order_key = 0);
+    template <typename F>
+    void
+    submit(Tick service, F &&done, uint64_t order_key = 0)
+    {
+        Job *job = allocJob();
+        job->done.emplace(std::forward<F>(done));
+        enqueue(job, service, order_key);
+    }
 
     /** Awaitable submission: co_await pool.use(service). */
     auto
@@ -114,6 +123,7 @@ class ServerPool
 
     Job *allocJob();
     void releaseJob(Job *job);
+    void enqueue(Job *job, Tick service, uint64_t order_key);
     void startJob(Job *job);
     void onJobDone(Job *job);
     /** Final-band pass: moves this tick's submissions, in

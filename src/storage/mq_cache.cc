@@ -16,9 +16,7 @@ MqCache::MqCache(sim::MemorySpace &memory, uint64_t block_size,
           static_cast<double>(capacity_blocks) * config.ghost_ratio))
 {
     assert(config_.queue_count >= 1);
-    free_frames_.reserve(capacity_);
-    for (uint64_t i = 0; i < capacity_; ++i)
-        free_frames_.push_back(capacity_ - 1 - i);
+    assert(capacity_ < kNil);
 }
 
 uint32_t
@@ -33,35 +31,61 @@ MqCache::queueFor(uint64_t freq) const
 }
 
 void
+MqCache::pushBack(uint32_t frame)
+{
+    Entry &entry = entries_[frame];
+    Queue &queue = queues_[entry.queue];
+    entry.prev = queue.tail;
+    entry.next = kNil;
+    if (queue.tail != kNil)
+        entries_[queue.tail].next = frame;
+    else
+        queue.head = frame;
+    queue.tail = frame;
+}
+
+void
+MqCache::unlink(uint32_t frame)
+{
+    Entry &entry = entries_[frame];
+    Queue &queue = queues_[entry.queue];
+    if (entry.prev != kNil)
+        entries_[entry.prev].next = entry.next;
+    else
+        queue.head = entry.next;
+    if (entry.next != kNil)
+        entries_[entry.next].prev = entry.prev;
+    else
+        queue.tail = entry.prev;
+}
+
+void
 MqCache::adjust()
 {
     // Amortized demotion: inspect the head of each non-bottom queue
     // once per access, demoting it if its lifetime expired.
     for (uint32_t q = 1; q < queues_.size(); ++q) {
-        QueueList &queue = queues_[q];
-        if (queue.empty())
+        const uint32_t frame = queues_[q].head;
+        if (frame == kNil)
             continue;
-        Entry &head = queue.front();
+        Entry &head = entries_[frame];
         if (head.expire < now_ && head.pins == 0) {
+            unlink(frame);
             head.queue = q - 1;
             head.expire = now_ + life_time_;
-            QueueList &lower = queues_[q - 1];
-            lower.splice(lower.end(), queue, queue.begin());
-            map_[lower.back().key] = std::prev(lower.end());
+            pushBack(frame);
         }
     }
 }
 
 void
-MqCache::requeue(QueueList::iterator it)
+MqCache::requeue(uint32_t frame)
 {
-    const uint32_t target = queueFor(it->freq);
-    it->expire = now_ + life_time_;
-    QueueList &from = queues_[it->queue];
-    QueueList &to = queues_[target];
-    it->queue = target;
-    to.splice(to.end(), from, it);
-    map_[it->key] = it; // iterator stays valid across splice
+    Entry &entry = entries_[frame];
+    entry.expire = now_ + life_time_;
+    unlink(frame);
+    entry.queue = queueFor(entry.freq);
+    pushBack(frame);
 }
 
 std::optional<sim::Addr>
@@ -75,28 +99,51 @@ MqCache::lookupAndPin(CacheKey key)
         return std::nullopt;
     }
     recordHit();
-    auto entry = it->second;
-    ++entry->freq;
-    requeue(entry);
-    ++entry->pins;
-    return frameAddr(entry->frame);
+    const uint32_t frame = it->second;
+    Entry &entry = entries_[frame];
+    ++entry.freq;
+    requeue(frame);
+    ++entry.pins;
+    return frameAddr(frame);
 }
 
-std::optional<uint64_t>
+std::optional<uint32_t>
+MqCache::freeFrame()
+{
+    if (!free_frames_.empty()) {
+        const uint32_t frame = free_frames_.back();
+        free_frames_.pop_back();
+        return frame;
+    }
+    if (entries_.size() < capacity_) {
+        entries_.emplace_back();
+        return static_cast<uint32_t>(entries_.size() - 1);
+    }
+    return std::nullopt;
+}
+
+std::optional<uint32_t>
 MqCache::evictOne()
 {
-    for (auto &queue : queues_) {
-        for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (it->pins != 0)
+    for (const Queue &queue : queues_) {
+        for (uint32_t frame = queue.head; frame != kNil;
+             frame = entries_[frame].next) {
+            const Entry &entry = entries_[frame];
+            if (entry.pins != 0)
                 continue;
-            const uint64_t frame = it->frame;
-            remember(it->key, it->freq);
-            map_.erase(it->key);
-            queue.erase(it);
+            remember(entry.key, entry.freq);
+            release(frame);
             return frame;
         }
     }
     return std::nullopt;
+}
+
+void
+MqCache::release(uint32_t frame)
+{
+    unlink(frame);
+    map_.erase(entries_[frame].key);
 }
 
 void
@@ -105,11 +152,20 @@ MqCache::remember(CacheKey key, uint64_t freq)
     if (ghost_capacity_ == 0)
         return;
     if (ghost_map_.find(key) == ghost_map_.end()) {
-        while (ghost_fifo_.size() >= ghost_capacity_) {
-            ghost_map_.erase(ghost_fifo_.front());
-            ghost_fifo_.pop_front();
+        if (ghost_count_ == ghost_capacity_) {
+            ghost_map_.erase(ghost_ring_[ghost_head_]);
+            if (++ghost_head_ == ghost_capacity_)
+                ghost_head_ = 0;
+            --ghost_count_;
         }
-        ghost_fifo_.push_back(key);
+        uint64_t tail = ghost_head_ + ghost_count_;
+        if (tail >= ghost_capacity_)
+            tail -= ghost_capacity_;
+        if (tail == ghost_ring_.size())
+            ghost_ring_.push_back(key);
+        else
+            ghost_ring_[tail] = key;
+        ++ghost_count_;
     }
     ghost_map_[key] = freq;
 }
@@ -120,35 +176,27 @@ MqCache::insertAndPin(CacheKey key)
     ++now_;
     auto it = map_.find(key);
     if (it != map_.end()) {
-        ++it->second->pins;
-        return frameAddr(it->second->frame);
+        ++entries_[it->second].pins;
+        return frameAddr(it->second);
     }
 
-    uint64_t frame;
-    if (!free_frames_.empty()) {
-        frame = free_frames_.back();
-        free_frames_.pop_back();
-    } else {
-        const auto victim = evictOne();
-        if (!victim.has_value())
-            return std::nullopt;
-        frame = *victim;
-    }
+    std::optional<uint32_t> frame = freeFrame();
+    if (!frame.has_value())
+        frame = evictOne();
+    if (!frame.has_value())
+        return std::nullopt;
 
-    Entry entry;
+    Entry &entry = entries_[*frame];
     entry.key = key;
-    entry.frame = frame;
     entry.pins = 1;
     // Resume the block's remembered standing, if any (ghost hit).
     auto ghost = ghost_map_.find(key);
     entry.freq = ghost != ghost_map_.end() ? ghost->second + 1 : 1;
     entry.expire = now_ + life_time_;
     entry.queue = queueFor(entry.freq);
-
-    QueueList &queue = queues_[entry.queue];
-    queue.push_back(entry);
-    map_[key] = std::prev(queue.end());
-    return frameAddr(frame);
+    pushBack(*frame);
+    map_[key] = *frame;
+    return frameAddr(*frame);
 }
 
 void
@@ -157,39 +205,40 @@ MqCache::unpin(CacheKey key)
     auto it = map_.find(key);
     if (it == map_.end())
         return;
-    assert(it->second->pins > 0);
-    --it->second->pins;
+    assert(entries_[it->second].pins > 0);
+    --entries_[it->second].pins;
 }
 
 void
 MqCache::invalidate(CacheKey key)
 {
     auto it = map_.find(key);
-    if (it == map_.end() || it->second->pins > 0)
+    if (it == map_.end() || entries_[it->second].pins > 0)
         return;
-    free_frames_.push_back(it->second->frame);
-    queues_[it->second->queue].erase(it->second);
-    map_.erase(it);
+    const uint32_t frame = it->second;
+    free_frames_.push_back(frame);
+    release(frame);
 }
 
 void
 MqCache::invalidateAll()
 {
-    for (auto &queue : queues_) {
-        for (auto it = queue.begin(); it != queue.end();) {
-            if (it->pins > 0) {
-                ++it;
-                continue;
+    for (const Queue &queue : queues_) {
+        uint32_t frame = queue.head;
+        while (frame != kNil) {
+            const uint32_t next = entries_[frame].next;
+            if (entries_[frame].pins == 0) {
+                free_frames_.push_back(frame);
+                release(frame);
             }
-            free_frames_.push_back(it->frame);
-            map_.erase(it->key);
-            it = queue.erase(it);
+            frame = next;
         }
     }
     // A crash also forgets ghost history: the restarted node has no
     // memory of pre-crash access frequencies.
     ghost_map_.clear();
-    ghost_fifo_.clear();
+    ghost_head_ = 0;
+    ghost_count_ = 0;
 }
 
 bool

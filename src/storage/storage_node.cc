@@ -33,7 +33,10 @@ StorageNode::validRange(uint32_t volume, uint64_t offset,
                         uint64_t len, bool write)
 {
     constexpr uint64_t kSector = disk::DiskStore::kSectorSize;
-    return len > 0 && offset + len <= volumeCapacity(volume) &&
+    // Offset and length arrive over the wire: compare without forming
+    // offset + len, which wraps past 2^64 for a range near the top.
+    const uint64_t capacity = volumeCapacity(volume);
+    return len > 0 && offset <= capacity && len <= capacity - offset &&
            (!write || (offset % kSector == 0 && len % kSector == 0));
 }
 

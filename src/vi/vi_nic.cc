@@ -42,6 +42,9 @@ ViNic::ViNic(sim::Simulation &sim, net::Fabric &fabric,
       packets_corrupted_(sim.metrics().counter(metric_prefix_ +
                                                ".packets_corrupted"))
 {
+    // A fragment plus its header must fit net::Packet::wire_bytes.
+    assert(costs_.max_packet_bytes + costs_.packet_header_bytes <=
+           UINT32_MAX);
     port_ = fabric_.attach(
         [this](net::Packet packet) { onPacket(std::move(packet)); },
         name_);
@@ -200,7 +203,8 @@ ViNic::transmit(ViEndpoint &ep, const WorkDescriptor &desc,
         net::Packet packet;
         packet.src = port_;
         packet.dst = ep.remote_port_;
-        packet.wire_bytes = frag_len + costs_.packet_header_bytes;
+        packet.wire_bytes = static_cast<uint32_t>(
+            frag_len + costs_.packet_header_bytes);
         packet.order_key = desc.order_key;
         packet.payload = std::move(msg);
 
@@ -233,13 +237,13 @@ ViNic::transmit(ViEndpoint &ep, const WorkDescriptor &desc,
             };
         }
 
-        tx_engine_.submit(
-            costs_.nic_tx_processing,
-            [this, packet = std::move(packet),
-             on_wire = std::move(on_wire)]() mutable {
-                fabric_.send(std::move(packet), std::move(on_wire));
-            },
-            desc.order_key);
+        auto to_fabric = [this, packet = std::move(packet),
+                          on_wire = std::move(on_wire)]() mutable {
+            fabric_.send(std::move(packet), std::move(on_wire));
+        };
+        static_assert(sim::EventFn::storesInline<decltype(to_fabric)>());
+        tx_engine_.submit(costs_.nic_tx_processing, std::move(to_fabric),
+                          desc.order_key);
 
         offset += frag_len;
     } while (offset < total);

@@ -192,6 +192,25 @@ TEST_P(EndToEnd, OutOfRangeReadFails)
     EXPECT_FALSE(ok);
 }
 
+TEST_P(EndToEnd, WrappingRangeReadFails)
+{
+    // offset + len wraps past 2^64: the server must refuse the range
+    // with an error, not answer an empty read the client would
+    // retransmit forever.
+    auto client = makeClient(GetParam());
+    const Addr buf = host_.memory().allocate(8192);
+    bool done = false;
+    bool ok = true;
+    sim::spawn([](DsaClient &c, Addr b, bool &finished,
+                  bool &out) -> Task<> {
+        out = co_await c.read(UINT64_MAX - 4095, 8192, b);
+        finished = true;
+    }(*client, buf, done, ok));
+    sim_.runUntil(sim_.now() + sim::secs(2));
+    EXPECT_TRUE(done);
+    EXPECT_FALSE(ok);
+}
+
 TEST_P(EndToEnd, RetransmissionRecoversLostRequest)
 {
     DsaConfig config;

@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 
 namespace v3sim::sim
 {
@@ -523,6 +528,424 @@ TEST(EventQueue, ManyEventsStressOrdering)
     }
     q.run();
     EXPECT_TRUE(monotone);
+}
+
+// --- Differential test against a naive reference ---------------------
+
+namespace
+{
+
+/**
+ * The firing-order contract in its plainest form: pending events in
+ * one array, the next one found by a linear scan for the least
+ * (when, final band, tie rank, seq). A final event is scheduled at
+ * now(). The tie rank is seq, or under tie-shuffle the model of
+ * DESIGN.md §8: a SplitMix64 hash of (seed ^ seq) below 2^63 for a
+ * future tick, 2^63 | seq for a zero-delay event.
+ */
+class RefQueue
+{
+  public:
+    class Handle
+    {
+      public:
+        void
+        cancel()
+        {
+            if (cancelled_)
+                *cancelled_ = true;
+        }
+
+      private:
+        friend class RefQueue;
+        std::shared_ptr<bool> cancelled_;
+    };
+
+    void
+    setTieShuffle(uint64_t seed)
+    {
+        shuffle_ = true;
+        seed_ = seed;
+    }
+
+    Tick now() const { return now_; }
+    uint64_t firedCount() const { return fired_; }
+    uint64_t sameTickFired() const { return same_tick_; }
+    size_t pendingCount() const { return items_.size(); }
+
+    void
+    schedule(Tick delay, std::function<void()> fn)
+    {
+        scheduleAt(now_ + std::max<Tick>(delay, 0), std::move(fn));
+    }
+
+    void
+    scheduleAt(Tick when, std::function<void()> fn)
+    {
+        add(std::max(when, now_), false, std::move(fn), nullptr);
+    }
+
+    void
+    scheduleFinal(std::function<void()> fn)
+    {
+        add(now_, true, std::move(fn), nullptr);
+    }
+
+    Handle
+    scheduleCancelable(Tick delay, std::function<void()> fn)
+    {
+        Handle handle;
+        handle.cancelled_ = std::make_shared<bool>(false);
+        add(now_ + std::max<Tick>(delay, 0), false, std::move(fn),
+            handle.cancelled_);
+        return handle;
+    }
+
+    size_t
+    run(size_t max_events)
+    {
+        size_t popped = 0;
+        while (popped < max_events && !items_.empty()) {
+            popNext();
+            ++popped;
+        }
+        return popped;
+    }
+
+    size_t
+    runUntil(Tick until)
+    {
+        size_t popped = 0;
+        while (!items_.empty() && items_[nextIndex()].when <= until) {
+            popNext();
+            ++popped;
+        }
+        now_ = std::max(now_, until);
+        return popped;
+    }
+
+  private:
+    struct Item
+    {
+        Tick when;
+        bool final;
+        uint64_t tie;
+        uint64_t seq;
+        std::function<void()> fn;
+        std::shared_ptr<bool> cancelled;
+    };
+
+    uint64_t
+    tieRank(Tick when, uint64_t seq) const
+    {
+        if (!shuffle_)
+            return seq;
+        if (when <= now_)
+            return (1ULL << 63) | seq;
+        uint64_t x = seed_ ^ seq;
+        x += 0x9E3779B97F4A7C15ULL;
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+        return (x ^ (x >> 31)) >> 1;
+    }
+
+    void
+    add(Tick when, bool final, std::function<void()> fn,
+        std::shared_ptr<bool> cancelled)
+    {
+        const uint64_t seq = seq_++;
+        items_.push_back(Item{when, final, tieRank(when, seq), seq,
+                              std::move(fn), std::move(cancelled)});
+    }
+
+    size_t
+    nextIndex() const
+    {
+        size_t best = 0;
+        for (size_t i = 1; i < items_.size(); ++i) {
+            const Item &a = items_[i];
+            const Item &b = items_[best];
+            if (std::tie(a.when, a.final, a.tie, a.seq) <
+                std::tie(b.when, b.final, b.tie, b.seq))
+                best = i;
+        }
+        return best;
+    }
+
+    void
+    popNext()
+    {
+        const size_t i = nextIndex();
+        Item item = std::move(items_[i]);
+        items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(i));
+        now_ = item.when;
+        if (item.when == last_popped_at_)
+            ++same_tick_;
+        last_popped_at_ = item.when;
+        if (item.cancelled && *item.cancelled)
+            return;
+        ++fired_;
+        item.fn();
+    }
+
+    std::vector<Item> items_;
+    Tick now_ = 0;
+    Tick last_popped_at_ = -1;
+    uint64_t seq_ = 0;
+    uint64_t fired_ = 0;
+    uint64_t same_tick_ = 0;
+    bool shuffle_ = false;
+    uint64_t seed_ = 0;
+};
+
+/** One firing: the event's id (its scheduling order), the tick, its
+ *  band, and how many firings preceded its scheduling. */
+struct Firing
+{
+    uint64_t id;
+    Tick at;
+    bool final;
+    size_t scheduled_after;
+
+    bool operator==(const Firing &) const = default;
+};
+
+/** The queue's observable state after one top-level call. */
+struct Observed
+{
+    size_t popped;
+    Tick now;
+    uint64_t fired;
+    uint64_t same_tick;
+    size_t pending;
+
+    bool operator==(const Observed &) const = default;
+};
+
+/**
+ * A seeded random program over queue @p Q: top-level schedule,
+ * runUntil and run(max) calls, and callbacks that schedule more —
+ * zero-delay (often from a final pass), near-future inside the
+ * current 8 us bucket, clamped past times, in the ring, beyond the
+ * 67 ms ring, final events, and cancelable timers, some cancelled.
+ * Delays sit on a coarse grid so independent events share ticks.
+ * Every random draw happens in firing order, so two queues that
+ * fire alike run the same program.
+ */
+template <typename Q>
+class Program
+{
+  public:
+    Program(Q &queue, uint64_t seed) : q_(queue), rng_(seed) {}
+
+    void
+    execute()
+    {
+        // Events scheduled at time 0, finals included, before any run.
+        for (int i = 0; i < 6; ++i)
+            spawn(false);
+        for (int step = 0; step < 80; ++step) {
+            switch (rng_.uniformInt(0, 5)) {
+            case 0:
+                observe(q_.runUntil(
+                    q_.now() +
+                    static_cast<Tick>(rng_.uniformInt(0, 40)) * 1000));
+                break;
+            case 1:
+                observe(q_.runUntil(
+                    q_.now() + msecs(static_cast<Tick>(
+                                   rng_.uniformInt(1, 150)))));
+                break;
+            case 2:
+                observe(q_.run(rng_.uniformInt(1, 30)));
+                break;
+            case 3:
+                for (uint64_t i = rng_.uniformInt(1, 4); i > 0; --i)
+                    spawn(false);
+                break;
+            case 4:
+                cancelOne();
+                break;
+            default:
+                // Drain, jump past an empty stretch, start again.
+                observe(q_.run(SIZE_MAX));
+                observe(q_.runUntil(
+                    q_.now() +
+                    secs(static_cast<Tick>(rng_.uniformInt(1, 3))) +
+                    static_cast<Tick>(rng_.uniformInt(0, 9999))));
+                for (int i = 0; i < 4; ++i)
+                    spawn(false);
+                break;
+            }
+        }
+        observe(q_.run(SIZE_MAX));
+    }
+
+    std::vector<Firing> firings;
+    std::vector<Observed> observed;
+
+  private:
+    static constexpr uint64_t kBudget = 6000;
+
+    void
+    observe(size_t popped)
+    {
+        observed.push_back(Observed{popped, q_.now(), q_.firedCount(),
+                                    q_.sameTickFired(),
+                                    q_.pendingCount()});
+    }
+
+    auto
+    callback(uint64_t id, bool final)
+    {
+        const size_t after = firings.size();
+        return [this, id, final, after] { fire(id, final, after); };
+    }
+
+    void
+    fire(uint64_t id, bool final, size_t after)
+    {
+        firings.push_back(Firing{id, q_.now(), final, after});
+        // Critical branching while few events are pending, dying out
+        // above that, so programs stay busy without growing.
+        const uint64_t children =
+            rng_.uniformInt(0, q_.pendingCount() < 100 ? 2 : 1);
+        for (uint64_t i = 0; i < children; ++i)
+            spawn(final);
+    }
+
+    void
+    cancelOne()
+    {
+        if (!handles_.empty())
+            handles_[rng_.uniformInt(0, handles_.size() - 1)].cancel();
+    }
+
+    void
+    spawn(bool from_final)
+    {
+        if (next_id_ >= kBudget)
+            return;
+        const uint64_t id = next_id_++;
+        const Tick now = q_.now();
+        // A final pass mostly spawns zero-delay chains and more finals.
+        const uint64_t kind =
+            from_final && rng_.bernoulli(0.5) ? rng_.uniformInt(0, 1)
+                                              : rng_.uniformInt(0, 9);
+        switch (kind) {
+        case 0:
+            q_.schedule(0, callback(id, false));
+            break;
+        case 1:
+            q_.scheduleFinal(callback(id, true));
+            break;
+        case 2: // near future, inside the current bucket
+            q_.schedule(static_cast<Tick>(rng_.uniformInt(0, 4)) * 1000,
+                        callback(id, false));
+            break;
+        case 3: // in the past: clamps to now
+            q_.scheduleAt(now - static_cast<Tick>(
+                                    rng_.uniformInt(0, 3)) * 1000,
+                          callback(id, false));
+            break;
+        case 4: // negative delay: clamps to now
+            q_.schedule(-static_cast<Tick>(rng_.uniformInt(1, 5)),
+                        callback(id, false));
+            break;
+        case 5: // a shared absolute tick on a 50 us grid, in the ring
+            q_.scheduleAt(
+                (now / usecs(50) +
+                 static_cast<Tick>(rng_.uniformInt(1, 400))) * usecs(50),
+                callback(id, false));
+            break;
+        case 6: // beyond the 67 ms ring
+            q_.schedule(msecs(70) + static_cast<Tick>(
+                                        rng_.uniformInt(0, 40)) * msecs(5),
+                        callback(id, false));
+            break;
+        case 7:
+            q_.schedule(usecs(static_cast<Tick>(rng_.uniformInt(1, 60)) *
+                              100),
+                        callback(id, false));
+            break;
+        case 8:
+            cancelOne();
+            [[fallthrough]];
+        default: // cancelable, in the ring or beyond it
+            handles_.push_back(q_.scheduleCancelable(
+                rng_.bernoulli(0.7)
+                    ? static_cast<Tick>(rng_.uniformInt(0, 20)) * 1000
+                    : msecs(static_cast<Tick>(rng_.uniformInt(60, 90))),
+                callback(id, false)));
+            break;
+        }
+    }
+
+    Q &q_;
+    Rng rng_;
+    uint64_t next_id_ = 0;
+    std::vector<typename Q::Handle> handles_;
+};
+
+} // namespace
+
+TEST(EventQueueDifferential, FifoMatchesNaiveReference)
+{
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        EventQueue real;
+        RefQueue ref;
+        Program<EventQueue> a(real, seed);
+        Program<RefQueue> b(ref, seed);
+        a.execute();
+        b.execute();
+        ASSERT_GT(a.firings.size(), 200u) << "seed " << seed;
+        ASSERT_EQ(a.firings.size(), b.firings.size()) << "seed " << seed;
+        for (size_t i = 0; i < a.firings.size(); ++i)
+            ASSERT_EQ(a.firings[i], b.firings[i])
+                << "seed " << seed << ", firing " << i;
+        ASSERT_EQ(a.observed, b.observed) << "seed " << seed;
+        EXPECT_TRUE(real.empty());
+    }
+}
+
+TEST(EventQueueDifferential, TieShuffleRepeatsAndFinalsCloseTheTick)
+{
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        EventQueue q1;
+        EventQueue q2;
+        RefQueue ref;
+        q1.setTieShuffle(seed * 7919);
+        q2.setTieShuffle(seed * 7919);
+        ref.setTieShuffle(seed * 7919);
+        Program<EventQueue> a(q1, seed);
+        Program<EventQueue> b(q2, seed);
+        Program<RefQueue> c(ref, seed);
+        a.execute();
+        b.execute();
+        c.execute();
+        ASSERT_EQ(a.firings, b.firings) << "seed " << seed;
+        ASSERT_EQ(a.observed, b.observed) << "seed " << seed;
+        // The shuffled order is the documented rank model, not just
+        // some repeatable order: seq numbering and hashes included.
+        ASSERT_EQ(a.firings, c.firings) << "seed " << seed;
+        ASSERT_EQ(a.observed, c.observed) << "seed " << seed;
+
+        // Within a tick, finals fire in scheduling order, and after a
+        // final fires, only events scheduled since then (zero-delay
+        // chains of the final pass) may still fire at that tick.
+        const auto &f = a.firings;
+        for (size_t i = 0; i < f.size(); ++i) {
+            if (!f[i].final)
+                continue;
+            for (size_t j = i + 1; j < f.size() && f[j].at == f[i].at;
+                 ++j) {
+                if (f[j].final)
+                    ASSERT_GT(f[j].id, f[i].id) << "seed " << seed;
+                else
+                    ASSERT_GT(f[j].scheduled_after, i) << "seed " << seed;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -118,6 +118,23 @@ TEST_F(IscsiEndToEnd, ReadWriteRoundTrip)
     EXPECT_GT(initiator_->latency().count(), 0u);
 }
 
+TEST_F(IscsiEndToEnd, WrappingRangeReadFails)
+{
+    // offset + len wraps past 2^64: the target must refuse the range
+    // with an error status.
+    const Addr buf = host_.memory().allocate(kIo);
+    bool done = false;
+    bool ok = true;
+    sim::spawn([](Initiator &init, Addr b, bool &finished,
+                  bool &out) -> Task<> {
+        out = co_await init.read(UINT64_MAX - 4095, kIo, b);
+        finished = true;
+    }(*initiator_, buf, done, ok));
+    sim_.runUntil(sim_.now() + sim::secs(2));
+    EXPECT_TRUE(done);
+    EXPECT_FALSE(ok);
+}
+
 TEST_F(IscsiEndToEnd, DigestMismatchRetransmit)
 {
     // Damage one data segment of the write command in flight. TCP's

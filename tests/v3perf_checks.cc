@@ -2,7 +2,7 @@
  * @file
  * Runs one repository-benchmark workload once, traced, and fails
  * unless every output check it reports passed: `v3perf --workload W
- * --seed 1 --trace <file>`, whose last stdout line is a JSON report
+ * --seed N --trace <file>`, whose last stdout line is a JSON report
  * with a `checks` object of name -> bool. The traced run adds the
  * checks only it makes, among them `same_as_runTpcc`, which holds
  * v3perf's copy of scenarios::runTpcc's set-up to runTpcc.
@@ -14,9 +14,12 @@
  * The expected file is a JSON object with exactly the `sim` block's
  * keys; numbers compare equal after both are parsed.
  *
- * Registered with ctest as `v3perf_checks_<workload>`; CMake passes
- * the v3perf binary, the workload name, the trace file to write and
- * the expected `sim` block (tests/v3perf_expected/<workload>.json).
+ * Registered with ctest as `v3perf_checks_<workload>` (seed 1, the
+ * benchmark's seed) and `v3perf_checks_<workload>_4242` (a held-out
+ * seed, so an ordering change seed 1 happens to miss still fails);
+ * CMake passes the v3perf binary, the workload name, the seed, the
+ * trace file to write and the expected `sim` block
+ * (tests/v3perf_expected/<workload>[_<seed>].json).
  */
 
 #include <cstdio>
@@ -43,20 +46,27 @@ fail(const std::string &why)
 int
 main(int argc, char **argv)
 {
-    if (argc != 5) {
-        return fail("usage: v3perf_checks <v3perf> <workload> <trace> "
-                    "<expected-sim.json>");
+    if (argc != 6) {
+        return fail("usage: v3perf_checks <v3perf> <workload> <seed> "
+                    "<trace> <expected-sim.json>");
     }
-    std::ifstream expected_file(argv[4]);
+    const std::string seed = argv[3];
+    if (seed.empty() ||
+        seed.find_first_not_of("0123456789") != std::string::npos)
+        return fail("seed must be a decimal number: " + seed);
+    const char *trace = argv[4];
+    const char *expected_path = argv[5];
+    std::ifstream expected_file(expected_path);
     std::stringstream expected_text;
     expected_text << expected_file.rdbuf();
     const auto expected = JsonValue::parse(expected_text.str());
     if (!expected_file || !expected || !expected->isObject())
-        return fail(std::string("cannot read expected sim block ") + argv[4]);
+        return fail(std::string("cannot read expected sim block ") +
+                    expected_path);
 
     const std::string command = "\"" + std::string(argv[1]) +
-                                "\" --workload " + argv[2] +
-                                " --seed 1 --trace \"" + argv[3] + "\"";
+                                "\" --workload " + argv[2] + " --seed " +
+                                seed + " --trace \"" + trace + "\"";
     FILE *pipe = popen(command.c_str(), "r");
     if (!pipe)
         return fail("cannot run " + command);
@@ -107,7 +117,7 @@ main(int argc, char **argv)
         return fail(std::string(argv[2]) + ": a check failed");
     if (!sim_ok)
         return fail(std::string(argv[2]) + ": sim block differs from " +
-                    argv[4]);
+                    expected_path);
     if (status != 0)
         return fail("v3perf exited with status " + std::to_string(status));
     return 0;
