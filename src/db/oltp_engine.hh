@@ -59,7 +59,7 @@ struct OltpConfig
      *  per physical I/O. */
     int io_latch_pairs = 6;
     /** Latch critical-section length. */
-    sim::Tick latch_hold = sim::usecs(1);
+    static constexpr sim::Tick latch_hold = sim::usecs(1);
     /** Extra Kernel work per I/O when completion blocks the worker
      *  thread (kernel scheduler round trip; expensive on the 32-way
      *  NUMA platform — cross-node IPIs and run-queue coherence). */
@@ -67,7 +67,7 @@ struct OltpConfig
     /** Extra DSA-layer work per I/O when completion is polled: the
      *  user-mode scheduler's fiber switch plus the cDSA flag/request
      *  management woven into every scheduler pass. */
-    sim::Tick polling_overhead = sim::usecs(10);
+    static constexpr sim::Tick polling_overhead = sim::usecs(10);
     /** True when the backend completes by polling (cDSA). */
     bool polling_completion = false;
     /** @} */

@@ -70,36 +70,36 @@ struct OpenLoopConfig
     uint64_t tenants = 1'000'000;
     /** Zipf skew of tenant popularity (0 = uniform). A heavy hitter
      *  at theta ~1 is what the server's DRR gate must contain. */
-    double zipf_theta = 0.99;
+    static constexpr double zipf_theta = 0.99;
 
     ArrivalProcess process = ArrivalProcess::Poisson;
     /** Mean arrival rate (I/Os per second of simulated time). */
     double offered_iops = 20'000.0;
 
     /** @name Bursty process @{ */
-    double burst_factor = 4.0;
-    double idle_factor = 0.25;
-    sim::Tick burst_on = sim::msecs(20);
-    sim::Tick burst_off = sim::msecs(80);
+    static constexpr double burst_factor = 4.0;
+    static constexpr double idle_factor = 0.25;
+    static constexpr sim::Tick burst_on = sim::msecs(20);
+    static constexpr sim::Tick burst_off = sim::msecs(80);
     /** @} */
 
     /** @name Diurnal process @{ */
-    sim::Tick diurnal_period = sim::msecs(2000);
-    double diurnal_amplitude = 0.8;
+    static constexpr sim::Tick diurnal_period = sim::msecs(2000);
+    static constexpr double diurnal_amplitude = 0.8;
     /** @} */
 
     /** Fraction of arrivals that are reads. */
-    double read_fraction = 0.7;
+    static constexpr double read_fraction = 0.7;
     /** Bytes per I/O (also the offset alignment). */
-    uint64_t io_bytes = 8192;
+    static constexpr uint64_t io_bytes = 8192;
 
     /** Concurrent I/Os in flight toward the device — the client
      *  library's connection-pool bound. */
-    uint32_t max_inflight = 256;
+    static constexpr uint32_t max_inflight = 256;
     /** Arrivals waiting for a lane beyond which the client refuses
      *  locally (overflow). Bounds the open-loop backlog so drains
      *  terminate; the refusals are part of the measured story. */
-    uint32_t queue_cap = 4096;
+    static constexpr uint32_t queue_cap = 4096;
 
     /** Completion SLO: completions slower than this are "late" and
      *  do not count toward goodput. */

@@ -386,7 +386,10 @@ sim::Task<bool>
 DsaClient::io(bool is_write, uint64_t offset, uint64_t len,
               sim::Addr buffer, uint64_t tenant)
 {
-    if (dead_)
+    // Refused before it takes a credit: a length RequestMsg::len
+    // cannot carry, or a write longer than its staging slot.
+    if (dead_ || len > UINT32_MAX ||
+        (is_write && len > staging_slot_bytes_))
         co_return false;
 
     // Flow control gates first, holding no CPU; keyed by the I/O

@@ -59,14 +59,15 @@ struct DsaOptimizations
 inline std::strong_ordering
 DsaOptimizations::operator<=>(const DsaOptimizations &) const = default;
 
-/** Per-implementation client path costs. */
+/** Per-implementation client path costs; only poll_check is set
+ *  (by the loaded-database config), the rest are constants. */
 struct DsaClientCosts
 {
     /** Common request marshalling: build the 64 B request and CRC32C
      *  its header (the headerDigest of protocol.hh — small enough to
      *  be folded into the marshalling cost rather than metered per
      *  byte like the payload digest below). */
-    sim::Tick request_build = sim::usecs(0.4);
+    static constexpr sim::Tick request_build = sim::usecs(0.4);
 
     /**
      * End-to-end payload digest cost per KiB (CRC32C over the block
@@ -75,26 +76,26 @@ struct DsaClientCosts
      * software CRC at a few GB/s on era-appropriate hardware. Charged
      * whenever digests are enabled, in phantom and real runs alike.
      */
-    sim::Tick digest_per_kb = sim::usecs(0.04);
+    static constexpr sim::Tick digest_per_kb = sim::usecs(0.04);
 
     /** kDSA driver work per request, issue / completion side. */
-    sim::Tick kdsa_issue = sim::usecs(0.9);
-    sim::Tick kdsa_complete = sim::usecs(1.2);
+    static constexpr sim::Tick kdsa_issue = sim::usecs(0.9);
+    static constexpr sim::Tick kdsa_complete = sim::usecs(1.2);
 
     /** wDSA kernel32-semantics emulation per request (handle-table
      *  and OVERLAPPED bookkeeping in the kernel32 shim). */
-    sim::Tick wdsa_issue = sim::usecs(3.0);
-    sim::Tick wdsa_complete = sim::usecs(5.0);
+    static constexpr sim::Tick wdsa_issue = sim::usecs(3.0);
+    static constexpr sim::Tick wdsa_complete = sim::usecs(5.0);
 
     /** Critical-section length of the shim's process-wide lock: the
      *  kernel32 emulation serializes on shared handle state, which
      *  is what makes wDSA collapse first under 32-way load (the
      *  uncontended cost is modest; the queueing is not). */
-    sim::Tick wdsa_lock_hold = sim::usecs(1.5);
+    static constexpr sim::Tick wdsa_lock_hold = sim::usecs(1.5);
 
     /** cDSA library work per request. */
-    sim::Tick cdsa_issue = sim::usecs(0.7);
-    sim::Tick cdsa_complete = sim::usecs(0.6);
+    static constexpr sim::Tick cdsa_issue = sim::usecs(0.7);
+    static constexpr sim::Tick cdsa_complete = sim::usecs(0.6);
 
     /** One completion-flag poll check (cDSA polling mode). */
     sim::Tick poll_check = sim::usecs(0.2);
@@ -152,7 +153,7 @@ struct DsaConfig
     int kdsa_extra_layers = 0;
 
     /** Per-layer dispatch cost (IRP forwarding, stack location). */
-    sim::Tick driver_layer_cost = sim::usecs(1.8);
+    static constexpr sim::Tick driver_layer_cost = sim::usecs(1.8);
 
     /** cDSA polling-mode parameters (section 3.2): check the flag
      *  every poll_interval; after poll_timeout fall back to sleeping
@@ -168,7 +169,7 @@ struct DsaConfig
 
     /** Backup completion-drain period while interrupts are disabled
      *  (guards the batching scheme against idle stalls). */
-    sim::Tick backup_poll_period = sim::usecs(50);
+    static constexpr sim::Tick backup_poll_period = sim::usecs(50);
 
     /** Field by field, so a config can key a run memo; defaulted in
      *  dsa_costs.cc like DsaClientCosts'. */

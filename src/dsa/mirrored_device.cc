@@ -41,7 +41,6 @@ MirroredDevice::MirroredDevice(sim::Simulation &sim,
           metric_prefix_ + ".degraded_replicas"))
 {
     assert(replicas.size() >= 2 && "a mirror needs at least two legs");
-    assert(config_.resync_chunk > 0 && config_.resync_parallel > 0);
     replicas_.resize(replicas.size());
     for (size_t i = 0; i < replicas.size(); ++i)
         replicas_[i].client = replicas[i];

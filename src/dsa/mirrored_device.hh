@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "dsa/block_device.hh"
+#include "dsa/protocol.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
@@ -70,14 +71,11 @@ struct MirrorConfig
     sim::Tick probe_interval = sim::msecs(10);
 
     /** Backoff cap for the revive probe. */
-    sim::Tick probe_max_interval = sim::msecs(80);
+    static constexpr sim::Tick probe_max_interval = sim::msecs(80);
 
-    /**
-     * Bytes replayed per resync I/O. Must not exceed the server's
-     * staging_slot_bytes (default 128 K): the replay path is ordinary
-     * DSA writes, and oversized writes fail server validation.
-     */
-    uint64_t resync_chunk = 128 * 1024;
+    /** Bytes replayed per resync I/O: one staging slot, the largest
+     *  write the replay path (ordinary DSA writes) can carry. */
+    static constexpr uint64_t resync_chunk = kStagingSlotBytes;
 
     /**
      * Chunk replays in flight at once. The dirty log of a random
@@ -86,7 +84,7 @@ struct MirrorConfig
      * resync pipelines a small batch (still far below the server's
      * staging-slot budget).
      */
-    uint32_t resync_parallel = 8;
+    static constexpr uint32_t resync_parallel = 8;
 
     /**
      * Background scrubber rate in bytes per simulated second; 0 (the

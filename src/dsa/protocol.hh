@@ -155,6 +155,12 @@ struct ResponseMsg
     [[nodiscard]] bool ok() const { return status == IoStatus::Ok; }
 };
 
+/** The write-staging area a V3 server grants every connection:
+ *  kStagingSlots slots of kStagingSlotBytes each, announced in
+ *  HelloAckMsg. A write longer than one slot cannot be staged. */
+constexpr uint32_t kStagingSlots = 32;
+constexpr uint32_t kStagingSlotBytes = 128 * 1024;
+
 /** Server-to-client hello acknowledgement. */
 struct HelloAckMsg
 {

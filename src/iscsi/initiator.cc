@@ -14,8 +14,7 @@ Initiator::Initiator(osmodel::Node &host, net::Fabric &fabric,
       target_port_(target_port),
       config_(config),
       tcp_(host.sim().queue(), fabric, host.sim().metrics(),
-           metric_prefix_ + ".tcp", host.name() + ".iscsi",
-           config_.tcp),
+           metric_prefix_ + ".tcp", host.name() + ".iscsi"),
       driver_(host, tcp_, host.sim().metrics(), metric_prefix_,
               [this](std::shared_ptr<Pdu> pdu, bool tainted,
                      osmodel::CpuLease &lease) {

@@ -48,13 +48,11 @@ namespace v3sim::iscsi
 /** Static initiator parameters. */
 struct InitiatorConfig
 {
-    net::TcpConfig tcp;
-
     /** Outstanding-command limit (the session queue depth). */
     uint32_t max_outstanding = 64;
 
     /** Digest-failure retries before the I/O fails. */
-    uint32_t max_digest_retries = 4;
+    static constexpr uint32_t max_digest_retries = 4;
 
     /** @name Driver CPU costs (charged on the host CPUs) @{ */
     /** One-way traversal of the SCSI class/port/filter-driver stack
@@ -63,16 +61,16 @@ struct InitiatorConfig
      *  once coming back up at completion — the same layering bill
      *  wDSA pays (DESIGN.md §11), which iSCSI pays *in addition to*
      *  the TCP path below it. */
-    sim::Tick scsi_stack = sim::usecs(7.0);
+    static constexpr sim::Tick scsi_stack = sim::usecs(7.0);
     /** Building the command PDU (CDB + BHS + task bookkeeping). */
-    sim::Tick request_build = sim::usecs(4.0);
+    static constexpr sim::Tick request_build = sim::usecs(4.0);
     /** Parsing a response PDU and resolving its task tag. */
-    sim::Tick response_parse = sim::usecs(4.0);
+    static constexpr sim::Tick response_parse = sim::usecs(4.0);
     /** Software CRC32C for the RFC 3720 digests, per KB. Higher than
      *  the V3 server's 0.04 us/KB: the initiator-side CRC runs on a
      *  general-purpose host without the table locality of the
      *  dedicated storage node loop. */
-    sim::Tick digest_per_kb = sim::usecs(0.08);
+    static constexpr sim::Tick digest_per_kb = sim::usecs(0.08);
     /** @} */
 };
 

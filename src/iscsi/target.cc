@@ -12,8 +12,7 @@ Target::Target(sim::Simulation &sim, net::Fabric &fabric,
     : StorageNode(sim, config, "iscsi.tgt"),
       config_(std::move(config)),
       tcp_(sim.queue(), fabric, sim.metrics(),
-           metric_prefix_ + ".tcp", config_.name + ".iscsi",
-           config_.tcp),
+           metric_prefix_ + ".tcp", config_.name + ".iscsi"),
       driver_(node_, tcp_, sim.metrics(), metric_prefix_,
               [this](std::shared_ptr<Pdu> pdu, bool tainted,
                      osmodel::CpuLease &lease) {

@@ -39,14 +39,12 @@ namespace v3sim::iscsi
 
 /** Static configuration of one iSCSI target node: the shared node
  *  fields (the block path's and the admission gate's among them),
- *  so backend comparisons are apples to apples, plus the TCP stream.
- *  The digest is software CRC32C (see
- *  InitiatorConfig::digest_per_kb), twice V3's per-KB cost. */
+ *  so backend comparisons are apples to apples. The digest is
+ *  software CRC32C (see InitiatorConfig::digest_per_kb), twice V3's
+ *  per-KB cost. */
 struct TargetConfig : storage::StorageNodeConfig
 {
     TargetConfig() : StorageNodeConfig("tgt", sim::usecs(0.08)) {}
-
-    net::TcpConfig tcp;
 };
 
 /** One iSCSI storage node (single session: one initiator). */

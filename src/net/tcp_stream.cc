@@ -9,11 +9,9 @@ namespace v3sim::net
 
 TcpStream::TcpStream(sim::EventQueue &queue, Fabric &fabric,
                      sim::MetricRegistry &metrics,
-                     std::string metric_prefix, std::string name,
-                     TcpConfig config)
-    : queue_(queue), fabric_(fabric), config_(config),
+                     std::string metric_prefix, std::string name)
+    : queue_(queue), fabric_(fabric),
       metric_prefix_(std::move(metric_prefix)),
-      cwnd_(config.initial_cwnd), ssthresh_(config.initial_ssthresh),
       segs_tx_(metrics.counter(metric_prefix_ + ".segs_tx")),
       segs_rx_(metrics.counter(metric_prefix_ + ".segs_rx")),
       acks_tx_(metrics.counter(metric_prefix_ + ".acks_tx")),
@@ -22,7 +20,6 @@ TcpStream::TcpStream(sim::EventQueue &queue, Fabric &fabric,
       bytes_tx_(metrics.counter(metric_prefix_ + ".bytes_tx")),
       msgs_rx_(metrics.counter(metric_prefix_ + ".msgs_rx"))
 {
-    assert(config_.mss > 0 && config_.initial_cwnd > 0);
     port_ = fabric_.attach(
         [this](Packet packet) { onPacket(std::move(packet)); },
         std::move(name));
@@ -189,7 +186,7 @@ TcpStream::handleData(const Seg &seg, bool wire_tainted, Work &work)
         sendAck(&work); // the PDU-boundary push forces an ACK
         if (on_message_)
             on_message_(std::move(message));
-    } else if (unacked_segs_ >= config_.ack_every) {
+    } else if (unacked_segs_ >= TcpConfig::ack_every) {
         sendAck(&work);
     }
 }
@@ -218,7 +215,7 @@ TcpStream::handleAck(const Seg &seg, Work &work)
                 }
             }
         }
-        cwnd_ = std::min(cwnd_, config_.max_window);
+        cwnd_ = std::min(cwnd_, TcpConfig::max_window);
         while (!tx_msgs_.empty() &&
                tx_msgs_.front().start_seq +
                        tx_msgs_.front().seg_count <=
@@ -227,7 +224,7 @@ TcpStream::handleAck(const Seg &seg, Work &work)
         rto_timer_.cancel();
         pump(&work);
     } else if (seg.ack == snd_una_ && snd_una_ < snd_nxt_) {
-        if (++dupacks_ >= config_.dupack_threshold) {
+        if (++dupacks_ >= TcpConfig::dupack_threshold) {
             dupacks_ = 0;
             onLossSignal();
             snd_nxt_ = snd_una_; // fast retransmit, Tahoe-style
@@ -246,14 +243,14 @@ TcpStream::sendSegment(uint64_t seq, Work *work)
     seg->kind = Seg::Kind::Data;
     seg->seq = seq;
     seg->payload_bytes = static_cast<uint32_t>(std::min<uint64_t>(
-        config_.mss, msg.bytes - offset * config_.mss));
+        TcpConfig::mss, msg.bytes - offset * TcpConfig::mss));
     seg->msg_first = seq == msg.start_seq;
     seg->msg_last = seq == msg.start_seq + msg.seg_count - 1;
     if (seg->msg_first) {
         seg->msg_bytes = msg.bytes;
         seg->msg_payload = msg.payload;
     }
-    const uint32_t wire = seg->payload_bytes + config_.header_bytes;
+    const uint32_t wire = seg->payload_bytes + TcpConfig::header_bytes;
     if (seq < max_sent_)
         retransmits_.increment();
     else
@@ -283,7 +280,7 @@ TcpStream::sendAck(Work *work)
     Packet packet;
     packet.src = port_;
     packet.dst = peer_;
-    packet.wire_bytes = config_.ack_wire_bytes;
+    packet.wire_bytes = TcpConfig::ack_wire_bytes;
     packet.payload = std::move(seg);
     fabric_.send(std::move(packet));
 }
@@ -296,7 +293,7 @@ TcpStream::sendControl(Seg::Kind kind)
     Packet packet;
     packet.src = port_;
     packet.dst = peer_;
-    packet.wire_bytes = config_.header_bytes;
+    packet.wire_bytes = TcpConfig::header_bytes;
     packet.payload = std::move(seg);
     fabric_.send(std::move(packet));
 }
@@ -305,7 +302,7 @@ void
 TcpStream::pump(Work *work)
 {
     uint64_t window =
-        std::min<uint64_t>(cwnd_, config_.max_window);
+        std::min<uint64_t>(cwnd_, TcpConfig::max_window);
     while (snd_nxt_ < tx_next_seq_ &&
            snd_nxt_ - snd_una_ < window) {
         sendSegment(snd_nxt_, work);
@@ -321,7 +318,7 @@ TcpStream::onLossSignal()
     uint64_t flight = snd_nxt_ - snd_una_;
     ssthresh_ = static_cast<uint32_t>(
         std::max<uint64_t>(flight / 2, 2));
-    cwnd_ = config_.initial_cwnd;
+    cwnd_ = TcpConfig::initial_cwnd;
     cwnd_acc_ = 0;
 }
 
@@ -331,8 +328,7 @@ TcpStream::currentRto() const
     // Binary exponential backoff, saturating at max_rto. The shift
     // count is bounded by the doubling guard in onRto(), so the shift
     // itself cannot overflow.
-    sim::Tick rto = config_.rto << rto_backoff_;
-    return std::min(rto, std::max(config_.max_rto, config_.rto));
+    return std::min(TcpConfig::rto << rto_backoff_, TcpConfig::max_rto);
 }
 
 void
@@ -349,7 +345,7 @@ TcpStream::onRto()
         return;
     // Each back-to-back timeout doubles the next timer (RFC 6298
     // §5.5-5.7); a new cumulative ACK in handleAck resets it.
-    if (currentRto() < config_.max_rto)
+    if (currentRto() < TcpConfig::max_rto)
         ++rto_backoff_;
     onLossSignal();
     dupacks_ = 0;

@@ -46,13 +46,13 @@
  * are explicit: one connection per stream (every paper configuration
  * pairs one initiator with one target port); the handshake is not
  * retransmitted (connect before arming faults); the base RTO is a
- * fixed config.rto rather than an SRTT estimate (SAN round trips are
+ * fixed TcpConfig::rto rather than an SRTT estimate (SAN round trips are
  * tens of microseconds and near-constant, so an estimator would
  * converge to a constant anyway — the real 200 ms minimum RTO would
  * only inflate recovery latency without changing host-overhead
  * results), though back-to-back timeouts do apply the standard
  * binary exponential backoff, doubling the timeout up to
- * config.max_rto and resetting on the next new cumulative ACK (RFC
+ * TcpConfig::max_rto and resetting on the next new cumulative ACK (RFC
  * 6298 §5.5-5.7) — without it, sustained overload degenerates into a
  * constant-rate retransmit storm; and timer-driven retransmits
  * charge no CPU (they exist only under injected faults or overload,
@@ -78,45 +78,45 @@
 namespace v3sim::net
 {
 
-/** Static per-connection TCP parameters. */
+/** TCP parameters, the same for every connection. */
 struct TcpConfig
 {
     /** Maximum segment size (payload bytes per segment). The
      *  Ethernet-era default; iSCSI PDUs larger than this fragment. */
-    uint32_t mss = 1460;
+    static constexpr uint32_t mss = 1460;
 
     /** Wire overhead per data segment (Ethernet + IP + TCP headers,
      *  14+20+20 plus preamble/FCS rounded). */
-    uint32_t header_bytes = 58;
+    static constexpr uint32_t header_bytes = 58;
 
     /** Wire size of a pure ACK segment. */
-    uint32_t ack_wire_bytes = 58;
+    static constexpr uint32_t ack_wire_bytes = 58;
 
     /** Initial congestion window, in segments (RFC 2581). */
-    uint32_t initial_cwnd = 2;
+    static constexpr uint32_t initial_cwnd = 2;
 
     /** Initial slow-start threshold, in segments. */
-    uint32_t initial_ssthresh = 64;
+    static constexpr uint32_t initial_ssthresh = 64;
 
     /** Flow-control clamp: cwnd never exceeds this many segments
      *  (models the peer's advertised receive window). */
-    uint32_t max_window = 256;
+    static constexpr uint32_t max_window = 256;
 
     /** Base retransmission timeout (see file comment for why it is
      *  not an SRTT estimator). */
-    sim::Tick rto = sim::msecs(2);
+    static constexpr sim::Tick rto = sim::msecs(2);
 
     /** Backoff ceiling: back-to-back timeouts double the effective
-     *  RTO from config.rto up to this cap; a new cumulative ACK
+     *  RTO from rto up to this cap; a new cumulative ACK
      *  resets it to the base value. */
-    sim::Tick max_rto = sim::msecs(64);
+    static constexpr sim::Tick max_rto = sim::msecs(64);
 
     /** Duplicate ACKs that trigger fast retransmit. */
-    uint32_t dupack_threshold = 3;
+    static constexpr uint32_t dupack_threshold = 3;
 
     /** Delayed-ACK ratio: one cumulative ACK per this many in-order
      *  data segments (message-final segments always ACK at once). */
-    uint32_t ack_every = 2;
+    static constexpr uint32_t ack_every = 2;
 };
 
 /** One application message (an iSCSI PDU): a modeled size, an opaque
@@ -173,7 +173,7 @@ class TcpStream
      */
     TcpStream(sim::EventQueue &queue, Fabric &fabric,
               sim::MetricRegistry &metrics, std::string metric_prefix,
-              std::string name, TcpConfig config = {});
+              std::string name);
 
     TcpStream(const TcpStream &) = delete;
     TcpStream &operator=(const TcpStream &) = delete;
@@ -209,7 +209,7 @@ class TcpStream
      *  accounting by the caller). */
     uint64_t segmentCount(uint64_t bytes) const
     {
-        return (bytes + config_.mss - 1) / config_.mss;
+        return (bytes + TcpConfig::mss - 1) / TcpConfig::mss;
     }
 
     /** @name Deferred receive processing
@@ -240,7 +240,6 @@ class TcpStream
      *  per back-to-back timeout, capped at max_rto). */
     sim::Tick currentRto() const;
     uint64_t acksSent() const { return acks_tx_.value(); }
-    const TcpConfig &config() const { return config_; }
     /** @} */
 
   private:
@@ -284,7 +283,6 @@ class TcpStream
 
     sim::EventQueue &queue_;
     Fabric &fabric_;
-    TcpConfig config_;
     std::string metric_prefix_;
 
     PortId port_ = kInvalidPort;
@@ -303,8 +301,8 @@ class TcpStream
     uint64_t snd_una_ = 0;
     uint64_t snd_nxt_ = 0;
     uint64_t max_sent_ = 0;    ///< Highest seq ever transmitted + 1.
-    uint32_t cwnd_;
-    uint32_t ssthresh_;
+    uint32_t cwnd_ = TcpConfig::initial_cwnd;
+    uint32_t ssthresh_ = TcpConfig::initial_ssthresh;
     uint32_t cwnd_acc_ = 0;    ///< Congestion-avoidance accumulator.
     uint32_t dupacks_ = 0;
     /** Back-to-back timeout count since the last new cumulative ACK;

@@ -24,27 +24,29 @@
 namespace v3sim::osmodel
 {
 
-/** Per-host OS cost constants. Defaults model a mid-size 4-way SMP. */
+/** Per-host OS cost constants. Defaults model a mid-size 4-way SMP;
+ *  the fields large() raises are the only per-platform ones, the
+ *  rest are the same on every host. */
 struct HostCosts
 {
     /** User/kernel boundary crossing, round trip. */
-    sim::Tick syscall = sim::usecs(1.3);
+    static constexpr sim::Tick syscall = sim::usecs(1.3);
 
     /** Interrupt service entry/exit (paper: 5-10 us). */
-    sim::Tick interrupt = sim::usecs(7);
+    static constexpr sim::Tick interrupt = sim::usecs(7);
 
     /** Dispatching deferred completion work (DPC-level processing). */
-    sim::Tick dpc_dispatch = sim::usecs(1.2);
+    static constexpr sim::Tick dpc_dispatch = sim::usecs(1.2);
 
     /** Waking a blocked thread (scheduler + context switch). */
     sim::Tick context_switch = sim::usecs(3.5);
 
     /** I/O-manager per-request processing on the issue side
      *  (IRP allocation, validation, driver dispatch). */
-    sim::Tick irp_issue = sim::usecs(2.2);
+    static constexpr sim::Tick irp_issue = sim::usecs(2.2);
 
     /** I/O-manager per-request completion processing. */
-    sim::Tick irp_complete = sim::usecs(1.8);
+    static constexpr sim::Tick irp_complete = sim::usecs(1.8);
 
     /** Probe-and-lock (pin) cost per page when the kernel prepares a
      *  buffer for DMA; unlock costs the same on completion. */
@@ -52,7 +54,7 @@ struct HostCosts
 
     /** Signalling a Win32 event / scheduling an APC callback into an
      *  application thread (wDSA's completion notification). */
-    sim::Tick event_signal = sim::usecs(2.4);
+    static constexpr sim::Tick event_signal = sim::usecs(2.4);
 
     /** Acquire half of a lock/unlock synchronization pair (atomic op
      *  plus coherence traffic; rises with CPU count). */
@@ -75,15 +77,15 @@ struct HostCosts
     /** TCP/IP per-segment protocol processing (header build/parse,
      *  state machine, socket demux) — charged on transmit and
      *  receive alike. */
-    sim::Tick tcp_segment = sim::usecs(1.8);
+    static constexpr sim::Tick tcp_segment = sim::usecs(1.8);
     /** Socket-buffer copy across the user/kernel boundary, per KB
      *  (send: user->kernel; receive: kernel->user). VI RDMA places
      *  data directly in registered user buffers instead. */
-    sim::Tick sock_copy_per_kb = sim::usecs(1.0);
+    static constexpr sim::Tick sock_copy_per_kb = sim::usecs(1.0);
     /** Internet checksum over segment payload, per KB, in software.
      *  VI relies on the NIC's hardware CRC per hop plus DSA's
      *  end-to-end digests. */
-    sim::Tick inet_checksum_per_kb = sim::usecs(0.45);
+    static constexpr sim::Tick inet_checksum_per_kb = sim::usecs(0.45);
     /** @} */
 
     /** Extra per-path cost of the *unoptimized* I/O request path:
@@ -114,7 +116,7 @@ struct HostCosts
     }
 
     /** V3 storage node: 2 x 700 MHz PIII (Table 2). */
-    static HostCosts storageNode() { return HostCosts{}; }
+    static constexpr HostCosts storageNode() { return HostCosts{}; }
 };
 
 } // namespace v3sim::osmodel

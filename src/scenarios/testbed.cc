@@ -162,7 +162,6 @@ Testbed::buildNodes(bool phantom, const dsa::DsaConfig &dsa_config)
             storage::V3ServerConfig config;
             shared(config, n);
             config.request_credits = params.request_credits;
-            config.staging_slots = params.staging_slots;
             node = std::make_unique<storage::V3Server>(sim_, fabric_,
                                                        config);
         }

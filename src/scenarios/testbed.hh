@@ -120,12 +120,11 @@ struct StorageParams
     disk::DiskSpec disk_spec = disk::DiskSpec::scsi10k();
     uint64_t cache_bytes_per_node = 200 * util::kMiB;
     storage::CachePolicy cache_policy = storage::CachePolicy::Mq;
-    uint64_t stripe_unit = 64 * util::kKiB;
+    static constexpr uint64_t stripe_unit = 64 * util::kKiB;
     /** Local backend: total directly attached disks (Fig 13 sweeps
      *  this); 0 means v3_nodes * disks_per_node. */
     int local_disks = 0;
     uint32_t request_credits = 64;
-    uint32_t staging_slots = 32;
 
     Layout layout = Layout::Striped;
     /** Mirrored and Cluster use mirror. */

@@ -5,8 +5,8 @@
  * ServerPool models m identical servers with queued admission and a
  * caller-supplied service time per job — the workhorse behind NIC DMA
  * engines, network links, disk mechanisms, and the V3 server's
- * pipeline stages. Semaphore is a counted, FIFO-fair gate used for
- * flow-control credits and bounded queues.
+ * pipeline stages. Semaphore is a counted gate, granting in key
+ * order, used for flow-control credits and bounded queues.
  *
  * Determinism (DESIGN.md §8.3): jobs submitted on the same tick are a
  * race — their submission order is unspecified and tie-shuffled, so
@@ -154,9 +154,10 @@ class ServerPool
  * last count to whichever same-tick acquirer happened to run first —
  * arrival order, which the tie-shuffle permutes. Every acquire
  * therefore parks, and counts are granted in one final-band pass per
- * tick ordered by (order_key, park order). Acquirers pass a
- * content-derived key (buffer address, request offset); distinct
- * ticks keep strict FIFO because earlier parks carry smaller seqs.
+ * tick ordered by (order_key, park order) over every parked waiter,
+ * whichever tick it parked in: a later waiter with a smaller key
+ * overtakes an earlier one. Acquirers pass a content-derived key
+ * (buffer address, request offset); only equal keys keep FIFO.
  */
 class Semaphore
 {
@@ -175,8 +176,8 @@ class Semaphore
 
     /**
      * Awaitable acquire of one count. Grants happen in this tick's
-     * final band at the earliest; same-tick acquirers are ordered by
-     * @p order_key (content, never arrival order), then park order.
+     * final band at the earliest; all parked acquirers are ordered
+     * by @p order_key (content, never arrival order), then park order.
      */
     auto
     acquire(uint64_t order_key = 0)

@@ -3,8 +3,12 @@
  * Simulation context: event queue + root RNG + logging hookup.
  *
  * One Simulation object represents one experiment run. Components
- * receive a reference at construction; there are no globals, so tests
- * can run many simulations in one process.
+ * receive a reference at construction, so tests can run many
+ * simulations, one after another, in one process. Two mutable
+ * process-wide singletons remain, and they keep simulations off
+ * concurrent threads until ROADMAP item 1 removes them:
+ * util::Logger's time source, which every Simulation installs and
+ * its destructor clears, and sim::FrameArena's freelist heads.
  */
 
 #ifndef V3SIM_SIM_SIMULATION_HH

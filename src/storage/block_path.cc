@@ -52,8 +52,8 @@ BlockPath::BlockPath(sim::Simulation &sim, osmodel::Node &node,
         return;
     const uint64_t blocks = config_.cache_bytes / config_.block_size;
     if (config_.cache_policy == CachePolicy::Mq) {
-        cache_ = std::make_unique<MqCache>(
-            node_.memory(), config_.block_size, blocks, config_.mq);
+        cache_ = std::make_unique<MqCache>(node_.memory(),
+                                           config_.block_size, blocks);
     } else {
         cache_ = std::make_unique<LruCache>(node_.memory(),
                                             config_.block_size, blocks);

@@ -52,7 +52,7 @@ struct BlockPathConfig
     /** @} */
 
     /** Cache block size (the paper's experiments fix this at 8 KB). */
-    uint64_t block_size = 8192;
+    static constexpr uint64_t block_size = 8192;
 
     /** Cache capacity in bytes; 0 disables caching entirely (the
      *  Figure 7/8 configuration: "the V3 server cache size is set to
@@ -60,13 +60,12 @@ struct BlockPathConfig
     uint64_t cache_bytes = 256ull * 1024 * 1024;
 
     CachePolicy cache_policy = CachePolicy::Mq;
-    MqConfig mq;
 
     /** @name CPU costs, charged on the node's CPUs @{ */
-    sim::Tick cache_op_cost = sim::usecs(1.5);
-    sim::Tick disk_sched_cost = sim::usecs(3.0);
+    static constexpr sim::Tick cache_op_cost = sim::usecs(1.5);
+    static constexpr sim::Tick disk_sched_cost = sim::usecs(3.0);
     /** Per-KB cost of copies into cache frames. */
-    sim::Tick memcpy_per_kb = sim::usecs(0.12);
+    static constexpr sim::Tick memcpy_per_kb = sim::usecs(0.12);
     /** @} */
 };
 

@@ -28,7 +28,7 @@ namespace v3sim::storage
 {
 
 /** Static configuration every storage node shares; V3ServerConfig
- *  and iscsi::TargetConfig extend it with their transport's knobs. */
+ *  adds its request credits, iscsi::TargetConfig only its defaults. */
 struct StorageNodeConfig : BlockPathConfig
 {
     /** The front ends differ only in these two defaults. */
@@ -39,16 +39,17 @@ struct StorageNodeConfig : BlockPathConfig
     {}
 
     std::string name;
-    int cpus = 2;
-    osmodel::HostCosts host_costs = osmodel::HostCosts::storageNode();
+    static constexpr int cpus = 2;
+    static constexpr osmodel::HostCosts host_costs =
+        osmodel::HostCosts::storageNode();
 
     /** Phantom memory for large workload runs. */
     bool phantom_memory = false;
 
     /** @name Request-manager CPU costs (charged on the node's CPUs)
      * @{ */
-    sim::Tick parse_cost = sim::usecs(5.0);
-    sim::Tick complete_cost = sim::usecs(4.0);
+    static constexpr sim::Tick parse_cost = sim::usecs(5.0);
+    static constexpr sim::Tick complete_cost = sim::usecs(4.0);
     /** Per-KB cost of the end-to-end CRC32C digest (verify staged
      *  write payloads, digest read responses). Charged in phantom
      *  and real-memory runs alike; see dsa::payloadDigest. */

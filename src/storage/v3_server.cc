@@ -28,6 +28,10 @@ orderKey(uint64_t conn_salt, uint64_t v)
     return conn_salt * 0x9e3779b97f4a7c15ull ^ v;
 }
 
+/** One connection's write-staging area (dsa/protocol.hh). */
+constexpr uint64_t kStagingBytes =
+    uint64_t{dsa::kStagingSlots} * dsa::kStagingSlotBytes;
+
 } // namespace
 
 V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
@@ -49,8 +53,7 @@ V3Server::V3Server(sim::Simulation &sim, net::Fabric &fabric,
     // configuration, unlike the 1 GB client cLan default).
     vi::ViCosts nic_costs;
     nic_costs.max_registered_bytes =
-        config_.cache_bytes + 64ull * 1024 * 1024 +
-        32ull * config_.staging_slots * config_.staging_slot_bytes;
+        config_.cache_bytes + 64ull * 1024 * 1024 + 32 * kStagingBytes;
     nic_ = std::make_unique<vi::ViNic>(sim, fabric, node_.memory(),
                                        config_.name + ".nic",
                                        nic_costs);
@@ -174,14 +177,9 @@ V3Server::accept(net::PortId, vi::EndpointId)
     conn->flag_scratch = mem.allocate(8);
     auto flag_reg =
         nic_->registry().registerMemory(conn->flag_scratch, 8, true);
-    conn->staging_base = mem.allocate(
-        static_cast<uint64_t>(config_.staging_slots) *
-        config_.staging_slot_bytes);
+    conn->staging_base = mem.allocate(kStagingBytes);
     auto staging_reg = nic_->registry().registerMemory(
-        conn->staging_base,
-        static_cast<uint64_t>(config_.staging_slots) *
-            config_.staging_slot_bytes,
-        true);
+        conn->staging_base, kStagingBytes, true);
     if (!req_reg || !reply_reg || !flag_reg || !staging_reg) {
         V3LOG(Warn, "v3") << config_.name
                           << ": refusing connection, NIC "
@@ -211,18 +209,15 @@ V3Server::onRdmaEvent(const vi::ViNic::RdmaEvent &event)
     // fragment clears any stale taint from an earlier (retransmitted)
     // transfer into the same slot; any damaged fragment taints it.
     for (auto &conn : connections_) {
-        const uint64_t span =
-            static_cast<uint64_t>(config_.staging_slots) *
-            config_.staging_slot_bytes;
         if (conn->staging_base == sim::kNullAddr ||
             event.addr < conn->staging_base ||
-            event.addr >= conn->staging_base + span) {
+            event.addr >= conn->staging_base + kStagingBytes) {
             continue;
         }
         const uint64_t off = event.addr - conn->staging_base;
         const uint32_t slot =
-            static_cast<uint32_t>(off / config_.staging_slot_bytes);
-        if (off % config_.staging_slot_bytes == 0)
+            static_cast<uint32_t>(off / dsa::kStagingSlotBytes);
+        if (off % dsa::kStagingSlotBytes == 0)
             conn->staging_tainted.erase(slot);
         if (event.corrupted)
             conn->staging_tainted.insert(slot);
@@ -399,9 +394,8 @@ V3Server::handleHello(Connection &conn, const dsa::RequestMsg &req,
     ack->kind = dsa::ServerMsg::Kind::HelloAck;
     ack->hello.volume_capacity = volumeCapacity(req.volume);
     ack->hello.request_credits = config_.request_credits;
-    ack->hello.staging_slots = config_.staging_slots;
-    ack->hello.staging_slot_bytes =
-        static_cast<uint32_t>(config_.staging_slot_bytes);
+    ack->hello.staging_slots = dsa::kStagingSlots;
+    ack->hello.staging_slot_bytes = dsa::kStagingSlotBytes;
     ack->hello.staging_base = conn.staging_base;
 
     vi::WorkDescriptor desc;
@@ -532,16 +526,15 @@ V3Server::doWrite(Connection &conn, const dsa::RequestMsg &req,
                   CpuLease &lease)
 {
     if (!validRange(req.volume, req.offset, req.len, true) ||
-        req.staging_slot >= config_.staging_slots ||
-        req.len > config_.staging_slot_bytes) {
+        req.staging_slot >= dsa::kStagingSlots ||
+        req.len > dsa::kStagingSlotBytes) {
         co_return dsa::IoStatus::Error;
     }
 
     sim::MemorySpace &mem = node_.memory();
     const sim::Addr staging =
         conn.staging_base +
-        static_cast<uint64_t>(req.staging_slot) *
-            config_.staging_slot_bytes;
+        static_cast<uint64_t>(req.staging_slot) * dsa::kStagingSlotBytes;
 
     // Verify the staged payload before the cache or the disk sees
     // it: a block damaged on the way in must never become "the"

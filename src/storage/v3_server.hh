@@ -68,7 +68,9 @@ namespace v3sim::storage
 {
 
 /** Static configuration of one V3 storage node: the shared node
- *  fields plus the VI front end's flow-control grants. */
+ *  fields plus the VI front end's request credits. Every connection
+ *  is also granted the write-staging area of dsa/protocol.hh
+ *  (dsa::kStagingSlots slots of dsa::kStagingSlotBytes). */
 struct V3ServerConfig : StorageNodeConfig
 {
     V3ServerConfig() : StorageNodeConfig("v3", sim::usecs(0.04)) {}
@@ -76,12 +78,6 @@ struct V3ServerConfig : StorageNodeConfig
     /** Outstanding-request credits granted per client connection
      *  (matches posted receive descriptors — DSA flow control). */
     uint32_t request_credits = 64;
-
-    /** Write-staging slots granted per client connection. */
-    uint32_t staging_slots = 32;
-
-    /** Size of one staging slot (must cover the largest write). */
-    uint64_t staging_slot_bytes = 128 * 1024;
 };
 
 /** One V3 storage node. */

@@ -33,37 +33,39 @@
 namespace v3sim::vi
 {
 
-/** Tunable VI provider/NIC cost model. Defaults model Giganet cLan. */
+/** The VI provider/NIC cost model of Giganet cLan: constants, but
+ *  for the two registration capacity limits, which the registration
+ *  ablation and the registration tests shrink. */
 struct ViCosts
 {
     /** Host cost to ring a doorbell (post a descriptor) from user
      *  level: "a few instructions" plus a PIO write. */
-    sim::Tick doorbell = sim::nsecs(700);
+    static constexpr sim::Tick doorbell = sim::nsecs(700);
 
     /** Extra host cost when the provider call must enter the kernel
      *  (kernel-level VI as used by kDSA). */
-    sim::Tick kernel_transition = sim::usecs(1.2);
+    static constexpr sim::Tick kernel_transition = sim::usecs(1.2);
 
     /** NIC-side processing per transmitted packet (descriptor fetch,
      *  address translation, DMA setup). */
-    sim::Tick nic_tx_processing = sim::usecs(1.5);
+    static constexpr sim::Tick nic_tx_processing = sim::usecs(1.5);
 
     /** NIC-side processing per received packet (match to recv
      *  descriptor or RDMA target, DMA to host memory). */
-    sim::Tick nic_rx_processing = sim::usecs(1.5);
+    static constexpr sim::Tick nic_rx_processing = sim::usecs(1.5);
 
     /** Host cost to poll a completion queue once (check + pop). */
-    sim::Tick cq_poll = sim::nsecs(300);
+    static constexpr sim::Tick cq_poll = sim::nsecs(300);
 
     /** Host cost to pin or unpin one page (enters the kernel). */
-    sim::Tick page_pin = sim::usecs(1.8);
+    static constexpr sim::Tick page_pin = sim::usecs(1.8);
 
     /** Host cost to install one NIC translation-table entry. */
-    sim::Tick table_update = sim::usecs(1.4);
+    static constexpr sim::Tick table_update = sim::usecs(1.4);
 
     /** Host cost to remove translation-table entries; one operation
      *  can cover a whole region (batched deregistration). */
-    sim::Tick table_remove = sim::usecs(1.4);
+    static constexpr sim::Tick table_remove = sim::usecs(1.4);
 
     /** Maximum bytes the NIC allows registered at once (cLan: 1 GB). */
     uint64_t max_registered_bytes = 1ull * util::kGiB;
@@ -76,7 +78,7 @@ struct ViCosts
     uint32_t max_table_entries = 65536;
 
     /** Maximum wire packet (cLan: 64K - 64 bytes). */
-    uint64_t max_packet_bytes = 64 * util::kKiB - 64;
+    static constexpr uint64_t max_packet_bytes = 64 * util::kKiB - 64;
 
     /**
      * Wire overhead bytes added per packet (headers/CRC). This is the
@@ -87,7 +89,7 @@ struct ViCosts
      * which survive NIC buffers, DMA engines and staging copies and
      * are the detection layer of the integrity subsystem.
      */
-    uint64_t packet_header_bytes = 64;
+    static constexpr uint64_t packet_header_bytes = 64;
 };
 
 } // namespace v3sim::vi

@@ -211,6 +211,40 @@ TEST_P(EndToEnd, WrappingRangeReadFails)
     EXPECT_FALSE(ok);
 }
 
+TEST_P(EndToEnd, OverlongReadFails)
+{
+    // 2^32 + 8 KiB does not fit RequestMsg's 32-bit length: cut to
+    // 8 KiB on the wire, it would read a fraction and report Ok.
+    auto client = makeClient(GetParam());
+    const Addr buf = host_.memory().allocate(8192);
+    bool done = false;
+    bool ok = true;
+    sim::spawn([](DsaClient &c, Addr b, bool &finished,
+                  bool &out) -> Task<> {
+        out = co_await c.read(0, (uint64_t{1} << 32) + 8192, b);
+        finished = true;
+    }(*client, buf, done, ok));
+    sim_.runUntil(sim_.now() + sim::secs(2));
+    EXPECT_TRUE(done);
+    EXPECT_FALSE(ok);
+}
+
+TEST_P(EndToEnd, OversizeWriteFailsBeforeStaging)
+{
+    // A write longer than its staging slot would overrun into the
+    // neighbouring slot; the client refuses it without sending.
+    auto client = makeClient(GetParam());
+    const uint64_t len = kStagingSlotBytes + 8192;
+    const Addr wbuf = patternBuffer(len, 5);
+    bool ok = true;
+    sim::spawn([](DsaClient &c, Addr w, uint64_t n, bool &out) -> Task<> {
+        out = co_await c.write(0, n, w);
+    }(*client, wbuf, len, ok));
+    sim_.run();
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(server_->writeCount(), 0u);
+}
+
 TEST_P(EndToEnd, RetransmissionRecoversLostRequest)
 {
     DsaConfig config;

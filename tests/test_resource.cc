@@ -172,5 +172,31 @@ TEST(Semaphore, SameTickGrantsFollowOrderKey)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
+// The key orders every parked waiter, not only same-tick ones: a
+// waiter parked later with a smaller key is granted first.
+TEST(Semaphore, ParkedWaitersAreGrantedByKeyAcrossTicks)
+{
+    Simulation sim;
+    Semaphore sem(sim.queue(), 0);
+    std::vector<uint64_t> order;
+    auto waiter = [](Simulation &s, Semaphore &sm,
+                     std::vector<uint64_t> &out, Tick park_at,
+                     uint64_t key) -> Task<> {
+        co_await s.sleep(park_at);
+        co_await sm.acquire(key);
+        out.push_back(key);
+    };
+    spawn(waiter(sim, sem, order, usecs(10), 100));
+    spawn(waiter(sim, sem, order, usecs(20), 5));
+    sim.runUntil(usecs(30));
+    EXPECT_EQ(sem.waiterCount(), 2u);
+    sem.release(1);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<uint64_t>{5}));
+    sem.release(1);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<uint64_t>{5, 100}));
+}
+
 } // namespace
 } // namespace v3sim::sim

@@ -165,23 +165,23 @@ TEST_F(TcpStreamTest, RtoExponentialBackoff)
     });
     const Tick t0 = sim_.now();
     send(1000, 1);
-    EXPECT_EQ(a_.currentRto(), a_.config().rto);
+    EXPECT_EQ(a_.currentRto(), TcpConfig::rto);
     // Base 2 ms doubling: timeouts fire at +2, +6, +14, +30, +62 ms.
     // By +40 ms four timer retransmits have gone out and the next
     // timer is armed at 16x the base.
     sim_.runUntil(t0 + sim::msecs(40));
     EXPECT_EQ(dropped, 5); // the original send + 4 timer resends
-    EXPECT_EQ(a_.currentRto(), a_.config().rto << 4);
+    EXPECT_EQ(a_.currentRto(), TcpConfig::rto << 4);
     // Keep losing: the effective RTO saturates at max_rto.
     sim_.runUntil(t0 + sim::msecs(400));
-    EXPECT_EQ(a_.currentRto(), a_.config().max_rto);
+    EXPECT_EQ(a_.currentRto(), TcpConfig::max_rto);
     // Heal the path: the next timer retransmit gets through and the
     // new cumulative ACK resets the backoff to the base RTO.
     fabric_.setDropFilter(nullptr);
     sim_.run();
     ASSERT_EQ(received_.size(), 1u);
     EXPECT_EQ(a_.sndUna(), 1u);
-    EXPECT_EQ(a_.currentRto(), a_.config().rto);
+    EXPECT_EQ(a_.currentRto(), TcpConfig::rto);
 }
 
 TEST_F(TcpStreamTest, TaintPropagation)
