@@ -59,8 +59,8 @@ struct DsaOptimizations
 inline std::strong_ordering
 DsaOptimizations::operator<=>(const DsaOptimizations &) const = default;
 
-/** Per-implementation client path costs; only poll_check is set
- *  (by the loaded-database config), the rest are constants. */
+/** Per-implementation client path costs; only poll_check is
+ *  settable, the rest are constants. */
 struct DsaClientCosts
 {
     /** Common request marshalling: build the 64 B request and CRC32C

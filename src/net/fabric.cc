@@ -121,11 +121,4 @@ Fabric::packetsDelivered(PortId port) const
     return ports_[port]->delivered.value();
 }
 
-double
-Fabric::txUtilization(PortId port) const
-{
-    assert(port < ports_.size());
-    return ports_[port]->tx->utilization();
-}
-
 } // namespace v3sim::net

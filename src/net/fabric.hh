@@ -162,9 +162,6 @@ class Fabric
     /** Packets removed by the drop filter. */
     uint64_t packetsDropped() const { return dropped_.value(); }
 
-    /** Transmit-queue utilization of @p port over the run. */
-    double txUtilization(PortId port) const;
-
   private:
     struct PortState
     {

@@ -68,9 +68,6 @@ loadedDsaConfig()
     dsa::DsaConfig config;
     config.poll_interval = sim::usecs(25);
     config.poll_timeout = sim::msecs(50);
-    // One flag check inside the scheduler's poll pass is a cached
-    // read, far cheaper than the micro-benchmark's isolated check.
-    config.costs.poll_check = sim::nsecs(200);
     return config;
 }
 

@@ -65,17 +65,93 @@ EventQueue::allocControl()
     return static_cast<uint32_t>(controls_.size() - 1);
 }
 
-bool
+void
 EventQueue::releaseControl(uint32_t slot)
 {
     ControlSlot &ctl = controls_[slot];
-    const bool cancelled = ctl.cancelled;
     // The generation bump is what retires outstanding handles.
     ++ctl.gen;
-    ctl.cancelled = false;
     ctl.next_free = free_control_;
     free_control_ = slot;
-    return cancelled;
+}
+
+void
+EventQueue::drop(Event *event)
+{
+    // Popping the event at its tick would have moved now() there; a
+    // draining run() still ends no earlier (see run()).
+    dropped_until_ = std::max(dropped_until_, event->when);
+    releaseEvent(event);
+}
+
+void
+EventQueue::cancelSlot(uint32_t slot, uint32_t gen)
+{
+    if (!slotPending(slot, gen))
+        return;
+    --pending_;
+    Event *event = controls_[slot].event;
+    releaseControl(slot);
+    if (event->heap_index == kNotInHeap) {
+        // In the ring or the sorted region: freed when its bucket
+        // melts or when it reaches the back of bottom_.
+        event->control = kCancelled;
+        return;
+    }
+    drop(heapRemove(event->heap_index));
+}
+
+void
+EventQueue::siftUp(size_t index)
+{
+    const BottomItem item = overflow_[index];
+    while (index > 0) {
+        const size_t parent = (index - 1) / 2;
+        if (!LaterItem{}(overflow_[parent], item))
+            break;
+        heapSet(index, overflow_[parent]);
+        index = parent;
+    }
+    heapSet(index, item);
+}
+
+void
+EventQueue::siftDown(size_t index)
+{
+    const BottomItem item = overflow_[index];
+    const size_t size = overflow_.size();
+    for (;;) {
+        size_t child = 2 * index + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size &&
+            LaterItem{}(overflow_[child], overflow_[child + 1]))
+            ++child;
+        if (!LaterItem{}(item, overflow_[child]))
+            break;
+        heapSet(index, overflow_[child]);
+        index = child;
+    }
+    heapSet(index, item);
+}
+
+EventQueue::Event *
+EventQueue::heapRemove(size_t index)
+{
+    Event *event = overflow_[index].event;
+    event->heap_index = kNotInHeap;
+    const BottomItem last = overflow_.back();
+    overflow_.pop_back();
+    if (index < overflow_.size()) {
+        // The last item fills the hole and sifts whichever way its
+        // key sends it.
+        overflow_[index] = last;
+        if (index > 0 && LaterItem{}(overflow_[(index - 1) / 2], last))
+            siftUp(index);
+        else
+            siftDown(index);
+    }
+    return event;
 }
 
 void
@@ -105,8 +181,7 @@ EventQueue::place(Event *event)
     } else {
         overflow_.push_back(
             BottomItem{event->when, event->tie, event->seq, event});
-        std::push_heap(overflow_.begin(), overflow_.end(),
-                       LaterItem{});
+        siftUp(overflow_.size() - 1);
     }
 }
 
@@ -121,6 +196,7 @@ EventQueue::enqueue(Event *event, Tick when, uint32_t control)
     event->seq = seq;
     event->next = nullptr;
     event->control = control;
+    event->heap_index = kNotInHeap;
     place(event);
     ++pending_;
 }
@@ -156,10 +232,7 @@ EventQueue::pullFromOverflow(uint64_t limit)
     while (!overflow_.empty() &&
            (static_cast<uint64_t>(overflow_.front().when) >>
             kBucketShift) <= limit) {
-        Event *event = overflow_.front().event;
-        std::pop_heap(overflow_.begin(), overflow_.end(),
-                      LaterItem{});
-        overflow_.pop_back();
+        Event *event = heapRemove(0);
         const uint64_t bucket =
             static_cast<uint64_t>(event->when) >> kBucketShift;
         Event *&head = buckets_[bucket & (kBucketCount - 1)];
@@ -172,14 +245,32 @@ EventQueue::pullFromOverflow(uint64_t limit)
 bool
 EventQueue::advance()
 {
-    if (!bottom_.empty())
-        return true;
-    // Ring and overflow events lie at or past bottomLimit(); below it
-    // the final band's head has no regular event left to wait for.
-    if (final_head_ != nullptr && final_head_->when < bottomLimit())
-        return true;
-    if (in_buckets_ == 0 && overflow_.empty())
-        return final_head_ != nullptr;
+    for (;;) {
+        // A cancelled event that made it into bottom_ is skipped here,
+        // once it reaches the back.
+        while (!bottom_.empty()) {
+            Event *back = bottom_.back().event;
+            if (back->control != kCancelled)
+                return true;
+            bottom_.pop_back();
+            drop(back);
+        }
+        // Ring and overflow events lie at or past bottomLimit(); below
+        // it the final band's head has no regular event left to wait
+        // for.
+        if (final_head_ != nullptr && final_head_->when < bottomLimit())
+            return true;
+        if (in_buckets_ == 0 && overflow_.empty())
+            return final_head_ != nullptr;
+        melt();
+        // A melt of cancelled events only leaves bottom_ empty: look
+        // again, final band first.
+    }
+}
+
+void
+EventQueue::melt()
+{
     const uint64_t overflow_min =
         overflow_.empty()
             ? UINT64_MAX
@@ -206,20 +297,23 @@ EventQueue::advance()
     Event *head = buckets_[index & (kBucketCount - 1)];
     buckets_[index & (kBucketCount - 1)] = nullptr;
     next_bucket_ = index + 1;
-    // Melt: bottom_ is empty here, so one sort of the bucket's chain
+    // bottom_ is empty here, so one sort of the bucket's live events
     // replaces per-event heap maintenance; fireNext then pops from
     // the back for free. Keys are copied into the flat array once so
-    // the sort never touches the events again.
+    // the sort never touches the events again. Cancelled events are
+    // freed instead, unsorted.
     while (head != nullptr) {
         Event *next = head->next;
-        bottom_.push_back(
-            BottomItem{head->when, head->tie, head->seq, head});
         --in_buckets_;
+        if (head->control == kCancelled)
+            drop(head);
+        else
+            bottom_.push_back(
+                BottomItem{head->when, head->tie, head->seq, head});
         head = next;
     }
     if (bottom_.size() > 1)
         std::sort(bottom_.begin(), bottom_.end(), LaterItem{});
-    return true;
 }
 
 void
@@ -237,22 +331,16 @@ EventQueue::fireNext()
     }
     --pending_;
     now_ = event->when;
-    // Counted before the cancellation check so the tally is a pure
-    // function of the scheduled ticks, unperturbed by within-tick
-    // cancellation order.
     if (event->when == last_fired_at_)
         ++same_tick_fired_;
     last_fired_at_ = event->when;
-    bool cancelled = false;
     if (event->control != kNoControl)
-        cancelled = releaseControl(event->control);
-    if (!cancelled) {
-        ++fired_total_;
-        // The event is already detached from every structure, so the
-        // callback may freely schedule (and pool-allocate) more
-        // events; its storage is recycled only after it returns.
-        event->fn();
-    }
+        releaseControl(event->control);
+    ++fired_total_;
+    // The event is already detached from every structure, so the
+    // callback may freely schedule (and pool-allocate) more events;
+    // its storage is recycled only after it returns.
+    event->fn();
     releaseEvent(event);
 }
 
@@ -260,7 +348,13 @@ size_t
 EventQueue::run(size_t max_events)
 {
     size_t fired = 0;
-    while (fired < max_events && advance()) {
+    while (fired < max_events) {
+        if (!advance()) {
+            // Drained: end where popping every cancelled event at its
+            // tick would have, so cancelling never moves the clock.
+            now_ = std::max(now_, dropped_until_);
+            break;
+        }
         fireNext();
         ++fired;
     }

@@ -17,8 +17,9 @@
  *  - a ring of fixed-width buckets (unsorted intrusive lists)
  *    covering the near future; a bucket is sorted only when it
  *    becomes the next to fire, by melting it into the bottom heap,
- *  - an overflow min-heap for events beyond the bucket window,
- *    pulled into buckets when the window rebases past them,
+ *  - an overflow min-heap for live events beyond the bucket window,
+ *    pulled into buckets when the window rebases past them; each
+ *    event knows its heap position, so a cancel removes it at once,
  *  - beside them, the final band: an intrusive FIFO of the current
  *    tick's scheduleFinal() events, each fired once no regular event
  *    is left at its tick.
@@ -32,7 +33,9 @@
  * so the `schedule()` fast path performs no allocation and no
  * callback relocation once the pool is warm. Cancellation handles
  * are opt-in (`scheduleCancelable`) and use generation-counted slots
- * instead of shared_ptr control blocks.
+ * instead of shared_ptr control blocks. A cancelled event is
+ * forgotten rather than carried to its deadline: it leaves the
+ * overflow heap at the cancel, and the ring when its bucket melts.
  *
  * Tie-shuffle debug mode (DESIGN.md §8): setTieShuffle(seed)
  * randomizes the ordering of *independently scheduled* events that
@@ -71,8 +74,9 @@ class EventQueue
      * *Cancelable entry points. Default-constructed handles are
      * inert; copies all refer to the same event. Cancelling an
      * already-fired event is a harmless no-op: the handle carries a
-     * generation counter and goes stale the moment its event pops
-     * (or its slot is reused), so no shared control block exists.
+     * generation counter and goes stale the moment its event fires or
+     * is cancelled (or its slot is reused), so no shared control
+     * block exists.
      *
      * Lifetime rule: a Handle must not outlive its EventQueue (it
      * holds a plain pointer back to it). Every in-tree holder is a
@@ -215,18 +219,23 @@ class EventQueue
         Event *event = allocEvent();
         event->fn.emplace(std::forward<F>(fn));
         const uint32_t slot = allocControl();
+        controls_[slot].event = event;
         enqueue(event, when, slot);
         return Handle(this, slot, controls_[slot].gen);
     }
 
-    /** Number of events scheduled but not yet fired or cancelled. */
+    /** Number of events scheduled but not yet fired or cancelled: a
+     *  cancelled event leaves the count at its cancel. */
     size_t pendingCount() const { return pending_; }
 
     /** True when no runnable events remain. */
     bool empty() const { return pending_ == 0; }
 
     /**
-     * Runs events until the queue drains or @p max_events fire.
+     * Runs events until the queue drains or @p max_events fire. A
+     * run that drains the queue leaves now() at the latest tick any
+     * event was scheduled for, cancelled ones included, as if each
+     * cancelled event had been popped at its tick.
      * @return the number of events fired.
      */
     size_t run(size_t max_events = SIZE_MAX);
@@ -242,12 +251,11 @@ class EventQueue
     /** Total events fired over the queue's lifetime. */
     uint64_t firedCount() const { return fired_total_; }
 
-    /** Popped events (cancelled included) that shared their tick with
-     *  the previously popped event — the same-tick ties whose order
-     *  tie-shuffle permutes. A function of the multiset of scheduled
-     *  ticks only, so invariant across shuffle seeds; abl_determinism
-     *  reports it as evidence the shuffled runs had races to
-     *  permute. */
+    /** Fired events that shared their tick with the previously fired
+     *  event — the same-tick ties whose order tie-shuffle permutes.
+     *  A function of the multiset of fired events' ticks only, so
+     *  invariant across shuffle seeds; abl_determinism reports it as
+     *  evidence the shuffled runs had races to permute. */
     uint64_t sameTickFired() const { return same_tick_fired_; }
 
     /**
@@ -279,6 +287,11 @@ class EventQueue
      *  Test introspection for ladder<->overflow migration. */
     size_t overflowCount() const { return overflow_.size(); }
 
+    /** Event pool chunks ever allocated (kPoolChunk events each).
+     *  Test introspection backing "a cancelled far timer frees its
+     *  node at the cancel". */
+    size_t poolChunkCount() const { return pool_.size(); }
+
   private:
     /** Pooled intrusive event: two cache lines including the inline
      *  callback buffer. Never relocated once allocated. */
@@ -293,30 +306,40 @@ class EventQueue
         uint64_t seq;
         /** Bucket chain / final band / free-list link. */
         Event *next;
-        /** Index into controls_, or kNoControl (fast path). */
+        /** Index into controls_, kNoControl (fast path), or
+         *  kCancelled: cancelled in the ring or the sorted region,
+         *  where it waits to be freed. */
         uint32_t control;
+        /** Position in overflow_, or kNotInHeap. */
+        uint32_t heap_index;
         EventFn fn;
     };
+    static_assert(sizeof(Event) == 128);
 
-    /** Generation-counted cancellation slot. The generation bumps
-     *  every time the slot's event pops (fired or cancelled), so
-     *  outstanding handles with the old generation go inert. */
+    /** Generation-counted cancellation slot. The slot is freed, and
+     *  its generation bumped, when its event fires or is cancelled,
+     *  so outstanding handles with the old generation go inert. */
     struct ControlSlot
     {
+        /** The slot's event while it is pending. */
+        Event *event = nullptr;
         uint32_t gen = 0;
         uint32_t next_free = kNoControl;
-        bool cancelled = false;
     };
 
     static constexpr uint32_t kNoControl = UINT32_MAX;
+    static constexpr uint32_t kCancelled = UINT32_MAX - 1;
+    static constexpr uint32_t kNotInHeap = UINT32_MAX;
 
     /** Bucket geometry: 8192 buckets x 8.192us ≈ a 67ms window. Wide
      *  enough that service times, wire delays and poll intervals land
-     *  directly in the ring. Timers longer than the window pay the
-     *  overflow-heap double transit: DSA's 500 ms retransmit timeout
-     *  does so for every I/O, as do failure injections and end-of-run
-     *  timers. (The ring is 64KiB of pointers — still cache-friendly
-     *  because the melt scan only touches the populated stretch.) */
+     *  directly in the ring. Timers longer than the window wait in the
+     *  overflow heap: DSA's 500 ms retransmit timeout for every I/O,
+     *  failure injections and end-of-run timers. Most are cancelled
+     *  there (a retransmit timer when its reply lands) and leave the
+     *  heap at the cancel, so it holds only the few that stay live.
+     *  (The ring is 64KiB of pointers — still cache-friendly because
+     *  the melt scan only touches the populated stretch.) */
     static constexpr int kBucketShift = 13;
     static constexpr Tick kBucketWidth = Tick(1) << kBucketShift;
     static constexpr size_t kBucketCount = size_t(1) << 13;
@@ -388,9 +411,12 @@ class EventQueue
     void growPool();
     void releaseEvent(Event *event);
     uint32_t allocControl();
-    /** Frees the slot and bumps its generation; returns whether the
-     *  event had been cancelled. */
-    bool releaseControl(uint32_t slot);
+    /** Frees the slot and bumps its generation. */
+    void releaseControl(uint32_t slot);
+
+    /** Frees a cancelled event and records its tick for the end of
+     *  a draining run(). */
+    void drop(Event *event);
 
     /** Stamps @p event (callback already built) with its time, seq
      *  and tie rank, and places it. */
@@ -404,11 +430,30 @@ class EventQueue
      *  minimum, so far-future events stay in the compact heap until
      *  they are actually due. */
     void pullFromOverflow(uint64_t limit);
+
+    /** Overflow heap primitives. The heap is position-indexed: every
+     *  store records the item's index in its event, which is what
+     *  lets a cancel remove an event from the middle. */
+    void
+    heapSet(size_t index, const BottomItem &item)
+    {
+        overflow_[index] = item;
+        item.event->heap_index = static_cast<uint32_t>(index);
+    }
+    void siftUp(size_t index);
+    void siftDown(size_t index);
+    /** Removes the item at @p index and returns its event. */
+    Event *heapRemove(size_t index);
     /** Ensures the next event to fire is reachable: bottom_ holds the
-     *  regular minimum whenever a regular event could precede or
-     *  share the final band's tick (melting buckets and pulling
-     *  overflow as needed). @return false iff no events. */
+     *  regular minimum, live, whenever a regular event could precede
+     *  or share the final band's tick (melting buckets, pulling
+     *  overflow and freeing cancelled events as needed).
+     *  @return false iff no live events. */
     bool advance();
+    /** Melts the next ring bucket (pulling overflow events due by
+     *  then) into bottom_. Precondition: bottom_ is empty and the
+     *  ring or the overflow heap is not. */
+    void melt();
 
     /** True when the final band's head fires next: no regular event
      *  is left at its tick. Precondition: advance(). */
@@ -432,17 +477,10 @@ class EventQueue
     bool
     slotPending(uint32_t slot, uint32_t gen) const
     {
-        return slot < controls_.size() &&
-               controls_[slot].gen == gen &&
-               !controls_[slot].cancelled;
+        return slot < controls_.size() && controls_[slot].gen == gen;
     }
 
-    void
-    cancelSlot(uint32_t slot, uint32_t gen)
-    {
-        if (slot < controls_.size() && controls_[slot].gen == gen)
-            controls_[slot].cancelled = true;
-    }
+    void cancelSlot(uint32_t slot, uint32_t gen);
 
     /** Chunked arena owning every Event; chunks never move. */
     std::vector<std::unique_ptr<Event[]>> pool_;
@@ -460,7 +498,7 @@ class EventQueue
     size_t in_buckets_ = 0;
     /** Lowest absolute bucket index not yet melted into bottom_. */
     uint64_t next_bucket_ = 0;
-    /** Far region: min-heap of events at/after the window end.
+    /** Far region: min-heap of live events at/after the window end.
      *  Keys are inlined (BottomItem) so heap sifts compare locally. */
     std::vector<BottomItem> overflow_;
     /** Final band: scheduleFinal() events in seq order, linked
@@ -470,6 +508,9 @@ class EventQueue
     Event *final_tail_ = nullptr;
 
     Tick now_ = 0;
+    /** Latest tick of a cancelled event freed unfired: a draining
+     *  run() ends there if no fired event ends it later. */
+    Tick dropped_until_ = 0;
     uint64_t next_seq_ = 0;
     size_t pending_ = 0;
     uint64_t fired_total_ = 0;

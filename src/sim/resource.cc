@@ -10,7 +10,6 @@ ServerPool::ServerPool(EventQueue &queue, int servers, std::string name)
     : queue_(queue), servers_(servers), name_(std::move(name))
 {
     assert(servers >= 1);
-    busy_integral_.reset(queue_.now(), 0.0);
 }
 
 ServerPool::Job *
@@ -38,7 +37,6 @@ void
 ServerPool::enqueue(Job *job, Tick service, uint64_t order_key)
 {
     job->service = service;
-    job->enqueued = queue_.now();
     job->order_key = order_key;
     job->seq = next_seq_++;
     // Never start in submission order: same-tick submissions race
@@ -74,8 +72,6 @@ void
 ServerPool::startJob(Job *job)
 {
     ++busy_;
-    busy_integral_.set(queue_.now(), static_cast<double>(busy_));
-    wait_stats_.add(static_cast<double>(queue_.now() - job->enqueued));
     auto complete = [this, job] { onJobDone(job); };
     static_assert(EventFn::storesInline<decltype(complete)>());
     queue_.schedule(job->service, complete);
@@ -85,8 +81,6 @@ void
 ServerPool::onJobDone(Job *job)
 {
     --busy_;
-    busy_integral_.set(queue_.now(), static_cast<double>(busy_));
-    ++completed_;
     EventFn done = std::move(job->done);
     releaseJob(job);
     if (!waiting_.empty()) {
@@ -95,21 +89,6 @@ ServerPool::onJobDone(Job *job)
         startJob(next);
     }
     done();
-}
-
-double
-ServerPool::utilization() const
-{
-    return busy_integral_.average(queue_.now()) /
-           static_cast<double>(servers_);
-}
-
-void
-ServerPool::resetStats()
-{
-    busy_integral_.reset(queue_.now(), static_cast<double>(busy_));
-    wait_stats_.reset();
-    completed_ = 0;
 }
 
 } // namespace v3sim::sim

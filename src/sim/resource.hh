@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace v3sim::sim
@@ -49,7 +48,7 @@ class ServerPool
     /**
      * @param queue the simulation event queue.
      * @param servers number of parallel servers (>= 1).
-     * @param name used in statistics dumps.
+     * @param name identifies the pool.
      */
     ServerPool(EventQueue &queue, int servers, std::string name = "");
 
@@ -95,18 +94,6 @@ class ServerPool
     size_t queuedCount() const { return waiting_.size(); }
     const std::string &name() const { return name_; }
 
-    /** Fraction of server-capacity busy over the observed window. */
-    double utilization() const;
-
-    /** Distribution of time jobs spent waiting for a server (ns). */
-    const Sampler &waitStats() const { return wait_stats_; }
-
-    /** Jobs completed so far. */
-    uint64_t completedCount() const { return completed_; }
-
-    /** Restarts utilization/wait observation at the current time. */
-    void resetStats();
-
   private:
     /** Pooled job node: completion events capture only {pool, node},
      *  so the service-completion path never heap-allocates no matter
@@ -114,7 +101,6 @@ class ServerPool
     struct Job
     {
         Tick service = 0;
-        Tick enqueued = 0;
         uint64_t order_key = 0;
         uint64_t seq = 0; ///< submission tiebreak among equal keys
         EventFn done;
@@ -142,9 +128,6 @@ class ServerPool
     /** Slab owning every Job node (deque: stable addresses). */
     std::deque<Job> slab_;
     Job *free_jobs_ = nullptr;
-    TimeWeighted busy_integral_;
-    Sampler wait_stats_;
-    uint64_t completed_ = 0;
 };
 
 /**

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -324,6 +325,114 @@ TEST(EventQueue, ManyWindowRebasesKeepGlobalOrder)
     }
 }
 
+// --- Cancellation frees the event ------------------------------------
+
+TEST(EventQueue, CancelledFarTimersFreeTheirNodes)
+{
+    // A retransmit-style timer armed and cancelled long before its
+    // deadline leaves the queue at the cancel: node, slot and heap
+    // entry are reused, so memory does not grow with the deadline.
+    EventQueue q;
+    for (int i = 0; i < 200000; ++i) {
+        auto h = q.scheduleCancelable(msecs(500), [] {});
+        h.cancel();
+    }
+    EXPECT_EQ(q.pendingCount(), 0u);
+    EXPECT_EQ(q.overflowCount(), 0u);
+    EXPECT_EQ(q.poolChunkCount(), 1u);
+    EXPECT_EQ(q.controlSlotCount(), 1u);
+}
+
+TEST(EventQueue, HeapRemovalKeepsOrder)
+{
+    // Cancels remove far timers from anywhere in the overflow heap;
+    // the survivors must still fire in (when, seq) order.
+    EventQueue q;
+    constexpr size_t kTimers = 10000;
+    std::vector<Tick> when(kTimers);
+    std::vector<EventQueue::Handle> handles;
+    std::vector<size_t> fired;
+    Rng rng(2718);
+    for (size_t i = 0; i < kTimers; ++i) {
+        // Timer 0 is the earliest, so it sits at the root; the last
+        // is the latest, so it stays in the last slot.
+        if (i == 0)
+            when[i] = kWindow;
+        else if (i == kTimers - 1)
+            when[i] = 3 * kWindow;
+        else
+            when[i] = kWindow + 1 +
+                      static_cast<Tick>(rng.uniformInt(
+                          0, static_cast<uint64_t>(kWindow)));
+        handles.push_back(q.scheduleAtCancelable(
+            when[i], [&fired, i] { fired.push_back(i); }));
+    }
+    ASSERT_EQ(q.overflowCount(), kTimers);
+
+    std::vector<bool> cancelled(kTimers, false);
+    auto cancel = [&](size_t i) {
+        handles[i].cancel();
+        cancelled[i] = true;
+    };
+    cancel(kTimers - 1); // the last slot
+    cancel(0);           // the root
+    // Then a seeded half of the rest, in random order.
+    std::vector<size_t> order;
+    for (size_t i = 1; i < kTimers - 1; ++i)
+        order.push_back(i);
+    for (size_t i = order.size() - 1; i > 0; --i)
+        std::swap(order[i], order[rng.uniformInt(0, i)]);
+    for (size_t i = 0; i < kTimers / 2 - 2; ++i)
+        cancel(order[i]);
+    EXPECT_EQ(q.overflowCount(), kTimers / 2);
+    EXPECT_EQ(q.pendingCount(), kTimers / 2);
+
+    std::vector<size_t> expect;
+    for (size_t i = 0; i < kTimers; ++i) {
+        EXPECT_EQ(handles[i].pending(), !cancelled[i]);
+        if (!cancelled[i])
+            expect.push_back(i);
+    }
+    std::stable_sort(expect.begin(), expect.end(),
+                     [&](size_t a, size_t b) { return when[a] < when[b]; });
+    EXPECT_EQ(q.run(), expect.size());
+    EXPECT_EQ(fired, expect);
+}
+
+TEST(EventQueue, DrainEndsAtLastCancelledTick)
+{
+    // Cancelling never moves the clock: a draining run() ends where
+    // popping the cancelled events at their ticks would have, from
+    // every region a cancelled event can be freed in.
+    EventQueue q;
+    q.schedule(msecs(1), [] {});
+    auto ring = q.scheduleCancelable(msecs(30), [] {});
+    EXPECT_EQ(q.overflowCount(), 0u); // both in the ring
+    ring.cancel();
+    EXPECT_EQ(q.pendingCount(), 1u);
+    EXPECT_EQ(q.run(), 1u);
+    EXPECT_EQ(q.now(), msecs(30));
+
+    q.schedule(msecs(1), [] {});
+    auto far = q.scheduleCancelable(msecs(500), [] {});
+    EXPECT_EQ(q.overflowCount(), 1u);
+    far.cancel();
+    EXPECT_EQ(q.overflowCount(), 0u);
+    EXPECT_EQ(q.run(), 1u);
+    EXPECT_EQ(q.now(), msecs(530));
+
+    // Sorted region: one melt moves both events there; the first
+    // fires and the second is cancelled where it waits.
+    q.schedule(10, [] {});
+    auto near = q.scheduleCancelable(20, [] {});
+    EXPECT_EQ(q.run(1), 1u);
+    near.cancel();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.run(), 0u);
+    EXPECT_EQ(q.now(), msecs(530) + 20);
+    EXPECT_EQ(q.firedCount(), 3u);
+}
+
 // --- Tie-shuffle mode (DESIGN.md §8) ---------------------------------
 
 namespace
@@ -541,7 +650,10 @@ namespace
  * (when, final band, tie rank, seq). A final event is scheduled at
  * now(). The tie rank is seq, or under tie-shuffle the model of
  * DESIGN.md §8: a SplitMix64 hash of (seed ^ seq) below 2^63 for a
- * future tick, 2^63 | seq for a zero-delay event.
+ * future tick, 2^63 | seq for a zero-delay event. A cancelled event
+ * stays in the array and pops at its tick, moving now(), but it
+ * leaves pendingCount() at the cancel and counts as neither fired
+ * nor popped.
  */
 class RefQueue
 {
@@ -571,7 +683,14 @@ class RefQueue
     Tick now() const { return now_; }
     uint64_t firedCount() const { return fired_; }
     uint64_t sameTickFired() const { return same_tick_; }
-    size_t pendingCount() const { return items_.size(); }
+
+    size_t
+    pendingCount() const
+    {
+        return static_cast<size_t>(
+            std::count_if(items_.begin(), items_.end(),
+                          [](const Item &item) { return !item.isCancelled(); }));
+    }
 
     void
     schedule(Tick delay, std::function<void()> fn)
@@ -604,24 +723,20 @@ class RefQueue
     size_t
     run(size_t max_events)
     {
-        size_t popped = 0;
-        while (popped < max_events && !items_.empty()) {
-            popNext();
-            ++popped;
-        }
-        return popped;
+        size_t fired = 0;
+        while (fired < max_events && !items_.empty())
+            fired += popNext();
+        return fired;
     }
 
     size_t
     runUntil(Tick until)
     {
-        size_t popped = 0;
-        while (!items_.empty() && items_[nextIndex()].when <= until) {
-            popNext();
-            ++popped;
-        }
+        size_t fired = 0;
+        while (!items_.empty() && items_[nextIndex()].when <= until)
+            fired += popNext();
         now_ = std::max(now_, until);
-        return popped;
+        return fired;
     }
 
   private:
@@ -633,6 +748,8 @@ class RefQueue
         uint64_t seq;
         std::function<void()> fn;
         std::shared_ptr<bool> cancelled;
+
+        bool isCancelled() const { return cancelled && *cancelled; }
     };
 
     uint64_t
@@ -672,25 +789,27 @@ class RefQueue
         return best;
     }
 
-    void
+    /** Pops the next item; returns 1 if it fired, 0 if cancelled. */
+    size_t
     popNext()
     {
         const size_t i = nextIndex();
         Item item = std::move(items_[i]);
         items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(i));
         now_ = item.when;
-        if (item.when == last_popped_at_)
+        if (item.isCancelled())
+            return 0;
+        if (item.when == last_fired_at_)
             ++same_tick_;
-        last_popped_at_ = item.when;
-        if (item.cancelled && *item.cancelled)
-            return;
+        last_fired_at_ = item.when;
         ++fired_;
         item.fn();
+        return 1;
     }
 
     std::vector<Item> items_;
     Tick now_ = 0;
-    Tick last_popped_at_ = -1;
+    Tick last_fired_at_ = -1;
     uint64_t seq_ = 0;
     uint64_t fired_ = 0;
     uint64_t same_tick_ = 0;
@@ -713,7 +832,7 @@ struct Firing
 /** The queue's observable state after one top-level call. */
 struct Observed
 {
-    size_t popped;
+    size_t returned;
     Tick now;
     uint64_t fired;
     uint64_t same_tick;
@@ -783,14 +902,16 @@ class Program
 
     std::vector<Firing> firings;
     std::vector<Observed> observed;
+    /** Cancels that removed a far timer from the overflow heap. */
+    size_t heap_cancels = 0;
 
   private:
     static constexpr uint64_t kBudget = 6000;
 
     void
-    observe(size_t popped)
+    observe(size_t returned)
     {
-        observed.push_back(Observed{popped, q_.now(), q_.firedCount(),
+        observed.push_back(Observed{returned, q_.now(), q_.firedCount(),
                                     q_.sameTickFired(),
                                     q_.pendingCount()});
     }
@@ -817,8 +938,16 @@ class Program
     void
     cancelOne()
     {
-        if (!handles_.empty())
-            handles_[rng_.uniformInt(0, handles_.size() - 1)].cancel();
+        if (handles_.empty())
+            return;
+        auto &handle = handles_[rng_.uniformInt(0, handles_.size() - 1)];
+        if constexpr (std::is_same_v<Q, EventQueue>) {
+            const size_t before = q_.overflowCount();
+            handle.cancel();
+            heap_cancels += q_.overflowCount() < before ? 1 : 0;
+        } else {
+            handle.cancel();
+        }
     }
 
     void
@@ -875,7 +1004,7 @@ class Program
             handles_.push_back(q_.scheduleCancelable(
                 rng_.bernoulli(0.7)
                     ? static_cast<Tick>(rng_.uniformInt(0, 20)) * 1000
-                    : msecs(static_cast<Tick>(rng_.uniformInt(60, 90))),
+                    : msecs(static_cast<Tick>(rng_.uniformInt(60, 400))),
                 callback(id, false)));
             break;
         }
@@ -891,6 +1020,7 @@ class Program
 
 TEST(EventQueueDifferential, FifoMatchesNaiveReference)
 {
+    size_t heap_cancels = 0;
     for (uint64_t seed = 1; seed <= 40; ++seed) {
         EventQueue real;
         RefQueue ref;
@@ -905,7 +1035,10 @@ TEST(EventQueueDifferential, FifoMatchesNaiveReference)
                 << "seed " << seed << ", firing " << i;
         ASSERT_EQ(a.observed, b.observed) << "seed " << seed;
         EXPECT_TRUE(real.empty());
+        heap_cancels += a.heap_cancels;
     }
+    // The programs do cancel far timers where they sit in the heap.
+    EXPECT_GT(heap_cancels, 100u);
 }
 
 TEST(EventQueueDifferential, TieShuffleRepeatsAndFinalsCloseTheTick)

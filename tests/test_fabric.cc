@@ -184,7 +184,6 @@ TEST_F(FabricTest, StatisticsAccumulate)
     EXPECT_EQ(fabric.bytesSent(a), 1024u);
     EXPECT_EQ(fabric.packetsDelivered(b), 4u);
     EXPECT_EQ(fabric.portName(a), "client");
-    EXPECT_GT(fabric.txUtilization(a), 0.0);
 }
 
 } // namespace
