@@ -10,16 +10,18 @@
  * (constructed with DsaImpl::Cdsa). SQL Server's modification in the
  * paper amounts to calling these instead of Win32 file I/O.
  *
- * Fourteen of the fifteen calls are modelled:
+ * Thirteen of the fifteen calls are modelled:
  *   open, close,
  *   read, write                      (synchronous),
  *   readAsync, writeAsync            (asynchronous),
  *   readGather, writeScatter         (scatter/gather),
  *   poll, wait, cancel               (completions),
- *   setCompletionMode, volumeInfo,
- *   stats.
- * The paper also names caching/prefetch hints for the storage server
- * but leaves them unevaluated, so they are left out here too.
+ *   volumeInfo, stats.
+ * The completion-mode switch is not a call here: the paper's
+ * poll-then-sleep behaviour is modelled where it acts, by
+ * DsaConfig::poll_timeout in DsaClient::awaitCompletion. The paper
+ * also names caching/prefetch hints for the storage server but leaves
+ * them unevaluated, so they are left out here too.
  */
 
 #ifndef V3SIM_DSA_CDSA_API_HH
@@ -59,13 +61,6 @@ class CdsaIo
 };
 
 using CdsaIoHandle = std::shared_ptr<CdsaIo>;
-
-/** Completion mode, switchable at runtime (section 2.2). */
-enum class CdsaCompletionMode : uint8_t
-{
-    Polling,
-    Interrupt,
-};
 
 /** Volume metadata returned by volumeInfo(). */
 struct CdsaVolumeInfo
@@ -136,17 +131,10 @@ class CdsaApi
         return handle && !handle->done();
     }
 
-    /** (12) completion-mode switch (section 2.2: "An application can
-     *  switch from polling to interrupt mode before going to
-     *  sleep"). */
-    void setCompletionMode(CdsaCompletionMode mode) { mode_ = mode; }
-
-    CdsaCompletionMode completionMode() const { return mode_; }
-
-    /** (13) volume metadata. */
+    /** (12) volume metadata. */
     CdsaVolumeInfo volumeInfo() const;
 
-    /** (14) statistics snapshot. */
+    /** (13) statistics snapshot. */
     CdsaStats stats() const;
 
     DsaClient &client() { return *client_; }
@@ -157,7 +145,6 @@ class CdsaApi
     {}
 
     std::unique_ptr<DsaClient> client_;
-    CdsaCompletionMode mode_ = CdsaCompletionMode::Polling;
 };
 
 } // namespace v3sim::dsa

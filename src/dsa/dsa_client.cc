@@ -100,8 +100,7 @@ DsaClient::DsaClient(DsaImpl impl, osmodel::Node &node, vi::ViNic &nic,
     reg_cache_ = std::make_unique<RegCache>(
         nic_.registry(), pre_pinned, config_.opts.batched_dereg);
 
-    recv_cq_ = std::make_unique<vi::CompletionQueue>(
-        std::string(dsaImplName(impl)) + ".rcq");
+    recv_cq_ = std::make_unique<vi::CompletionQueue>();
 
     // Client-side buffers: one request scratch (contents ride the
     // control sidecar), a response-recv pool, and the completion
@@ -210,7 +209,7 @@ DsaClient::establish()
     }
 
     // Fresh endpoint each time: VI endpoints do not survive errors.
-    ep_ = &nic_.createEndpoint(nullptr, recv_cq_.get());
+    ep_ = &nic_.createEndpoint(recv_cq_.get());
 
     sim::Completion<bool> connected;
     connect_waiter_ = &connected;

@@ -274,7 +274,6 @@ class DsaClient : public Session
     DsaConfig config_;
     CompletionMode mode_;
 
-    std::unique_ptr<vi::CompletionQueue> send_cq_;
     std::unique_ptr<vi::CompletionQueue> recv_cq_;
     vi::ViEndpoint *ep_ = nullptr;
 

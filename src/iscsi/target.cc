@@ -11,8 +11,7 @@ Target::Target(sim::Simulation &sim, net::Fabric &fabric,
                TargetConfig config)
     : StorageNode(sim, config, "iscsi.tgt"),
       config_(std::move(config)),
-      tcp_(sim.queue(), fabric, sim.metrics(),
-           metric_prefix_ + ".tcp", config_.name + ".iscsi"),
+      tcp_(sim.queue(), fabric, sim.metrics(), metric_prefix_ + ".tcp"),
       driver_(node_, tcp_, sim.metrics(), metric_prefix_,
               [this](std::shared_ptr<Pdu> pdu, bool tainted,
                      osmodel::CpuLease &lease) {

@@ -15,67 +15,39 @@ Fabric::Fabric(sim::EventQueue &queue, FabricConfig config)
 }
 
 PortId
-Fabric::attach(Handler handler, std::string name)
+Fabric::attach(Handler handler)
 {
     auto state = std::make_unique<PortState>();
     state->handler = std::move(handler);
-    state->name = std::move(name);
-    state->tx = std::make_unique<sim::ServerPool>(queue_, 1,
-                                                  state->name + ".tx");
+    state->tx = std::make_unique<sim::ServerPool>(queue_);
     ports_.push_back(std::move(state));
     return static_cast<PortId>(ports_.size() - 1);
 }
 
-const std::string &
-Fabric::portName(PortId id) const
-{
-    static const std::string empty;
-    if (id >= ports_.size())
-        return empty;
-    return ports_[id]->name;
-}
-
 void
-Fabric::send(Packet packet, std::function<void()> on_wire)
+Fabric::send(Packet packet)
 {
     if (packet.src >= ports_.size() || packet.dst >= ports_.size()) {
         V3LOG(Warn, "fabric") << "dropping packet with invalid port";
         dropped_.increment();
-        if (on_wire)
-            on_wire();
         return;
     }
-    const bool down =
-        !ports_[packet.src]->up || !ports_[packet.dst]->up;
-    const bool drop = down || (drop_filter_ && drop_filter_(packet));
-    if (drop)
-        dropped_.increment();
-    if (!drop && corrupt_filter_ && corrupt_filter_(packet))
-        packet.corrupted = true;
-
-    PortState &src = *ports_[packet.src];
-    src.bytes_sent.increment(packet.wire_bytes);
-
+    sim::ServerPool &tx = *ports_[packet.src]->tx;
     const sim::Tick serialization =
         sim::transferTime(packet.wire_bytes, config_.bandwidth_bps);
-    // Dropped packets burn serialization time but never propagate;
-    // splitting the paths keeps the hot (delivered) capture within
-    // EventFn's inline budget.
     const uint64_t order_key = packet.order_key;
-    if (drop) {
-        src.tx->submit(
-            serialization,
-            [on_wire = std::move(on_wire)]() mutable {
-                if (on_wire)
-                    on_wire();
-            },
-            order_key);
+    const bool down =
+        !ports_[packet.src]->up || !ports_[packet.dst]->up;
+    if (down || (drop_filter_ && drop_filter_(packet))) {
+        // Dropped packets burn serialization time but never propagate.
+        dropped_.increment();
+        tx.submit(serialization, [] {}, order_key);
         return;
     }
-    auto on_serialized = [this, packet = std::move(packet),
-                          on_wire = std::move(on_wire)]() mutable {
-        if (on_wire)
-            on_wire();
+    if (corrupt_filter_ && corrupt_filter_(packet))
+        packet.corrupted = true;
+
+    auto on_serialized = [this, packet = std::move(packet)]() mutable {
         auto arrive = [this, packet = std::move(packet)]() mutable {
             deliver(std::move(packet));
         };
@@ -83,7 +55,7 @@ Fabric::send(Packet packet, std::function<void()> on_wire)
         queue_.schedule(config_.propagation, std::move(arrive));
     };
     static_assert(sim::EventFn::storesInline<decltype(on_serialized)>());
-    src.tx->submit(serialization, std::move(on_serialized), order_key);
+    tx.submit(serialization, std::move(on_serialized), order_key);
 }
 
 void
@@ -96,7 +68,6 @@ Fabric::deliver(Packet packet)
         dropped_.increment();
         return;
     }
-    dst.delivered.increment();
     dst.handler(std::move(packet));
 }
 
@@ -105,20 +76,6 @@ Fabric::setPortUp(PortId id, bool up)
 {
     assert(id < ports_.size());
     ports_[id]->up = up;
-}
-
-uint64_t
-Fabric::bytesSent(PortId port) const
-{
-    assert(port < ports_.size());
-    return ports_[port]->bytes_sent.value();
-}
-
-uint64_t
-Fabric::packetsDelivered(PortId port) const
-{
-    assert(port < ports_.size());
-    return ports_[port]->delivered.value();
 }
 
 } // namespace v3sim::net

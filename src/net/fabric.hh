@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -48,7 +47,7 @@ constexpr PortId kInvalidPort = UINT32_MAX;
 
 /** One message in flight: routing metadata plus an opaque payload.
  *  40 bytes: the per-packet callbacks of ViNic::transmit and
- *  Fabric::send capture one beside a `std::function`, and
+ *  Fabric::send capture one beside a `this` pointer, and
  *  static_assert that the pair still fits EventFn's inline buffer. */
 struct Packet
 {
@@ -114,20 +113,17 @@ class Fabric
     Fabric &operator=(const Fabric &) = delete;
 
     /** Attaches a port; @p handler receives delivered packets. */
-    PortId attach(Handler handler, std::string name = "");
+    PortId attach(Handler handler);
 
     /**
      * Sends @p packet.wire_bytes from packet.src to packet.dst.
      * The source port's transmitter serializes packets FIFO at link
      * bandwidth; delivery occurs one propagation delay later.
-     * Sending to a detached or invalid port drops the packet.
-     *
-     * @param on_wire optional; fires when the packet has finished
-     *        serializing onto the link (the moment a NIC would
-     *        retire the send descriptor). Fires even for packets the
-     *        drop filter will discard (the sender cannot tell).
+     * Sending to a detached or invalid port drops the packet. A
+     * packet the drop filter or a down port discards still occupies
+     * its source link for its serialization time.
      */
-    void send(Packet packet, std::function<void()> on_wire = {});
+    void send(Packet packet);
 
     /** Installs (or clears, with nullptr) the drop filter. */
     void setDropFilter(DropFilter filter) { drop_filter_ = std::move(filter); }
@@ -151,26 +147,16 @@ class Fabric
 
     const FabricConfig &config() const { return config_; }
 
-    const std::string &portName(PortId id) const;
-
-    /** Bytes handed to the wire by @p port (excludes dropped). */
-    uint64_t bytesSent(PortId port) const;
-
-    /** Packets delivered to @p port. */
-    uint64_t packetsDelivered(PortId port) const;
-
-    /** Packets removed by the drop filter. */
+    /** Packets dropped: by the drop filter, at a down port or to an
+     *  invalid port. */
     uint64_t packetsDropped() const { return dropped_.value(); }
 
   private:
     struct PortState
     {
         Handler handler;
-        std::string name;
         std::unique_ptr<sim::ServerPool> tx;
         bool up = true;
-        sim::Counter bytes_sent;
-        sim::Counter delivered;
     };
 
     void deliver(Packet packet);

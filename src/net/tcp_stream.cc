@@ -9,7 +9,7 @@ namespace v3sim::net
 
 TcpStream::TcpStream(sim::EventQueue &queue, Fabric &fabric,
                      sim::MetricRegistry &metrics,
-                     std::string metric_prefix, std::string name)
+                     std::string metric_prefix)
     : queue_(queue), fabric_(fabric),
       metric_prefix_(std::move(metric_prefix)),
       segs_tx_(metrics.counter(metric_prefix_ + ".segs_tx")),
@@ -21,8 +21,7 @@ TcpStream::TcpStream(sim::EventQueue &queue, Fabric &fabric,
       msgs_rx_(metrics.counter(metric_prefix_ + ".msgs_rx"))
 {
     port_ = fabric_.attach(
-        [this](Packet packet) { onPacket(std::move(packet)); },
-        std::move(name));
+        [this](Packet packet) { onPacket(std::move(packet)); });
 }
 
 void

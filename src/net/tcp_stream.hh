@@ -168,12 +168,11 @@ class TcpStream
     };
 
     /**
-     * Attaches a port named @p name to @p fabric and registers
-     * counters under @p metric_prefix (e.g. "iscsi.init.tcp").
+     * Attaches a port to @p fabric and registers counters under
+     * @p metric_prefix (e.g. "iscsi.init.tcp").
      */
     TcpStream(sim::EventQueue &queue, Fabric &fabric,
-              sim::MetricRegistry &metrics, std::string metric_prefix,
-              std::string name);
+              sim::MetricRegistry &metrics, std::string metric_prefix);
 
     TcpStream(const TcpStream &) = delete;
     TcpStream &operator=(const TcpStream &) = delete;

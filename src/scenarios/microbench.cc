@@ -184,12 +184,10 @@ rawViLatencyUs(uint64_t size, int iterations, uint64_t seed)
     vi::ViNic client_nic(sim, fabric, client_node.memory(), "cli.nic");
     vi::ViNic server_nic(sim, fabric, server_node.memory(), "srv.nic");
 
-    vi::CompletionQueue client_rcq("cli.rcq");
-    vi::CompletionQueue server_rcq("srv.rcq");
-    vi::ViEndpoint &client_ep =
-        client_nic.createEndpoint(nullptr, &client_rcq);
-    vi::ViEndpoint &server_ep =
-        server_nic.createEndpoint(nullptr, &server_rcq);
+    vi::CompletionQueue client_rcq;
+    vi::CompletionQueue server_rcq;
+    vi::ViEndpoint &client_ep = client_nic.createEndpoint(&client_rcq);
+    vi::ViEndpoint &server_ep = server_nic.createEndpoint(&server_rcq);
     server_nic.setAcceptHandler(
         [&](net::PortId, vi::EndpointId) { return &server_ep; });
 

@@ -31,10 +31,11 @@ namespace v3sim::sim
 class EventFn
 {
   public:
-    /** Inline capture budget: fits a `this` pointer, a 40-byte
-     *  net::Packet and a `std::function` (the per-packet captures of
-     *  ViNic::transmit and Fabric::send, the largest hot-path
-     *  captures), and keeps the pooled Event at two cache lines. */
+    /** Inline capture budget: fits the disk completion (a `this`
+     *  pointer and a 64-byte command, 72 bytes: the largest asserted
+     *  capture; the per-packet captures of ViNic::transmit and
+     *  Fabric::send take 48), and keeps the pooled Event at two
+     *  cache lines. */
     static constexpr size_t kInlineBytes = 80;
 
     EventFn() noexcept = default;

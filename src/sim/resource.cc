@@ -6,12 +6,6 @@
 namespace v3sim::sim
 {
 
-ServerPool::ServerPool(EventQueue &queue, int servers, std::string name)
-    : queue_(queue), servers_(servers), name_(std::move(name))
-{
-    assert(servers >= 1);
-}
-
 ServerPool::Job *
 ServerPool::allocJob()
 {
@@ -60,7 +54,7 @@ ServerPool::admitPending()
 {
     admit_scheduled_ = false;
     for (Job *job : pending_) {
-        if (busy_ < servers_)
+        if (!busy_)
             startJob(job);
         else
             waiting_.push_back(job);
@@ -71,7 +65,7 @@ ServerPool::admitPending()
 void
 ServerPool::startJob(Job *job)
 {
-    ++busy_;
+    busy_ = true;
     auto complete = [this, job] { onJobDone(job); };
     static_assert(EventFn::storesInline<decltype(complete)>());
     queue_.schedule(job->service, complete);
@@ -80,7 +74,7 @@ ServerPool::startJob(Job *job)
 void
 ServerPool::onJobDone(Job *job)
 {
-    --busy_;
+    busy_ = false;
     EventFn done = std::move(job->done);
     releaseJob(job);
     if (!waiting_.empty()) {

@@ -2,11 +2,11 @@
  * @file
  * Queued-resource primitives: ServerPool and Semaphore.
  *
- * ServerPool models m identical servers with queued admission and a
- * caller-supplied service time per job — the workhorse behind NIC DMA
- * engines, network links, disk mechanisms, and the V3 server's
- * pipeline stages. Semaphore is a counted gate, granting in key
- * order, used for flow-control credits and bounded queues.
+ * ServerPool models one FIFO server with queued admission and a
+ * caller-supplied service time per job: each NIC's receive and
+ * transmit engine and each fabric port's transmitter. Semaphore is a
+ * counted gate, granting in key order, used for flow-control credits
+ * and bounded queues.
  *
  * Determinism (DESIGN.md §8.3): jobs submitted on the same tick are a
  * race — their submission order is unspecified and tie-shuffled, so
@@ -27,8 +27,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,18 +37,16 @@ namespace v3sim::sim
 {
 
 /**
- * m identical servers with a FIFO queue. Jobs carry their own service
- * time; completion is signalled by callback or by awaiting use().
+ * One server with a FIFO queue. Jobs carry their own service time;
+ * completion is signalled by callback.
  */
 class ServerPool
 {
   public:
-    /**
-     * @param queue the simulation event queue.
-     * @param servers number of parallel servers (>= 1).
-     * @param name identifies the pool.
-     */
-    ServerPool(EventQueue &queue, int servers, std::string name = "");
+    explicit ServerPool(EventQueue &queue) : queue_(queue) {}
+
+    ServerPool(const ServerPool &) = delete;
+    ServerPool &operator=(const ServerPool &) = delete;
 
     /**
      * Enqueues a job; @p done fires when its service completes. The
@@ -66,33 +62,6 @@ class ServerPool
         job->done.emplace(std::forward<F>(done));
         enqueue(job, service, order_key);
     }
-
-    /** Awaitable submission: co_await pool.use(service). */
-    auto
-    use(Tick service, uint64_t order_key = 0)
-    {
-        struct Awaiter
-        {
-            ServerPool *pool;
-            Tick service;
-            uint64_t order_key;
-
-            bool await_ready() const { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h) const
-            {
-                pool->submit(service, [h] { h.resume(); }, order_key);
-            }
-
-            void await_resume() const {}
-        };
-        return Awaiter{this, service, order_key};
-    }
-
-    int servers() const { return servers_; }
-    size_t queuedCount() const { return waiting_.size(); }
-    const std::string &name() const { return name_; }
 
   private:
     /** Pooled job node: completion events capture only {pool, node},
@@ -113,13 +82,11 @@ class ServerPool
     void startJob(Job *job);
     void onJobDone(Job *job);
     /** Final-band pass: moves this tick's submissions, in
-     *  (order_key, seq) order, onto servers or the FIFO queue. */
+     *  (order_key, seq) order, onto the server or the FIFO queue. */
     void admitPending();
 
     EventQueue &queue_;
-    int servers_;
-    std::string name_;
-    int busy_ = 0;
+    bool busy_ = false;
     std::deque<Job *> waiting_;
     /** Same-tick submissions awaiting the final-band admission. */
     std::vector<Job *> pending_;

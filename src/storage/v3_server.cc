@@ -151,11 +151,8 @@ V3Server::accept(net::PortId, vi::EndpointId)
         return nullptr; // a down node accepts nothing
     auto conn = std::make_unique<Connection>();
     conn->id = static_cast<uint32_t>(connections_.size());
-    const std::string base =
-        config_.name + ".c" + std::to_string(conn->id);
-    conn->recv_cq =
-        std::make_unique<vi::CompletionQueue>(base + ".rcq");
-    conn->ep = &nic_->createEndpoint(nullptr, conn->recv_cq.get());
+    conn->recv_cq = std::make_unique<vi::CompletionQueue>();
+    conn->ep = &nic_->createEndpoint(conn->recv_cq.get());
 
     sim::MemorySpace &mem = node_.memory();
 

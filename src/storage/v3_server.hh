@@ -136,9 +136,8 @@ class V3Server : public StorageNode, public vi::NodeFaultTarget
     {
         uint32_t id = 0;
         vi::ViEndpoint *ep = nullptr;
-        /** Send CQ is deliberately absent: the server never needs
-         *  local send completions, and an undrained CQ would grow
-         *  without bound over long runs. */
+        /** Request arrivals, drained by the connection's service
+         *  loop. */
         std::unique_ptr<vi::CompletionQueue> recv_cq;
 
         /** Request receive buffers, one per credit. */

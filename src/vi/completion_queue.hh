@@ -2,7 +2,7 @@
  * @file
  * VI completion queue.
  *
- * Work completions land here; the consumer drains them either by
+ * Receive completions land here; the consumer drains them either by
  * explicit polling (cDSA's polling mode, the V3 server's dedicated
  * receive loop) or after arming the queue for a one-shot interrupt
  * notification (kDSA/wDSA completion paths). Arming follows the VI /
@@ -22,7 +22,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <string>
 #include <utility>
 
 #include "sim/stats.hh"
@@ -35,14 +34,10 @@ namespace v3sim::vi
 class CompletionQueue
 {
   public:
-    explicit CompletionQueue(std::string name = "")
-        : name_(std::move(name))
-    {}
+    CompletionQueue() = default;
 
     CompletionQueue(const CompletionQueue &) = delete;
     CompletionQueue &operator=(const CompletionQueue &) = delete;
-
-    const std::string &name() const { return name_; }
 
     /** NIC side: appends a completion and delivers notifications. */
     void
@@ -132,7 +127,6 @@ class CompletionQueue
     uint64_t interruptCount() const { return interrupts_.value(); }
 
   private:
-    std::string name_;
     std::deque<WorkCompletion> entries_;
     bool armed_ = false;
     std::function<void()> interrupt_sink_;

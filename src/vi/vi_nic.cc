@@ -28,8 +28,8 @@ ViNic::ViNic(sim::Simulation &sim, net::Fabric &fabric,
       costs_(costs),
       registry_(costs_, reg_region_entries),
       port_(net::kInvalidPort),
-      rx_engine_(sim.queue(), 1, name_ + ".rx"),
-      tx_engine_(sim.queue(), 1, name_ + ".tx"),
+      rx_engine_(sim.queue()),
+      tx_engine_(sim.queue()),
       metric_prefix_(sim.metrics().uniquePrefix("nic." + name_)),
       packets_sent_(
           sim.metrics().counter(metric_prefix_ + ".packets_sent")),
@@ -46,18 +46,17 @@ ViNic::ViNic(sim::Simulation &sim, net::Fabric &fabric,
     assert(costs_.max_packet_bytes + costs_.packet_header_bytes <=
            UINT32_MAX);
     port_ = fabric_.attach(
-        [this](net::Packet packet) { onPacket(std::move(packet)); },
-        name_);
+        [this](net::Packet packet) { onPacket(std::move(packet)); });
     registry_.registerMetrics(sim.metrics(),
                               metric_prefix_ + ".mem_registry");
 }
 
 ViEndpoint &
-ViNic::createEndpoint(CompletionQueue *send_cq, CompletionQueue *recv_cq)
+ViNic::createEndpoint(CompletionQueue *recv_cq)
 {
     const EndpointId id = static_cast<EndpointId>(endpoints_.size());
     endpoints_.push_back(std::unique_ptr<ViEndpoint>(
-        new ViEndpoint(this, id, send_cq, recv_cq)));
+        new ViEndpoint(this, id, recv_cq)));
     return *endpoints_.back();
 }
 
@@ -98,7 +97,6 @@ ViNic::disconnect(ViEndpoint &ep)
     // Flush still-posted receives so the owner can reclaim buffers.
     for (const WorkDescriptor &desc : ep.recv_queue_) {
         WorkCompletion flushed;
-        flushed.type = WorkType::Recv;
         flushed.status = WorkStatus::Flushed;
         flushed.endpoint = ep.id_;
         flushed.cookie = desc.cookie;
@@ -128,9 +126,7 @@ ViNic::postRecv(ViEndpoint &ep, const WorkDescriptor &desc,
         V3LOG(Warn, "vi") << name_ << ": postRecv on unregistered buffer";
         return false;
     }
-    WorkDescriptor queued = desc;
-    queued.type = WorkType::Recv;
-    ep.recv_queue_.push_back(queued);
+    ep.recv_queue_.push_back(desc);
     return true;
 }
 
@@ -207,43 +203,7 @@ ViNic::transmit(ViEndpoint &ep, const WorkDescriptor &desc,
             frag_len + costs_.packet_header_bytes);
         packet.order_key = desc.order_key;
         packet.payload = std::move(msg);
-
-        packets_sent_.increment();
-
-        std::function<void()> on_wire;
-        if (last) {
-            // Retire the send descriptor when the last fragment has
-            // fully left the NIC.
-            ViNic *nic = this;
-            const EndpointId ep_id = ep.id_;
-            const uint64_t cookie = desc.cookie;
-            const WorkType type = kind == WireMsg::Kind::Rdma
-                                      ? WorkType::RdmaWrite
-                                      : WorkType::Send;
-            on_wire = [nic, ep_id, cookie, total, type] {
-                ViEndpoint *e = nic->endpoint(ep_id);
-                if (!e || !e->send_cq_)
-                    return;
-                WorkCompletion completion;
-                completion.type = type;
-                completion.status =
-                    e->state_ == EndpointState::Connected
-                        ? WorkStatus::Ok
-                        : WorkStatus::Flushed;
-                completion.endpoint = ep_id;
-                completion.cookie = cookie;
-                completion.len = total;
-                e->send_cq_->push(completion);
-            };
-        }
-
-        auto to_fabric = [this, packet = std::move(packet),
-                          on_wire = std::move(on_wire)]() mutable {
-            fabric_.send(std::move(packet), std::move(on_wire));
-        };
-        static_assert(sim::EventFn::storesInline<decltype(to_fabric)>());
-        tx_engine_.submit(costs_.nic_tx_processing, std::move(to_fabric),
-                          desc.order_key);
+        toWire(std::move(packet));
 
         offset += frag_len;
     } while (offset < total);
@@ -258,12 +218,20 @@ ViNic::sendControl(net::PortId dst, WireMsg msg)
     packet.dst = dst;
     packet.wire_bytes = costs_.packet_header_bytes;
     packet.payload = std::move(payload);
+    toWire(std::move(packet));
+}
+
+void
+ViNic::toWire(net::Packet packet)
+{
     packets_sent_.increment();
-    tx_engine_.submit(
-        costs_.nic_tx_processing,
-        [this, packet = std::move(packet)]() mutable {
-            fabric_.send(std::move(packet));
-        });
+    const uint64_t order_key = packet.order_key;
+    auto to_fabric = [this, packet = std::move(packet)]() mutable {
+        fabric_.send(std::move(packet));
+    };
+    static_assert(sim::EventFn::storesInline<decltype(to_fabric)>());
+    tx_engine_.submit(costs_.nic_tx_processing, std::move(to_fabric),
+                      order_key);
 }
 
 void
@@ -418,7 +386,6 @@ ViNic::handleSendMsg(const WireMsg &msg)
 
     if (msg.last) {
         WorkCompletion completion;
-        completion.type = WorkType::Recv;
         completion.status = WorkStatus::Ok;
         completion.endpoint = ep->id_;
         completion.cookie = ep->inbound_.desc.cookie;
@@ -475,7 +442,6 @@ ViNic::handleRdmaMsg(const WireMsg &msg)
         const WorkDescriptor desc = ep->recv_queue_.front();
         ep->recv_queue_.pop_front();
         WorkCompletion completion;
-        completion.type = WorkType::Recv;
         completion.status = WorkStatus::Ok;
         completion.endpoint = ep->id_;
         completion.cookie = desc.cookie;
@@ -506,7 +472,6 @@ ViNic::failEndpoint(ViEndpoint &ep, WorkStatus reason, bool notify_peer)
     }
     for (const WorkDescriptor &desc : ep.recv_queue_) {
         WorkCompletion flushed;
-        flushed.type = WorkType::Recv;
         flushed.status = reason == WorkStatus::Ok ? WorkStatus::Flushed
                                                   : reason;
         flushed.endpoint = ep.id_;

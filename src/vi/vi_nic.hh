@@ -20,7 +20,10 @@
  *  - memory protection: sends must reference locally registered
  *    buffers, RDMA targets must be registered at the remote NIC, and
  *    violations error the connection;
- *  - completion queues with poll or one-shot interrupt notification.
+ *  - completion queues with poll or one-shot interrupt notification;
+ *  - fire-and-forget sends and RDMA writes: no local send completion,
+ *    since DSA learns that an I/O finished from the server's reply or
+ *    its RDMA completion flag, never from the send (sections 2.2, 3.2).
  *
  * Host CPU costs (doorbells, kernel transitions, interrupt handling)
  * are charged by the layers above; the NIC model only spends NIC and
@@ -55,8 +58,9 @@ namespace v3sim::vi
 class ViNic;
 
 /**
- * One VI: a connected pair of send/receive work queues. Created via
- * ViNic::createEndpoint and operated through the owning NIC.
+ * One VI: a connection with a receive work queue; sends go straight
+ * to the NIC. Created via ViNic::createEndpoint and operated through
+ * the owning NIC.
  */
 class ViEndpoint
 {
@@ -83,16 +87,14 @@ class ViEndpoint
   private:
     friend class ViNic;
 
-    ViEndpoint(ViNic *nic, EndpointId id, CompletionQueue *send_cq,
-               CompletionQueue *recv_cq)
-        : nic_(nic), id_(id), send_cq_(send_cq), recv_cq_(recv_cq)
+    ViEndpoint(ViNic *nic, EndpointId id, CompletionQueue *recv_cq)
+        : nic_(nic), id_(id), recv_cq_(recv_cq)
     {}
 
     void setState(EndpointState next);
 
     ViNic *nic_;
     EndpointId id_;
-    CompletionQueue *send_cq_;
     CompletionQueue *recv_cq_;
     EndpointState state_ = EndpointState::Idle;
     net::PortId remote_port_ = net::kInvalidPort;
@@ -135,9 +137,9 @@ class ViNic
     MemoryRegistry &registry() { return registry_; }
     sim::MemorySpace &memory() { return memory_; }
 
-    /** Creates an endpoint bound to the given completion queues. */
-    ViEndpoint &createEndpoint(CompletionQueue *send_cq,
-                               CompletionQueue *recv_cq);
+    /** Creates an endpoint whose receive completions land on
+     *  @p recv_cq (nullptr: nowhere). */
+    ViEndpoint &createEndpoint(CompletionQueue *recv_cq);
 
     ViEndpoint *endpoint(EndpointId id);
 
@@ -214,9 +216,9 @@ class ViNic
                   MemHandle handle);
 
     /**
-     * Posts a send. Fragments onto the wire; a send completion lands
-     * on the endpoint's send CQ when the last fragment leaves the
-     * NIC. @return false on validation failure.
+     * Posts a send and fragments it onto the wire. Fire-and-forget:
+     * nothing completes locally, and a lost message shows only as a
+     * missing reply. @return false on validation failure.
      */
     bool postSend(ViEndpoint &ep, const WorkDescriptor &desc,
                   MemHandle handle);
@@ -224,8 +226,8 @@ class ViNic
     /**
      * Posts an RDMA write into the peer's memory. The local buffer
      * must be registered here; the target range must be registered
-     * at the peer, else the peer errors the connection. Completion
-     * semantics mirror postSend.
+     * at the peer, else the peer errors the connection. Like
+     * postSend, nothing completes locally.
      */
     bool postRdmaWrite(ViEndpoint &ep, const WorkDescriptor &desc,
                        MemHandle handle);
@@ -276,6 +278,9 @@ class ViNic
 
     /** Sends a small control message (connect/disconnect family). */
     void sendControl(net::PortId dst, WireMsg msg);
+
+    /** Queues @p packet on the transmit engine, then the fabric. */
+    void toWire(net::Packet packet);
 
     void onPacket(net::Packet packet);
 

@@ -4,7 +4,8 @@
  *
  * Mirrors the Virtual Interface Architecture specification's model:
  * applications post work descriptors (send / receive / RDMA-write) on
- * per-VI work queues and consume completions from completion queues.
+ * per-VI work queues and consume receive completions from completion
+ * queues; sends and RDMA writes are fire-and-forget.
  * RDMA-write carries an optional 32-bit immediate; plain RDMA-write
  * is invisible to the remote CPU — the property cDSA exploits for
  * completion flags.
@@ -35,14 +36,6 @@ struct MemHandle
     bool valid() const { return slot != UINT32_MAX; }
 };
 
-/** Kinds of work a VI consumes. */
-enum class WorkType : uint8_t
-{
-    Send,
-    Recv,
-    RdmaWrite,
-};
-
 /** Completion status. */
 enum class WorkStatus : uint8_t
 {
@@ -60,8 +53,7 @@ enum class WorkStatus : uint8_t
 /** A work request posted to a send or receive queue. */
 struct WorkDescriptor
 {
-    WorkType type = WorkType::Send;
-    uint64_t cookie = 0;       ///< opaque user tag, echoed in completion
+    uint64_t cookie = 0; ///< opaque user tag, echoed by a receive completion
     sim::Addr local_addr = sim::kNullAddr;
     uint64_t len = 0;
     /** RDMA only: destination address in the remote memory space. */
@@ -94,13 +86,15 @@ struct WorkDescriptor
     uint64_t order_key = 0;
 };
 
-/** A completed work request, consumed from a completion queue. */
+/** A completed receive, consumed from a completion queue: a posted
+ *  receive descriptor that an inbound send or RDMA write with
+ *  immediate consumed, or that a torn-down endpoint flushed. Sends
+ *  and RDMA writes complete nothing locally (ViNic::postSend). */
 struct WorkCompletion
 {
-    WorkType type = WorkType::Send;
     WorkStatus status = WorkStatus::Ok;
     EndpointId endpoint = kInvalidEndpoint;
-    uint64_t cookie = 0;   ///< poster's cookie (local completions)
+    uint64_t cookie = 0;   ///< the receive descriptor's cookie
     uint64_t len = 0;      ///< bytes transferred
     uint32_t immediate = 0;
     bool has_immediate = false;

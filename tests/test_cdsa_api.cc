@@ -118,15 +118,6 @@ TEST_F(CdsaApiTest, ScatterGatherRoundTrip)
     }
 }
 
-TEST_F(CdsaApiTest, CompletionModeSwitch)
-{
-    ASSERT_NE(api_, nullptr);
-    EXPECT_EQ(api_->completionMode(), CdsaCompletionMode::Polling);
-    api_->setCompletionMode(CdsaCompletionMode::Interrupt);
-    EXPECT_EQ(api_->completionMode(),
-              CdsaCompletionMode::Interrupt);
-}
-
 TEST_F(CdsaApiTest, StatsReflectTraffic)
 {
     ASSERT_NE(api_, nullptr);

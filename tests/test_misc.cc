@@ -87,8 +87,8 @@ TEST(ViFragmentation, MidStreamLossAbandonsMessageOnly)
     vi::ViNic client(sim, fabric, cmem, "c");
     vi::ViNic server(sim, fabric, smem, "s");
     vi::CompletionQueue rcq;
-    vi::ViEndpoint &cep = client.createEndpoint(nullptr, nullptr);
-    vi::ViEndpoint &sep = server.createEndpoint(nullptr, &rcq);
+    vi::ViEndpoint &cep = client.createEndpoint(nullptr);
+    vi::ViEndpoint &sep = server.createEndpoint(&rcq);
     server.setAcceptHandler(
         [&](net::PortId, vi::EndpointId) { return &sep; });
     client.connect(cep, server.port());
@@ -157,8 +157,8 @@ TEST(ViNicStats, CountersTrackTraffic)
     vi::ViNic client(sim, fabric, cmem, "c");
     vi::ViNic server(sim, fabric, smem, "s");
     vi::CompletionQueue rcq;
-    vi::ViEndpoint &cep = client.createEndpoint(nullptr, nullptr);
-    vi::ViEndpoint &sep = server.createEndpoint(nullptr, &rcq);
+    vi::ViEndpoint &cep = client.createEndpoint(nullptr);
+    vi::ViEndpoint &sep = server.createEndpoint(&rcq);
     server.setAcceptHandler(
         [&](net::PortId, vi::EndpointId) { return &sep; });
     client.connect(cep, server.port());

@@ -19,7 +19,7 @@ namespace
 TEST(ServerPool, SingleServerSerializesJobs)
 {
     Simulation sim;
-    ServerPool pool(sim.queue(), 1);
+    ServerPool pool(sim.queue());
     std::vector<Tick> done_at;
     for (int i = 0; i < 3; ++i)
         pool.submit(usecs(10), [&] { done_at.push_back(sim.now()); });
@@ -30,50 +30,38 @@ TEST(ServerPool, SingleServerSerializesJobs)
     EXPECT_EQ(done_at[2], usecs(30));
 }
 
-TEST(ServerPool, MultiServerRunsInParallel)
+TEST(ServerPool, SameTickSubmissionsStartByKey)
 {
+    // Same-tick submissions race (DESIGN.md §8.3), so the pool starts
+    // them by (order_key, submission), never in arrival order: keys
+    // 30, 10, 20, 10 run as 10 (first), 10 (second), 20, 30. A job
+    // submitted one tick later queues behind all four, even with the
+    // smallest key.
     Simulation sim;
-    ServerPool pool(sim.queue(), 2);
+    ServerPool pool(sim.queue());
+    std::vector<int> order;
     std::vector<Tick> done_at;
-    for (int i = 0; i < 4; ++i)
-        pool.submit(usecs(10), [&] { done_at.push_back(sim.now()); });
+    const auto job = [&](int id) {
+        return [&, id] {
+            order.push_back(id);
+            done_at.push_back(sim.now());
+        };
+    };
+    pool.submit(usecs(10), job(0), 30);
+    pool.submit(usecs(10), job(1), 10);
+    pool.submit(usecs(10), job(2), 20);
+    pool.submit(usecs(10), job(3), 10);
+    sim.queue().schedule(1, [&] { pool.submit(usecs(10), job(4), 0); });
     sim.run();
-    ASSERT_EQ(done_at.size(), 4u);
-    EXPECT_EQ(done_at[0], usecs(10));
-    EXPECT_EQ(done_at[1], usecs(10));
-    EXPECT_EQ(done_at[2], usecs(20));
-    EXPECT_EQ(done_at[3], usecs(20));
-}
-
-TEST(ServerPool, AwaitableUse)
-{
-    Simulation sim;
-    ServerPool pool(sim.queue(), 1);
-    Tick finished = -1;
-    spawn([](Simulation &s, ServerPool &p, Tick &out) -> Task<> {
-        co_await p.use(usecs(25));
-        out = s.now();
-    }(sim, pool, finished));
-    sim.run();
-    EXPECT_EQ(finished, usecs(25));
-}
-
-TEST(ServerPool, WaitStatsMeasureQueueing)
-{
-    Simulation sim;
-    ServerPool pool(sim.queue(), 1);
-    std::vector<Tick> done;
-    for (int i = 0; i < 3; ++i)
-        pool.submit(usecs(10), [&] { done.push_back(sim.now()); });
-    sim.run();
-    // One server, FIFO: the second and third jobs wait 10 and 20 us.
-    EXPECT_EQ(done, (std::vector<Tick>{usecs(10), usecs(20), usecs(30)}));
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 2, 0, 4}));
+    EXPECT_EQ(done_at, (std::vector<Tick>{usecs(10), usecs(20), usecs(30),
+                                          usecs(40), usecs(50)}));
 }
 
 TEST(ServerPool, ZeroServiceJobsCompleteSameTick)
 {
     Simulation sim;
-    ServerPool pool(sim.queue(), 1);
+    ServerPool pool(sim.queue());
     bool done = false;
     pool.submit(0, [&] { done = true; });
     sim.run();

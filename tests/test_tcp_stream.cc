@@ -37,8 +37,8 @@ class TcpStreamTest : public ::testing::Test
     TcpStreamTest()
         : sim_(7),
           fabric_(sim_.queue()),
-          a_(sim_.queue(), fabric_, sim_.metrics(), "tcp.a", "a"),
-          b_(sim_.queue(), fabric_, sim_.metrics(), "tcp.b", "b")
+          a_(sim_.queue(), fabric_, sim_.metrics(), "tcp.a"),
+          b_(sim_.queue(), fabric_, sim_.metrics(), "tcp.b")
     {
         b_.setMessageHandler([this](TcpMessage message) {
             received_.push_back(std::move(message));
@@ -214,8 +214,8 @@ shuffledSendTrace(uint64_t tie_seed)
     sim::Simulation sim(7);
     sim.queue().setTieShuffle(tie_seed);
     Fabric fabric(sim.queue());
-    TcpStream a(sim.queue(), fabric, sim.metrics(), "tcp.a", "a");
-    TcpStream b(sim.queue(), fabric, sim.metrics(), "tcp.b", "b");
+    TcpStream a(sim.queue(), fabric, sim.metrics(), "tcp.a");
+    TcpStream b(sim.queue(), fabric, sim.metrics(), "tcp.b");
     std::vector<std::pair<int, Tick>> trace;
     b.setMessageHandler([&](TcpMessage message) {
         trace.emplace_back(

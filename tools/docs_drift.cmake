@@ -8,13 +8,16 @@
 # or renamed without its documentation moving with it. A bare word
 # does not count: "calibrated" does not document `calibrate`.
 #
-# Every repository path backticked in README.md, DESIGN.md or
-# EXPERIMENTS.md (a word starting src/, tests/, bench/, tools/,
-# examples/ or perfbench/) must name an existing file or directory,
-# so deleting or moving a file fails here until the docs follow. A
-# binary name passes when its source exists (`bench/paper_suite`
-# names bench/paper_suite.cc). Placeholders and globs (<...>, *,
-# {...}) are skipped, as is everything inside fenced code blocks.
+# Every repository path backticked in README.md, DESIGN.md,
+# EXPERIMENTS.md or the verify skill's SKILL.md (the build-and-run
+# recipe; see _docs below) (a word starting src/, tests/, bench/,
+# tools/, examples/ or perfbench/) must name an existing file or
+# directory, so deleting or moving a file fails here until the docs
+# follow. A binary name passes when its source exists
+# (`bench/paper_suite` names bench/paper_suite.cc). Placeholders and
+# globs (<...>, *, {...}) are skipped, as is everything inside fenced
+# code blocks. ROADMAP.md is not checked: its done items name deleted
+# code on purpose.
 #
 # Every backticked span in those docs shaped like a C++ name must
 # name words that occur in the sources (src/, bench/, tests/,
@@ -78,9 +81,11 @@ if(_missing)
         "figure/claim it reproduces, how to run it).")
 endif()
 
+set(_docs README.md DESIGN.md EXPERIMENTS.md
+    .claude/skills/verify/SKILL.md)
 set(_path_count 0)
 set(_stale "")
-foreach(_md IN ITEMS README.md DESIGN.md EXPERIMENTS.md)
+foreach(_md IN LISTS _docs)
     file(READ "${REPO_ROOT}/${_md}" _text)
     string(REGEX REPLACE "```[^`]*```" "" _text "${_text}")
     string(REGEX MATCHALL "`[^`]+`" _spans "${_text}")
@@ -136,7 +141,7 @@ set(_name_shapes
     "^[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*$"    # CamelCase name
     "^${_ident}\\(\\)$")                   # call
 set(_name_count 0)
-foreach(_md IN ITEMS README.md DESIGN.md EXPERIMENTS.md)
+foreach(_md IN LISTS _docs)
     file(READ "${REPO_ROOT}/${_md}" _text)
     string(REGEX REPLACE "```[^`]*```" "" _text "${_text}")
     string(REGEX MATCHALL "`[^`]+`" _spans "${_text}")
