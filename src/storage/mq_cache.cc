@@ -1,5 +1,6 @@
 #include "mq_cache.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace v3sim::storage
@@ -16,6 +17,9 @@ MqCache::MqCache(sim::MemorySpace &memory, uint64_t block_size,
           static_cast<double>(capacity_blocks) * config.ghost_ratio))
 {
     assert(config_.queue_count >= 1);
+    // Every frequency from 2^31 up maps to the top queue, so a ghost
+    // frequency saturated at UINT32_MAX resumes in the same queue.
+    assert(config_.queue_count <= 32);
     assert(capacity_ < kNil);
 }
 
@@ -151,6 +155,8 @@ MqCache::remember(CacheKey key, uint64_t freq)
 {
     if (ghost_capacity_ == 0)
         return;
+    if (ghost_ring_.capacity() == 0)
+        ghost_ring_.reserve(ghost_capacity_);
     if (ghost_map_.find(key) == ghost_map_.end()) {
         if (ghost_count_ == ghost_capacity_) {
             ghost_map_.erase(ghost_ring_[ghost_head_]);
@@ -167,7 +173,8 @@ MqCache::remember(CacheKey key, uint64_t freq)
             ghost_ring_[tail] = key;
         ++ghost_count_;
     }
-    ghost_map_[key] = freq;
+    ghost_map_[key] =
+        static_cast<uint32_t>(std::min<uint64_t>(freq, UINT32_MAX));
 }
 
 std::optional<sim::Addr>
@@ -191,7 +198,8 @@ MqCache::insertAndPin(CacheKey key)
     entry.pins = 1;
     // Resume the block's remembered standing, if any (ghost hit).
     auto ghost = ghost_map_.find(key);
-    entry.freq = ghost != ghost_map_.end() ? ghost->second + 1 : 1;
+    entry.freq =
+        ghost != ghost_map_.end() ? uint64_t{ghost->second} + 1 : 1;
     entry.expire = now_ + life_time_;
     entry.queue = queueFor(entry.freq);
     pushBack(*frame);

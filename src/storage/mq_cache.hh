@@ -24,8 +24,11 @@
  * Storage is flat (DESIGN.md §10.2): one entry per frame in an array
  * indexed by frame, the m queues threaded through the entries as
  * intrusive doubly-linked lists, a FlatMap from key to frame, and the
- * ghost FIFO in a ring. Both arrays grow only as frames and ghost
- * slots are first used, so a large, mostly idle cache stays small.
+ * ghost FIFO in a ring. The entry array grows only as frames are
+ * first used, so a large, mostly idle cache stays small; the ghost
+ * ring is allocated once, at its full capacity, when the first block
+ * is evicted, and its pages become resident as its slots are first
+ * used.
  */
 
 #ifndef V3SIM_STORAGE_MQ_CACHE_HH
@@ -42,7 +45,8 @@ namespace v3sim::storage
 /** MQ policy configuration. */
 struct MqConfig
 {
-    /** Number of LRU queues (the paper's m; 8 covers f up to 2^7). */
+    /** Number of LRU queues (the paper's m; 8 covers f up to 2^7),
+     *  1 to 32. */
     uint32_t queue_count = 8;
 
     /**
@@ -140,10 +144,13 @@ class MqCache : public BlockCache
     /** Frames freed by invalidation, reused last-in first-out. */
     std::vector<uint32_t> free_frames_;
 
-    /** Ghost entries: key -> remembered frequency, FIFO-bounded. */
-    util::FlatMap<CacheKey, uint64_t, CacheKeyHash> ghost_map_;
+    /** Ghost entries: key -> remembered frequency, FIFO-bounded.
+     *  The frequency saturates at UINT32_MAX, which maps to the same
+     *  queue as any higher one (queue_count is at most 32). */
+    util::FlatMap<CacheKey, uint32_t, CacheKeyHash> ghost_map_;
     /** Ghost FIFO as a ring of ghost_capacity_ slots, oldest at
-     *  ghost_head_; slots past its size were never used. */
+     *  ghost_head_; reserved whole on the first eviction, and slots
+     *  past its size were never used. */
     std::vector<CacheKey> ghost_ring_;
     uint64_t ghost_head_ = 0;
     uint64_t ghost_count_ = 0;

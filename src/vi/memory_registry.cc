@@ -1,7 +1,7 @@
 #include "memory_registry.hh"
 
+#include <algorithm>
 #include <cassert>
-#include <type_traits>
 
 namespace v3sim::vi
 {
@@ -11,17 +11,12 @@ MemoryRegistry::MemoryRegistry(const ViCosts &costs,
     : costs_(costs),
       region_entries_(region_entries),
       table_entries_(costs_.max_table_entries),
-      table_bytes_(sim::allocateZeroed(uint64_t{table_entries_} *
-                                       sizeof(Entry))),
-      table_(reinterpret_cast<Entry *>(table_bytes_.get()))
+      chunks_((table_entries_ + kChunkSlots - 1) / kChunkSlots)
 {
-    static_assert(std::is_trivially_copyable_v<Entry>,
-                  "zeroed bytes must be a valid free entry");
     assert(region_entries_ >= 1);
-    free_bits_.assign((table_entries_ + 63) / 64, ~uint64_t(0));
-    if (table_entries_ % 64 != 0)
-        free_bits_.back() =
-            (uint64_t(1) << (table_entries_ % 64)) - 1;
+    free_bits_.resize(chunks_.size());
+    for (uint32_t chunk = 0; chunk < free_bits_.size(); ++chunk)
+        free_bits_[chunk] = allFree(chunk);
 }
 
 MemoryRegistry::~MemoryRegistry()
@@ -80,8 +75,7 @@ MemoryRegistry::registerMemory(sim::Addr addr, uint64_t len,
         return std::nullopt;
     }
 
-    Entry &entry = table_[slot];
-    markSlotUsed(slot);
+    Entry &entry = claim(slot);
     entry.in_use = true;
     entry.generation = next_generation_++;
     entry.addr = addr;
@@ -107,13 +101,41 @@ MemoryRegistry::registerMemory(sim::Addr addr, uint64_t len,
     return result;
 }
 
+MemoryRegistry::Entry &
+MemoryRegistry::claim(uint32_t slot)
+{
+    std::unique_ptr<Chunk> &chunk = chunks_[slot / kChunkSlots];
+    if (!chunk) {
+        if (spare_) {
+            chunk = std::move(spare_);
+        } else {
+            chunk = std::make_unique<Chunk>();
+            ++chunk_allocations_;
+        }
+    }
+    markSlotUsed(slot);
+    return (*chunk)[slot % kChunkSlots];
+}
+
+const MemoryRegistry::Entry *
+MemoryRegistry::liveEntry(MemHandle handle) const
+{
+    if (handle.slot >= table_entries_)
+        return nullptr;
+    // A freed chunk held only free slots.
+    const Chunk *chunk = chunks_[handle.slot / kChunkSlots].get();
+    if (chunk == nullptr)
+        return nullptr;
+    const Entry &entry = (*chunk)[handle.slot % kChunkSlots];
+    if (!entry.in_use || entry.generation != handle.generation)
+        return nullptr;
+    return &entry;
+}
+
 std::optional<sim::Tick>
 MemoryRegistry::deregister(MemHandle handle)
 {
-    if (handle.slot >= table_entries_)
-        return std::nullopt;
-    const Entry &entry = table_[handle.slot];
-    if (!entry.in_use || entry.generation != handle.generation)
+    if (liveEntry(handle) == nullptr)
         return std::nullopt;
     const sim::Tick cost = costs_.table_remove + release(handle.slot);
     deregistrations_.increment();
@@ -135,7 +157,7 @@ MemoryRegistry::deregisterRegion(uint32_t region)
     // the entries pinned their own pages) still costs per page.
     result.cost = costs_.table_remove;
     for (uint64_t slot = first; slot < last; ++slot) {
-        if (!table_[slot].in_use)
+        if (isFree(static_cast<uint32_t>(slot)))
             continue;
         result.cost += release(static_cast<uint32_t>(slot));
         ++result.entries_freed;
@@ -147,7 +169,7 @@ MemoryRegistry::deregisterRegion(uint32_t region)
 sim::Tick
 MemoryRegistry::release(uint32_t slot)
 {
-    Entry &entry = table_[slot];
+    Entry &entry = entryAt(slot);
     const sim::Tick unpin =
         entry.self_pinned
             ? static_cast<sim::Tick>(
@@ -159,6 +181,15 @@ MemoryRegistry::release(uint32_t slot)
     --live_entries_;
     entry = Entry{};
     markSlotFree(slot);
+    const uint32_t chunk = slot / kChunkSlots;
+    if (free_bits_[chunk] == allFree(chunk)) {
+        // Its last live entry is gone: keep it as the spare, or free
+        // it if there already is one.
+        if (!spare_)
+            spare_ = std::move(chunks_[chunk]);
+        else
+            chunks_[chunk].reset();
+    }
     return unpin;
 }
 
@@ -166,13 +197,11 @@ bool
 MemoryRegistry::covers(MemHandle handle, sim::Addr addr,
                        uint64_t len) const
 {
-    if (handle.slot >= table_entries_)
+    const Entry *entry = liveEntry(handle);
+    if (entry == nullptr)
         return false;
-    const Entry &entry = table_[handle.slot];
-    if (!entry.in_use || entry.generation != handle.generation)
-        return false;
-    return addr >= entry.addr && addr - entry.addr <= entry.len &&
-           len <= entry.len - (addr - entry.addr);
+    return addr >= entry->addr && addr - entry->addr <= entry->len &&
+           len <= entry->len - (addr - entry->addr);
 }
 
 bool
@@ -185,8 +214,8 @@ MemoryRegistry::anyCovers(sim::Addr addr, uint64_t len) const
     // same buffer can carry several live registrations with
     // different lengths.
     for (uint32_t slot = head->value; slot != kNoSlot;
-         slot = table_[slot].next) {
-        const Entry &entry = table_[slot];
+         slot = entryAt(slot).next) {
+        const Entry &entry = entryAt(slot);
         if (addr - entry.addr <= entry.len &&
             len <= entry.len - (addr - entry.addr)) {
             return true;
@@ -201,14 +230,22 @@ MemoryRegistry::regionOf(MemHandle handle) const
     return handle.slot / region_entries_;
 }
 
+size_t
+MemoryRegistry::chunkCount() const
+{
+    return static_cast<size_t>(
+        std::count_if(chunks_.begin(), chunks_.end(),
+                      [](const auto &chunk) { return chunk != nullptr; }));
+}
+
 void
 MemoryRegistry::linkByAddr(uint32_t slot)
 {
-    Entry &entry = table_[slot];
+    Entry &entry = entryAt(slot);
     entry.prev = kNoSlot;
     if (uint32_t *head = chain_heads_.find(entry.addr)) {
         entry.next = *head;
-        table_[*head].prev = slot;
+        entryAt(*head).prev = slot;
         *head = slot;
     } else {
         entry.next = kNoSlot;
@@ -219,11 +256,11 @@ MemoryRegistry::linkByAddr(uint32_t slot)
 void
 MemoryRegistry::unlinkByAddr(uint32_t slot)
 {
-    const Entry &entry = table_[slot];
+    const Entry &entry = entryAt(slot);
     if (entry.next != kNoSlot)
-        table_[entry.next].prev = entry.prev;
+        entryAt(entry.next).prev = entry.prev;
     if (entry.prev != kNoSlot)
-        table_[entry.prev].next = entry.next;
+        entryAt(entry.prev).next = entry.next;
     else if (entry.next != kNoSlot)
         *chain_heads_.find(entry.addr) = entry.next;
     else

@@ -21,7 +21,9 @@
 #ifndef V3SIM_VI_MEMORY_REGISTRY_HH
 #define V3SIM_VI_MEMORY_REGISTRY_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -125,6 +127,13 @@ class MemoryRegistry
     uint64_t peakRegisteredBytes() const { return peak_bytes_; }
     /** @} */
 
+    /** @name Test accessors
+     *  Entry chunks allocated now (each holds a live entry; the one
+     *  spare is not counted), and over the registry's life. @{ */
+    size_t chunkCount() const;
+    uint64_t chunkAllocations() const { return chunk_allocations_; }
+    /** @} */
+
     /**
      * Publishes this registry's stats under @p prefix (typically
      * "nic.<name>.mem_registry"). The registry keeps owning its
@@ -137,9 +146,8 @@ class MemoryRegistry
                          const std::string &prefix);
 
   private:
-    /** One translation-table entry. All-zero bytes are a free entry,
-     *  so the table lives in zero pages (sim::allocateZeroed) and
-     *  only the slots ever used cost resident memory. */
+    /** One translation-table entry; a value-initialized Entry is a
+     *  free one. */
     struct Entry
     {
         uint64_t generation;
@@ -153,6 +161,15 @@ class MemoryRegistry
         bool self_pinned; ///< pages were pinned by register
     };
 
+    /** Slots per entry chunk: one word of the free-slot bitmap. */
+    static constexpr uint32_t kChunkSlots = 64;
+
+    /** The entries of kChunkSlots consecutive slots. A chunk exists
+     *  only while it holds a live entry, so the table's memory
+     *  follows the live registrations, not the cursor's sweep over
+     *  every slot. */
+    using Chunk = std::array<Entry, kChunkSlots>;
+
     static constexpr uint32_t kNoSlot = UINT32_MAX;
 
     /** Advances the cursor to a free slot; false if table full. */
@@ -161,14 +178,51 @@ class MemoryRegistry
     void
     markSlotUsed(uint32_t slot)
     {
-        free_bits_[slot / 64] &= ~(uint64_t(1) << (slot % 64));
+        free_bits_[slot / kChunkSlots] &=
+            ~(uint64_t(1) << (slot % kChunkSlots));
     }
 
     void
     markSlotFree(uint32_t slot)
     {
-        free_bits_[slot / 64] |= uint64_t(1) << (slot % 64);
+        free_bits_[slot / kChunkSlots] |= uint64_t(1) << (slot % kChunkSlots);
     }
+
+    bool
+    isFree(uint32_t slot) const
+    {
+        return (free_bits_[slot / kChunkSlots] >> (slot % kChunkSlots)) &
+               1;
+    }
+
+    /** Free-bitmap word of @p chunk when none of its slots is live. */
+    uint64_t
+    allFree(uint32_t chunk) const
+    {
+        const uint32_t slots = table_entries_ - chunk * kChunkSlots;
+        return slots >= kChunkSlots ? ~uint64_t(0)
+                                    : (uint64_t(1) << slots) - 1;
+    }
+
+    /** The entry of a live slot (its chunk exists). */
+    Entry &
+    entryAt(uint32_t slot)
+    {
+        return (*chunks_[slot / kChunkSlots])[slot % kChunkSlots];
+    }
+
+    const Entry &
+    entryAt(uint32_t slot) const
+    {
+        return (*chunks_[slot / kChunkSlots])[slot % kChunkSlots];
+    }
+
+    /** The live entry @p handle names, or null if it is stale. */
+    const Entry *liveEntry(MemHandle handle) const;
+
+    /** Marks free @p slot used and returns its entry, giving its
+     *  chunk the spare (or a new chunk) if it has none. */
+    Entry &claim(uint32_t slot);
 
     /** Links @p slot's entry into its base address's chain. */
     void linkByAddr(uint32_t slot);
@@ -185,12 +239,18 @@ class MemoryRegistry
     ViCosts costs_;
     uint32_t region_entries_;
     uint32_t table_entries_;
-    sim::ZeroedBytes table_bytes_;
-    Entry *table_;
-    /** One bit per slot, set = free. The allocation probe walks this
-     *  8KB-per-64Ki-entries bitmap instead of sweeping the cold
-     *  multi-MB entry table; selection order is identical to the
-     *  plain linear scan. */
+    /** Entry chunks by slot / kChunkSlots; null while the chunk's
+     *  slots are all free. */
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    /** An emptied chunk kept for the next chunk needed, so one
+     *  outstanding registration at a time (register, deregister,
+     *  register the next slot) allocates no chunk per I/O. */
+    std::unique_ptr<Chunk> spare_;
+    uint64_t chunk_allocations_ = 0;
+    /** One bit per slot, set = free; word i covers chunk i. The
+     *  allocation probe walks this 8KB-per-64Ki-entries bitmap, and
+     *  selection order is identical to a plain linear scan of the
+     *  slots. */
     std::vector<uint64_t> free_bits_;
     uint32_t cursor_ = 0;
     uint32_t live_entries_ = 0;

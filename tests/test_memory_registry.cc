@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 #include <vector>
@@ -191,6 +192,63 @@ TEST(MemoryRegistry, PaperScaleRegionIsThousandEntries)
     EXPECT_EQ(reg.regionEntries(), 1000u);
 }
 
+TEST(MemoryRegistry, CursorSweepKeepsOnlyLiveChunks)
+{
+    // The round-robin cursor takes every slot in turn, but the table
+    // keeps memory only for the 64-slot chunks holding a live entry:
+    // 200,000 rounds with at most 8 live entries carry the cursor
+    // round the 65,536-slot table three times on at most 3 chunks.
+    ViCosts costs;
+    MemoryRegistry reg(costs);
+    sim::Rng rng(29);
+    std::deque<std::pair<MemHandle, sim::Addr>> live;
+    uint32_t next_slot = 0;
+    for (uint32_t round = 0; round < 200000; ++round) {
+        const sim::Addr addr = 0x100000 + (round % 16) * 0x2000;
+        const auto result =
+            reg.registerMemory(addr, 8192, round % 2 == 0);
+        ASSERT_TRUE(result);
+        // The oldest live entry is at most 8 slots back, so the
+        // cursor's slot is always free: slots come out in order.
+        ASSERT_EQ(result->handle.slot, next_slot) << "round " << round;
+        ASSERT_EQ(result->region, next_slot / 1000);
+        next_slot = (next_slot + 1) % costs.max_table_entries;
+        live.emplace_back(result->handle, addr);
+        const size_t keep = rng.uniformInt(1, 8);
+        while (live.size() > keep) {
+            ASSERT_TRUE(reg.deregister(live.front().first));
+            live.pop_front();
+        }
+        if (round % 8 == 0) {
+            ASSERT_LE(reg.chunkCount(), 3u) << "round " << round;
+        }
+    }
+    EXPECT_EQ(reg.liveEntries(), live.size());
+    for (const auto &[handle, addr] : live)
+        EXPECT_TRUE(reg.covers(handle, addr, 8192));
+    EXPECT_LE(reg.chunkAllocations(), 3u);
+}
+
+TEST(MemoryRegistry, OneOutstandingAllocatesNoChunkPerRegistration)
+{
+    // One I/O at a time: each registration lands in the next slot,
+    // and its deregistration empties the chunk. The emptied chunk is
+    // kept for the next registration instead of being freed and
+    // allocated again.
+    ViCosts costs;
+    MemoryRegistry reg(costs);
+    constexpr uint64_t kPairs = 10000;
+    for (uint64_t i = 0; i < kPairs; ++i) {
+        const auto result = reg.registerMemory(0x10000, 8192, false);
+        ASSERT_TRUE(result);
+        ASSERT_EQ(result->handle.slot, i);
+        ASSERT_EQ(reg.chunkCount(), 1u);
+        ASSERT_TRUE(reg.deregister(result->handle));
+        ASSERT_EQ(reg.chunkCount(), 0u);
+    }
+    EXPECT_LE(reg.chunkAllocations(), (kPairs + 63) / 64 + 1);
+}
+
 class RegistryModelTest : public ::testing::TestWithParam<uint64_t>
 {};
 
@@ -199,83 +257,128 @@ TEST_P(RegistryModelTest, MatchesBruteForceScanOfLiveEntries)
     // Random register / deregister / deregisterRegion / anyCovers
     // against a plain list of live entries. Few distinct bases, so
     // one buffer carries several live registrations (with different
-    // lengths) at once, as under batched deregistration.
+    // lengths) at once, as under batched deregistration. The table
+    // ends in a partial 32-slot chunk, and 12-slot regions straddle
+    // the chunk boundary. Stale handles, many into chunks since
+    // freed, must read as free slots.
     struct Live
     {
         MemHandle handle;
         sim::Addr addr;
         uint64_t len;
     };
-    ViCosts costs;
-    costs.max_table_entries = 96;
-    costs.max_registered_bytes = 64 * 8192;
-    MemoryRegistry reg(costs, /*region_entries=*/8);
-    sim::Rng rng(GetParam());
-    std::vector<Live> live;
+    uint64_t stale_in_freed_chunk = 0;
+    for (const uint32_t region_entries : {8u, 12u}) {
+        SCOPED_TRACE(region_entries);
+        ViCosts costs;
+        costs.max_table_entries = 96;
+        costs.max_registered_bytes = 64 * 8192;
+        MemoryRegistry reg(costs, region_entries);
+        sim::Rng rng(GetParam());
+        std::vector<Live> live;
+        // The 64 handles retired last, all probed on each anyCovers.
+        std::deque<Live> stale;
+        auto retire = [&stale](const Live &entry) {
+            stale.push_back(entry);
+            if (stale.size() > 64)
+                stale.pop_front();
+        };
 
-    // The documented rule: the closest live base <= addr decides, and
-    // any live entry at that base may cover the range.
-    auto expectCovers = [&live](sim::Addr addr, uint64_t len) {
-        sim::Addr base = 0;
-        bool found = false;
-        for (const Live &entry : live) {
-            if (entry.addr <= addr && (!found || entry.addr > base)) {
-                base = entry.addr;
-                found = true;
+        // The documented rule: the closest live base <= addr decides,
+        // and any live entry at that base may cover the range.
+        auto expectCovers = [&live](sim::Addr addr, uint64_t len) {
+            sim::Addr base = 0;
+            bool found = false;
+            for (const Live &entry : live) {
+                if (entry.addr <= addr &&
+                    (!found || entry.addr > base)) {
+                    base = entry.addr;
+                    found = true;
+                }
             }
-        }
-        for (const Live &entry : live) {
-            if (found && entry.addr == base &&
-                addr - entry.addr + len <= entry.len) {
-                return true;
+            for (const Live &entry : live) {
+                if (found && entry.addr == base &&
+                    addr - entry.addr + len <= entry.len) {
+                    return true;
+                }
             }
-        }
-        return false;
-    };
+            return false;
+        };
+        // The 64-slot ranges holding a live entry.
+        auto liveChunks = [&live] {
+            std::set<uint32_t> chunks;
+            for (const Live &entry : live)
+                chunks.insert(entry.handle.slot / 64);
+            return chunks;
+        };
 
-    for (int step = 0; step < 4000; ++step) {
-        const uint64_t op = rng.uniformInt(0, 99);
-        if (op < 45) {
-            const sim::Addr addr = 0x100000 + rng.uniformInt(0, 11) * 0x3000;
-            const uint64_t len = 512 * rng.uniformInt(1, 24);
-            const auto result =
-                reg.registerMemory(addr, len, rng.bernoulli(0.5));
-            if (result)
-                live.push_back(Live{result->handle, addr, len});
-        } else if (op < 70 && !live.empty()) {
-            const size_t pick = rng.uniformInt(0, live.size() - 1);
-            ASSERT_TRUE(reg.deregister(live[pick].handle).has_value());
-            // A second deregistration of the same handle is stale.
-            EXPECT_FALSE(reg.deregister(live[pick].handle).has_value());
-            live.erase(live.begin() + static_cast<long>(pick));
-        } else if (op < 75) {
-            const uint32_t region =
-                static_cast<uint32_t>(rng.uniformInt(0, 11));
-            const RegionDeregResult freed = reg.deregisterRegion(region);
-            const auto in_region = [&reg, region](const Live &entry) {
-                return reg.regionOf(entry.handle) == region;
-            };
-            EXPECT_EQ(freed.entries_freed,
-                      std::count_if(live.begin(), live.end(),
-                                    in_region));
-            live.erase(std::remove_if(live.begin(), live.end(),
-                                      in_region),
-                       live.end());
-        } else {
-            const sim::Addr addr = 0x100000 - 0x800 +
-                                   rng.uniformInt(0, 0x24000 / 512) * 512;
-            const uint64_t len = 512 * rng.uniformInt(1, 16);
-            ASSERT_EQ(reg.anyCovers(addr, len), expectCovers(addr, len))
-                << "step " << step << " addr " << addr << " len " << len;
+        for (int step = 0; step < 4000; ++step) {
+            const uint64_t op = rng.uniformInt(0, 99);
+            if (op < 45) {
+                const sim::Addr addr =
+                    0x100000 + rng.uniformInt(0, 11) * 0x3000;
+                const uint64_t len = 512 * rng.uniformInt(1, 24);
+                const auto result =
+                    reg.registerMemory(addr, len, rng.bernoulli(0.5));
+                if (result)
+                    live.push_back(Live{result->handle, addr, len});
+            } else if (op < 70 && !live.empty()) {
+                const size_t pick = rng.uniformInt(0, live.size() - 1);
+                ASSERT_TRUE(
+                    reg.deregister(live[pick].handle).has_value());
+                // A second deregistration of the same handle is stale.
+                EXPECT_FALSE(
+                    reg.deregister(live[pick].handle).has_value());
+                retire(live[pick]);
+                live.erase(live.begin() + static_cast<long>(pick));
+            } else if (op < 75) {
+                const uint32_t region =
+                    static_cast<uint32_t>(rng.uniformInt(0, 11));
+                const RegionDeregResult freed =
+                    reg.deregisterRegion(region);
+                const auto in_region = [&reg, region](const Live &entry) {
+                    return reg.regionOf(entry.handle) == region;
+                };
+                EXPECT_EQ(freed.entries_freed,
+                          std::count_if(live.begin(), live.end(),
+                                        in_region));
+                for (const Live &entry : live) {
+                    if (in_region(entry))
+                        retire(entry);
+                }
+                std::erase_if(live, in_region);
+            } else {
+                const sim::Addr addr =
+                    0x100000 - 0x800 +
+                    rng.uniformInt(0, 0x24000 / 512) * 512;
+                const uint64_t len = 512 * rng.uniformInt(1, 16);
+                ASSERT_EQ(reg.anyCovers(addr, len),
+                          expectCovers(addr, len))
+                    << "step " << step << " addr " << addr << " len "
+                    << len;
+                const std::set<uint32_t> chunks = liveChunks();
+                for (const Live &old : stale) {
+                    ASSERT_FALSE(reg.covers(old.handle, old.addr, old.len))
+                        << "step " << step;
+                    ASSERT_FALSE(reg.deregister(old.handle).has_value())
+                        << "step " << step;
+                    stale_in_freed_chunk +=
+                        chunks.count(old.handle.slot / 64) == 0;
+                }
+            }
+            ASSERT_EQ(reg.liveEntries(), live.size());
+            ASSERT_EQ(reg.chunkCount(), liveChunks().size())
+                << "step " << step;
+            uint64_t bytes = 0;
+            for (const Live &entry : live) {
+                bytes += entry.len;
+                ASSERT_TRUE(
+                    reg.covers(entry.handle, entry.addr, entry.len));
+            }
+            ASSERT_EQ(reg.registeredBytes(), bytes);
         }
-        ASSERT_EQ(reg.liveEntries(), live.size());
-        uint64_t bytes = 0;
-        for (const Live &entry : live) {
-            bytes += entry.len;
-            ASSERT_TRUE(reg.covers(entry.handle, entry.addr, entry.len));
-        }
-        ASSERT_EQ(reg.registeredBytes(), bytes);
     }
+    EXPECT_GT(stale_in_freed_chunk, 0u);
 }
 
 TEST_P(RegistryModelTest, MatchesMapModelWithThousandsOfBases)
@@ -298,12 +401,29 @@ TEST_P(RegistryModelTest, MatchesMapModelWithThousandsOfBases)
     sim::Rng rng(GetParam());
     std::vector<Live> live;
     std::map<sim::Addr, std::multiset<uint64_t>> by_base;
+    // Live entries per 64-slot range, and the ranges holding one.
+    std::vector<uint32_t> per_chunk(8192 / 64);
+    size_t live_chunks = 0;
+    // Recently retired handles, probed as stale; picked from their own
+    // stream, so the operation stream is the same as without them.
+    sim::Rng probe_rng(GetParam() + 1);
+    std::vector<Live> stale;
+    uint64_t stale_in_freed_chunk = 0;
 
-    const auto forget = [&by_base](const Live &entry) {
+    const auto remember = [&](const Live &entry) {
+        by_base[entry.addr].insert(entry.len);
+        live_chunks += per_chunk[entry.handle.slot / 64]++ == 0;
+    };
+    const auto forget = [&](const Live &entry) {
         std::multiset<uint64_t> &lens = by_base[entry.addr];
         lens.erase(lens.find(entry.len));
         if (lens.empty())
             by_base.erase(entry.addr);
+        live_chunks -= --per_chunk[entry.handle.slot / 64] == 0;
+        if (stale.size() < 256)
+            stale.push_back(entry);
+        else
+            stale[probe_rng.uniformInt(0, stale.size() - 1)] = entry;
     };
     // The documented rule: the closest live base <= addr decides.
     const auto expectCovers = [&by_base](sim::Addr addr, uint64_t len) {
@@ -325,7 +445,8 @@ TEST_P(RegistryModelTest, MatchesMapModelWithThousandsOfBases)
             const auto result = reg.registerMemory(addr, len, true);
             if (result) {
                 live.push_back(Live{result->handle, addr, len});
-                by_base[addr].insert(len);
+                remember(live.back());
+                ASSERT_EQ(reg.chunkCount(), live_chunks);
                 continue;
             }
             const uint32_t region = retiring;
@@ -352,9 +473,20 @@ TEST_P(RegistryModelTest, MatchesMapModelWithThousandsOfBases)
             const uint64_t len = 512 * rng.uniformInt(1, 20);
             ASSERT_EQ(reg.anyCovers(addr, len), expectCovers(addr, len))
                 << "step " << step << " addr " << addr << " len " << len;
+            if (!stale.empty()) {
+                const Live &old =
+                    stale[probe_rng.uniformInt(0, stale.size() - 1)];
+                ASSERT_FALSE(reg.covers(old.handle, old.addr, old.len))
+                    << "step " << step;
+                ASSERT_FALSE(reg.deregister(old.handle).has_value())
+                    << "step " << step;
+                stale_in_freed_chunk +=
+                    per_chunk[old.handle.slot / 64] == 0;
+            }
         }
         most_bases = std::max(most_bases, by_base.size());
         ASSERT_EQ(reg.liveEntries(), live.size());
+        ASSERT_EQ(reg.chunkCount(), live_chunks) << "step " << step;
         if (step % 1000 == 0) {
             for (const Live &entry : live) {
                 ASSERT_TRUE(
@@ -363,6 +495,7 @@ TEST_P(RegistryModelTest, MatchesMapModelWithThousandsOfBases)
         }
     }
     EXPECT_GE(most_bases, 3000u);
+    EXPECT_GT(stale_in_freed_chunk, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RegistryModelTest,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -289,6 +290,26 @@ class ListMqCache : public BlockCache
     uint64_t residentBlocks() const override { return map_.size(); }
     uint64_t ghostSize() const { return ghost_map_.size(); }
 
+    /** The frequency the ghost queue remembers for @p key. */
+    std::optional<uint64_t>
+    ghostFrequency(CacheKey key) const
+    {
+        auto it = ghost_map_.find(key);
+        if (it == ghost_map_.end())
+            return std::nullopt;
+        return it->second;
+    }
+
+    /** The queue a resident @p key sits in. */
+    std::optional<uint32_t>
+    queueOf(CacheKey key) const
+    {
+        auto it = map_.find(key);
+        if (it == map_.end())
+            return std::nullopt;
+        return it->second->queue;
+    }
+
   private:
     struct Entry
     {
@@ -480,6 +501,83 @@ runAgainstOracle(uint64_t seed, uint64_t capacity, MqConfig config)
 TEST(MqCache, MatchesListOracleDefaultConfig)
 {
     runAgainstOracle(7, 24, MqConfig{});
+}
+
+TEST(MqCache, MatchesListOracleWhenHotBlocksReturnFromFullGhost)
+{
+    // Hot blocks climb past 2^16 accesses, far past 2^7 (the top of
+    // the default eight queues), idle until they demote and are
+    // evicted into a full ghost queue, and come back. The frequency
+    // is 2^16 + 8: kept at any width of 32 bits or more it sends the
+    // returning blocks to the top queue again, while one cut to 8 or
+    // 16 bits would send them to queue 3, and they would then demote
+    // to the bottom and be evicted before the oracle's.
+    constexpr uint64_t kCapacity = 16;
+    constexpr uint64_t kHotTouches = (uint64_t{1} << 16) + 8;
+    const std::vector<uint64_t> hot = {0, 1, 2};
+    sim::MemorySpace mem_flat, mem_list;
+    MqConfig config;
+    MqCache flat(mem_flat, 8192, kCapacity, config);
+    ListMqCache list(mem_list, 8192, kCapacity, config);
+    const uint64_t ghost_capacity = kCapacity * 2;
+    uint64_t next_cold = 1000;
+
+    // One access to both caches: lookup, insert on a miss, unpin.
+    const auto step = [&](uint64_t block) {
+        const CacheKey k = key(block);
+        std::optional<sim::Addr> got_flat = flat.lookupAndPin(k);
+        std::optional<sim::Addr> got_list = list.lookupAndPin(k);
+        ASSERT_EQ(frameOf(flat, got_flat), frameOf(list, got_list));
+        if (!got_flat.has_value()) {
+            got_flat = flat.insertAndPin(k);
+            got_list = list.insertAndPin(k);
+            ASSERT_EQ(frameOf(flat, got_flat), frameOf(list, got_list));
+        }
+        flat.unpin(k);
+        list.unpin(k);
+        ASSERT_EQ(flat.hits(), list.hits());
+        ASSERT_EQ(flat.misses(), list.misses());
+        ASSERT_EQ(flat.residentBlocks(), list.residentBlocks());
+        ASSERT_EQ(flat.ghostSize(), list.ghostSize());
+        for (const uint64_t b : hot)
+            ASSERT_EQ(flat.contains(key(b)), list.contains(key(b)));
+    };
+    const auto anyHotResident = [&] {
+        return std::any_of(hot.begin(), hot.end(), [&](uint64_t b) {
+            return list.contains(key(b));
+        });
+    };
+
+    // Climb, with a cold block every eighth round so the cache stays
+    // full and the ghost ring wraps.
+    for (uint64_t round = 0; round < kHotTouches; ++round) {
+        for (const uint64_t b : hot)
+            ASSERT_NO_FATAL_FAILURE(step(b)) << "climb " << round;
+        if (round % 8 == 0) {
+            ASSERT_NO_FATAL_FAILURE(step(next_cold++));
+        }
+    }
+    ASSERT_EQ(list.queueOf(key(0)), config.queue_count - 1);
+
+    // Idle: cold traffic until every hot block has been evicted.
+    for (int i = 0; anyHotResident(); ++i) {
+        ASSERT_LT(i, 10000);
+        ASSERT_NO_FATAL_FAILURE(step(next_cold++)) << "idle " << i;
+    }
+    ASSERT_EQ(list.ghostSize(), ghost_capacity);
+    for (const uint64_t b : hot)
+        ASSERT_EQ(list.ghostFrequency(key(b)), kHotTouches);
+
+    // Return: each hot block resumes in the top queue.
+    for (const uint64_t b : hot) {
+        ASSERT_NO_FATAL_FAILURE(step(b));
+        ASSERT_EQ(list.queueOf(key(b)), config.queue_count - 1);
+    }
+    // And idles out again in step with the oracle.
+    for (int i = 0; anyHotResident(); ++i) {
+        ASSERT_LT(i, 10000);
+        ASSERT_NO_FATAL_FAILURE(step(next_cold++)) << "return " << i;
+    }
 }
 
 TEST(MqCache, MatchesListOracleShortLifetime)
