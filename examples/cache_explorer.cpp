@@ -5,15 +5,15 @@
  * A storage-server cache sits *below* the database's buffer pool, so
  * it sees recency-poor, frequency-meaningful traffic. This example
  * replays three access patterns against LRU and MQ caches of equal
- * size and prints the hit ratios, plus the cDSA API in use for a
- * scatter/gather round trip.
+ * size and prints the hit ratios; then a cDSA client writes three
+ * blocks to a live V3 server and polls for a read's completion.
  *
  *   $ ./examples/cache_explorer
  */
 
 #include <cstdio>
 
-#include "dsa/cdsa_api.hh"
+#include "dsa/dsa_client.hh"
 #include "net/fabric.hh"
 #include "osmodel/node.hh"
 #include "sim/random.hh"
@@ -101,7 +101,7 @@ main()
                 "patterns (512-block caches)\n\n");
     comparePolicies();
 
-    std::printf("\nPart 2: the cDSA API driving a live V3 "
+    std::printf("\nPart 2: a cDSA client against a live V3 "
                 "server (MQ cache)\n\n");
 
     sim::Simulation sim(3);
@@ -115,57 +115,57 @@ main()
     server_config.cache_policy = storage::CachePolicy::Mq;
     server_config.disk_count = 2;
     storage::V3Server server(sim, fabric, server_config);
+    dsa::DsaClient client(dsa::DsaImpl::Cdsa, host, nic,
+                          server.nic().port());
 
-    sim::spawn([](sim::Simulation &s, osmodel::Node &h,
-                  vi::ViNic &n, net::PortId port) -> sim::Task<> {
-        auto api = co_await dsa::CdsaApi::open(h, n, port);
-        if (!api) {
-            std::printf("open failed\n");
+    sim::spawn([](sim::Simulation &s, sim::MemorySpace &mem,
+                  dsa::DsaClient &c) -> sim::Task<> {
+        if (!co_await c.connect()) {
+            std::printf("connect failed\n");
             co_return;
         }
-        const auto info = api->volumeInfo();
-        std::printf("open: %s volume, block size %u\n",
-                    util::formatSize(info.capacity_bytes).c_str(),
-                    info.block_size);
+        std::printf("connected: %s volume\n",
+                    util::formatSize(c.capacity()).c_str());
 
-        // Scatter a pattern across three segments, gather it back.
-        std::vector<dsa::CdsaSegment> segments;
+        // Three 8K writes, each block a different byte pattern.
+        bool wrote = true;
         for (int i = 0; i < 3; ++i) {
-            dsa::CdsaSegment segment;
-            segment.offset = static_cast<uint64_t>(i) * 65536;
-            segment.len = 8192;
-            segment.buffer = h.memory().allocate(8192);
-            h.memory().fill(segment.buffer,
-                            static_cast<uint8_t>(0xA0 + i), 8192);
-            segments.push_back(segment);
+            const sim::Addr buffer = mem.allocate(8192);
+            mem.fill(buffer, static_cast<uint8_t>(0xA0 + i), 8192);
+            if (!co_await c.write(static_cast<uint64_t>(i) * 65536,
+                                  8192, buffer))
+                wrote = false;
         }
-        const bool wrote = co_await api->writeScatter(segments);
-        std::printf("writeScatter of 3 segments: %s\n",
-                    wrote ? "ok" : "FAILED");
+        std::printf("3 writes of 8K: %s\n", wrote ? "ok" : "FAILED");
 
-        // Async reads polled through the completion flags.
-        auto handle =
-            api->readAsync(0, 8192, h.memory().allocate(8192));
+        // A read in its own activity; the application polls for it.
+        bool done = false;
+        bool ok = false;
+        sim::spawn([](dsa::DsaClient &cl, sim::Addr buffer, bool &d,
+                      bool &o) -> sim::Task<> {
+            o = co_await cl.read(0, 8192, buffer);
+            d = true;
+        }(c, mem.allocate(8192), done, ok));
         int polls = 0;
-        while (!api->poll(handle)) {
+        while (!done) {
             ++polls;
             co_await s.sleep(sim::usecs(10));
         }
-        std::printf("readAsync completed after %d polls "
-                    "(no interrupts: %llu taken)\n",
-                    polls,
-                    static_cast<unsigned long long>(
-                        api->stats().interrupt_completions));
-
-        const auto stats = api->stats();
-        std::printf("stats: %llu I/Os, %llu polled completions\n",
-                    static_cast<unsigned long long>(stats.ios),
-                    static_cast<unsigned long long>(
-                        stats.polled_completions));
-        api->close();
-    }(sim, host, nic, server.nic().port()));
+        std::printf("read %s after %d polls of 10 us\n",
+                    ok ? "completed" : "FAILED", polls);
+    }(sim, host.memory(), client));
 
     sim.run();
+    const sim::MetricRegistry &metrics = sim.metrics();
+    std::printf("client: %llu I/Os, %llu polled and %llu interrupt "
+                "completions\n",
+                static_cast<unsigned long long>(client.ioCount()),
+                static_cast<unsigned long long>(
+                    metrics.findCounter("client.cdsa0.polled_completions")
+                        ->value()),
+                static_cast<unsigned long long>(
+                    metrics.findCounter("client.cdsa0.intr_completions")
+                        ->value()));
     std::printf("\nserver cache after the run: %llu resident "
                 "blocks, hit ratio %.0f%%\n",
                 static_cast<unsigned long long>(

@@ -1,7 +1,6 @@
 #include "cluster/heartbeat.hh"
 
 #include "sim/event_queue.hh"
-#include "util/logging.hh"
 
 namespace v3sim::cluster
 {
@@ -57,9 +56,6 @@ HeartbeatMonitor::probeLoop()
                     !state.down) {
                     state.down = true;
                     down_events_.increment();
-                    V3LOG(Info, "hb")
-                        << state.peer.name << " declared down after "
-                        << state.misses << " missed probes";
                 }
                 continue;
             }
@@ -78,9 +74,6 @@ HeartbeatMonitor::probeLoop()
                 if (!state.down) {
                     state.down = true;
                     down_events_.increment();
-                    V3LOG(Info, "hb")
-                        << state.peer.name
-                        << " bounced (boot epoch changed)";
                 }
                 state.misses = kMissThreshold;
                 continue;
@@ -89,7 +82,6 @@ HeartbeatMonitor::probeLoop()
             if (state.down) {
                 state.down = false;
                 up_events_.increment();
-                V3LOG(Info, "hb") << state.peer.name << " back up";
             }
         }
     }

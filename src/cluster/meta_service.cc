@@ -1,7 +1,6 @@
 #include "cluster/meta_service.hh"
 
 #include "sim/event_queue.hh"
-#include "util/logging.hh"
 
 namespace v3sim::cluster
 {
@@ -173,8 +172,6 @@ MetaService::leaseLoop()
                 replica->append(view);
         }
         map_.epoch = view.epoch;
-        V3LOG(Info, "meta") << "elected replica " << winner
-                            << " as primary, epoch " << map_.epoch;
     }
 }
 

@@ -1,7 +1,6 @@
 #include "cluster/volume_directory.hh"
 
 #include "sim/event_queue.hh"
-#include "util/logging.hh"
 
 namespace v3sim::cluster
 {
@@ -120,10 +119,6 @@ VolumeDirectory::reconcileLoop()
                     mirror.failLeg(leg);
                     driven_failovers_.increment();
                     last_state_[node] = ReplicaState::Failed;
-                    V3LOG(Info, "vdir")
-                        << "failed over node " << node << " (shard "
-                        << shard << " leg " << leg << "), epoch "
-                        << meta_.committedEpoch();
                 }
                 continue;
             }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/logging.hh"
+#include "sim/warn.hh"
 
 namespace v3sim::cluster
 {
@@ -84,9 +84,9 @@ DurabilityAudit::audit(size_t replica_count)
             const bool read_ok = co_await under_.read(
                 block * block_size_, block_size_, buffer);
             if (!read_ok) {
-                V3LOG(Warn, "audit")
-                    << "read of block " << block
-                    << " failed during audit";
+                sim::warn(sim_.now(), "audit",
+                          "read of block " + std::to_string(block) +
+                              " failed during audit");
                 lost_.increment();
                 clean = false;
                 continue;
@@ -98,18 +98,21 @@ DurabilityAudit::audit(size_t replica_count)
                 if (state.settled != 0) {
                     lost_.increment();
                     clean = false;
-                    V3LOG(Warn, "audit")
-                        << "block " << block << " blank, settled "
-                        << state.settled;
+                    sim::warn(sim_.now(), "audit",
+                              "block " + std::to_string(block) +
+                                  " blank, settled " +
+                                  std::to_string(state.settled));
                 }
                 continue;
             }
             if (stamp < state.settled) {
                 lost_.increment();
                 clean = false;
-                V3LOG(Warn, "audit")
-                    << "block " << block << " stamp " << stamp
-                    << " older than settled " << state.settled;
+                sim::warn(sim_.now(), "audit",
+                          "block " + std::to_string(block) + " stamp " +
+                              std::to_string(stamp) +
+                              " older than settled " +
+                              std::to_string(state.settled));
                 continue;
             }
             if (std::find(state.attempted.begin(),
@@ -117,9 +120,10 @@ DurabilityAudit::audit(size_t replica_count)
                           stamp) == state.attempted.end()) {
                 foreign_.increment();
                 clean = false;
-                V3LOG(Warn, "audit")
-                    << "block " << block << " stamp " << stamp
-                    << " was never written";
+                sim::warn(sim_.now(), "audit",
+                          "block " + std::to_string(block) + " stamp " +
+                              std::to_string(stamp) +
+                              " was never written");
             }
         }
     }

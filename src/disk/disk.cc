@@ -129,12 +129,11 @@ DiskStore::rangeCorrupt(uint64_t offset, uint64_t len) const
 }
 
 Disk::Disk(sim::Simulation &sim, DiskSpec spec, sim::Rng rng,
-           std::string name, SchedPolicy policy, bool phantom_store)
+           std::string name, bool phantom_store)
     : sim_(sim),
       spec_(std::move(spec)),
       rng_(rng),
       name_(std::move(name)),
-      policy_(policy),
       store_(phantom_store),
       metric_prefix_(sim.metrics().uniquePrefix("disk." + name_)),
       completed_(sim.metrics().counter(metric_prefix_ + ".completed")),
@@ -260,11 +259,7 @@ Disk::commandBefore(const Command &a, const Command &b)
 size_t
 Disk::pickNext()
 {
-    // FIFO stays strict arrival order: within one event, submission
-    // order is causal (program order), and no production path uses
-    // FIFO — the determinism contract's shuffled benches all run the
-    // Elevator policy below.
-    if (policy_ == SchedPolicy::Fifo || queue_.size() == 1)
+    if (queue_.size() == 1)
         return 0;
 
     // C-LOOK: the lowest offset at or above the head; if none, wrap

@@ -3,7 +3,7 @@
  * One physical disk: mechanism timing, command queue, and data store.
  *
  * The disk serves one command at a time. Queued commands are ordered
- * FIFO or C-LOOK (elevator); service time comes from the DiskSpec's
+ * C-LOOK (elevator); service time comes from the DiskSpec's
  * seek/rotation/transfer model with the head position tracked across
  * commands, so sequential streams (the database log) are naturally
  * fast and random OLTP I/O is naturally ~5-10 ms.
@@ -36,13 +36,6 @@
 
 namespace v3sim::disk
 {
-
-/** Queue scheduling policy. */
-enum class SchedPolicy : uint8_t
-{
-    Fifo,
-    Elevator, ///< C-LOOK: ascending sweep, wrap to lowest
-};
 
 /**
  * Sparse data store backing one disk. Content lives in 4 KiB pages,
@@ -106,9 +99,7 @@ class Disk : public vi::MediaFaultTarget
 {
   public:
     Disk(sim::Simulation &sim, DiskSpec spec, sim::Rng rng,
-         std::string name = "disk",
-         SchedPolicy policy = SchedPolicy::Elevator,
-         bool phantom_store = false);
+         std::string name = "disk", bool phantom_store = false);
 
     /** Retires the disk's gauges and epoch hook. */
     ~Disk() override { sim_.metrics().retire(this); }
@@ -173,7 +164,7 @@ class Disk : public vi::MediaFaultTarget
      *  races make unspecified). */
     static bool commandBefore(const Command &a, const Command &b);
 
-    /** Picks the next command index per the scheduling policy. */
+    /** Picks the next command index (C-LOOK). */
     size_t pickNext();
 
     /** Schedules a zero-delay service-start pop (coalesced), so every
@@ -187,7 +178,6 @@ class Disk : public vi::MediaFaultTarget
     DiskSpec spec_;
     sim::Rng rng_; ///< mechanism timing only — never faults
     std::string name_;
-    SchedPolicy policy_;
     DiskStore store_;
 
     double torn_write_rate_ = 0.0;

@@ -19,7 +19,7 @@ StripeVolume::StripeVolume(sim::Simulation &sim, const DiskSpec &spec,
     for (int i = 0; i < count; ++i) {
         disks_.push_back(std::make_unique<Disk>(
             sim, spec, sim.forkRng(), name_prefix + std::to_string(i),
-            SchedPolicy::Elevator, phantom));
+            phantom));
     }
 }
 

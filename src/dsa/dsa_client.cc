@@ -4,7 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "util/logging.hh"
+#include "sim/warn.hh"
 
 namespace v3sim::dsa
 {
@@ -501,8 +501,7 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
         // stacked driver layers (class/miniport), then the thin
         // kDSA driver itself.
         co_await lease.run(build, CpuCat::Dsa);
-        co_await node_.ioManager().issueRequest(lease, pages,
-                                                /*pin_buffer=*/true);
+        co_await node_.ioManager().issueRequest(lease, pages);
         for (int layer = 0; layer < config_.kdsa_extra_layers;
              ++layer) {
             co_await lease.run(config_.driver_layer_cost,
@@ -788,8 +787,7 @@ DsaClient::completeFromResponse(CpuLease &lease,
             co_await own_lock_.syncPair(lease, CpuCat::Dsa);
         co_await deregisterBuffer(lease, *io);
         co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi);
-        co_await node_.ioManager().completeRequest(
-            lease, pages, /*unpin_buffer=*/true);
+        co_await node_.ioManager().completeRequest(lease, pages);
         break;
       case DsaImpl::Wdsa:
         co_await lease.run(costs.wdsa_complete, CpuCat::Dsa);
@@ -946,9 +944,6 @@ DsaClient::retransmit(uint64_t io_id)
         co_return;
     }
     if (io->retx_count >= config_.max_retransmits) {
-        V3LOG(Info, "dsa") << dsaImplName(impl_)
-                           << ": request " << io->id
-                           << " exhausted retransmits; reconnecting";
         if (!reconnecting_)
             sim::spawn(reconnect());
         co_return;
@@ -984,15 +979,14 @@ DsaClient::reconnect()
         co_await node_.sim().sleep(config_.reconnect_delay);
         if (co_await establish())
             break;
-        V3LOG(Info, "dsa") << dsaImplName(impl_)
-                           << ": reconnect attempt failed, retrying";
         if (++attempts >= config_.max_reconnect_attempts) {
             // Volume unreachable: fail everything outstanding so
             // the application sees errors instead of hanging.
-            V3LOG(Warn, "dsa")
-                << dsaImplName(impl_)
-                << ": giving up after " << attempts
-                << " reconnect attempts";
+            sim::warn(node_.sim().now(), "dsa",
+                      std::string(dsaImplName(impl_)) +
+                          ": giving up after " +
+                          std::to_string(attempts) +
+                          " reconnect attempts");
             abandoned_reconnects_.increment();
             dead_ = true;
             reconnecting_ = false;

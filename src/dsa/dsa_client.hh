@@ -113,15 +113,6 @@ class DsaClient : public Session
     /** @name Statistics @{ */
     uint64_t retransmitCount() const override { return retransmits_.value(); }
     uint64_t reconnectCount() const { return reconnects_.value(); }
-    /** Interrupt-path completions (vs polled). */
-    uint64_t interruptCompletions() const
-    {
-        return intr_completions_.value();
-    }
-    uint64_t polledCompletions() const
-    {
-        return polled_completions_.value();
-    }
     /** Completions rejected by the end-to-end digest/taint check and
      *  recovered via retransmission (transient wire damage). */
     uint64_t

@@ -22,8 +22,7 @@ LocalBackend::io(bool is_write, uint64_t offset, uint64_t len,
 
     {
         CpuLease lease = co_await node_.cpus().acquire();
-        co_await node_.ioManager().issueRequest(lease, pages,
-                                                /*pin_buffer=*/true);
+        co_await node_.ioManager().issueRequest(lease, pages);
         co_await lease.run(costs_.issue, CpuCat::Kernel);
         node_.cpus().release();
     }
@@ -75,8 +74,7 @@ LocalBackend::interruptHandler(CpuLease lease)
         Done done = done_queue_.front();
         done_queue_.pop_front();
         co_await lease.run(costs_.complete, CpuCat::Kernel);
-        co_await node_.ioManager().completeRequest(
-            lease, done.pages, /*unpin_buffer=*/true);
+        co_await node_.ioManager().completeRequest(lease, done.pages);
         done.completion->set(done.ok);
     }
 }

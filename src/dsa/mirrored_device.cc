@@ -4,7 +4,7 @@
 #include <cassert>
 
 #include "dsa/dsa_client.hh"
-#include "util/logging.hh"
+#include "sim/warn.hh"
 
 namespace v3sim::dsa
 {
@@ -338,10 +338,11 @@ MirroredDevice::failReplica(size_t idx)
     degraded_replicas_.set(
         sim_.now(),
         static_cast<double>(replicas_.size() - activeReplicas()));
-    V3LOG(Warn, "mirror")
-        << config_.name << ": replica " << idx
-        << " failed over, mirror degraded ("
-        << activeReplicas() << "/" << replicas_.size() << " active)";
+    sim::warn(sim_.now(), "mirror",
+              config_.name + ": replica " + std::to_string(idx) +
+                  " failed over, mirror degraded (" +
+                  std::to_string(activeReplicas()) + "/" +
+                  std::to_string(replicas_.size()) + " active)");
     if (!replica.resyncing) {
         replica.resyncing = true;
         sim::spawn(resyncTask(idx));
@@ -387,10 +388,6 @@ MirroredDevice::repairRange(size_t idx, uint64_t offset, uint64_t len,
         if (co_await replicas_[idx].client->write(offset, len,
                                                   buffer)) {
             integrity_repairs_.increment();
-            V3LOG(Info, "mirror")
-                << config_.name << ": repaired " << len
-                << " bytes at " << offset << " on replica " << idx
-                << " from replica " << peer;
         } else {
             // The rewrite failed (node died mid-repair, or the range
             // does not meet the server's write alignment): remember
@@ -474,9 +471,6 @@ MirroredDevice::resyncTask(size_t idx)
         // missed while the node was down and the replay converges
         // even under a sustained write load.
         replica.catching_up = true;
-        V3LOG(Info, "mirror")
-            << config_.name << ": replica " << idx
-            << " reachable again, resync starting";
 
         // Replay phase: drain the dirty-region log in bounded chunks
         // (each chunk is one ordinary DSA read from a survivor and
@@ -606,9 +600,6 @@ MirroredDevice::resyncTask(size_t idx)
             static_cast<double>(replicas_.size() - activeReplicas()));
         resync_time_ns_.add(
             static_cast<double>(sim_.now() - down_since));
-        V3LOG(Info, "mirror")
-            << config_.name << ": replica " << idx
-            << " resynced and readmitted";
         co_return;
     }
 }

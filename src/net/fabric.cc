@@ -3,7 +3,7 @@
 #include <cassert>
 #include <utility>
 
-#include "util/logging.hh"
+#include "sim/warn.hh"
 
 namespace v3sim::net
 {
@@ -28,7 +28,8 @@ void
 Fabric::send(Packet packet)
 {
     if (packet.src >= ports_.size() || packet.dst >= ports_.size()) {
-        V3LOG(Warn, "fabric") << "dropping packet with invalid port";
+        sim::warn(queue_.now(), "fabric",
+                  "dropping packet with invalid port");
         dropped_.increment();
         return;
     }

@@ -108,7 +108,6 @@ class CpuPool
     CpuPool &operator=(const CpuPool &) = delete;
 
     int cpus() const { return cpus_; }
-    int busyCount() const { return busy_; }
     const std::string &name() const { return name_; }
 
     /**

@@ -10,30 +10,24 @@ IoManager::IoManager(sim::Simulation &sim, const HostCosts &costs)
 {}
 
 sim::Task<>
-IoManager::issueRequest(CpuLease lease, uint64_t buffer_pages,
-                        bool pin_buffer)
+IoManager::issueRequest(CpuLease lease, uint64_t buffer_pages)
 {
     requests_.increment();
     co_await lease.run(costs_.syscall, CpuCat::Kernel);
     co_await queue_lock_.syncPair(lease, CpuCat::Kernel);
     // IRP work and probe-and-lock run back to back: one charge.
     const sim::Tick probe =
-        pin_buffer ? static_cast<sim::Tick>(buffer_pages) *
-                         costs_.probe_lock_page
-                   : 0;
+        static_cast<sim::Tick>(buffer_pages) * costs_.probe_lock_page;
     co_await lease.run(costs_.irp_issue + probe, CpuCat::Kernel);
     co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel);
 }
 
 sim::Task<>
-IoManager::completeRequest(CpuLease lease, uint64_t buffer_pages,
-                           bool unpin_buffer)
+IoManager::completeRequest(CpuLease lease, uint64_t buffer_pages)
 {
     co_await queue_lock_.syncPair(lease, CpuCat::Kernel);
     const sim::Tick unlock =
-        unpin_buffer ? static_cast<sim::Tick>(buffer_pages) *
-                           costs_.probe_lock_page
-                     : 0;
+        static_cast<sim::Tick>(buffer_pages) * costs_.probe_lock_page;
     co_await lease.run(costs_.irp_complete + unlock, CpuCat::Kernel);
     co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel);
     // Wake the thread that blocked in the I/O system call.

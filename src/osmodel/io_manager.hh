@@ -43,20 +43,17 @@ class IoManager
 
     /**
      * Kernel-side issue work for one request, run on the caller's
-     * CPU. @p buffer_pages is the request buffer's page span;
-     * @p pin_buffer selects whether probe-and-lock happens (true for
-     * any DMA-capable driver below).
+     * CPU. @p buffer_pages is the request buffer's page span, each
+     * page probed and locked (both callers drive DMA below).
      */
-    sim::Task<> issueRequest(CpuLease lease, uint64_t buffer_pages,
-                             bool pin_buffer);
+    sim::Task<> issueRequest(CpuLease lease, uint64_t buffer_pages);
 
     /**
      * Kernel-side completion work: IRP completion, sync pairs,
      * buffer unlock, and the context switch that wakes the waiting
      * application thread.
      */
-    sim::Task<> completeRequest(CpuLease lease, uint64_t buffer_pages,
-                                bool unpin_buffer);
+    sim::Task<> completeRequest(CpuLease lease, uint64_t buffer_pages);
 
     uint64_t requestCount() const { return requests_.value(); }
 

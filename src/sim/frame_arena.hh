@@ -16,7 +16,10 @@
  *    heap: the retained set is bounded by the peak number of live
  *    frames per size class, which the workload bounds by its
  *    concurrency (outstanding IOs x pipeline depth).
- *  - Single-threaded by design, like the simulator itself.
+ *  - The freelist heads are per thread (`thread_local`): each
+ *    simulation runs on one thread, so simulations on different
+ *    threads never share a list. A thread's retained frames stay
+ *    allocated after it exits.
  *  - Recycling affects only host memory addresses, which no model
  *    code observes, so simulation results are bit-identical with or
  *    without the arena.
@@ -77,11 +80,12 @@ class FrameArena
         return (size + kGranule - 1) / kGranule - 1;
     }
 
-    /** Freelist heads; function-local so header-only use is safe. */
+    /** This thread's freelist heads; function-local so header-only
+     *  use is safe. */
     static FreeNode **
     lists()
     {
-        static FreeNode *heads[kClasses] = {};
+        static thread_local FreeNode *heads[kClasses] = {};
         return heads;
     }
 };

@@ -1,22 +1,13 @@
 #include "simulation.hh"
 
-#include "util/logging.hh"
-
 namespace v3sim::sim
 {
 
 Simulation::Simulation(uint64_t seed)
     : rng_(seed), metrics_([this] { return queue_.now(); })
 {
-    util::Logger::instance().setTimeSource(
-        [this] { return queue_.now(); });
     metrics_.gauge("sim.time_ns",
                    [this] { return static_cast<double>(now()); });
-}
-
-Simulation::~Simulation()
-{
-    util::Logger::instance().setTimeSource(nullptr);
 }
 
 } // namespace v3sim::sim

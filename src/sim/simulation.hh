@@ -1,14 +1,15 @@
 /**
  * @file
- * Simulation context: event queue + root RNG + logging hookup.
+ * Simulation context: event queue + root RNG + metric registry.
  *
  * One Simulation object represents one experiment run. Components
  * receive a reference at construction, so tests can run many
- * simulations, one after another, in one process. Two mutable
- * process-wide singletons remain, and they keep simulations off
- * concurrent threads until ROADMAP item 1 removes them:
- * util::Logger's time source, which every Simulation installs and
- * its destructor clears, and sim::FrameArena's freelist heads.
+ * simulations, one after another, in one process. src/ keeps no
+ * mutable process-wide state (simlint's global-state rule holds it
+ * so): a warning carries its caller's own clock (sim/warn.hh), and
+ * sim::FrameArena's freelist heads are per thread. Each simulation
+ * stays single-threaded, so simulations on different threads share
+ * nothing.
  */
 
 #ifndef V3SIM_SIM_SIMULATION_HH
@@ -31,7 +32,6 @@ class Simulation
   public:
     /** @param seed root seed; all component RNGs fork from it. */
     explicit Simulation(uint64_t seed = 1);
-    ~Simulation();
 
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;

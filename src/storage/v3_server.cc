@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/logging.hh"
+#include "sim/warn.hh"
 
 namespace v3sim::storage
 {
@@ -82,7 +82,6 @@ V3Server::crash()
         return;
     crashed_ = true;
     crashes_.increment();
-    V3LOG(Info, "v3") << config_.name << ": node crash";
 
     // The NIC leaves the fabric: nothing in or out, and packets
     // already propagating towards the node are lost.
@@ -121,7 +120,6 @@ V3Server::restart()
     crashed_ = false;
     ++boot_epoch_;
     restarts_.increment();
-    V3LOG(Info, "v3") << config_.name << ": node restart";
     // Cold restart: port back up; the accept handler armed at
     // construction still is, so new connections are admitted
     // immediately. The cache is already empty from crash().
@@ -178,9 +176,9 @@ V3Server::accept(net::PortId, vi::EndpointId)
     auto staging_reg = nic_->registry().registerMemory(
         conn->staging_base, kStagingBytes, true);
     if (!req_reg || !reply_reg || !flag_reg || !staging_reg) {
-        V3LOG(Warn, "v3") << config_.name
-                          << ": refusing connection, NIC "
-                             "registration capacity exhausted";
+        sim::warn(node_.sim().now(), "v3",
+                  config_.name + ": refusing connection, NIC "
+                                 "registration capacity exhausted");
         return nullptr;
     }
     conn->req_buf_handle = req_reg->handle;

@@ -58,14 +58,6 @@ formatSize(uint64_t bytes)
 }
 
 std::string
-formatRateMBps(double bytes_per_second)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.1f MB/s", bytes_per_second / 1e6);
-    return buf;
-}
-
-std::string
 formatUsecs(int64_t ns)
 {
     char buf[32];

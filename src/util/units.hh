@@ -30,9 +30,6 @@ std::optional<uint64_t> parseSize(const std::string &text);
 /** Formats a byte count compactly: 512, 8K, 64K, 1M, 2G. */
 std::string formatSize(uint64_t bytes);
 
-/** Formats a byte rate as MB/s with one decimal (decimal megabytes). */
-std::string formatRateMBps(double bytes_per_second);
-
 /** Formats nanoseconds as microseconds with one decimal. */
 std::string formatUsecs(int64_t ns);
 

@@ -11,9 +11,9 @@
  * escalating order of severity:
  *
  *  - dropNext(n): lose the next n packets (optionally one direction);
- *  - lossRate(p): Bernoulli loss until cleared;
+ *  - setLossRate(p): Bernoulli loss until cleared;
  *  - blackout(from, until): total loss inside a time window;
- *  - corruptNext(n) / corruptRate(p): the first two patterns, but
+ *  - corruptNext(n) / setCorruptRate(p): the first two patterns, but
  *    the packet is delivered with a damaged payload instead of
  *    dropped — exercising the end-to-end digest machinery instead of
  *    retransmission timers;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/logging.hh"
+#include "sim/warn.hh"
 
 namespace v3sim::vi
 {
@@ -123,7 +123,8 @@ ViNic::postRecv(ViEndpoint &ep, const WorkDescriptor &desc,
         return false;
     }
     if (!registry_.covers(handle, desc.local_addr, desc.len)) {
-        V3LOG(Warn, "vi") << name_ << ": postRecv on unregistered buffer";
+        sim::warn(sim_.now(), "vi",
+                  name_ + ": postRecv on unregistered buffer");
         return false;
     }
     ep.recv_queue_.push_back(desc);
@@ -137,7 +138,8 @@ ViNic::postSend(ViEndpoint &ep, const WorkDescriptor &desc,
     if (ep.state_ != EndpointState::Connected)
         return false;
     if (!registry_.covers(handle, desc.local_addr, desc.len)) {
-        V3LOG(Warn, "vi") << name_ << ": postSend on unregistered buffer";
+        sim::warn(sim_.now(), "vi",
+                  name_ + ": postSend on unregistered buffer");
         return false;
     }
     transmit(ep, desc, WireMsg::Kind::Send);
@@ -151,8 +153,8 @@ ViNic::postRdmaWrite(ViEndpoint &ep, const WorkDescriptor &desc,
     if (ep.state_ != EndpointState::Connected)
         return false;
     if (!registry_.covers(handle, desc.local_addr, desc.len)) {
-        V3LOG(Warn, "vi") << name_
-                          << ": postRdmaWrite on unregistered buffer";
+        sim::warn(sim_.now(), "vi",
+                  name_ + ": postRdmaWrite on unregistered buffer");
         return false;
     }
     transmit(ep, desc, WireMsg::Kind::Rdma);
@@ -349,8 +351,6 @@ ViNic::handleSendMsg(const WireMsg &msg)
             return; // stale mid-message fragment after a drop
         if (ep->recv_queue_.empty()) {
             recv_overruns_.increment();
-            V3LOG(Debug, "vi") << name_ << ": receive overrun on ep "
-                               << ep->id_;
             failEndpoint(*ep, WorkStatus::RecvOverrun,
                          /*notify_peer=*/true);
             return;
@@ -410,9 +410,9 @@ ViNic::handleRdmaMsg(const WireMsg &msg)
     if (msg.frag_len > 0 &&
         !registry_.anyCovers(msg.remote_addr, msg.frag_len)) {
         protection_errors_.increment();
-        V3LOG(Warn, "vi") << name_
-                          << ": RDMA protection error on ep "
-                          << ep->id_;
+        sim::warn(sim_.now(), "vi",
+                  name_ + ": RDMA protection error on ep " +
+                      std::to_string(ep->id_));
         failEndpoint(*ep, WorkStatus::ProtectionError,
                      /*notify_peer=*/true);
         return;

@@ -94,34 +94,32 @@ TEST(Disk, SequentialRunsFasterThanRandom)
               rnd_disk.serviceStats().mean());
 }
 
-TEST(Disk, ElevatorBeatsFifoOnBacklog)
+TEST(Disk, ClookSweepsUpThenWraps)
 {
-    auto run_policy = [](SchedPolicy policy) {
-        sim::Simulation sim(3);
-        Disk disk(sim, DiskSpec::scsi10k(), sim.forkRng(), "d",
-                  policy);
-        sim::Rng rng(42);
-        int outstanding = 64;
-        for (int i = 0; i < 64; ++i) {
-            const uint64_t offset =
-                rng.uniformInt(0, (disk.spec().capacity_bytes - 8192) /
-                                      8192) *
-                8192;
-            disk.submit(offset, 8192, false, [&] { --outstanding; });
-        }
-        sim.run();
-        EXPECT_EQ(outstanding, 0);
-        return disk.serviceStats().mean();
+    // One command starts at 512 MiB; one tick later four more queue
+    // behind it. C-LOOK serves those above the head in ascending
+    // order, then wraps to the lowest (FIFO would serve 768 first).
+    constexpr uint64_t kMiB = 1024 * 1024;
+    sim::Simulation sim(3);
+    Disk disk(sim, DiskSpec::scsi10k(), sim.forkRng(), "d");
+    std::vector<uint64_t> served;
+    auto submit = [&](uint64_t mib) {
+        disk.submit(mib * kMiB, 8192, false,
+                    [&served, mib] { served.push_back(mib); });
     };
-    EXPECT_LT(run_policy(SchedPolicy::Elevator),
-              run_policy(SchedPolicy::Fifo));
+    submit(512);
+    sim.queue().schedule(1, [&] {
+        for (uint64_t mib : {768, 128, 640, 256})
+            submit(mib);
+    });
+    sim.run();
+    EXPECT_EQ(served, (std::vector<uint64_t>{512, 640, 768, 128, 256}));
 }
 
 TEST(Disk, QueueingAddsLatency)
 {
     sim::Simulation sim(13);
-    Disk disk(sim, DiskSpec::scsi10k(), sim.forkRng(), "d",
-              SchedPolicy::Fifo);
+    Disk disk(sim, DiskSpec::scsi10k(), sim.forkRng(), "d");
     int done = 0;
     for (int i = 0; i < 8; ++i)
         disk.submit(static_cast<uint64_t>(i) * 1024 * 1024 * 128, 8192,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Remaining-coverage tests: logging, WaitGroup, multi-fragment send
+ * Remaining-coverage tests: warnings, WaitGroup, multi-fragment send
  * reassembly under mid-stream loss, and NIC statistics.
  */
 
@@ -12,7 +12,6 @@
 #include "net/fabric.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
-#include "util/logging.hh"
 #include "util/units.hh"
 #include "vi/vi_nic.hh"
 
@@ -21,28 +20,27 @@ namespace v3sim
 namespace
 {
 
-TEST(Logging, LevelGatingAndTimePrefix)
+TEST(Warn, StampsTheWarningSimulationsOwnClock)
 {
-    util::Logger &logger = util::Logger::instance();
-    const util::LogLevel saved = logger.level();
+    const std::string want = "[       5.000 us] WARN  fabric     "
+                             "dropping packet with invalid port\n";
+    sim::Simulation a;
+    net::Fabric fabric(a.queue());
+    a.queue().schedule(sim::usecs(5), [] {});
+    a.run();
 
-    logger.setLevel(util::LogLevel::Warn);
-    EXPECT_FALSE(logger.enabled(util::LogLevel::Debug));
-    EXPECT_TRUE(logger.enabled(util::LogLevel::Warn));
-    EXPECT_TRUE(logger.enabled(util::LogLevel::Error));
-
-    logger.setLevel(util::LogLevel::Off);
-    EXPECT_FALSE(logger.enabled(util::LogLevel::Error));
-
-    // A Simulation installs itself as the time source and removes
-    // itself on destruction.
+    // The packet names no attached port, so the fabric warns with
+    // a's time: a newer simulation b, alive or destroyed, leaves the
+    // stamp alone.
     {
-        sim::Simulation sim;
-        sim.queue().schedule(sim::usecs(5), [] {});
-        sim.run();
-        V3LOG(Error, "test") << "suppressed at level Off";
+        sim::Simulation b;
+        testing::internal::CaptureStderr();
+        fabric.send(net::Packet{});
+        EXPECT_EQ(testing::internal::GetCapturedStderr(), want);
     }
-    logger.setLevel(saved);
+    testing::internal::CaptureStderr();
+    fabric.send(net::Packet{});
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), want);
 }
 
 TEST(WaitGroup, ZeroCountIsImmediatelyReady)

@@ -72,8 +72,8 @@ TEST(IoManager, IssueAndCompleteChargeKernelAndLock)
     Node node(sim, NodeConfig{.name = "host", .cpus = 4});
     sim::spawn([](Node &n) -> Task<> {
         CpuLease lease = co_await n.cpus().acquire();
-        co_await n.ioManager().issueRequest(lease, 2, true);
-        co_await n.ioManager().completeRequest(lease, 2, true);
+        co_await n.ioManager().issueRequest(lease, 2);
+        co_await n.ioManager().completeRequest(lease, 2);
         n.cpus().release();
     }(node));
     sim.run();
@@ -88,21 +88,6 @@ TEST(IoManager, IssueAndCompleteChargeKernelAndLock)
     EXPECT_EQ(node.cpus().busyTime(CpuCat::Lock),
               4 * (c.lock_acquire + c.lock_release));
     EXPECT_EQ(node.ioManager().requestCount(), 1u);
-}
-
-TEST(IoManager, PinningIsOptional)
-{
-    sim::Simulation sim;
-    Node node(sim, NodeConfig{.name = "host", .cpus = 1});
-    sim::spawn([](Node &n) -> Task<> {
-        CpuLease lease = co_await n.cpus().acquire();
-        co_await n.ioManager().issueRequest(lease, 16, false);
-        n.cpus().release();
-    }(node));
-    sim.run();
-    const HostCosts &c = node.costs();
-    EXPECT_EQ(node.cpus().busyTime(CpuCat::Kernel),
-              c.syscall + c.irp_issue + 2 * c.lock_hold);
 }
 
 TEST(Node, PhantomMemoryConfig)

@@ -49,6 +49,15 @@ lineRules(const std::vector<Finding> &findings)
 
 using LineRules = std::vector<std::pair<int, std::string>>;
 
+std::string
+readText(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
 TEST(SimlintFixtures, WallClock)
 {
     const auto got = lineRules(lintFile(fixture("bad_wall_clock.cc")));
@@ -165,6 +174,24 @@ TEST(SimlintFixtures, RngDiscipline)
     EXPECT_EQ(got, want);
     EXPECT_TRUE(
         lintFile(fixture("good_rng_discipline.cc")).empty());
+}
+
+TEST(SimlintFixtures, GlobalState)
+{
+    // The rule covers model code only, so the fixtures are linted
+    // under a src/ path: namespace-scope (8), class-member (12, 13,
+    // the last one's type on its own line) and function-local (20)
+    // mutable statics. Under tests/ the same text is clean.
+    const std::string bad = readText(fixture("bad_global_state.cc"));
+    const LineRules want = {{8, "global-state"},
+                            {12, "global-state"},
+                            {13, "global-state"},
+                            {20, "global-state"}};
+    EXPECT_EQ(lineRules(lintSource("src/model/bad.cc", bad)), want);
+    EXPECT_TRUE(lintSource("tests/bad.cc", bad).empty());
+    EXPECT_TRUE(lintSource("src/model/good.cc",
+                           readText(fixture("good_global_state.cc")))
+                    .empty());
 }
 
 TEST(SimlintFixtures, BannedHeader)

@@ -51,6 +51,10 @@
  *                       (src/): every stream derives from
  *                       Simulation::forkRng(), the registered fork
  *                       point.
+ *  - global-state       no mutable `static` variables in model code
+ *                       (src/): one that is not const, constexpr or
+ *                       thread_local is shared by every simulation
+ *                       in the process.
  *  - banned-header      include-graph rule: `<chrono>`, `<thread>`,
  *                       `<mutex>`, `<random>` & co. are rejected
  *                       outside explicitly annotated files.

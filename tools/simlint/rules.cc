@@ -519,6 +519,55 @@ checkRngDiscipline(const Ctx &ctx)
 }
 
 // ---------------------------------------------------------------
+// global-state
+// ---------------------------------------------------------------
+
+/**
+ * Model code (src/) keeps no mutable process-wide state: a `static`
+ * variable (namespace scope, class member or function-local) that is
+ * not `const`, `constexpr` or `thread_local` is shared by every
+ * simulation in the process, so one run can leak into the next and
+ * simulations cannot run on concurrent threads. A declaration whose
+ * first `(` comes before its `=`, `;` or `{` is a function and is
+ * skipped. Harness trees are exempt, as for rng-discipline.
+ */
+void
+checkGlobalState(const Ctx &ctx)
+{
+    for (const char *exempt :
+         {"tests/", "bench/", "examples/", "tools/"}) {
+        if (pathContains(ctx.path, exempt))
+            return;
+    }
+    auto qualifier = [](const Token &t) {
+        return t.ident("const") || t.ident("constexpr") ||
+               t.ident("thread_local");
+    };
+    const auto &tokens = ctx.tokens;
+    for (size_t i = 0; i < tokens.size(); ++i) {
+        if (!tokens[i].ident("static") ||
+            (i > 0 && qualifier(tokens[i - 1])))
+            continue;
+        bool immutable = false;
+        size_t end = i + 1;
+        for (; end < tokens.size(); ++end) {
+            const Token &t = tokens[end];
+            if (t.is("(") || t.is("=") || t.is(";") || t.is("{"))
+                break;
+            immutable = immutable || qualifier(t);
+        }
+        if (immutable || end == tokens.size() || tokens[end].is("("))
+            continue;
+        ctx.report(tokens[i].line, "global-state",
+                   "mutable static variable: process-wide state "
+                   "shared by every simulation; make it const, "
+                   "constexpr or thread_local, move it into the "
+                   "Simulation or a component, or annotate "
+                   "simlint:allow(global-state: <reason>)");
+    }
+}
+
+// ---------------------------------------------------------------
 // banned-header
 // ---------------------------------------------------------------
 
@@ -678,6 +727,7 @@ runTuRules(TuAnalysis &tu,
     checkFinalBandKey(ctx);
     checkRefCaptureEscape(ctx);
     checkRngDiscipline(ctx);
+    checkGlobalState(ctx);
     checkBannedHeaders(ctx, tu.includes);
 }
 
