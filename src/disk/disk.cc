@@ -161,11 +161,10 @@ Disk::Disk(sim::Simulation &sim, DiskSpec spec, sim::Rng rng,
 
 void
 Disk::submit(uint64_t offset, uint64_t len, bool is_write,
-             std::function<void()> done)
+             std::coroutine_handle<> waiter)
 {
     assert(offset + len <= spec_.capacity_bytes);
-    queue_.push_back(
-        Command{offset, len, is_write, sim_.now(), std::move(done)});
+    queue_.push_back(Command{offset, len, is_write, sim_.now(), waiter});
     scheduleStart();
 }
 
@@ -186,22 +185,6 @@ Disk::scheduleStart()
         if (!busy_)
             startNext();
     });
-}
-
-sim::Task<>
-Disk::read(uint64_t offset, uint64_t len)
-{
-    sim::Completion<> completion;
-    submit(offset, len, false, [&completion] { completion.set(); });
-    co_await completion.wait();
-}
-
-sim::Task<>
-Disk::write(uint64_t offset, uint64_t len)
-{
-    sim::Completion<> completion;
-    submit(offset, len, true, [&completion] { completion.set(); });
-    co_await completion.wait();
 }
 
 bool
@@ -321,7 +304,7 @@ Disk::startNext()
     busy_integral_.set(sim_.now(), 1.0);
 
     const size_t index = pickNext();
-    Command cmd = std::move(queue_[index]);
+    const Command cmd = queue_[index];
     queue_.erase(queue_.begin() +
                  static_cast<std::deque<Command>::difference_type>(
                      index));
@@ -330,7 +313,7 @@ Disk::startNext()
     head_pos_ = cmd.offset + cmd.len;
     service_stats_.add(static_cast<double>(service));
 
-    auto complete = [this, cmd = std::move(cmd)] {
+    sim_.queue().schedule(service, [this, cmd] {
         latency_stats_.add(
             static_cast<double>(sim_.now() - cmd.enqueued));
         completed_.increment();
@@ -338,13 +321,11 @@ Disk::startNext()
         busy_integral_.set(sim_.now(), 0.0);
         // Deferred like submit's kick (see scheduleStart): a
         // completion and new arrivals on the same tick must all be
-        // visible before the next pick. done() may enqueue more
-        // work this tick; it precedes the pick too.
+        // visible before the next pick. The resumed waiter may
+        // enqueue more work this tick; it precedes the pick too.
         scheduleStart();
-        cmd.done();
-    };
-    static_assert(sim::EventFn::storesInline<decltype(complete)>());
-    sim_.queue().schedule(service, std::move(complete));
+        cmd.waiter.resume();
+    });
 }
 
 double

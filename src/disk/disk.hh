@@ -16,6 +16,7 @@
 #ifndef V3SIM_DISK_DISK_HH
 #define V3SIM_DISK_DISK_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -30,7 +31,6 @@
 #include "sim/random.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
-#include "sim/task.hh"
 #include "util/flat_map.hh"
 #include "vi/fault_targets.hh"
 
@@ -113,17 +113,38 @@ class Disk : public vi::MediaFaultTarget
     const DiskStore &store() const { return store_; }
 
     /**
-     * Submits a command; @p done fires when the mechanism finishes.
-     * Data movement (if any) is the caller's business via store().
+     * Awaitable command, from read() or write(): queued when awaited,
+     * it resumes the awaiter when the mechanism finishes. Mechanism
+     * timing only: data movement (if any) is the caller's business
+     * via store() or commitWrite().
      */
-    void submit(uint64_t offset, uint64_t len, bool is_write,
-                std::function<void()> done);
+    struct Access
+    {
+        Disk *disk;
+        uint64_t offset;
+        uint64_t len;
+        bool is_write;
 
-    /** Awaitable read: mechanism timing only. */
-    sim::Task<> read(uint64_t offset, uint64_t len);
+        bool await_ready() const { return false; }
 
-    /** Awaitable write. */
-    sim::Task<> write(uint64_t offset, uint64_t len);
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            disk->submit(offset, len, is_write, h);
+        }
+
+        void await_resume() const {}
+    };
+
+    Access read(uint64_t offset, uint64_t len)
+    {
+        return {this, offset, len, false};
+    }
+
+    Access write(uint64_t offset, uint64_t len)
+    {
+        return {this, offset, len, true};
+    }
 
     /**
      * Commits data to the store after the mechanism finished — the
@@ -156,8 +177,12 @@ class Disk : public vi::MediaFaultTarget
         uint64_t len;
         bool is_write;
         sim::Tick enqueued;
-        std::function<void()> done;
+        std::coroutine_handle<> waiter;
     };
+
+    /** Queues a command; @p waiter resumes when it finishes. */
+    void submit(uint64_t offset, uint64_t len, bool is_write,
+                std::coroutine_handle<> waiter);
 
     /** Deterministic order for same-priority commands (arrival tick,
      *  then offset/shape — never queue position, which same-tick

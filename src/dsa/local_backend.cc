@@ -28,30 +28,23 @@ LocalBackend::io(bool is_write, uint64_t offset, uint64_t len,
     }
 
     // The mechanism (controller + spindles) runs without the CPU.
-    sim::Completion<bool> completion;
-    sim::spawn([](LocalBackend *backend, bool write_op, uint64_t off,
-                  uint64_t n, sim::Addr buf,
-                  sim::Completion<bool> *done,
-                  uint64_t buf_pages) -> sim::Task<> {
-        const bool ok =
-            write_op
-                ? co_await backend->volume_.write(
-                      off, n, backend->node_.memory(), buf)
-                : co_await backend->volume_.read(
-                      off, n, backend->node_.memory(), buf);
-        backend->onMechanismDone(done, ok, buf_pages);
-    }(this, is_write, offset, len, buffer, &completion, pages));
-
-    const bool ok = co_await completion.wait();
+    const bool ok = is_write
+                        ? co_await volume_.write(offset, len,
+                                                 node_.memory(), buffer)
+                        : co_await volume_.read(offset, len,
+                                                node_.memory(), buffer);
+    sim::Completion<> completion;
+    onMechanismDone(&completion, pages);
+    co_await completion.wait();
     record(start);
     co_return ok;
 }
 
 void
-LocalBackend::onMechanismDone(sim::Completion<bool> *completion,
-                              bool ok, uint64_t pages)
+LocalBackend::onMechanismDone(sim::Completion<> *completion,
+                              uint64_t pages)
 {
-    done_queue_.push_back(Done{completion, ok, pages});
+    done_queue_.push_back(Done{completion, pages});
     // Interrupt coalescing: completions arriving while an interrupt
     // is pending (or within the controller's coalescing window) are
     // drained by that interrupt's handler.
@@ -75,7 +68,7 @@ LocalBackend::interruptHandler(CpuLease lease)
         done_queue_.pop_front();
         co_await lease.run(costs_.complete, CpuCat::Kernel);
         co_await node_.ioManager().completeRequest(lease, done.pages);
-        done.completion->set(done.ok);
+        done.completion->set();
     }
 }
 

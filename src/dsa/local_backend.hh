@@ -66,8 +66,7 @@ class LocalBackend : public Session
   private:
     struct Done
     {
-        sim::Completion<bool> *completion;
-        bool ok;
+        sim::Completion<> *completion;
         uint64_t pages;
     };
 
@@ -75,8 +74,7 @@ class LocalBackend : public Session
                        sim::Addr buffer, uint64_t tenant) override;
 
     /** Controller completion: queue + coalesced interrupt. */
-    void onMechanismDone(sim::Completion<bool> *completion, bool ok,
-                         uint64_t pages);
+    void onMechanismDone(sim::Completion<> *completion, uint64_t pages);
 
     sim::Task<> interruptHandler(osmodel::CpuLease lease);
 

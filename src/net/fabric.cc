@@ -52,10 +52,8 @@ Fabric::send(Packet packet)
         auto arrive = [this, packet = std::move(packet)]() mutable {
             deliver(std::move(packet));
         };
-        static_assert(sim::EventFn::storesInline<decltype(arrive)>());
         queue_.schedule(config_.propagation, std::move(arrive));
     };
-    static_assert(sim::EventFn::storesInline<decltype(on_serialized)>());
     tx.submit(serialization, std::move(on_serialized), order_key);
 }
 

@@ -1,6 +1,5 @@
 #include "cpu_pool.hh"
 
-#include <algorithm>
 #include <numeric>
 
 namespace v3sim::osmodel
@@ -21,7 +20,8 @@ cpuCatName(CpuCat cat)
 }
 
 CpuPool::CpuPool(sim::Simulation &sim, int cpus, std::string name)
-    : sim_(sim), cpus_(cpus), name_(std::move(name))
+    : sim_(sim), cpus_(cpus), name_(std::move(name)),
+      admission_(sim.queue(), cpus)
 {
     assert(cpus >= 1);
 
@@ -41,52 +41,6 @@ CpuPool::CpuPool(sim::Simulation &sim, int cpus, std::string name)
     // The busy-time window restarts with the registry epoch so the
     // utilization gauges describe the current measurement window.
     m.onEpochReset([this](sim::Tick) { resetStats(); }, this);
-}
-
-void
-CpuPool::park(std::coroutine_handle<> h, int priority,
-              uint64_t order_key, uint64_t tiebreak)
-{
-    const Waiter w{h, priority, order_key, tiebreak, next_seq_++};
-    // Kept descending, so the next grant pops off the back.
-    const auto granted_later = [](const Waiter &a, const Waiter &b) {
-        return b < a;
-    };
-    waiters_.insert(std::upper_bound(waiters_.begin(), waiters_.end(),
-                                     w, granted_later),
-                    w);
-    if (!arb_scheduled_) {
-        arb_scheduled_ = true;
-        sim_.queue().scheduleFinal([this] { arbitrate(); });
-    }
-}
-
-void
-CpuPool::release()
-{
-    assert(busy_ > 0);
-    --busy_;
-    // Freed capacity is not handed to the front waiter directly —
-    // that would serve same-tick contenders in arrival order. The
-    // final-band arbitration re-grants it against the full set.
-    if (!waiters_.empty() && !arb_scheduled_) {
-        arb_scheduled_ = true;
-        sim_.queue().scheduleFinal([this] { arbitrate(); });
-    }
-}
-
-void
-CpuPool::arbitrate()
-{
-    // Clear the flag first: a waiter resumed below may release and
-    // need a fresh arbitration pass later this same tick.
-    arb_scheduled_ = false;
-    while (busy_ < cpus_ && !waiters_.empty()) {
-        const Waiter w = waiters_.back();
-        waiters_.pop_back();
-        ++busy_;
-        w.handle.resume();
-    }
 }
 
 CpuPool::Run *

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/resource.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
@@ -85,13 +86,13 @@ class CpuLease
  * (DESIGN.md §8.3): when same-tick demand exceeds free CPUs, *which*
  * contender runs first must be a function of the contender set, not
  * of the (unspecified, tie-shuffled) order their acquire events
- * fired in. So no acquire is granted inline: every waiter parks and
- * a single final-band arbitration event per tick grants free CPUs in
- * (priority, order_key, arrival) order — same tick, zero simulated
- * latency, but a deterministic assignment. Callers whose acquires
- * can collide on one tick pass distinct `order_key`s (worker id,
- * request tag); the arrival-sequence tiebreak only decides between
- * same-key contenders.
+ * fired in. So admission is a sim::Semaphore with one count per CPU:
+ * no acquire is granted inline, every waiter parks and a single
+ * final-band pass per tick grants free CPUs in (priority, order_key,
+ * tiebreak, arrival) order — same tick, zero simulated latency, but
+ * a deterministic assignment. Callers whose acquires can collide on
+ * one tick pass distinct `order_key`s (worker id, request tag); the
+ * arrival-sequence tiebreak only decides between same-key contenders.
  */
 class CpuPool
 {
@@ -121,29 +122,26 @@ class CpuPool
     acquire(int priority = kNormalPriority, uint64_t order_key = 0,
             uint64_t tiebreak = 0)
     {
-        struct Awaiter
+        struct Awaiter : sim::Semaphore::Acquire
         {
             CpuPool *pool;
-            int priority;
-            uint64_t order_key;
-            uint64_t tiebreak;
-
-            bool await_ready() const { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h) const
-            {
-                pool->park(h, priority, order_key, tiebreak);
-            }
 
             CpuLease await_resume() const { return CpuLease(pool); }
         };
-        return Awaiter{this, priority, order_key, tiebreak};
+        return Awaiter{admission_.acquire(order_key, tiebreak, priority),
+                       this};
     }
 
     /** Returns the CPU; freed capacity is re-granted in the final
-     *  band. */
-    void release();
+     *  band against every parked waiter, never handed straight to
+     *  the front one (that would serve same-tick contenders in
+     *  arrival order). */
+    void
+    release()
+    {
+        assert(admission_.available() < cpus_);
+        admission_.release();
+    }
 
     /** An in-progress busy interval (one per running charge). The
      *  window accounting is exact: a run crossing a resetStats()
@@ -190,46 +188,14 @@ class CpuPool
     /** Restarts the accounting window at the current time. */
     void resetStats();
 
-    size_t waiterCount() const { return waiters_.size(); }
-
   private:
     friend class CpuLease;
-
-    struct Waiter
-    {
-        std::coroutine_handle<> handle;
-        int priority;
-        uint64_t order_key;
-        uint64_t tiebreak;
-        uint64_t seq; ///< arrival tiebreak among equal keys
-
-        bool
-        operator<(const Waiter &other) const
-        {
-            if (priority != other.priority)
-                return priority < other.priority;
-            if (order_key != other.order_key)
-                return order_key < other.order_key;
-            if (tiebreak != other.tiebreak)
-                return tiebreak < other.tiebreak;
-            return seq < other.seq;
-        }
-    };
-
-    void park(std::coroutine_handle<> h, int priority,
-              uint64_t order_key, uint64_t tiebreak);
-    /** Final-band grant pass: admits waiters while CPUs are free. */
-    void arbitrate();
 
     sim::Simulation &sim_;
     int cpus_;
     std::string name_;
-    int busy_ = 0;
-    /** Kept sorted in descending order (insertion sort); the back
-     *  is granted next. */
-    std::vector<Waiter> waiters_;
-    uint64_t next_seq_ = 0;
-    bool arb_scheduled_ = false;
+    /** One count per free CPU. */
+    sim::Semaphore admission_;
     /** Completed-run time per category (excludes active runs). */
     std::array<sim::Tick, kCpuCatCount> busy_time_{};
     /** Open intervals; bounded by cpus_ (runs hold a lease). */

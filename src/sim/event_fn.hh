@@ -4,16 +4,15 @@
  *
  * The simulator's hot-path lambdas capture a `this` pointer plus at
  * most a small command struct, so EventFn keeps an inline buffer
- * sized for them (kInlineBytes) and stores the callable in place —
- * scheduling an event then allocates nothing. Larger, over-aligned,
- * or throwing-move callables fall back to a heap box; behaviour is
- * identical either way. Dispatch goes through a per-type static ops
- * table (invoke/relocate/destroy) instead of a vtable so the holder
- * stays a POD-sized struct that pool-allocated events can embed.
- * Owners that pool their holders (EventQueue's events, ServerPool's
- * jobs) build the callable straight into the pooled holder with
- * emplace(), so it is never relocated on the way in; hot call sites
- * static_assert storesInline() on their capture type.
+ * sized for them (kInlineBytes) and stores every callable in place:
+ * scheduling an event allocates nothing. A callable that is larger,
+ * over-aligned or may throw on move does not compile; capture a
+ * pointer to its state instead. Dispatch goes through a per-type
+ * static ops table (invoke/relocate/destroy) instead of a vtable so
+ * the holder stays a POD-sized struct that pool-allocated events can
+ * embed. Owners that pool their holders (EventQueue's events,
+ * ServerPool's jobs) build the callable straight into the pooled
+ * holder with emplace(), so it is never relocated on the way in.
  */
 
 #ifndef V3SIM_SIM_EVENT_FN_HH
@@ -31,11 +30,10 @@ namespace v3sim::sim
 class EventFn
 {
   public:
-    /** Inline capture budget: fits the disk completion (a `this`
-     *  pointer and a 64-byte command, 72 bytes: the largest asserted
-     *  capture; the per-packet captures of ViNic::transmit and
-     *  Fabric::send take 48), and keeps the pooled Event at two
-     *  cache lines. */
+    /** Inline capture budget, enforced for every callable: the
+     *  largest captures (the disk completion and the per-packet ones
+     *  in Fabric and ViNic) take 48 bytes, and the pooled Event
+     *  stays at two cache lines. */
     static constexpr size_t kInlineBytes = 80;
 
     EventFn() noexcept = default;
@@ -82,27 +80,16 @@ class EventFn
     void
     emplace(F &&fn)
     {
-        reset();
         using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-            ops_ = inlineOps<Fn>();
-        } else {
-            ::new (static_cast<void *>(buf_))
-                Fn *(new Fn(std::forward<F>(fn)));
-            ops_ = boxedOps<Fn>();
-        }
-    }
-
-    /** Whether a callable of type @p F is held in the inline buffer
-     *  (no heap box). Hot call sites static_assert it on their
-     *  capture type, so a capture that grows past kInlineBytes fails
-     *  the build instead of allocating on every event. */
-    template <typename F>
-    static constexpr bool
-    storesInline()
-    {
-        return fitsInline<std::decay_t<F>>();
+        static_assert(sizeof(Fn) <= kInlineBytes &&
+                          alignof(Fn) <= alignof(void *) &&
+                          std::is_nothrow_move_constructible_v<Fn>,
+                      "EventFn holds callables inline only: this one "
+                      "is over kInlineBytes, over-aligned or may throw "
+                      "on move; capture a pointer to its state instead");
+        reset();
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
+        ops_ = opsFor<Fn>();
     }
 
   private:
@@ -115,15 +102,6 @@ class EventFn
     };
 
     template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= kInlineBytes &&
-               alignof(Fn) <= alignof(void *) &&
-               std::is_nothrow_move_constructible_v<Fn>;
-    }
-
-    template <typename Fn>
     static Fn *
     as(void *buf) noexcept
     {
@@ -132,7 +110,7 @@ class EventFn
 
     template <typename Fn>
     static const Ops *
-    inlineOps() noexcept
+    opsFor() noexcept
     {
         static constexpr Ops ops = {
             [](void *buf) { (*as<Fn>(buf))(); },
@@ -141,20 +119,6 @@ class EventFn
                 as<Fn>(src)->~Fn();
             },
             [](void *buf) noexcept { as<Fn>(buf)->~Fn(); },
-        };
-        return &ops;
-    }
-
-    template <typename Fn>
-    static const Ops *
-    boxedOps() noexcept
-    {
-        static constexpr Ops ops = {
-            [](void *buf) { (**as<Fn *>(buf))(); },
-            [](void *dst, void *src) noexcept {
-                ::new (dst) Fn *(*as<Fn *>(src));
-            },
-            [](void *buf) noexcept { delete *as<Fn *>(buf); },
         };
         return &ops;
     }

@@ -127,8 +127,7 @@ class EventQueue
      * Schedules @p fn to run @p delay after now. Negative delays
      * clamp to zero (fires this tick, after already-queued same-time
      * events). Fire-and-forget: no cancellation handle, no control
-     * slot, and — for callables within EventFn's inline budget — no
-     * allocation.
+     * slot, and no allocation.
      */
     template <typename F>
     void

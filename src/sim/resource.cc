@@ -66,9 +66,7 @@ void
 ServerPool::startJob(Job *job)
 {
     busy_ = true;
-    auto complete = [this, job] { onJobDone(job); };
-    static_assert(EventFn::storesInline<decltype(complete)>());
-    queue_.schedule(job->service, complete);
+    queue_.schedule(job->service, [this, job] { onJobDone(job); });
 }
 
 void

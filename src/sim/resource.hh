@@ -5,8 +5,8 @@
  * ServerPool models one FIFO server with queued admission and a
  * caller-supplied service time per job: each NIC's receive and
  * transmit engine and each fabric port's transmitter. Semaphore is a
- * counted gate, granting in key order, used for flow-control credits
- * and bounded queues.
+ * counted gate, granting in key order, used for flow-control credits,
+ * bounded queues and CPU admission.
  *
  * Determinism (DESIGN.md §8.3): jobs submitted on the same tick are a
  * race — their submission order is unspecified and tie-shuffled, so
@@ -27,6 +27,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -104,10 +105,12 @@ class ServerPool
  * last count to whichever same-tick acquirer happened to run first —
  * arrival order, which the tie-shuffle permutes. Every acquire
  * therefore parks, and counts are granted in one final-band pass per
- * tick ordered by (order_key, park order) over every parked waiter,
- * whichever tick it parked in: a later waiter with a smaller key
- * overtakes an earlier one. Acquirers pass a content-derived key
- * (buffer address, request offset); only equal keys keep FIFO.
+ * tick ordered by (priority, order_key, tiebreak, park order) over
+ * every parked waiter, whichever tick it parked in: a later waiter
+ * with a smaller key overtakes an earlier one. Acquirers pass a
+ * content-derived key (buffer address, request offset, worker id);
+ * only equal keys keep FIFO. osmodel::CpuPool admits to its CPUs
+ * through one, a count per CPU, at interrupt or normal priority.
  */
 class Semaphore
 {
@@ -124,30 +127,38 @@ class Semaphore
     int64_t available() const { return count_; }
     size_t waiterCount() const { return waiters_.size(); }
 
+    /** The awaiter acquire() returns; CpuPool's extends it to resume
+     *  with a lease. */
+    struct Acquire
+    {
+        Semaphore *sem;
+        int priority;
+        uint64_t order_key;
+        uint64_t tiebreak;
+
+        bool await_ready() const { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) const
+        {
+            sem->park(h, *this);
+        }
+
+        void await_resume() const {}
+    };
+
     /**
      * Awaitable acquire of one count. Grants happen in this tick's
      * final band at the earliest; all parked acquirers are ordered
-     * by @p order_key (content, never arrival order), then park order.
+     * by @p priority (lower first), then @p order_key (content, never
+     * arrival order), then @p tiebreak (for callers whose keys can
+     * coincide), then park order.
      */
-    auto
-    acquire(uint64_t order_key = 0)
+    Acquire
+    acquire(uint64_t order_key = 0, uint64_t tiebreak = 0,
+            int priority = 0)
     {
-        struct Awaiter
-        {
-            Semaphore *sem;
-            uint64_t order_key;
-
-            bool await_ready() const { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h) const
-            {
-                sem->park(h, order_key);
-            }
-
-            void await_resume() const {}
-        };
-        return Awaiter{this, order_key};
+        return Acquire{this, priority, order_key, tiebreak};
     }
 
     /** Returns @p n counts; waiters are granted in the final band. */
@@ -163,24 +174,32 @@ class Semaphore
     struct Waiter
     {
         std::coroutine_handle<> handle;
-        uint64_t order_key = 0;
-        uint64_t seq = 0; ///< park-order tiebreak among equal keys
+        int priority;
+        uint64_t order_key;
+        uint64_t tiebreak;
+        uint64_t seq; ///< park-order tiebreak among equal keys
 
         bool
         operator<(const Waiter &other) const
         {
-            if (order_key != other.order_key)
-                return order_key < other.order_key;
-            return seq < other.seq;
+            return std::tie(priority, order_key, tiebreak, seq) <
+                   std::tie(other.priority, other.order_key,
+                            other.tiebreak, other.seq);
         }
     };
 
     void
-    park(std::coroutine_handle<> h, uint64_t order_key)
+    park(std::coroutine_handle<> h, const Acquire &a)
     {
-        const Waiter w{h, order_key, next_seq_++};
-        waiters_.insert(
-            std::upper_bound(waiters_.begin(), waiters_.end(), w), w);
+        const Waiter w{h, a.priority, a.order_key, a.tiebreak,
+                       next_seq_++};
+        // Kept descending, so the next grant pops off the back.
+        const auto granted_later = [](const Waiter &x, const Waiter &y) {
+            return y < x;
+        };
+        waiters_.insert(std::upper_bound(waiters_.begin(), waiters_.end(),
+                                         w, granted_later),
+                        w);
         scheduleGrant();
     }
 
@@ -199,8 +218,8 @@ class Semaphore
         // Cleared first: a resumed waiter may release() and re-park.
         grant_scheduled_ = false;
         while (count_ > 0 && !waiters_.empty()) {
-            const Waiter w = waiters_.front();
-            waiters_.erase(waiters_.begin());
+            const Waiter w = waiters_.back();
+            waiters_.pop_back();
             --count_;
             w.handle.resume();
         }

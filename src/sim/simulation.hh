@@ -15,6 +15,7 @@
 #ifndef V3SIM_SIM_SIMULATION_HH
 #define V3SIM_SIM_SIMULATION_HH
 
+#include <coroutine>
 #include <cstdint>
 
 #include "sim/event_queue.hh"
@@ -51,8 +52,27 @@ class Simulation
     MetricRegistry &metrics() { return metrics_; }
     const MetricRegistry &metrics() const { return metrics_; }
 
-    /** Suspends the calling coroutine for @p d. */
-    DelayAwaiter sleep(Tick d) { return delay(queue_, d); }
+    /** Awaitable: suspends the calling coroutine for @p d. */
+    auto
+    sleep(Tick d)
+    {
+        struct Awaiter
+        {
+            EventQueue &queue;
+            Tick d;
+
+            bool await_ready() const { return false; }
+
+            void
+            await_suspend(std::coroutine_handle<> h) const
+            {
+                queue.schedule(d, [h] { h.resume(); });
+            }
+
+            void await_resume() const {}
+        };
+        return Awaiter{queue_, d};
+    }
 
     /** Runs until no events remain. @return events fired. */
     size_t run() { return queue_.run(); }

@@ -12,7 +12,6 @@
  *    transfer, no stack growth across chains).
  *  - spawn(): starts a Task<> as a detached root activity whose frame
  *    frees itself on completion.
- *  - delay(): suspends the current coroutine for simulated time.
  *  - Completion<T>: a one-shot box bridging callback APIs into
  *    `co_await` (set() resumes the waiter synchronously).
  *  - CondEvent: a broadcast wakeup with manual state (flow-control
@@ -34,15 +33,10 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/frame_arena.hh"
-#include "sim/types.hh"
 
 namespace v3sim::sim
 {
-
-template <typename T>
-class Task;
 
 namespace detail
 {
@@ -63,10 +57,10 @@ struct FinalAwaiter
     void await_resume() const noexcept {}
 };
 
-struct PromiseBase
+/** What every promise type here shares: frames from the arena, and
+ *  no exception may leave a coroutine. */
+struct FrameHooks
 {
-    std::coroutine_handle<> continuation;
-
     /** Frames come from the arena; only the sized form is declared,
      *  so the compiler must (and does) call it on frame destruction. */
     void *operator new(size_t size) { return FrameArena::allocate(size); }
@@ -77,8 +71,6 @@ struct PromiseBase
         FrameArena::deallocate(ptr, size);
     }
 
-    std::suspend_always initial_suspend() const noexcept { return {}; }
-
     [[noreturn]] void
     unhandled_exception() const noexcept
     {
@@ -86,6 +78,50 @@ struct PromiseBase
                    stderr);
         std::terminate();
     }
+};
+
+/** A one-shot result: a value of type T, or for void only the fact
+ *  that it was set. */
+template <typename T>
+class Slot
+{
+  public:
+    bool ready() const { return value_.has_value(); }
+    void set(T value) { value_.emplace(std::move(value)); }
+    T take() { return std::move(*value_); }
+
+  private:
+    std::optional<T> value_;
+};
+
+template <>
+class Slot<void>
+{
+  public:
+    bool ready() const { return done_; }
+    void set() { done_ = true; }
+    void take() const {}
+
+  private:
+    bool done_ = false;
+};
+
+/** A task promise's `co_return` half: return_value keeps the result
+ *  for the awaiter to take; a void task keeps nothing. */
+template <typename T>
+struct Returns
+{
+    void return_value(T value) { result.set(std::move(value)); }
+    T take() { return result.take(); }
+
+    Slot<T> result;
+};
+
+template <>
+struct Returns<void>
+{
+    void return_void() const {}
+    void take() const {}
 };
 
 } // namespace detail
@@ -100,9 +136,9 @@ template <typename T = void>
 class [[nodiscard]] Task
 {
   public:
-    struct promise_type : detail::PromiseBase
+    struct promise_type : detail::FrameHooks, detail::Returns<T>
     {
-        std::optional<T> value;
+        std::coroutine_handle<> continuation;
 
         Task
         get_return_object()
@@ -111,13 +147,13 @@ class [[nodiscard]] Task
                 std::coroutine_handle<promise_type>::from_promise(*this));
         }
 
+        std::suspend_always initial_suspend() const noexcept { return {}; }
+
         detail::FinalAwaiter<promise_type>
         final_suspend() const noexcept
         {
             return {};
         }
-
-        void return_value(T v) { value.emplace(std::move(v)); }
     };
 
     Task() = default;
@@ -142,8 +178,6 @@ class [[nodiscard]] Task
     Task &operator=(const Task &) = delete;
 
     ~Task() { destroy(); }
-
-    bool valid() const { return handle_ != nullptr; }
 
     /** Awaiting starts the task and yields its result. */
     auto
@@ -163,102 +197,7 @@ class [[nodiscard]] Task
                 return task->handle_;
             }
 
-            T
-            await_resume()
-            {
-                return std::move(*task->handle_.promise().value);
-            }
-        };
-        assert(handle_ && !started_ && "task must be awaited once");
-        return Awaiter{this};
-    }
-
-  private:
-    explicit Task(std::coroutine_handle<promise_type> handle)
-        : handle_(handle)
-    {}
-
-    void
-    destroy()
-    {
-        if (handle_) {
-            assert((!started_ || handle_.done()) &&
-                   "destroying a suspended in-flight task");
-            handle_.destroy();
-            handle_ = nullptr;
-        }
-    }
-
-    std::coroutine_handle<promise_type> handle_;
-    bool started_ = false;
-};
-
-/** Task specialization for void results. */
-template <>
-class [[nodiscard]] Task<void>
-{
-  public:
-    struct promise_type : detail::PromiseBase
-    {
-        Task
-        get_return_object()
-        {
-            return Task(
-                std::coroutine_handle<promise_type>::from_promise(*this));
-        }
-
-        detail::FinalAwaiter<promise_type>
-        final_suspend() const noexcept
-        {
-            return {};
-        }
-
-        void return_void() const {}
-    };
-
-    Task() = default;
-
-    Task(Task &&other) noexcept
-        : handle_(std::exchange(other.handle_, nullptr)),
-          started_(std::exchange(other.started_, false))
-    {}
-
-    Task &
-    operator=(Task &&other) noexcept
-    {
-        if (this != &other) {
-            destroy();
-            handle_ = std::exchange(other.handle_, nullptr);
-            started_ = std::exchange(other.started_, false);
-        }
-        return *this;
-    }
-
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
-
-    ~Task() { destroy(); }
-
-    bool valid() const { return handle_ != nullptr; }
-
-    auto
-    operator co_await() &&
-    {
-        struct Awaiter
-        {
-            Task *task;
-
-            bool await_ready() const { return false; }
-
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<> continuation)
-            {
-                task->started_ = true;
-                task->handle_.promise().continuation = continuation;
-                return task->handle_;
-            }
-
-            void await_resume() const {}
+            T await_resume() { return task->handle_.promise().take(); }
         };
         assert(handle_ && !started_ && "task must be awaited once");
         return Awaiter{this};
@@ -290,38 +229,17 @@ namespace detail
 /** Eager, self-destroying coroutine used to root detached tasks. */
 struct DetachedTask
 {
-    struct promise_type
+    struct promise_type : FrameHooks
     {
-        void *
-        operator new(size_t size)
-        {
-            return FrameArena::allocate(size);
-        }
-
-        void
-        operator delete(void *ptr, size_t size) noexcept
-        {
-            FrameArena::deallocate(ptr, size);
-        }
-
         DetachedTask get_return_object() const { return {}; }
         std::suspend_never initial_suspend() const noexcept { return {}; }
         std::suspend_never final_suspend() const noexcept { return {}; }
         void return_void() const {}
-
-        [[noreturn]] void
-        unhandled_exception() const noexcept
-        {
-            std::fputs(
-                "v3sim: exception escaped a detached coroutine\n",
-                stderr);
-            std::terminate();
-        }
     };
 };
 
 inline DetachedTask
-spawnImpl(Task<void> task)
+spawnImpl(Task<> task)
 {
     co_await std::move(task);
 }
@@ -333,42 +251,18 @@ spawnImpl(Task<void> task)
  * lives until the task completes, then frees itself.
  */
 inline void
-spawn(Task<void> task)
+spawn(Task<> task)
 {
     detail::spawnImpl(std::move(task));
 }
 
-/** Awaitable that suspends the current coroutine for @p d ticks. */
-struct DelayAwaiter
-{
-    EventQueue &queue;
-    Tick d;
-
-    bool await_ready() const { return false; }
-
-    void
-    await_suspend(std::coroutine_handle<> h) const
-    {
-        queue.schedule(d, [h] { h.resume(); });
-    }
-
-    void await_resume() const {}
-};
-
-/** co_await delay(queue, usecs(5)); */
-inline DelayAwaiter
-delay(EventQueue &queue, Tick d)
-{
-    return DelayAwaiter{queue, d};
-}
-
 /**
- * One-shot value box bridging callback APIs to coroutines.
+ * One-shot box bridging callback APIs to coroutines.
  *
- * Exactly one producer calls set() exactly once; exactly one consumer
- * awaits wait() at most once. If the value is already set, wait()
- * completes immediately; otherwise set() resumes the waiter
- * synchronously.
+ * Exactly one producer calls set() exactly once — set(value), or
+ * set() for Completion<> — and exactly one consumer awaits wait() at
+ * most once. If the value is already set, wait() completes
+ * immediately; otherwise set() resumes the waiter synchronously.
  */
 template <typename T = void>
 class Completion
@@ -378,13 +272,14 @@ class Completion
     Completion(const Completion &) = delete;
     Completion &operator=(const Completion &) = delete;
 
-    bool ready() const { return value_.has_value(); }
+    bool ready() const { return slot_.ready(); }
 
+    template <typename... V>
     void
-    set(T value)
+    set(V &&...value)
     {
-        assert(!value_.has_value() && "Completion set twice");
-        value_.emplace(std::move(value));
+        assert(!slot_.ready() && "Completion set twice");
+        slot_.set(std::forward<V>(value)...);
         if (waiter_) {
             auto w = std::exchange(waiter_, nullptr);
             w.resume();
@@ -407,61 +302,13 @@ class Completion
                 completion->waiter_ = h;
             }
 
-            T await_resume() { return std::move(*completion->value_); }
+            T await_resume() { return completion->slot_.take(); }
         };
         return Awaiter{this};
     }
 
   private:
-    std::optional<T> value_;
-    std::coroutine_handle<> waiter_;
-};
-
-/** Completion specialization carrying no value. */
-template <>
-class Completion<void>
-{
-  public:
-    Completion() = default;
-    Completion(const Completion &) = delete;
-    Completion &operator=(const Completion &) = delete;
-
-    bool ready() const { return done_; }
-
-    void
-    set()
-    {
-        assert(!done_ && "Completion set twice");
-        done_ = true;
-        if (waiter_) {
-            auto w = std::exchange(waiter_, nullptr);
-            w.resume();
-        }
-    }
-
-    auto
-    wait()
-    {
-        struct Awaiter
-        {
-            Completion *completion;
-
-            bool await_ready() const { return completion->done_; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                assert(!completion->waiter_ && "single waiter only");
-                completion->waiter_ = h;
-            }
-
-            void await_resume() const {}
-        };
-        return Awaiter{this};
-    }
-
-  private:
-    bool done_ = false;
+    detail::Slot<T> slot_;
     std::coroutine_handle<> waiter_;
 };
 

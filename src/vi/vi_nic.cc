@@ -231,7 +231,6 @@ ViNic::toWire(net::Packet packet)
     auto to_fabric = [this, packet = std::move(packet)]() mutable {
         fabric_.send(std::move(packet));
     };
-    static_assert(sim::EventFn::storesInline<decltype(to_fabric)>());
     tx_engine_.submit(costs_.nic_tx_processing, std::move(to_fabric),
                       order_key);
 }

@@ -104,8 +104,11 @@ TEST(Disk, ClookSweepsUpThenWraps)
     Disk disk(sim, DiskSpec::scsi10k(), sim.forkRng(), "d");
     std::vector<uint64_t> served;
     auto submit = [&](uint64_t mib) {
-        disk.submit(mib * kMiB, 8192, false,
-                    [&served, mib] { served.push_back(mib); });
+        sim::spawn([](Disk &d, std::vector<uint64_t> &out,
+                      uint64_t m) -> sim::Task<> {
+            co_await d.read(m * kMiB, 8192);
+            out.push_back(m);
+        }(disk, served, mib));
     };
     submit(512);
     sim.queue().schedule(1, [&] {
@@ -121,9 +124,12 @@ TEST(Disk, QueueingAddsLatency)
     sim::Simulation sim(13);
     Disk disk(sim, DiskSpec::scsi10k(), sim.forkRng(), "d");
     int done = 0;
-    for (int i = 0; i < 8; ++i)
-        disk.submit(static_cast<uint64_t>(i) * 1024 * 1024 * 128, 8192,
-                    false, [&] { ++done; });
+    for (int i = 0; i < 8; ++i) {
+        sim::spawn([](Disk &d, int &count, uint64_t off) -> sim::Task<> {
+            co_await d.read(off, 8192);
+            ++count;
+        }(disk, done, static_cast<uint64_t>(i) * 1024 * 1024 * 128));
+    }
     sim.run();
     EXPECT_EQ(done, 8);
     // Total latency (wait+service) exceeds pure service on average.

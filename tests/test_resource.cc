@@ -119,19 +119,24 @@ TEST(Semaphore, SameTickGrantsFollowOrderKey)
     Simulation sim;
     Semaphore sem(sim.queue(), 2);
     std::vector<int> order;
-    // Park in descending-key order; grants must ascend by key.
-    for (int i = 3; i >= 0; --i) {
-        spawn([](Semaphore &sm, std::vector<int> &out, int id) -> Task<> {
-            co_await sm.acquire(static_cast<uint64_t>(id));
-            out.push_back(id);
-        }(sem, order, i));
-    }
+    auto waiter = [](Semaphore &sm, std::vector<int> &out, int id,
+                     uint64_t key, uint64_t tiebreak) -> Task<> {
+        co_await sm.acquire(key, tiebreak);
+        out.push_back(id);
+    };
+    // Park in descending-key order; grants must ascend by key. Ids 5
+    // and 4 share key 4 and park in that order: equal keys grant by
+    // tiebreak, not by park order.
+    for (int i = 3; i >= 0; --i)
+        spawn(waiter(sem, order, i, static_cast<uint64_t>(i), 0));
+    spawn(waiter(sem, order, 5, 4, 1));
+    spawn(waiter(sem, order, 4, 4, 0));
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
-    EXPECT_EQ(sem.waiterCount(), 2u);
-    sem.release(2);
+    EXPECT_EQ(sem.waiterCount(), 4u);
+    sem.release(4);
     sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 // The key orders every parked waiter, not only same-tick ones: a

@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -460,21 +463,48 @@ TEST(SimlintRatchet, SummaryRoundTripsThroughChecker)
     EXPECT_NE(res.detail.find("ratchet OK"), std::string::npos);
 }
 
+// A path exemption is decided from the root argument's own name and
+// the path below it, never from the directories above the root: a
+// checkout under a directory named bench (or tests, examples, tools)
+// must not exempt the tree it holds.
+TEST(SimlintRepo, ExemptionsIgnoreDirectoriesAboveTheRoot)
+{
+    namespace fs = std::filesystem;
+    const fs::path tmp = fs::path(::testing::TempDir()) /
+                         ("simlint_scope_" + std::to_string(::getpid()));
+    const fs::path src = tmp / "bench" / "v3" / "src";
+    fs::create_directories(src);
+    std::ofstream(src / "x.cc") << "static int runs = 0;\n"
+                                << "sim::Rng rng(42);\n";
+
+    std::vector<std::string> missing;
+    const RepoReport report =
+        lintRepo(collectInputs({src.string()}, &missing));
+    EXPECT_TRUE(missing.empty());
+    const LineRules want = {{1, "global-state"}, {2, "rng-discipline"}};
+    EXPECT_EQ(lineRules(report.findings), want);
+    // Scanned from the bench directory itself, the file is harness
+    // code and both rules stand down.
+    EXPECT_TRUE(
+        lintRepo(collectInputs({(tmp / "bench").string()})).findings.empty());
+    fs::remove_all(tmp);
+}
+
 // --- Whole-repo sweep (mirrors the simlint_repo ctest) --------------
 
 TEST(SimlintRepo, WholeTreeIsCleanAndWithinRatchet)
 {
     const std::string repo = SIMLINT_REPO_DIR;
     std::vector<std::string> missing;
-    const std::vector<std::string> files = collectInputs(
+    const std::vector<Input> files = collectInputs(
         {repo + "/src", repo + "/bench", repo + "/tests",
          repo + "/tools", repo + "/examples"},
         &missing);
     EXPECT_TRUE(missing.empty());
     ASSERT_GT(files.size(), 100u);
     // The walk must skip known-bad fixture trees.
-    for (const std::string &f : files)
-        ASSERT_EQ(f.find("/fixtures/"), std::string::npos) << f;
+    for (const Input &f : files)
+        ASSERT_EQ(f.path.find("/fixtures/"), std::string::npos) << f.path;
 
     const RepoReport report = lintRepo(files);
     for (const Finding &f : report.findings)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,57 @@ TEST(Task, MoveOnlyResultsPropagate)
     }(sim, result));
     sim.run();
     EXPECT_EQ(result, "done@50.000000");
+}
+
+Task<std::unique_ptr<int>>
+boxed(Simulation &sim, int v)
+{
+    co_await sim.sleep(usecs(1));
+    co_return std::make_unique<int>(v);
+}
+
+Task<std::unique_ptr<int>>
+incremented(Task<std::unique_ptr<int>> inner)
+{
+    std::unique_ptr<int> p = co_await std::move(inner);
+    ++*p;
+    co_return p;
+}
+
+TEST(Task, NonCopyableResultReturnsThroughNestedAwaits)
+{
+    Simulation sim;
+    std::unique_ptr<int> result;
+    spawn([](Simulation &s, std::unique_ptr<int> &out) -> Task<> {
+        out = co_await incremented(incremented(boxed(s, 40)));
+    }(sim, result));
+    sim.run();
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(*result, 42);
+}
+
+TEST(Task, NonCopyableCompletionSetBeforeOrAfterWait)
+{
+    using Box = Completion<std::unique_ptr<int>>;
+    auto waiter = [](Box &c, std::unique_ptr<int> &out) -> Task<> {
+        out = co_await c.wait();
+    };
+    Simulation sim;
+    Box early;
+    Box late;
+    early.set(std::make_unique<int>(1));
+    std::unique_ptr<int> got_early;
+    std::unique_ptr<int> got_late;
+    spawn(waiter(early, got_early));
+    spawn(waiter(late, got_late));
+    ASSERT_NE(got_early, nullptr);
+    EXPECT_EQ(*got_early, 1);
+    EXPECT_EQ(got_late, nullptr);
+    sim.queue().schedule(usecs(3),
+                         [&] { late.set(std::make_unique<int>(2)); });
+    sim.run();
+    ASSERT_NE(got_late, nullptr);
+    EXPECT_EQ(*got_late, 2);
 }
 
 TEST(Task, ManyConcurrentTasksComplete)

@@ -40,12 +40,6 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
-bool
-pathContains(const std::string &path, const char *needle)
-{
-    return path.find(needle) != std::string::npos;
-}
-
 auto
 findingKey(const Finding &f)
 {
@@ -192,30 +186,35 @@ suppressionCounts(const RepoReport &report)
 
 } // namespace
 
+Input::Input(std::string file)
+    : path(std::move(file)),
+      scope(fs::path(path).filename().generic_string())
+{}
+
 std::vector<Finding>
 lintSource(const std::string &path, const std::string &content)
 {
-    TuAnalysis tu = analyzeTu(path, content);
+    TuAnalysis tu = analyzeTu({path, path}, content);
     runTuRules(tu, nullptr, nullptr);
     sortFindings(tu.findings);
     return tu.findings;
 }
 
 std::vector<Finding>
-lintFile(const std::string &path)
+lintFile(const Input &file)
 {
     std::string content;
-    if (!readFile(path, content))
-        return {{path, 0, "io", "cannot read file"}};
+    if (!readFile(file.path, content))
+        return {{file.path, 0, "io", "cannot read file"}};
 
-    TuAnalysis tu = analyzeTu(path, content);
+    TuAnalysis tu = analyzeTu(file, content);
 
     // Companion header: its aliases extend alias resolution, its
     // container members count as tracked in this TU.
     std::map<std::string, ContainerKind> header_aliases;
     std::vector<TrackedVar> header_tracked;
     bool have_header = false;
-    for (const std::string &hpath : companionHeaders(path)) {
+    for (const std::string &hpath : companionHeaders(file.path)) {
         std::string htext;
         if (!readFile(hpath, htext))
             continue;
@@ -234,24 +233,24 @@ lintFile(const std::string &path)
 }
 
 RepoReport
-lintRepo(const std::vector<std::string> &paths)
+lintRepo(const std::vector<Input> &files)
 {
     RepoReport report;
-    report.files = paths.size();
+    report.files = files.size();
 
     // ---- Pass 1: analyze every TU, build the repo-wide context ---
     std::vector<TuAnalysis> tus;
-    tus.reserve(paths.size());
+    tus.reserve(files.size());
     std::map<std::string, size_t> by_path;
-    for (const std::string &path : paths) {
+    for (const Input &file : files) {
         std::string content;
-        if (!readFile(path, content)) {
+        if (!readFile(file.path, content)) {
             report.findings.push_back(
-                {path, 0, "io", "cannot read file"});
+                {file.path, 0, "io", "cannot read file"});
             continue;
         }
-        by_path.emplace(path, tus.size());
-        tus.push_back(analyzeTu(path, content));
+        by_path.emplace(file.path, tus.size());
+        tus.push_back(analyzeTu(file, content));
     }
 
     std::map<std::string, ContainerKind> global_aliases;
@@ -350,10 +349,13 @@ lintRepo(const std::vector<std::string> &paths)
     // registries.
     std::map<std::string, std::vector<std::pair<std::string, int>>>
         full_paths;
-    for (const auto &[use, file] : regs) {
-        if (use.kind == MetricUse::Kind::RegisterPath &&
-            !pathContains(file, "tests/"))
-            full_paths[use.text].emplace_back(file, use.line);
+    for (const TuAnalysis &tu : tus) {
+        if (scopeHas(tu.scope, "tests/"))
+            continue;
+        for (const MetricUse &use : tu.metric_uses) {
+            if (use.kind == MetricUse::Kind::RegisterPath)
+                full_paths[use.text].emplace_back(tu.path, use.line);
+        }
     }
     for (auto &[path, sites] : full_paths) {
         if (sites.size() < 2)
@@ -416,7 +418,7 @@ lintRepo(const std::vector<std::string> &paths)
     return report;
 }
 
-std::vector<std::string>
+std::vector<Input>
 collectInputs(const std::vector<std::string> &roots,
               std::vector<std::string> *missing)
 {
@@ -426,11 +428,11 @@ collectInputs(const std::vector<std::string> &roots,
     static const std::set<std::string> kSkipDirs = {
         "fixtures", "build", ".git",
     };
-    std::vector<std::string> out;
+    std::vector<Input> out;
     for (const std::string &root : roots) {
         std::error_code ec;
         if (fs::is_regular_file(root, ec)) {
-            out.push_back(root);
+            out.emplace_back(root);
             continue;
         }
         if (!fs::is_directory(root, ec)) {
@@ -438,6 +440,12 @@ collectInputs(const std::vector<std::string> &roots,
                 missing->push_back(root);
             continue;
         }
+        // "tests/" names the root "tests"; "." keeps ".".
+        fs::path root_path(root);
+        if (!root_path.has_filename())
+            root_path = root_path.parent_path();
+        const std::string root_name =
+            root_path.filename().generic_string();
         fs::recursive_directory_iterator it(
             root, fs::directory_options::skip_permission_denied,
             ec);
@@ -452,12 +460,25 @@ collectInputs(const std::vector<std::string> &roots,
             }
             if (!entry.is_regular_file(ec))
                 continue;
-            if (kExts.count(entry.path().extension().string()))
-                out.push_back(entry.path().generic_string());
+            if (kExts.count(entry.path().extension().string())) {
+                out.emplace_back(
+                    entry.path().generic_string(),
+                    root_name + "/" +
+                        entry.path()
+                            .lexically_relative(root_path)
+                            .generic_string());
+            }
         }
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+    const auto byPath = [](const Input &a, const Input &b) {
+        return a.path < b.path;
+    };
+    std::sort(out.begin(), out.end(), byPath);
+    out.erase(std::unique(out.begin(), out.end(),
+                          [](const Input &a, const Input &b) {
+                              return a.path == b.path;
+                          }),
+              out.end());
     return out;
 }
 

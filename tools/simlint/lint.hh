@@ -76,6 +76,7 @@
 #define V3SIM_TOOLS_SIMLINT_LINT_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace v3sim::simlint
@@ -108,17 +109,38 @@ struct RepoReport
     size_t files = 0;                     ///< inputs analyzed
 };
 
+/**
+ * One file to lint. `path` is where it is read from and the name its
+ * findings carry. `scope` decides the path-based rule exemptions
+ * (tests/, bench/, examples/, tools/, sim/random. and the like): the
+ * name of the root argument the file was found under, then its path
+ * below that root. A file named on its own is scoped by its own name,
+ * so the directories above a root never exempt anything, wherever
+ * the tree is checked out.
+ */
+struct Input
+{
+    /** A file named on its own. */
+    Input(std::string file);
+    Input(std::string file, std::string file_scope)
+        : path(std::move(file)), scope(std::move(file_scope))
+    {}
+
+    std::string path;
+    std::string scope;
+};
+
 /** Lints one translation unit given as text. Per-TU rules only —
  *  cross-TU rules (metric-index, alias routing, include-graph
- *  attribution) need lintRepo. @p path is used for reporting and
- *  for path-based rule exemptions. */
+ *  attribution) need lintRepo. @p path is used for reporting and is
+ *  the scope of the path-based rule exemptions. */
 std::vector<Finding> lintSource(const std::string &path,
                                 const std::string &content);
 
 /** Reads and lints a file (per-TU rules plus companion-header
  *  declaration tracking). A read failure is reported as a finding
  *  with rule "io". */
-std::vector<Finding> lintFile(const std::string &path);
+std::vector<Finding> lintFile(const Input &file);
 
 /**
  * The full multi-pass analysis over a set of files: pass 1 builds
@@ -126,13 +148,15 @@ std::vector<Finding> lintFile(const std::string &path);
  * per-TU rules with that context plus the cross-TU rules. Findings
  * are sorted by (file, line, rule, message).
  */
-RepoReport lintRepo(const std::vector<std::string> &paths);
+RepoReport lintRepo(const std::vector<Input> &files);
 
 /** Expands directories (recursively) into lintable files
  *  (.cc/.hh/.cpp/.hpp/.h), skipping directories named "fixtures",
- *  "build" or ".git". Explicit file arguments pass through. Unknown
- *  paths are returned in @p missing. Output is sorted. */
-std::vector<std::string>
+ *  "build" or ".git", each scoped by the root's name and its path
+ *  below the root. Explicit file arguments pass through, scoped by
+ *  their own name. Unknown paths are returned in @p missing. Output
+ *  is sorted by path. */
+std::vector<Input>
 collectInputs(const std::vector<std::string> &roots,
               std::vector<std::string> *missing = nullptr);
 

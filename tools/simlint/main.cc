@@ -71,7 +71,7 @@ main(int argc, char **argv)
     }
 
     std::vector<std::string> missing;
-    const std::vector<std::string> files =
+    const std::vector<v3sim::simlint::Input> files =
         v3sim::simlint::collectInputs(roots, &missing);
     if (!missing.empty()) {
         for (const std::string &m : missing)

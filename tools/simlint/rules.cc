@@ -7,19 +7,21 @@
 namespace v3sim::simlint
 {
 
+bool
+scopeHas(const std::string &scope, const std::string &part)
+{
+    return scope.compare(0, part.size(), part) == 0 ||
+           scope.find("/" + part) != std::string::npos;
+}
+
 namespace
 {
-
-bool
-pathContains(const std::string &path, const char *needle)
-{
-    return path.find(needle) != std::string::npos;
-}
 
 /** Context handed to every per-TU rule. */
 struct Ctx
 {
     const std::string &path;
+    const std::string &scope;
     const Stripped &stripped;
     const std::vector<Token> &tokens;
     const SymbolTable &symbols;
@@ -88,7 +90,7 @@ checkRawRandom(const Ctx &ctx)
 {
     // The deterministic engine home may name engines in its own
     // implementation (seeding helpers, docs fixtures).
-    if (pathContains(ctx.path, "sim/random."))
+    if (scopeHas(ctx.scope, "sim/random."))
         return;
     static const std::set<std::string> kWords = {
         "random_device", "mt19937",  "mt19937_64",
@@ -406,7 +408,7 @@ checkFinalBandKey(const Ctx &ctx)
 void
 checkRefCaptureEscape(const Ctx &ctx)
 {
-    if (pathContains(ctx.path, "tests/"))
+    if (scopeHas(ctx.scope, "tests/"))
         return;
     static const std::set<std::string> kSinks = {
         "schedule",          "scheduleAt", "scheduleFinal",
@@ -491,7 +493,7 @@ checkRngDiscipline(const Ctx &ctx)
     for (const char *exempt :
          {"tests/", "bench/", "examples/", "sim/random.",
           "sim/simulation."}) {
-        if (pathContains(ctx.path, exempt))
+        if (scopeHas(ctx.scope, exempt))
             return;
     }
     const auto &tokens = ctx.tokens;
@@ -536,7 +538,7 @@ checkGlobalState(const Ctx &ctx)
 {
     for (const char *exempt :
          {"tests/", "bench/", "examples/", "tools/"}) {
-        if (pathContains(ctx.path, exempt))
+        if (scopeHas(ctx.scope, exempt))
             return;
     }
     auto qualifier = [](const Token &t) {
@@ -686,11 +688,12 @@ collectMetricUses(const std::vector<Token> &tokens)
 } // namespace
 
 TuAnalysis
-analyzeTu(const std::string &path, const std::string &content)
+analyzeTu(const Input &file, const std::string &content)
 {
     TuAnalysis tu;
-    tu.path = path;
-    tu.stripped = strip(path, content);
+    tu.path = file.path;
+    tu.scope = file.scope;
+    tu.stripped = strip(file.path, content);
     tu.tokens = tokenize(tu.stripped);
     tu.symbols = buildSymbols(tu.tokens);
     tu.includes = scanIncludes(content);
@@ -716,7 +719,8 @@ runTuRules(TuAnalysis &tu,
         tracked.insert(tracked.end(), extra_tracked->begin(),
                        extra_tracked->end());
 
-    Ctx ctx{tu.path, tu.stripped, tu.tokens, symbols, tu.findings};
+    Ctx ctx{tu.path,   tu.scope, tu.stripped,
+            tu.tokens, symbols,  tu.findings};
     for (const Finding &f : tu.stripped.annotation_findings)
         tu.findings.push_back(f);
     checkWallClock(ctx);

@@ -43,10 +43,16 @@ struct MetricUse
     std::string call;  ///< e.g. "counter", "findCounter"
 };
 
+/** True when @p part ("tests/", "sim/random.") begins @p scope or
+ *  one of its path components: the test behind every path-based
+ *  rule exemption (see Input). */
+bool scopeHas(const std::string &scope, const std::string &part);
+
 /** Everything pass 1 learns about one translation unit. */
 struct TuAnalysis
 {
     std::string path;
+    std::string scope; ///< decides path-based exemptions (see Input)
     Stripped stripped;
     std::vector<Token> tokens;
     SymbolTable symbols;  ///< TU-local (no global aliases yet)
@@ -56,8 +62,7 @@ struct TuAnalysis
 };
 
 /** Pass 1: lexes and indexes one TU. Emits no findings. */
-TuAnalysis analyzeTu(const std::string &path,
-                     const std::string &content);
+TuAnalysis analyzeTu(const Input &file, const std::string &content);
 
 /**
  * Pass 2: runs every per-TU rule, appending to @p tu.findings.
